@@ -90,8 +90,8 @@ class Cluster:
         self.command_log = CommandLog() if keep_command_log else None
         self.validate_plans = validate_plans
         # Dispatch is prebound at construction: "batched" drains a whole
-        # epoch with the tracer/digest checks hoisted to one branch per
-        # batch; "single" retains the legacy per-event loop (kept as the
+        # epoch with the tracer check hoisted to one branch per batch;
+        # "single" retains the legacy per-event loop (kept as the
         # differential-test reference — see tests/sanitize).
         if dispatch_mode == "batched":
             self._dispatch = self._dispatch_batched
@@ -323,26 +323,34 @@ class Cluster:
     def _dispatch_entry(self, plan, t_sequenced: float) -> None:
         """Mode-neutral dispatch entry point.
 
-        The kernel digest folds callback qualnames, so scheduling the
-        prebound ``self._dispatch`` directly would leak the dispatch
-        *mode* into the event stream and make batched-vs-single digest
-        comparison vacuous.  One extra call per batch is noise.
+        Recorded digest lines name callbacks by qualname, so scheduling
+        the prebound ``self._dispatch`` directly would leak the dispatch
+        *mode* into the event stream.  The digest's dispatch note lives
+        here for the same reason: one note per batch, whichever
+        dispatcher drains it.  One extra call per batch is noise.
         """
+        digest = self.kernel.digest
+        if digest is not None:
+            # Dispatch order assigns the lock-acquisition sequence: the
+            # exact ordering decision the lint's set-iteration rule
+            # protects, so it goes into the stream verbatim.
+            digest.note(
+                "sched.dispatch", self._next_seq + 1,
+                [(p.txn.txn_id, p.coordinator) for p in plan],
+            )
         self._dispatch(plan, t_sequenced)
 
     def _dispatch_batched(self, plan, t_sequenced: float) -> None:
         """Drain one routed batch with instrumentation hoisted per batch.
 
-        With neither a tracer nor a digest bound, the loop below touches
-        only metrics, the lock manager, and the runtimes — the hot path.
-        Otherwise the instrumented twin runs, emitting exactly the notes
-        and trace events the legacy single-event path would, in the same
-        order (asserted by the sanitize differential suite).
+        With no tracer bound, the loop below touches only metrics, the
+        lock manager, and the runtimes — the hot path.  Otherwise the
+        instrumented twin runs, emitting exactly the trace events the
+        legacy single-event path would, in the same order.
         """
-        digest = self.kernel.digest
         tracer = self.tracer
-        if tracer is not None or digest is not None:
-            self._dispatch_instrumented(plan, t_sequenced, digest, tracer)
+        if tracer is not None:
+            self._dispatch_instrumented(plan, t_sequenced, tracer)
             return
         now = self.kernel.now
         seq = self._next_seq
@@ -370,9 +378,7 @@ class Cluster:
             runtime.start()
         self._next_seq = seq
 
-    def _dispatch_instrumented(
-        self, plan, t_sequenced: float, digest, tracer
-    ) -> None:
+    def _dispatch_instrumented(self, plan, t_sequenced: float, tracer) -> None:
         now = self.kernel.now
         seq = self._next_seq
         note_dispatch = self.metrics.note_dispatch
@@ -381,21 +387,13 @@ class Cluster:
         for txn_plan in plan:
             seq += 1
             txn = txn_plan.txn
-            if digest is not None:
-                # Dispatch order assigns the lock-acquisition sequence:
-                # the exact ordering decision the lint's set-iteration
-                # rule protects, so it goes into the stream verbatim.
-                digest.note(
-                    "sched.dispatch", seq, txn.txn_id, txn_plan.coordinator
-                )
             if not txn.is_system():
                 note_dispatch(txn_plan)
-            if tracer is not None:
-                tracer.txn_dispatched(
-                    seq, txn.txn_id, txn.kind.name,
-                    txn_plan.coordinator, tuple(sorted(txn_plan.masters)),
-                    txn.size,
-                )
+            tracer.txn_dispatched(
+                seq, txn.txn_id, txn.kind.name,
+                txn_plan.coordinator, tuple(sorted(txn_plan.masters)),
+                txn.size,
+            )
             runtime = make_runtime(
                 self, txn_plan, seq, t_sequenced, now, finished
             )
@@ -410,21 +408,15 @@ class Cluster:
         self._next_seq = seq
 
     def _dispatch_single(self, plan, t_sequenced: float) -> None:
-        """Legacy per-event dispatch loop, preserved verbatim.
+        """Legacy per-event dispatch loop.
 
         The differential suite replays identical workloads through this
         path and ``_dispatch_batched`` and compares event digests.
         """
         now = self.kernel.now
         tracer = self.tracer
-        digest = self.kernel.digest
         for txn_plan in plan:
             self._next_seq += 1
-            if digest is not None:
-                digest.note(
-                    "sched.dispatch", self._next_seq, txn_plan.txn.txn_id,
-                    txn_plan.coordinator,
-                )
             if not txn_plan.txn.is_system():
                 self.metrics.note_dispatch(txn_plan)
             if tracer is not None:

@@ -8,7 +8,7 @@ never appear — admission happens ahead of the journal.
 
 Format (one JSON object per line, ``sort_keys`` for byte stability)::
 
-    {"kind": "header", "version": 1, "config": {...}}
+    {"kind": "header", "version": 2, "config": {...}}
     {"kind": "tick", "tick": 0, "requests": [...], "resizes": [...]}
     ...
     {"kind": "footer", "ticks": N, "accepted": A, "commits": C,
@@ -30,7 +30,9 @@ from repro.common.errors import ConfigurationError
 
 __all__ = ["Journal", "JournalWriter", "TickRecord", "read_journal"]
 
-JOURNAL_VERSION = 1
+#: Version 2: the footer digest is the block-hashed numeric encoding of
+#: :mod:`repro.sanitize.digest`; a version-1 footer cannot be verified.
+JOURNAL_VERSION = 2
 
 
 def _dumps(record: Mapping) -> str:

@@ -14,19 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.serve.core import ServeConfig, ServeCore, ServeReport
-from repro.serve.journal import read_journal
+from repro.serve.journal import Journal, read_journal
 
 __all__ = ["replay_journal", "verify_journal", "VerifyResult"]
 
 
-def replay_journal(path: str) -> ServeReport:
-    """Re-execute a journal; returns the replayed run's report."""
-    journal = read_journal(path)
+def _replay(journal: Journal) -> ServeReport:
     config = ServeConfig.from_json(journal.config)
     core = ServeCore(config)
     for record in journal.ticks:
         core.tick(record.requests, resizes=record.resizes)
     return core.finish()
+
+
+def replay_journal(path: str) -> ServeReport:
+    """Re-execute a journal; returns the replayed run's report."""
+    return _replay(read_journal(path))
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +50,7 @@ def verify_journal(path: str) -> VerifyResult:
     decides whether that is fatal.
     """
     journal = read_journal(path)
-    replayed = replay_journal(path)
+    replayed = _replay(journal)
     footer = dict(journal.footer or {})
     mismatches = []
     if not footer:

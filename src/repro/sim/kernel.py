@@ -237,6 +237,10 @@ class Kernel:
     reaches the uncomparable handle/args slot).
     """
 
+    #: With a digest attached, have it hash what is pending whenever a
+    #: run loop's event count has these bits clear: every 1024 events.
+    _DIGEST_BLOCK_MASK = 1023
+
     #: Compact the timer heap when more than this many cancelled entries
     #: are buried in it *and* they outnumber the live ones.  Small runs
     #: never compact; pathological cancel-heavy runs stay O(live).
@@ -366,7 +370,10 @@ class Kernel:
     # uncomparable callback/handle slot.  Heap entries come in two
     # shapes — ``(when, seq, handle)`` from ``call_later`` and
     # ``(when, seq, fn, (None,))`` from ``_delay`` — told apart by
-    # length.
+    # length.  With a digest attached an event costs two C-level list
+    # appends (``fold``), or a ``tap`` call when the digest records
+    # lines, and the digest hashes what is pending every 1024 events and
+    # when the loop exits (see :class:`repro.sanitize.digest.StreamDigest`).
 
     def run_until(self, t_end: float) -> None:
         """Advance simulated time to ``t_end``, firing all due events."""
@@ -377,6 +384,8 @@ class Kernel:
         popleft = runq.popleft
         heappop = heapq.heappop
         digest = self._digest
+        fold = None if digest is None or digest.record else digest.fold
+        block_mask = self._DIGEST_BLOCK_MASK
         processed = 0
         try:
             while True:
@@ -405,12 +414,20 @@ class Kernel:
                 self.now = when
                 processed += 1
                 if digest is not None:
-                    digest.tap(when, seq, fn, args)
+                    if fold is not None:
+                        fold(when)
+                        fold(seq)
+                    else:
+                        digest.tap(when, seq, fn, args)
+                    if not processed & block_mask:
+                        digest.fold_block()
                 fn(*args)
             self.now = max(self.now, t_end)
         finally:
             self.events_processed += processed
             self._running = False
+            if digest is not None:
+                digest.fold_block()
 
     def run(self) -> None:
         """Run until no events remain."""
@@ -421,6 +438,8 @@ class Kernel:
         popleft = runq.popleft
         heappop = heapq.heappop
         digest = self._digest
+        fold = None if digest is None or digest.record else digest.fold
+        block_mask = self._DIGEST_BLOCK_MASK
         processed = 0
         try:
             while True:
@@ -443,11 +462,19 @@ class Kernel:
                 self.now = when
                 processed += 1
                 if digest is not None:
-                    digest.tap(when, seq, fn, args)
+                    if fold is not None:
+                        fold(when)
+                        fold(seq)
+                    else:
+                        digest.tap(when, seq, fn, args)
+                    if not processed & block_mask:
+                        digest.fold_block()
                 fn(*args)
         finally:
             self.events_processed += processed
             self._running = False
+            if digest is not None:
+                digest.fold_block()
 
     def pending(self) -> int:
         """Number of live events still queued (cancelled timers excluded)."""

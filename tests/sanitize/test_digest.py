@@ -3,7 +3,7 @@ and the disabled-by-default guarantee."""
 
 from repro.api import ExperimentSpec
 from repro.sanitize.digest import StreamDigest, capture_digests, stable_repr
-from repro.sanitize.replay import run_digest
+from repro.sanitize.replay import run_digest, run_digest_subprocess
 from repro.sim.kernel import Kernel, get_digest_factory
 
 
@@ -55,6 +55,62 @@ class TestStreamDigest:
         d = StreamDigest(record=True)
         d.note("lock.grant", 3, "X", "k")
         assert d.lines and d.lines[0].startswith("e|lock.grant")
+
+    def test_recording_does_not_change_the_digest(self):
+        # Driven through a kernel, so the run loop's two hooks (C-level
+        # fold vs recording tap) and its block folding are what differ.
+        def drive(record: bool) -> StreamDigest:
+            kernel = Kernel()
+            kernel.attach_digest(StreamDigest(record=record))
+
+            def grant(i: int) -> None:
+                kernel.digest.note("lock.grant", i, "X", ("tenant", i))
+
+            for i in range(3_000):
+                kernel.call_later(i * 2.5, grant if i % 3 == 0 else _noop, i)
+            kernel.run()
+            return kernel.digest
+
+        plain, recording = drive(False), drive(True)
+        assert plain.hexdigest() == recording.hexdigest()
+        assert plain.count == recording.count == 4_000
+        assert len(recording.lines) == 4_000 and not plain.lines
+
+    def test_swapping_same_time_events_changes_the_digest(self):
+        a, b = StreamDigest(), StreamDigest()
+        a.tap(7.0, 1, _noop, ())
+        a.tap(7.0, 2, _noop, ())
+        b.tap(7.0, 2, _noop, ())
+        b.tap(7.0, 1, _noop, ())
+        assert a.hexdigest() != b.hexdigest()
+
+    def test_a_note_is_pinned_to_its_place_among_the_events(self):
+        a, b = StreamDigest(), StreamDigest()
+        a.tap(1.0, 1, _noop, ())
+        a.note("lock.grant", 3, "X", 9)
+        a.tap(2.0, 2, _noop, ())
+        b.tap(1.0, 1, _noop, ())
+        b.tap(2.0, 2, _noop, ())
+        b.note("lock.grant", 3, "X", 9)
+        assert a.hexdigest() != b.hexdigest()
+
+    def test_block_boundaries_never_show(self):
+        # Where pending items get hashed (every 1024 kernel events, at
+        # run-loop exit, on hexdigest) must not matter: a serving run
+        # and its replay cut their blocks at the same places, but a
+        # reader peeking at the digest mid-run must not change it.
+        whole, chopped = StreamDigest(), StreamDigest()
+        for i in range(2_500):
+            for d in (whole, chopped):
+                d.tap(float(i), i, _noop, ())
+                if i % 7 == 0:
+                    d.note("seq.cut", i, (i, i + 1))
+            if i % 700 == 0:
+                chopped.hexdigest()
+            if i % 333 == 0:
+                chopped.fold_block()
+        assert whole.hexdigest() == chopped.hexdigest()
+        assert whole.count == chopped.count
 
 
 class TestKernelIntegration:
@@ -112,6 +168,13 @@ class TestEngineTaps:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
         first = run_digest(_tiny_spec())
         second = run_digest(_tiny_spec())
+        assert first.combined == second.combined
+        assert first.events == second.events > 0
+
+    def test_digest_survives_hash_randomization(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
+        first = run_digest_subprocess(_tiny_spec(), hashseed=1)
+        second = run_digest_subprocess(_tiny_spec(), hashseed=31337)
         assert first.combined == second.combined
         assert first.events == second.events > 0
 

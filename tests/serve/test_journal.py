@@ -89,11 +89,17 @@ class TestReader:
         with pytest.raises(ConfigurationError, match="unknown record"):
             read_journal(str(path))
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    # Version 1 footers carry the pre-numeric digest encoding: they must
+    # be refused up front, not fail verification mysteriously later.
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         path = tmp_path / "j.jsonl"
         path.write_text(
-            json.dumps({"kind": "header", "version": 99, "config": {}})
+            json.dumps({"kind": "header", "version": version, "config": {}})
             + "\n"
         )
-        with pytest.raises(ConfigurationError, match="version"):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"unsupported journal version {version}",
+        ):
             read_journal(str(path))
