@@ -8,18 +8,35 @@ with LRU expected to evict less useful entries marginally less often.
 
 from __future__ import annotations
 
-from repro.bench.presets import GOOGLE_BENCH
+from repro.bench.harness import run_google_ycsb
+from repro.bench.presets import (
+    GOOGLE_BENCH,
+    bench_cluster_config,
+    bench_scale,
+)
 from repro.bench.reporting import format_table
 from repro.bench.specs import make_strategy
 from repro.common.config import FusionConfig
+from repro.workloads.ycsb import YCSBConfig
 
 
-def _hermes_with(capacity: int, eviction: str = "lru"):
+def _run_hermes_with(capacity: int, eviction: str = "lru"):
+    """The ``google`` kind's Hermes row with the fusion table swapped."""
+    num_nodes = GOOGLE_BENCH["num_nodes"]
+    duration_us = 4.0 * bench_scale() * 1e6
     spec = make_strategy(
         "hermes", fusion=FusionConfig(capacity=capacity, eviction=eviction)
     )
     spec.name = f"hermes-{eviction}-{capacity}"
-    return spec
+    return run_google_ycsb(
+        spec,
+        YCSBConfig(
+            num_keys=GOOGLE_BENCH["num_keys"], num_partitions=num_nodes,
+            zipf_theta=0.8, global_cycle_us=duration_us / 2,
+        ),
+        cluster_config=bench_cluster_config(num_nodes),
+        duration_us=duration_us,
+    )
 
 
 def test_ablation_fusion_capacity(run_bench):
@@ -27,24 +44,7 @@ def test_ablation_fusion_capacity(run_bench):
     capacities = [num_keys // 200, num_keys // 40, num_keys // 10]
 
     def experiment():
-        from repro.api import ExperimentSpec, run_experiment
-
-        # Run hermes at several capacities by swapping the spec maker.
-        results = []
-        for capacity in capacities:
-            import repro.bench.figures as figures
-
-            original = figures.google_spec
-            try:
-                figures.google_spec = (
-                    lambda name, keys, _c=capacity: _hermes_with(_c)
-                )
-                results.extend(run_experiment(ExperimentSpec(
-                    kind="google", strategies=("hermes",), duration_s=4.0,
-                )))
-            finally:
-                figures.google_spec = original
-        return results
+        return [_run_hermes_with(capacity) for capacity in capacities]
 
     results = run_bench(experiment)
 
@@ -69,22 +69,10 @@ def test_ablation_eviction_policy(run_bench):
     capacity = num_keys // 40
 
     def experiment():
-        import repro.bench.figures as figures
-        from repro.api import ExperimentSpec, run_experiment
-
-        results = []
-        for eviction in ("fifo", "lru"):
-            original = figures.google_spec
-            try:
-                figures.google_spec = (
-                    lambda name, keys, _e=eviction: _hermes_with(capacity, _e)
-                )
-                results.extend(run_experiment(ExperimentSpec(
-                    kind="google", strategies=("hermes",), duration_s=4.0,
-                )))
-            finally:
-                figures.google_spec = original
-        return results
+        return [
+            _run_hermes_with(capacity, eviction)
+            for eviction in ("fifo", "lru")
+        ]
 
     results = run_bench(experiment)
     print()

@@ -11,18 +11,11 @@ bottleneck.  The paper finds an interior sweet spot; so must we.
 
 from __future__ import annotations
 
-from repro.bench.presets import (
-    BENCH_COSTS,
-    GOOGLE_BENCH,
-    bench_trace_config,
-)
 from repro.bench.figures import google_spec
-from repro.bench.harness import run_workload
+from repro.bench.harness import run_google_ycsb
+from repro.bench.presets import BENCH_COSTS, GOOGLE_BENCH
 from repro.common.config import ClusterConfig, EngineConfig
-from repro.common.rng import DeterministicRNG
-from repro.storage.partitioning import make_uniform_ranges
-from repro.workloads.google_trace import SyntheticGoogleTrace
-from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
+from repro.workloads.ycsb import YCSBConfig
 
 BATCH_SIZES = [10, 50, 200, 1000]
 TARGET_RATE = 20_000.0  # offered txns/s the epoch scaling assumes
@@ -46,21 +39,12 @@ def _run_with_batch(batch_size: int):
         num_keys=num_keys, num_partitions=num_nodes, zipf_theta=0.8,
         global_cycle_us=duration_us / 2,
     )
-    trace = SyntheticGoogleTrace(
-        bench_trace_config(num_nodes, duration_us / 1e6),
-        DeterministicRNG(7, "trace"),
-    )
-    result = run_workload(
+    result = run_google_ycsb(
         google_spec("hermes", num_keys),
+        ycsb_config,
         cluster_config=config,
-        partitioner_factory=lambda: make_uniform_ranges(num_keys, num_nodes),
-        workload_factory=lambda rng: GoogleYCSBWorkload(ycsb_config, trace, rng),
-        keys=range(num_keys),
         duration_us=duration_us,
         warmup_us=1_000_000.0,
-        drain=False,
-        mode="open",
-        rate_per_s=lambda now: 4_500.0 * trace.total_load_at(now),
     )
     remote_per_commit = result.remote_reads / max(1, result.commits)
     return result.throughput_per_s, remote_per_commit

@@ -21,7 +21,7 @@ from repro import (
     make_uniform_ranges,
 )
 from repro.common.rng import DeterministicRNG
-from repro.engine.replication import ReplicatedDeployment
+from repro.engine.failover import ReplicatedDeployment
 from repro.workloads.multitenant import MultiTenantConfig, MultiTenantWorkload
 
 NUM_KEYS = 2_400

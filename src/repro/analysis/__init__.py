@@ -1,29 +1,13 @@
-"""Observability tools: plan-quality probes and overlay statistics.
+"""Cross-subsystem consistency checks over a finished run.
 
-These wrap a router or ownership overlay without changing behaviour, so
-experiments can *explain* throughput differences: how many remote reads
-a plan needed, how far transactions were reordered, how well loads were
-balanced, and how often the fusion table actually answered a lookup.
+:func:`audit_placement` verifies that physical record placement, the
+ownership view and the WAL-visible migration history agree — the check
+every chaos trial and ``python -m repro.obs`` report runs.
 """
 
-from repro.analysis.plan_quality import (
-    BatchQuality,
-    PlanQualityProbe,
-    reorder_displacement,
-)
-from repro.analysis.overlay_stats import InstrumentedOverlay
 from repro.analysis.placement_audit import (
     PlacementAuditReport,
     audit_placement,
 )
-from repro.analysis.text import ascii_histogram
 
-__all__ = [
-    "BatchQuality",
-    "InstrumentedOverlay",
-    "PlacementAuditReport",
-    "PlanQualityProbe",
-    "ascii_histogram",
-    "audit_placement",
-    "reorder_displacement",
-]
+__all__ = ["PlacementAuditReport", "audit_placement"]

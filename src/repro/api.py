@@ -1,12 +1,4 @@
-"""The unified experiment facade: one spec, one entry point.
-
-Historically the bench layer grew three overlapping ways to launch a
-run — :func:`repro.bench.harness.run_workload` (one strategy, raw
-knobs), the ``*_comparison`` helpers in :mod:`repro.bench.figures`
-(fleet assembly, each with its own copy of ``seed``/``jobs``/
-``keep_cluster``/window plumbing), and the preset constants in
-:mod:`repro.bench.presets`.  This module collapses them behind a single
-pair:
+"""The experiment layer's front door: one spec, one entry point.
 
     from repro.api import ExperimentSpec, run_experiment
 
@@ -19,10 +11,12 @@ pair:
 
 Every cross-cutting knob lives on the spec exactly once (``seed``,
 ``duration_s``, ``warmup_us``, ``window_us``, ``jobs``,
-``keep_cluster``, ``trace``); kind-specific knobs go in ``params``.
-The legacy ``*_comparison`` functions survive as thin positional
-conveniences that delegate here; passing the collapsed keywords to them
-directly raises ``TypeError``.
+``keep_cluster``, ``trace``, ``scale``); kind-specific knobs go in
+``params``.  :func:`run_experiment` validates the spec, fans it out
+into one task per strategy (per strategy × sweep point for the sweep
+kinds) and regroups the results; what a kind *does* with a task lives
+in :mod:`repro.bench.figures`, which reads the spec itself — imports
+run one way, ``repro.api`` → kind workers → ``harness``.
 
 ``PRESETS`` names ready-made specs for the paper's figures; the
 observability CLI (``python -m repro.obs``) records traced runs through
@@ -32,18 +26,11 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
-
 from difflib import get_close_matches
+from typing import TYPE_CHECKING, Callable
 
-from repro.bench import figures as _figures
-from repro.bench.harness import ExperimentResult, parallel_map
-from repro.bench.presets import (
-    GOOGLE_BENCH,
-    SCALE_PROFILES,
-    ScaleProfile,
-    bench_scale,
-)
+from repro.bench.figures import KINDS, run_task, scale_profile
+from repro.bench.harness import parallel_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -56,14 +43,16 @@ class ExperimentSpec:
     """Everything needed to launch one experiment (fleet or single run).
 
     ``kind`` selects the experiment family: ``"google"`` (Google-trace
-    YCSB, Figures 2/6–10), ``"tpcc"`` / ``"tpcc_sweep"`` (Figure 11),
+    YCSB, Figures 2/6–9), ``"tpcc"`` / ``"tpcc_sweep"`` (Figure 11),
     ``"multitenant"`` (Figures 12/13), ``"scaleout"`` (Figure 14),
-    ``"forecast_robustness"`` (the de-oracled robustness curve).
+    ``"forecast_robustness"`` (the de-oracled robustness curve),
+    ``"replication"`` (read replication vs. migration),
+    ``"straggler_clone"`` (request cloning under a straggler) and
+    ``"serving"`` (journaled online serving, replay-verified).
     ``strategies`` are strategy names (scale-out: variant names), one
     run each.  ``warmup_us``/``window_us`` of ``None`` mean "the kind's
     default"; ``duration_s`` is in *unscaled* simulated seconds — the
-    ``REPRO_BENCH_SCALE`` factor is applied when the runs are built,
-    exactly as the legacy entry points did.
+    ``REPRO_BENCH_SCALE`` factor is applied when the runs are built.
 
     ``trace`` attaches one :class:`repro.obs.Tracer` to the runs; traced
     experiments must be serial (``jobs`` unset or 1) because a live
@@ -99,29 +88,66 @@ class ExperimentSpec:
 def run_experiment(spec: ExperimentSpec):
     """Run the experiment the spec describes.
 
-    Returns what the underlying family returns: a list of
-    :class:`~repro.bench.harness.ExperimentResult` in ``strategies``
-    order for every kind except ``"tpcc_sweep"``, which returns the
-    ``{hot_fraction: [results]}`` grid.
+    Returns a list of :class:`~repro.bench.harness.ExperimentResult` in
+    ``strategies`` order — except for the sweep kinds (``"tpcc_sweep"``,
+    ``"forecast_robustness"``), which return the ``{point: [results]}``
+    grid.  A sweep fans the whole (strategy × point) product into one
+    pool, so ``jobs`` parallelism is not capped by the strategy count.
     """
-    runner = _RUNNERS.get(spec.kind)
-    if runner is None:
+    kind = KINDS.get(spec.kind)
+    if kind is None:
         raise ValueError(
             f"unknown experiment kind {spec.kind!r}; "
-            f"expected one of {sorted(_RUNNERS)}"
+            f"expected one of {sorted(KINDS)}"
         )
     if not spec.strategies:
         raise ValueError("ExperimentSpec.strategies must name at least one run")
     # Validate the scale axis up front for every kind: runners that
     # don't consult it would otherwise silently ignore a stray scale=.
-    _scale_profile(spec)
-    _figures._require_serial_for_cluster(spec.jobs, spec.keep_cluster)
-    if spec.trace is not None and spec.jobs is not None and spec.jobs > 1:
+    scale_profile(spec)
+    for name in kind.unsupported:
+        if _is_set(spec, name):
+            raise ValueError(
+                f"kind {spec.kind!r} does not support {name}="
+            )
+    if spec.jobs is not None and spec.jobs > 1:
+        for name in ("keep_cluster", "trace"):
+            if _is_set(spec, name):
+                # Fail clearly instead of with a pickle traceback.
+                raise ValueError(
+                    f"{name}= holds a live in-process object (a Cluster's "
+                    "generators and kernel heap, a Tracer), which cannot "
+                    "be shipped between processes; use jobs=1 (or None)"
+                )
+    _reject_unknown(spec.kind, set(spec.params) - VALID_PARAMS[spec.kind])
+
+    if kind.sweep_key is None:
+        tasks = [(spec, name) for name in spec.strategies]
+        return parallel_map(run_task, tasks, jobs=spec.jobs)
+    points = spec.params.get(kind.sweep_key)
+    if points is None:
+        points = kind.sweep_default
+    if points is None:
         raise ValueError(
-            "trace= records into one in-process Tracer, which cannot be "
-            "shared with worker processes; use jobs=1 (or None)"
+            f"kind {spec.kind!r} requires params[{kind.sweep_key!r}]: "
+            "the points to run every strategy at"
         )
-    return runner(spec)
+    points = tuple(points)
+    tasks = [
+        (spec, name, point) for point in points for name in spec.strategies
+    ]
+    flat = parallel_map(run_task, tasks, jobs=spec.jobs)
+    width = len(spec.strategies)
+    return {
+        point: flat[i * width:(i + 1) * width]
+        for i, point in enumerate(points)
+    }
+
+
+def _is_set(spec: ExperimentSpec, name: str) -> bool:
+    """Whether an optional spec field was moved off its off-value."""
+    value = getattr(spec, name)
+    return value is not None and value is not False
 
 
 def preset_spec(name: str, **overrides) -> ExperimentSpec:
@@ -135,366 +161,26 @@ def preset_spec(name: str, **overrides) -> ExperimentSpec:
     return factory().with_overrides(**overrides)
 
 
-# ----------------------------------------------------------------------
-# Kind runners (fleet assembly; workers live in repro.bench.figures)
-# ----------------------------------------------------------------------
-
-
-#: Valid ``params`` keys per experiment kind.  ``run_experiment``
-#: rejects anything else by name, so typos fail loudly instead of
-#: silently falling through to defaults.
+#: Valid ``params`` keys per experiment kind: the keyword-only
+#: parameters of the kind's worker, which is also what reads them.
+#: ``run_experiment`` rejects anything else by name, so typos fail
+#: loudly instead of silently falling through to defaults.
 VALID_PARAMS: dict[str, frozenset[str]] = {
-    "google": frozenset(
-        {"num_nodes", "num_keys", "rate_scale", "ycsb_overrides",
-         "schism_periods"}
-    ),
-    "tpcc": frozenset({"hot_fraction", "num_nodes", "clients"}),
-    "tpcc_sweep": frozenset({"hot_fractions", "num_nodes", "clients"}),
-    "multitenant": frozenset({"config", "partitioner_factory", "clients"}),
-    "scaleout": frozenset(
-        {"event_at_s", "clients", "records_per_tenant"}
-    ),
-    "forecast_robustness": frozenset(
-        {"error_levels", "forecaster", "num_nodes", "num_keys",
-         "rate_scale", "detector"}
-    ),
-    "replication": frozenset(
-        {"num_nodes", "num_keys", "rate_scale", "ycsb_overrides",
-         "schism_periods", "forecaster", "replication"}
-    ),
-    "serving": frozenset(
-        {"num_nodes", "num_keys", "initial_nodes", "epoch_us",
-         "rate_per_s", "rw_ratio", "resizes", "verify"}
-    ),
-    "straggler_clone": frozenset(
-        {"num_keys", "hot_records", "rate_per_s", "slowdown",
-         "replication"}
-    ),
+    name: kind.valid_params for name, kind in KINDS.items()
 }
 
-#: Kinds whose runner understands the ``scale`` axis.
-_SCALABLE_KINDS = frozenset({"google", "multitenant", "forecast_robustness"})
 
-
-def _reject_unknown(kind: str, leftover: dict) -> None:
-    if not leftover:
+def _reject_unknown(kind: str, unknown: set[str]) -> None:
+    if not unknown:
         return
-    valid = sorted(VALID_PARAMS.get(kind, frozenset()))
-    parts = [f"unknown params for kind {kind!r}: {sorted(leftover)}"]
-    for name in sorted(leftover):
+    valid = sorted(VALID_PARAMS[kind])
+    parts = [f"unknown params for kind {kind!r}: {sorted(unknown)}"]
+    for name in sorted(unknown):
         close = get_close_matches(name, valid, n=1)
         if close:
             parts.append(f"(did you mean {close[0]!r} instead of {name!r}?)")
     parts.append(f"valid keys: {valid}")
     raise TypeError("; ".join(parts))
-
-
-def _param(p: dict, key: str, default):
-    """Pop ``key`` with an ``is None`` default (0/empty stay explicit)."""
-    value = p.pop(key, None)
-    return default if value is None else value
-
-
-def _scale_profile(spec: ExperimentSpec) -> ScaleProfile | None:
-    if spec.scale is None:
-        return None
-    profile = SCALE_PROFILES.get(spec.scale)
-    if profile is None:
-        raise ValueError(
-            f"unknown scale {spec.scale!r}; "
-            f"expected one of {sorted(SCALE_PROFILES)}"
-        )
-    if spec.kind not in _SCALABLE_KINDS:
-        raise ValueError(
-            f"kind {spec.kind!r} does not support the scale axis; "
-            f"supported kinds: {sorted(_SCALABLE_KINDS)}"
-        )
-    return profile
-
-
-def _opts(spec: ExperimentSpec, profile: ScaleProfile | None = None) -> dict:
-    """The cross-cutting per-run overrides shipped in each task tuple."""
-    return {
-        "warmup_us": spec.warmup_us,
-        "window_us": spec.window_us,
-        "trace": spec.trace,
-        "store_backend": profile.store_backend if profile else "dict",
-    }
-
-
-def _duration_us(spec: ExperimentSpec, default_s: float) -> float:
-    return (spec.duration_s or default_s) * bench_scale() * 1e6
-
-
-def _run_google(spec: ExperimentSpec) -> list[ExperimentResult]:
-    profile = _scale_profile(spec)
-    p = dict(spec.params)
-    num_nodes = _param(
-        p, "num_nodes",
-        profile.num_nodes if profile else GOOGLE_BENCH["num_nodes"],
-    )
-    num_keys = _param(
-        p, "num_keys",
-        profile.num_keys if profile else GOOGLE_BENCH["num_keys"],
-    )
-    rate_scale = _param(p, "rate_scale", 4_500.0)
-    overrides = dict(_param(p, "ycsb_overrides", {}))
-    schism_periods = p.pop("schism_periods", None)
-    _reject_unknown("google", p)
-    duration_us = _duration_us(
-        spec, profile.duration_s if profile else GOOGLE_BENCH["duration_s"]
-    )
-    opts = _opts(spec, profile)
-    tasks = [
-        (
-            name, num_nodes, num_keys, rate_scale, duration_us, overrides,
-            schism_periods.get(name) if schism_periods else None,
-            spec.seed, spec.keep_cluster, opts,
-        )
-        for name in spec.strategies
-    ]
-    return parallel_map(_figures._google_task, tasks, jobs=spec.jobs)
-
-
-def _run_tpcc(spec: ExperimentSpec) -> list[ExperimentResult]:
-    p = dict(spec.params)
-    hot_fraction = p.pop("hot_fraction", 0.0)
-    num_nodes = _param(p, "num_nodes", 8)
-    clients = _param(p, "clients", 900)
-    _reject_unknown("tpcc", p)
-    duration_us = _duration_us(spec, 4.0)
-    opts = _opts(spec)
-    tasks = [
-        (name, hot_fraction, num_nodes, duration_us, clients, spec.seed,
-         spec.keep_cluster, opts)
-        for name in spec.strategies
-    ]
-    return parallel_map(_figures._tpcc_task, tasks, jobs=spec.jobs)
-
-
-def _run_tpcc_sweep(spec: ExperimentSpec) -> dict[float, list[ExperimentResult]]:
-    p = dict(spec.params)
-    hot_fractions = tuple(p.pop("hot_fractions"))
-    num_nodes = _param(p, "num_nodes", 8)
-    clients = _param(p, "clients", 900)
-    _reject_unknown("tpcc_sweep", p)
-    duration_us = _duration_us(spec, 4.0)
-    opts = _opts(spec)
-    tasks = [
-        (name, hot, num_nodes, duration_us, clients, spec.seed, False, opts)
-        for hot in hot_fractions
-        for name in spec.strategies
-    ]
-    flat = parallel_map(_figures._tpcc_task, tasks, jobs=spec.jobs)
-    width = len(spec.strategies)
-    return {
-        hot: flat[i * width:(i + 1) * width]
-        for i, hot in enumerate(hot_fractions)
-    }
-
-
-def _run_multitenant(spec: ExperimentSpec) -> list[ExperimentResult]:
-    from repro.workloads.multitenant import MultiTenantConfig, perfect_partitioner
-
-    profile = _scale_profile(spec)
-    p = dict(spec.params)
-    if profile is not None:
-        tenants_per_node = 4
-        default_config = MultiTenantConfig(
-            num_nodes=profile.num_nodes,
-            tenants_per_node=tenants_per_node,
-            records_per_tenant=profile.num_keys
-            // (profile.num_nodes * tenants_per_node),
-            rotation_interval_us=500_000.0 * profile.num_nodes,
-        )
-    else:
-        default_config = MultiTenantConfig(
-            num_nodes=4,
-            tenants_per_node=4,
-            records_per_tenant=2_500,
-            rotation_interval_us=2_500_000.0,
-        )
-    wl_config = _param(p, "config", default_config)
-    make_part = _param(p, "partitioner_factory", perfect_partitioner)
-    clients = _param(p, "clients", profile.clients if profile else 800)
-    _reject_unknown("multitenant", p)
-    duration_us = _duration_us(
-        spec, profile.duration_s if profile else 8.0
-    )
-    window_us = spec.window_us if spec.window_us is not None else 500_000.0
-    opts = _opts(spec, profile)
-    tasks = [
-        (name, wl_config, make_part, duration_us, clients, spec.seed,
-         window_us, spec.keep_cluster, opts)
-        for name in spec.strategies
-    ]
-    return parallel_map(_figures._multitenant_task, tasks, jobs=spec.jobs)
-
-
-def _run_scaleout(spec: ExperimentSpec) -> list[ExperimentResult]:
-    unknown = {
-        k: v for k, v in spec.params.items()
-        if k not in VALID_PARAMS["scaleout"]
-    }
-    _reject_unknown("scaleout", unknown)
-    kwargs = dict(spec.params)
-    if spec.duration_s is not None:
-        kwargs["duration_s"] = spec.duration_s
-    kwargs["seed"] = spec.seed
-    kwargs["keep_cluster"] = spec.keep_cluster
-    if spec.warmup_us is not None:
-        kwargs["warmup_us"] = spec.warmup_us
-    if spec.window_us is not None:
-        kwargs["stats_window_us"] = spec.window_us
-    if spec.trace is not None:
-        kwargs["trace"] = spec.trace
-    tasks = [(variant, kwargs) for variant in spec.strategies]
-    return parallel_map(_figures._scaleout_task, tasks, jobs=spec.jobs)
-
-
-def _run_forecast_robustness(
-    spec: ExperimentSpec,
-) -> dict[float, list[ExperimentResult]]:
-    """The robustness curve: every strategy at every forecast-error level.
-
-    Strategies may mix plain baselines (``calvin``/``clay``/``hermes``)
-    with the forecast variants (``hermes-oracle``, ``hermes-forecast``,
-    ``hermes-forecast-nofallback``); the error level only affects the
-    forecast variants (it is the severity of the injected mid-run
-    ``magnitude_error`` forecast fault), so baselines repeat unchanged
-    across levels as flat reference lines.
-    """
-    profile = _scale_profile(spec)
-    p = dict(spec.params)
-    error_levels = tuple(_param(p, "error_levels", (0.0, 0.3, 0.6, 0.9)))
-    forecaster = _param(p, "forecaster", "oracle")
-    num_nodes = _param(
-        p, "num_nodes",
-        profile.num_nodes if profile else GOOGLE_BENCH["num_nodes"],
-    )
-    num_keys = _param(
-        p, "num_keys",
-        profile.num_keys if profile else GOOGLE_BENCH["num_keys"],
-    )
-    rate_scale = _param(p, "rate_scale", 4_500.0)
-    detector_params = dict(_param(p, "detector", {}))
-    _reject_unknown("forecast_robustness", p)
-    duration_us = _duration_us(
-        spec, profile.duration_s if profile else GOOGLE_BENCH["duration_s"]
-    )
-    opts = _opts(spec, profile)
-    tasks = [
-        (name, level, forecaster, num_nodes, num_keys, rate_scale,
-         duration_us, detector_params, spec.seed, spec.keep_cluster, opts)
-        for level in error_levels
-        for name in spec.strategies
-    ]
-    flat = parallel_map(_figures._forecast_task, tasks, jobs=spec.jobs)
-    width = len(spec.strategies)
-    return {
-        level: flat[i * width:(i + 1) * width]
-        for i, level in enumerate(error_levels)
-    }
-
-
-def _run_replication(spec: ExperimentSpec) -> list[ExperimentResult]:
-    """The replication-vs-migration comparison: baselines and the
-    replica-provisioned variants on the Google-YCSB workload."""
-    p = dict(spec.params)
-    num_nodes = _param(p, "num_nodes", GOOGLE_BENCH["num_nodes"])
-    num_keys = _param(p, "num_keys", GOOGLE_BENCH["num_keys"])
-    rate_scale = _param(p, "rate_scale", 4_500.0)
-    overrides = dict(_param(p, "ycsb_overrides", {}))
-    schism_periods = p.pop("schism_periods", None)
-    forecaster = _param(p, "forecaster", "oracle")
-    replication_params = dict(_param(p, "replication", {}))
-    _reject_unknown("replication", p)
-    duration_us = _duration_us(spec, GOOGLE_BENCH["duration_s"])
-    opts = _opts(spec)
-    tasks = [
-        (
-            name, num_nodes, num_keys, rate_scale, duration_us, overrides,
-            schism_periods.get(name) if schism_periods else None,
-            forecaster, replication_params, spec.seed, spec.keep_cluster,
-            opts,
-        )
-        for name in spec.strategies
-    ]
-    return parallel_map(_figures._replication_task, tasks, jobs=spec.jobs)
-
-
-def _run_straggler_clone(spec: ExperimentSpec) -> list[ExperimentResult]:
-    """Straggler × request-cloning tail comparison.
-
-    Runs each strategy (typically ``hermes-replica`` vs
-    ``hermes-clone``) on the hot-range scenario: replicas provisioned
-    during a warm phase, then a straggler on one holder while a
-    replica-less reader node drives all the load.  Extras carry the
-    drained state fingerprint so callers can assert cloning changed the
-    tail, never the state.
-    """
-    p = dict(spec.params)
-    num_keys = _param(p, "num_keys", 4_000)
-    hot_records = _param(p, "hot_records", 50)
-    rate_per_s = _param(p, "rate_per_s", 2_000.0)
-    slowdown = _param(p, "slowdown", 8.0)
-    replication_params = dict(_param(p, "replication", {}))
-    _reject_unknown("straggler_clone", p)
-    duration_us = _duration_us(spec, 2.5)
-    opts = _opts(spec)
-    tasks = [
-        (name, num_keys, hot_records, rate_per_s, duration_us, slowdown,
-         replication_params, spec.seed, spec.keep_cluster, opts)
-        for name in spec.strategies
-    ]
-    return parallel_map(
-        _figures._straggler_clone_task, tasks, jobs=spec.jobs
-    )
-
-
-def _run_serving(spec: ExperimentSpec) -> list[ExperimentResult]:
-    """Journaled online-serving runs (simulated time, replay-verified).
-
-    Unlike the bench kinds this drives the :mod:`repro.serve` tick loop:
-    arrivals are synthesized per epoch, journaled write-ahead, and (by
-    default) the journal is replayed and checked byte-for-byte against
-    the live run before the result is returned.
-    """
-    from repro.serve.experiment import _serving_task
-
-    if spec.trace is not None or spec.keep_cluster:
-        raise ValueError(
-            "kind 'serving' does not support trace= or keep_cluster="
-        )
-    p = dict(spec.params)
-    kwargs = {
-        "num_nodes": _param(p, "num_nodes", 4),
-        "num_keys": _param(p, "num_keys", 10_000),
-        "initial_nodes": p.pop("initial_nodes", None),
-        "epoch_us": _param(p, "epoch_us", 5_000.0),
-        "rate_per_s": _param(p, "rate_per_s", 2_000.0),
-        "rw_ratio": _param(p, "rw_ratio", 0.2),
-        "resizes": tuple(_param(p, "resizes", ())),
-        "verify": _param(p, "verify", True),
-        "seed": spec.seed,
-    }
-    _reject_unknown("serving", p)
-    kwargs["duration_us"] = _duration_us(spec, 1.0)
-    tasks = [(name, kwargs) for name in spec.strategies]
-    return parallel_map(_serving_task, tasks, jobs=spec.jobs)
-
-
-_RUNNERS: dict[str, Callable[[ExperimentSpec], object]] = {
-    "google": _run_google,
-    "tpcc": _run_tpcc,
-    "tpcc_sweep": _run_tpcc_sweep,
-    "multitenant": _run_multitenant,
-    "scaleout": _run_scaleout,
-    "forecast_robustness": _run_forecast_robustness,
-    "replication": _run_replication,
-    "serving": _run_serving,
-    "straggler_clone": _run_straggler_clone,
-}
 
 
 # ----------------------------------------------------------------------

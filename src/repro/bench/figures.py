@@ -1,42 +1,48 @@
-"""Figure-level experiment compositions.
+"""Kind workers: how each experiment family builds and runs one row.
 
-Each figure benchmark is a thin wrapper around one of these helpers,
-which assemble the right workload, strategies, and special cases
+:func:`repro.api.run_experiment` fans an
+:class:`~repro.api.ExperimentSpec` out into ``(spec, strategy)`` tasks
+— ``(spec, strategy, point)`` for the two sweep kinds — and
+:func:`run_task` hands each to its kind's ``run_<kind>`` function below,
+which assembles the workload, the strategy and the special cases
 (Schism's offline partitioning, Clay's monitor, the scale-out event
-script) on top of :func:`repro.bench.harness.run_workload`.
+script) on top of :func:`repro.bench.harness.run_workload`.  Imports
+run one way: ``repro.api`` → this module → ``harness``.
 
-The ``*_comparison`` entry points are kept for compatibility; they now
-delegate to the unified facade in :mod:`repro.api`
-(:func:`repro.api.run_experiment` over an
-:class:`repro.api.ExperimentSpec`), which owns the fleet assembly.
-Passing the collapsed keywords (``seed``, ``jobs``, ``keep_cluster``,
-``stats_window_s``) here is deprecated — put them on the spec instead.
+A kind's keyword-only parameters *are* its ``spec.params`` keys: the
+signature is what reads them, :data:`KINDS` derives the valid-key set
+from it, and a key whose value is ``None`` is left at the signature's
+default.  The cross-cutting knobs (``seed``, ``duration_s``,
+``warmup_us``, ``window_us``, ``keep_cluster``, ``trace``, ``scale``)
+are read off the spec itself.
 
-The loop bodies live in module-level ``_*_task`` workers that take only
-picklable primitives and rebuild the trace/spec/workload *inside* the
-worker from the same seeds — which is exactly why a parallel sweep
-returns bit-identical results in the same order as the serial one (the
-serial path runs the very same workers in-process).  Each task tuple
-ends with an ``opts`` dict carrying the cross-cutting overrides
-(``warmup_us``, ``window_us``, ``trace``); ``trace`` must be ``None``
-for multi-process fleets (a live Tracer cannot cross processes).
+Every run rebuilds its trace, strategy and workload from the spec's
+seed inside the worker — which is why a parallel sweep returns
+bit-identical results in the same order as the serial one (the serial
+path runs the very same workers in-process).  A spec that crosses to a
+worker process must pickle: no ``trace``, and only module-level
+factories in ``params``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import inspect
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.baselines.schism import schism_partition
 from repro.baselines.squall import SquallExecutor
-from repro.bench.harness import ExperimentResult, run_workload
+from repro.bench.harness import ExperimentResult, run_google_ycsb, run_workload
 from repro.bench.presets import (
+    GOOGLE_BENCH,
+    SCALE_PROFILES,
+    ScaleProfile,
     bench_cluster_config,
     bench_fusion_config,
     bench_scale,
-    bench_trace_config,
 )
 from repro.bench.specs import StrategySpec, make_strategy
-from repro.common.config import FusionConfig, RoutingConfig
+from repro.common.config import ClusterConfig, FusionConfig, RoutingConfig
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 from repro.core.fusion_table import FusionTable
@@ -47,7 +53,13 @@ from repro.core.provisioning import (
 )
 from repro.engine.cluster import Cluster
 from repro.engine.migration import MigrationController
-from repro.faults import FaultInjector, FaultPlan, FaultyForecaster, ForecastFault
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    FaultyForecaster,
+    ForecastFault,
+    StragglerFault,
+)
 from repro.forecast import (
     EWMAForecaster,
     FallbackCoordinator,
@@ -72,44 +84,52 @@ from repro.workloads.multitenant import (
 from repro.workloads.tpcc import TPCCConfig, TPCCWorkload, tpcc_partitioner
 from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
 
-SEED = 7
 
-#: Sentinel distinguishing "caller explicitly passed this deprecated
-#: keyword" from "caller left the default" in the legacy wrappers.
-_UNSET = object()
-
-
-def _warn_legacy_kwargs(fn_name: str, **passed: object) -> None:
-    """Reject collapsed kwargs passed to legacy wrappers.
-
-    These knobs deprecated through one release cycle (PR 6-7) with a
-    ``DeprecationWarning``; the sunset promotes them to errors.  The
-    wrappers themselves remain as thin conveniences over
-    :func:`repro.api.run_experiment` for positional use, but every
-    cross-cutting knob now lives only on
-    :class:`repro.api.ExperimentSpec`.
-    """
-    explicit = sorted(k for k, v in passed.items() if v is not _UNSET)
-    if explicit:
-        raise TypeError(
-            f"{fn_name}(..., {', '.join(explicit)}=...) was removed: these "
-            "knobs moved onto repro.api.ExperimentSpec — build a spec and "
-            "call repro.api.run_experiment instead"
-        )
+# ----------------------------------------------------------------------
+# Reading the spec's cross-cutting knobs
+# ----------------------------------------------------------------------
 
 
-def _require_serial_for_cluster(jobs: int | None, keep_cluster: bool) -> None:
-    """A live cluster (generators, kernel heap) cannot cross a process
-    boundary — fail with a clear message instead of a pickle traceback."""
-    if keep_cluster and jobs is not None and jobs > 1:
+def _or(value, default):
+    """``default`` when ``value`` is None (0 and empty stay explicit)."""
+    return default if value is None else value
+
+
+def _duration_us(spec, default_s: float) -> float:
+    """The run length: unscaled seconds on the spec, scaled here."""
+    return (spec.duration_s or default_s) * bench_scale() * 1e6
+
+
+def _run_knobs(spec) -> dict:
+    """The spec fields every kind hands to ``run_workload`` unchanged."""
+    return {
+        "seed": spec.seed,
+        "keep_cluster": spec.keep_cluster,
+        "trace": spec.trace,
+    }
+
+
+def scale_profile(spec) -> ScaleProfile | None:
+    """The spec's :data:`SCALE_PROFILES` entry (``None`` when unscaled)."""
+    if spec.scale is None:
+        return None
+    profile = SCALE_PROFILES.get(spec.scale)
+    if profile is None:
         raise ValueError(
-            "keep_cluster=True retains live Cluster objects, which cannot "
-            "be shipped between processes; use jobs=1 (or None)"
+            f"unknown scale {spec.scale!r}; "
+            f"expected one of {sorted(SCALE_PROFILES)}"
         )
+    if not KINDS[spec.kind].scalable:
+        raise ValueError(
+            f"kind {spec.kind!r} does not support the scale axis; "
+            "supported kinds: "
+            f"{sorted(name for name, kind in KINDS.items() if kind.scalable)}"
+        )
+    return profile
 
 
 # ----------------------------------------------------------------------
-# Google-YCSB comparisons (Figures 2, 6a, 6b, 7, 8, 9, 10)
+# Google-YCSB comparisons (Figures 2, 6a, 6b, 7, 8, 9)
 # ----------------------------------------------------------------------
 
 
@@ -124,138 +144,136 @@ def google_spec(name: str, num_keys: int) -> StrategySpec:
     )
 
 
-def _google_task(task: tuple) -> ExperimentResult:
-    """One Google-YCSB strategy run, from primitives (pool worker)."""
-    (name, num_nodes, num_keys, rate_scale, duration_us, overrides,
-     schism_period, seed, keep_cluster, opts) = task
-    overrides = dict(overrides)
-    ycsb_config = YCSBConfig(
-        num_keys=num_keys,
-        num_partitions=num_nodes,
-        zipf_theta=overrides.pop("zipf_theta", 0.8),
-        global_cycle_us=overrides.pop("global_cycle_us", duration_us / 2),
-        **overrides,
-    )
-    trace_config = bench_trace_config(num_nodes, duration_us / 1e6)
-    trace = SyntheticGoogleTrace(trace_config, DeterministicRNG(seed, "trace"))
+def _google_setup(
+    spec,
+    num_nodes: int | None,
+    num_keys: int | None,
+    ycsb_overrides: dict | None = None,
+    zipf_theta: float = 0.8,
+) -> tuple[YCSBConfig, ClusterConfig, float]:
+    """Workload, cluster and duration of a Google-YCSB kind.
 
-    def workload_factory(rng: DeterministicRNG) -> GoogleYCSBWorkload:
-        return GoogleYCSBWorkload(ycsb_config, trace, rng)
-
-    def rate_fn(now_us: float) -> float:
-        return rate_scale * trace.total_load_at(now_us)
-
-    if schism_period is not None:
-        lo_frac, hi_frac = schism_period
-        partitioner = _schism_partitioner_factory(
-            ycsb_config, trace, lo_frac * duration_us,
-            hi_frac * duration_us, num_nodes, seed,
+    Explicit params beat the scale profile, which beats
+    :data:`GOOGLE_BENCH`; the global hot spot sweeps the keyspace twice
+    per run whatever its length.
+    """
+    profile = scale_profile(spec)
+    if profile is None:
+        nodes, keys, seconds, backend = (
+            GOOGLE_BENCH["num_nodes"], GOOGLE_BENCH["num_keys"],
+            GOOGLE_BENCH["duration_s"], "dict",
         )
-        spec = make_strategy("calvin")
-        spec.name = name
     else:
-        partitioner = lambda: make_uniform_ranges(  # noqa: E731
-            num_keys, num_nodes
+        nodes, keys, seconds, backend = (
+            profile.num_nodes, profile.num_keys,
+            profile.duration_s, profile.store_backend,
         )
-        spec = google_spec(name, num_keys)
-
-    return run_workload(
-        spec,
-        cluster_config=bench_cluster_config(
-            num_nodes, store_backend=opts.get("store_backend", "dict")
-        ),
-        partitioner_factory=partitioner,
-        workload_factory=workload_factory,
-        keys=range(num_keys),
-        seed=seed,
-        duration_us=duration_us,
-        warmup_us=opts.get("warmup_us") if opts.get("warmup_us") is not None
-        else min(2_000_000.0, duration_us / 5),
-        drain=False,
-        mode="open",
-        rate_per_s=rate_fn,
-        stats_window_us=opts.get("window_us")
-        if opts.get("window_us") is not None
-        else max(500_000.0, duration_us / 16),
-        keep_cluster=keep_cluster,
-        trace=opts.get("trace"),
+    num_nodes = _or(num_nodes, nodes)
+    duration_us = _duration_us(spec, seconds)
+    overrides = dict(ycsb_overrides or {})
+    overrides.setdefault("zipf_theta", zipf_theta)
+    overrides.setdefault("global_cycle_us", duration_us / 2)
+    ycsb_config = YCSBConfig(
+        num_keys=_or(num_keys, keys), num_partitions=num_nodes, **overrides
+    )
+    return (
+        ycsb_config,
+        bench_cluster_config(num_nodes, store_backend=backend),
+        duration_us,
     )
 
 
-def google_comparison(
-    strategies: Sequence[str],
+def _run_google_row(
+    spec,
+    name: str,
+    strategy_for: Callable[[str], StrategySpec],
+    setup: tuple[YCSBConfig, ClusterConfig, float],
+    rate_scale: float,
+    schism_periods: dict | None = None,
+    before_run: Callable[[Cluster], None] | None = None,
+) -> ExperimentResult:
+    """One row of a Google-YCSB comparison.
+
+    A name listed in ``schism_periods`` runs Calvin over the
+    partitioning Schism trains offline on that fraction interval of the
+    run, as in Figure 6(a); any other name is built by ``strategy_for``
+    and runs over uniform ranges.
+    """
+    ycsb_config, cluster_config, duration_us = setup
+    period = (schism_periods or {}).get(name)
+    if period is None:
+        strategy, partitioner = strategy_for(name), None
+    else:
+        strategy = make_strategy("calvin")
+        strategy.name = name
+        lo_frac, hi_frac = period
+
+        def partitioner(trace: SyntheticGoogleTrace) -> Partitioner:
+            return _schism_train(
+                ycsb_config, trace, lo_frac * duration_us,
+                hi_frac * duration_us, spec.seed,
+            )
+
+    return run_google_ycsb(
+        strategy,
+        ycsb_config,
+        cluster_config=cluster_config,
+        duration_us=duration_us,
+        rate_scale=rate_scale,
+        warmup_us=spec.warmup_us,
+        stats_window_us=spec.window_us,
+        partitioner_factory=partitioner,
+        before_run=before_run,
+        **_run_knobs(spec),
+    )
+
+
+def _schism_train(
+    ycsb_config: YCSBConfig,
+    trace: SyntheticGoogleTrace,
+    period_lo_us: float,
+    period_hi_us: float,
+    seed: int,
+    samples: int = 4_000,
+) -> Partitioner:
+    """Offline Schism training: sample the workload over one period."""
+    workload = GoogleYCSBWorkload(
+        ycsb_config, trace, DeterministicRNG(seed, "schism-train")
+    )
+    span = period_hi_us - period_lo_us
+    txns = [
+        workload.make_txn(i, period_lo_us + span * i / samples)
+        for i in range(samples)
+    ]
+    return schism_partition(
+        txns,
+        num_keys=ycsb_config.num_keys,
+        num_nodes=ycsb_config.num_partitions,
+        range_records=max(50, ycsb_config.num_keys // 200),
+    )
+
+
+def run_google(
+    spec,
+    name: str,
     *,
-    duration_s: float | None = None,
     num_nodes: int | None = None,
     num_keys: int | None = None,
     rate_scale: float = 4_500.0,
     ycsb_overrides: dict | None = None,
     schism_periods: dict[str, tuple[float, float]] | None = None,
-    seed=_UNSET,
-    jobs=_UNSET,
-    keep_cluster=_UNSET,
-) -> list[ExperimentResult]:
-    """Run the Section 5.2 comparison for the named strategies.
+) -> ExperimentResult:
+    """The Section 5.2 comparison: one strategy on Google-trace YCSB.
 
     ``schism_periods`` maps a label (e.g. ``"schism1"``) to the fraction
-    interval of the run used as its offline training trace; those
-    entries run Calvin over the Schism partitioning, as in Figure 6(a).
-
-    Legacy wrapper: delegates to :func:`repro.api.run_experiment`; the
-    collapsed kwargs (``seed``, ``jobs``, ``keep_cluster``) were removed
-    and raise ``TypeError`` — they live on
-    :class:`repro.api.ExperimentSpec`.
+    interval of the run used as its offline training trace.
     """
-    from repro.api import ExperimentSpec, run_experiment
-
-    _warn_legacy_kwargs(
-        "google_comparison", seed=seed, jobs=jobs, keep_cluster=keep_cluster
+    setup = _google_setup(spec, num_nodes, num_keys, ycsb_overrides)
+    ycsb_config = setup[0]
+    return _run_google_row(
+        spec, name, lambda n: google_spec(n, ycsb_config.num_keys),
+        setup, rate_scale, schism_periods,
     )
-    return run_experiment(ExperimentSpec(
-        kind="google",
-        strategies=tuple(strategies),
-        duration_s=duration_s,
-        seed=SEED if seed is _UNSET else seed,
-        jobs=None if jobs is _UNSET else jobs,
-        keep_cluster=False if keep_cluster is _UNSET else keep_cluster,
-        params={
-            "num_nodes": num_nodes,
-            "num_keys": num_keys,
-            "rate_scale": rate_scale,
-            "ycsb_overrides": ycsb_overrides,
-            "schism_periods": schism_periods,
-        },
-    ))
-
-
-def _schism_partitioner_factory(
-    ycsb_config: YCSBConfig,
-    trace: SyntheticGoogleTrace,
-    period_lo_us: float,
-    period_hi_us: float,
-    num_nodes: int,
-    seed: int,
-    samples: int = 4_000,
-) -> Callable[[], Partitioner]:
-    """Offline Schism training: sample the workload over one period."""
-
-    def build() -> Partitioner:
-        workload = GoogleYCSBWorkload(
-            ycsb_config, trace, DeterministicRNG(seed, "schism-train")
-        )
-        span = period_hi_us - period_lo_us
-        txns = [
-            workload.make_txn(i, period_lo_us + span * i / samples)
-            for i in range(samples)
-        ]
-        return schism_partition(
-            txns,
-            num_keys=ycsb_config.num_keys,
-            num_nodes=num_nodes,
-            range_records=max(50, ycsb_config.num_keys // 200),
-        )
-
-    return build
 
 
 # ----------------------------------------------------------------------
@@ -374,36 +392,30 @@ def _forecast_spec(
     )
 
 
-def _forecast_task(task: tuple) -> ExperimentResult:
-    """One robustness-curve point: variant × forecast-error level."""
-    (variant, error_level, forecaster_name, num_nodes, num_keys,
-     rate_scale, duration_us, detector_params, seed, keep_cluster,
-     opts) = task
-    ycsb_config = YCSBConfig(
-        num_keys=num_keys,
-        num_partitions=num_nodes,
-        global_cycle_us=duration_us / 2,
-    )
-    trace_config = bench_trace_config(num_nodes, duration_us / 1e6)
-    trace = SyntheticGoogleTrace(trace_config, DeterministicRNG(seed, "trace"))
+def run_forecast(
+    spec,
+    variant: str,
+    *,
+    error_level: float,
+    forecaster: str = "oracle",
+    num_nodes: int | None = None,
+    num_keys: int | None = None,
+    rate_scale: float = 4_500.0,
+    detector: dict | None = None,
+) -> ExperimentResult:
+    """One robustness-curve point: variant × forecast-error level.
 
-    def workload_factory(rng: DeterministicRNG) -> GoogleYCSBWorkload:
-        return GoogleYCSBWorkload(ycsb_config, trace, rng)
-
-    def rate_fn(now_us: float) -> float:
-        return rate_scale * trace.total_load_at(now_us)
-
-    spec = _forecast_spec(
-        variant,
-        num_nodes=num_nodes,
-        num_keys=num_keys,
-        forecaster_name=forecaster_name,
-        seed=seed,
-        detector_params=detector_params,
-        migrate_at_us=(
-            0.3 * duration_us if variant in FORECAST_VARIANTS else None
-        ),
-    )
+    Strategies may mix plain baselines (``calvin``/``clay``/``hermes``)
+    with the :data:`FORECAST_VARIANTS`; the error level is the severity
+    of the ``magnitude_error`` forecast fault injected mid-run, so it
+    only affects the two learned-forecast variants and baselines repeat
+    unchanged across levels as flat reference lines.
+    """
+    # The curve was calibrated at YCSB's default skew, not the 0.8 the
+    # figure comparisons use; the pinned preset result digests hold it.
+    setup = _google_setup(spec, num_nodes, num_keys, zipf_theta=0.7)
+    ycsb_config, _cluster_config, duration_us = setup
+    seed = spec.seed
 
     # The fault window covers the middle of the run and *ends* well
     # before it does, so detection, cancellation, and recovery (the
@@ -427,30 +439,24 @@ def _forecast_task(task: tuple) -> ExperimentResult:
                 cluster, fault_plan, DeterministicRNG(seed, "forecast-chaos")
             ).install()
 
-    result = run_workload(
+    result = _run_google_row(
         spec,
-        cluster_config=bench_cluster_config(
-            num_nodes, store_backend=opts.get("store_backend", "dict")
+        variant,
+        lambda name: _forecast_spec(
+            name,
+            num_nodes=ycsb_config.num_partitions,
+            num_keys=ycsb_config.num_keys,
+            forecaster_name=forecaster,
+            seed=seed,
+            detector_params=detector,
+            migrate_at_us=0.3 * duration_us,
         ),
-        partitioner_factory=lambda: make_uniform_ranges(num_keys, num_nodes),
-        workload_factory=workload_factory,
-        keys=range(num_keys),
-        seed=seed,
-        duration_us=duration_us,
-        warmup_us=opts.get("warmup_us") if opts.get("warmup_us") is not None
-        else min(2_000_000.0, duration_us / 5),
-        drain=False,
-        mode="open",
-        rate_per_s=rate_fn,
-        stats_window_us=opts.get("window_us")
-        if opts.get("window_us") is not None
-        else max(500_000.0, duration_us / 16),
+        setup,
+        rate_scale,
         before_run=before_run,
-        keep_cluster=keep_cluster,
-        trace=opts.get("trace"),
     )
     result.extras["error_level"] = error_level
-    result.extras["forecaster"] = forecaster_name
+    result.extras["forecaster"] = forecaster
     return result
 
 
@@ -523,8 +529,20 @@ def _replication_spec(
     )
 
 
-def _replication_task(task: tuple) -> ExperimentResult:
-    """One replication-comparison run (pool worker).
+def run_replication(
+    spec,
+    name: str,
+    *,
+    num_nodes: int | None = None,
+    num_keys: int | None = None,
+    rate_scale: float = 4_500.0,
+    ycsb_overrides: dict | None = None,
+    schism_periods: dict[str, tuple[float, float]] | None = None,
+    forecaster: str = "oracle",
+    replication: dict | None = None,
+) -> ExperimentResult:
+    """One row of the replication-vs-migration comparison: a baseline
+    or a :data:`REPLICATION_VARIANTS` entry on the Google-YCSB workload.
 
     Extras carry the trade-off figure's axes: ``migration_bytes``
     (records that changed owner × record size) against
@@ -532,72 +550,26 @@ def _replication_task(task: tuple) -> ExperimentResult:
     record size), plus the distributed-transaction ratio and p99 the
     harness already reports.
     """
-    (name, num_nodes, num_keys, rate_scale, duration_us, overrides,
-     schism_period, forecaster_name, replication_params, seed,
-     keep_cluster, opts) = task
-    overrides = dict(overrides)
-    ycsb_config = YCSBConfig(
-        num_keys=num_keys,
-        num_partitions=num_nodes,
-        zipf_theta=overrides.pop("zipf_theta", 0.8),
-        global_cycle_us=overrides.pop("global_cycle_us", duration_us / 2),
-        **overrides,
-    )
-    trace_config = bench_trace_config(num_nodes, duration_us / 1e6)
-    trace = SyntheticGoogleTrace(trace_config, DeterministicRNG(seed, "trace"))
-
-    def workload_factory(rng: DeterministicRNG) -> GoogleYCSBWorkload:
-        return GoogleYCSBWorkload(ycsb_config, trace, rng)
-
-    def rate_fn(now_us: float) -> float:
-        return rate_scale * trace.total_load_at(now_us)
-
-    if schism_period is not None:
-        lo_frac, hi_frac = schism_period
-        partitioner = _schism_partitioner_factory(
-            ycsb_config, trace, lo_frac * duration_us,
-            hi_frac * duration_us, num_nodes, seed,
-        )
-        spec = make_strategy("calvin")
-        spec.name = name
-    else:
-        partitioner = lambda: make_uniform_ranges(  # noqa: E731
-            num_keys, num_nodes
-        )
-        spec = _replication_spec(
-            name,
-            num_nodes=num_nodes,
-            num_keys=num_keys,
-            forecaster_name=forecaster_name,
-            seed=seed,
-            replication_params=replication_params,
-        )
-
+    setup = _google_setup(spec, num_nodes, num_keys, ycsb_overrides)
+    ycsb_config = setup[0]
     # The worker outlives run_workload, so a before_run capture is all
     # that is needed to harvest byte accounting without keep_cluster.
     cluster_holder: list[Cluster] = []
-
-    result = run_workload(
+    result = _run_google_row(
         spec,
-        cluster_config=bench_cluster_config(
-            num_nodes, store_backend=opts.get("store_backend", "dict")
+        name,
+        lambda variant: _replication_spec(
+            variant,
+            num_nodes=ycsb_config.num_partitions,
+            num_keys=ycsb_config.num_keys,
+            forecaster_name=forecaster,
+            seed=spec.seed,
+            replication_params=replication,
         ),
-        partitioner_factory=partitioner,
-        workload_factory=workload_factory,
-        keys=range(num_keys),
-        seed=seed,
-        duration_us=duration_us,
-        warmup_us=opts.get("warmup_us") if opts.get("warmup_us") is not None
-        else min(2_000_000.0, duration_us / 5),
-        drain=False,
-        mode="open",
-        rate_per_s=rate_fn,
-        stats_window_us=opts.get("window_us")
-        if opts.get("window_us") is not None
-        else max(500_000.0, duration_us / 16),
+        setup,
+        rate_scale,
+        schism_periods,
         before_run=cluster_holder.append,
-        keep_cluster=keep_cluster,
-        trace=opts.get("trace"),
     )
     (cluster,) = cluster_holder
     record_bytes = ycsb_config.record_bytes
@@ -613,7 +585,7 @@ def _replication_task(task: tuple) -> ExperimentResult:
     result.extras["replication_bytes"] = replication_records * record_bytes
     result.extras["replica_reads"] = cluster.metrics.replica_reads
     result.extras["cloned_reads"] = cluster.metrics.cloned_reads
-    result.extras["forecaster"] = forecaster_name
+    result.extras["forecaster"] = forecaster
     return result
 
 
@@ -622,8 +594,18 @@ def _replication_task(task: tuple) -> ExperimentResult:
 _STRAGGLER_CLONE_NODES = 4
 
 
-def _straggler_clone_task(task: tuple) -> ExperimentResult:
-    """One straggler × clone-mode run (pool worker).
+def run_straggler_clone(
+    spec,
+    name: str,
+    *,
+    num_keys: int = 4_000,
+    hot_records: int = 50,
+    rate_per_s: float = 2_000.0,
+    slowdown: float = 8.0,
+    replication: dict | None = None,
+) -> ExperimentResult:
+    """One straggler × clone-mode run (typically ``hermes-replica`` vs
+    ``hermes-clone``).
 
     The :class:`~repro.workloads.hotrange.HotRangeWorkload` warm phase
     provisions replicas of node 0's hot range at the consumer nodes;
@@ -645,13 +627,13 @@ def _straggler_clone_task(task: tuple) -> ExperimentResult:
 
     Both variants run with ``fanout=2`` so their install plans (and
     txn-id streams) match — the drained state fingerprint, shipped in
-    extras, must be identical across the pair.
+    extras so callers can assert cloning changed the tail and never the
+    state, must be identical across the pair.
     """
-    (name, num_keys, hot_records, rate_per_s, duration_us, slowdown,
-     replication_params, seed, keep_cluster, opts) = task
-    from repro.faults.plan import StragglerFault
     from repro.workloads.hotrange import HotRangeConfig, HotRangeWorkload
 
+    duration_us = _duration_us(spec, 2.5)
+    seed = spec.seed
     warm_until_us = duration_us * 0.4
     hotrange_config = HotRangeConfig(
         num_keys=num_keys,
@@ -659,7 +641,7 @@ def _straggler_clone_task(task: tuple) -> ExperimentResult:
         hot_records=hot_records,
         warm_until_us=warm_until_us,
     )
-    params = dict(replication_params or {})
+    params = dict(replication or {})
     # The hot range must be exactly one replica range, and both modes
     # must provision identically for the fingerprint-parity check.
     params.setdefault("range_records", hot_records)
@@ -670,7 +652,7 @@ def _straggler_clone_task(task: tuple) -> ExperimentResult:
         "provision_interval", max(1, int(warm_epochs * 0.8))
     )
     params.setdefault("routing", {"balance": False})
-    spec = _replication_spec(
+    strategy = _replication_spec(
         name,
         num_nodes=_STRAGGLER_CLONE_NODES,
         num_keys=num_keys,
@@ -697,7 +679,7 @@ def _straggler_clone_task(task: tuple) -> ExperimentResult:
         ).install()
 
     result = run_workload(
-        spec,
+        strategy,
         cluster_config=cluster_config,
         partitioner_factory=lambda: make_uniform_ranges(
             num_keys, _STRAGGLER_CLONE_NODES
@@ -706,7 +688,6 @@ def _straggler_clone_task(task: tuple) -> ExperimentResult:
             hotrange_config, rng
         ),
         keys=range(num_keys),
-        seed=seed,
         duration_us=duration_us,
         # Percentiles must cover only the measured phase: the straggler
         # window, where the reader node owns all the traffic.
@@ -714,13 +695,12 @@ def _straggler_clone_task(task: tuple) -> ExperimentResult:
         drain=True,
         mode="open",
         rate_per_s=rate_per_s,
-        stats_window_us=opts.get("window_us") or duration_us / 16,
+        stats_window_us=_or(spec.window_us, duration_us / 16),
         before_run=before_run,
-        keep_cluster=keep_cluster,
-        trace=opts.get("trace"),
         # Both variants must replay the *same* arrival stream or the
         # fingerprint-parity check is vacuous.
         rng_label="straggler-clone",
+        **_run_knobs(spec),
     )
     (cluster,) = cluster_holder
     router = cluster.router
@@ -742,111 +722,48 @@ def _straggler_clone_task(task: tuple) -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-def _tpcc_task(task: tuple) -> ExperimentResult:
-    """One TPC-C strategy × hot-fraction run (pool worker)."""
-    (name, hot_fraction, num_nodes, duration_us, clients, seed,
-     keep_cluster, opts) = task
+def run_tpcc(
+    spec,
+    name: str,
+    *,
+    hot_fraction: float = 0.0,
+    num_nodes: int = 8,
+    clients: int = 900,
+) -> ExperimentResult:
+    """Closed-loop TPC-C with a node-0 hot spot: one strategy at one
+    hot fraction (the ``tpcc_sweep`` kind runs the whole Figure 11 grid
+    of them through one pool)."""
+    duration_us = _duration_us(spec, 4.0)
     tpcc_config = TPCCConfig(
         num_warehouses=num_nodes * 10,
         num_nodes=num_nodes,
         hot_fraction=hot_fraction,
     )
-    spec = make_strategy(
-        name,
-        fusion=bench_fusion_config(capacity=4_000),
-        clay_monitor_interval_us=min(1_500_000.0, duration_us / 5),
-    )
+    clay_monitor_interval_us = min(1_500_000.0, duration_us / 5)
     if name == "clay":
         # TPC-C keys are tuples; Clay's range clumps need an integer
         # keyspace, so Clay migrates whole warehouses: clump id ==
         # warehouse id, realized as warehouse-range reassignment.
-        spec = _clay_tpcc_spec(
-            tpcc_config, min(1_500_000.0, duration_us / 5)
+        strategy = _clay_tpcc_spec(tpcc_config, clay_monitor_interval_us)
+    else:
+        strategy = make_strategy(
+            name,
+            fusion=bench_fusion_config(capacity=4_000),
+            clay_monitor_interval_us=clay_monitor_interval_us,
         )
     return run_workload(
-        spec,
-        cluster_config=bench_cluster_config(
-            num_nodes, store_backend=opts.get("store_backend", "dict")
-        ),
+        strategy,
+        cluster_config=bench_cluster_config(num_nodes),
         partitioner_factory=lambda: tpcc_partitioner(tpcc_config),
         workload_factory=lambda rng: TPCCWorkload(tpcc_config, rng),
-        seed=seed,
         duration_us=duration_us,
-        warmup_us=opts.get("warmup_us") if opts.get("warmup_us") is not None
-        else min(1_000_000.0, duration_us / 5),
+        warmup_us=_or(spec.warmup_us, min(1_000_000.0, duration_us / 5)),
         drain=False,
         mode="closed",
         clients=clients,
-        stats_window_us=opts.get("window_us") or 1_000_000.0,
-        keep_cluster=keep_cluster,
-        trace=opts.get("trace"),
+        stats_window_us=_or(spec.window_us, 1_000_000.0),
+        **_run_knobs(spec),
     )
-
-
-def tpcc_comparison(
-    strategies: Sequence[str],
-    hot_fraction: float,
-    *,
-    num_nodes: int = 8,
-    duration_s: float = 4.0,
-    clients: int = 900,
-    seed=_UNSET,
-    jobs=_UNSET,
-    keep_cluster=_UNSET,
-) -> list[ExperimentResult]:
-    """Closed-loop TPC-C with a node-0 hot spot (legacy wrapper)."""
-    from repro.api import ExperimentSpec, run_experiment
-
-    _warn_legacy_kwargs(
-        "tpcc_comparison", seed=seed, jobs=jobs, keep_cluster=keep_cluster
-    )
-    return run_experiment(ExperimentSpec(
-        kind="tpcc",
-        strategies=tuple(strategies),
-        duration_s=duration_s,
-        seed=SEED if seed is _UNSET else seed,
-        jobs=None if jobs is _UNSET else jobs,
-        keep_cluster=False if keep_cluster is _UNSET else keep_cluster,
-        params={
-            "hot_fraction": hot_fraction,
-            "num_nodes": num_nodes,
-            "clients": clients,
-        },
-    ))
-
-
-def tpcc_sweep(
-    strategies: Sequence[str],
-    hot_fractions: Sequence[float],
-    *,
-    num_nodes: int = 8,
-    duration_s: float = 4.0,
-    clients: int = 900,
-    seed=_UNSET,
-    jobs=_UNSET,
-) -> dict[float, list[ExperimentResult]]:
-    """The full Figure 11 grid: every strategy at every hot fraction.
-
-    Legacy wrapper over the ``"tpcc_sweep"`` experiment kind, which fans
-    the whole (strategy × hot-fraction) product into one pool — ``jobs``
-    parallelism is not capped by the strategy count — then regroups
-    results per hot fraction in submission order.
-    """
-    from repro.api import ExperimentSpec, run_experiment
-
-    _warn_legacy_kwargs("tpcc_sweep", seed=seed, jobs=jobs)
-    return run_experiment(ExperimentSpec(
-        kind="tpcc_sweep",
-        strategies=tuple(strategies),
-        duration_s=duration_s,
-        seed=SEED if seed is _UNSET else seed,
-        jobs=None if jobs is _UNSET else jobs,
-        params={
-            "hot_fractions": tuple(hot_fractions),
-            "num_nodes": num_nodes,
-            "clients": clients,
-        },
-    ))
 
 
 def _clay_tpcc_spec(
@@ -898,13 +815,12 @@ def _clay_tpcc_spec(
         controller.start()
         return controller
 
-    spec = StrategySpec(
+    return StrategySpec(
         name="clay",
         make_router=make_router,
         attach=attach,
         notes="clay with warehouse-granularity clumps",
     )
-    return spec
 
 
 # ----------------------------------------------------------------------
@@ -912,92 +828,72 @@ def _clay_tpcc_spec(
 # ----------------------------------------------------------------------
 
 
-def _multitenant_task(task: tuple) -> ExperimentResult:
-    """One multi-tenant strategy run (pool worker)."""
-    (name, wl_config, make_part, duration_us, clients, seed,
-     stats_window_us, keep_cluster, opts) = task
-    spec = make_strategy(
+def run_multitenant(
+    spec,
+    name: str,
+    *,
+    config: MultiTenantConfig | None = None,
+    partitioner_factory: Callable[[MultiTenantConfig], Partitioner]
+    = perfect_partitioner,
+    clients: int | None = None,
+) -> ExperimentResult:
+    """Closed-loop multi-tenant workload (moving hot spot by default).
+
+    With ``jobs>1`` a custom ``partitioner_factory`` must be a
+    module-level function (it is shipped to the worker processes); the
+    default :func:`perfect_partitioner` is.
+    """
+    profile = scale_profile(spec)
+    if config is not None:
+        wl_config = config
+    elif profile is not None:
+        tenants_per_node = 4
+        wl_config = MultiTenantConfig(
+            num_nodes=profile.num_nodes,
+            tenants_per_node=tenants_per_node,
+            records_per_tenant=profile.num_keys
+            // (profile.num_nodes * tenants_per_node),
+            rotation_interval_us=500_000.0 * profile.num_nodes,
+        )
+    else:
+        wl_config = MultiTenantConfig(
+            num_nodes=4,
+            tenants_per_node=4,
+            records_per_tenant=2_500,
+            rotation_interval_us=2_500_000.0,
+        )
+    duration_us = _duration_us(spec, profile.duration_s if profile else 8.0)
+    strategy = make_strategy(
         name,
         fusion=bench_fusion_config(capacity=wl_config.num_keys // 20),
         clay_clump_records=max(50, wl_config.records_per_tenant // 5),
         clay_monitor_interval_us=1_000_000.0,
     )
     return run_workload(
-        spec,
+        strategy,
         cluster_config=bench_cluster_config(
             wl_config.num_nodes,
-            store_backend=opts.get("store_backend", "dict"),
+            store_backend=profile.store_backend if profile else "dict",
         ),
-        partitioner_factory=lambda: make_part(wl_config),
+        partitioner_factory=lambda: partitioner_factory(wl_config),
         workload_factory=lambda rng: MultiTenantWorkload(wl_config, rng),
-        seed=seed,
         duration_us=duration_us,
-        warmup_us=opts.get("warmup_us") if opts.get("warmup_us") is not None
-        else min(1_000_000.0, duration_us / 10),
+        warmup_us=_or(spec.warmup_us, min(1_000_000.0, duration_us / 10)),
         drain=False,
         mode="closed",
-        clients=clients,
-        stats_window_us=stats_window_us,
-        keep_cluster=keep_cluster,
-        trace=opts.get("trace"),
+        clients=_or(clients, profile.clients if profile else 800),
+        stats_window_us=_or(spec.window_us, 500_000.0),
+        **_run_knobs(spec),
     )
 
 
-def multitenant_comparison(
-    strategies: Sequence[str],
-    *,
-    config: MultiTenantConfig | None = None,
-    partitioner_factory: Callable[[MultiTenantConfig], Partitioner] | None = None,
-    duration_s: float = 8.0,
-    clients: int = 800,
-    seed=_UNSET,
-    stats_window_s=_UNSET,
-    jobs=_UNSET,
-    keep_cluster=_UNSET,
-) -> list[ExperimentResult]:
-    """Closed-loop multi-tenant workload (moving hot spot by default).
-
-    With ``jobs>1`` a custom ``partitioner_factory`` must be a
-    module-level function (it is shipped to the worker processes); the
-    default :func:`perfect_partitioner` is.  Legacy wrapper: the
-    collapsed kwargs (``seed``, ``stats_window_s``, ``jobs``,
-    ``keep_cluster``) were removed and raise ``TypeError`` — they live
-    on :class:`repro.api.ExperimentSpec` (window in microseconds).
-    """
-    from repro.api import ExperimentSpec, run_experiment
-
-    _warn_legacy_kwargs(
-        "multitenant_comparison", seed=seed, stats_window_s=stats_window_s,
-        jobs=jobs, keep_cluster=keep_cluster,
-    )
-    return run_experiment(ExperimentSpec(
-        kind="multitenant",
-        strategies=tuple(strategies),
-        duration_s=duration_s,
-        seed=SEED if seed is _UNSET else seed,
-        window_us=None if stats_window_s is _UNSET else stats_window_s * 1e6,
-        jobs=None if jobs is _UNSET else jobs,
-        keep_cluster=False if keep_cluster is _UNSET else keep_cluster,
-        params={
-            "config": config,
-            "partitioner_factory": partitioner_factory,
-            "clients": clients,
-        },
-    ))
-
-
-def scaleout_run(
+def run_scaleout(
+    spec,
     variant: str,
     *,
-    duration_s: float = 16.0,
     event_at_s: float = 4.0,
     clients: int = 600,
     records_per_tenant: int = 2_500,
-    seed: int = SEED,
-    keep_cluster: bool = False,
-    warmup_us: float | None = None,
-    stats_window_us: float | None = None,
-    trace=None,
 ) -> ExperimentResult:
     """One Figure 14 scale-out scenario.
 
@@ -1016,7 +912,6 @@ def scaleout_run(
         fixed_hot_tenant=0,
         hot_share=0.25,
     )
-    duration_us = duration_s * bench_scale() * 1e6
     event_us = event_at_s * bench_scale() * 1e6
     hot_lo, hot_hi = wl_config.tenant_range(0)
     new_node = 3
@@ -1026,21 +921,21 @@ def scaleout_run(
                     "hermes-cold-5": 5}
 
     if variant == "squall":
-        spec = make_strategy("calvin")
-        spec.name = "squall"
+        strategy = make_strategy("calvin")
     elif variant == "clay+squall":
-        spec = make_strategy(
+        strategy = make_strategy(
             "clay",
             clay_clump_records=max(50, records_per_tenant // 5),
             clay_monitor_interval_us=2_000_000.0,
         )
-        spec.name = "clay+squall"
     elif variant in capacity_pct:
         capacity = wl_config.num_keys * capacity_pct[variant] // 100
-        spec = make_strategy("hermes", fusion=FusionConfig(capacity=capacity))
-        spec.name = variant
+        strategy = make_strategy(
+            "hermes", fusion=FusionConfig(capacity=capacity)
+        )
     else:
         raise ValueError(f"unknown scale-out variant {variant!r}")
+    strategy.name = variant
 
     def before_run(cluster: Cluster) -> None:
         def scale_out() -> None:
@@ -1061,58 +956,137 @@ def scaleout_run(
         cluster.kernel.call_later(event_us, scale_out)
 
     result = run_workload(
-        spec,
+        strategy,
         cluster_config=bench_cluster_config(num_physical),
         partitioner_factory=lambda: perfect_partitioner(wl_config),
         workload_factory=lambda rng: MultiTenantWorkload(wl_config, rng),
-        seed=seed,
-        duration_us=duration_us,
-        warmup_us=warmup_us if warmup_us is not None
-        else min(1_000_000.0, event_us / 2),
+        duration_us=_duration_us(spec, 16.0),
+        warmup_us=_or(spec.warmup_us, min(1_000_000.0, event_us / 2)),
         drain=False,
         mode="closed",
         clients=clients,
         active_nodes=[0, 1, 2],
         before_run=before_run,
-        stats_window_us=stats_window_us or 500_000.0,
-        keep_cluster=keep_cluster,
-        trace=trace,
+        stats_window_us=_or(spec.window_us, 500_000.0),
+        **_run_knobs(spec),
     )
     result.extras["event_us"] = event_us
     return result
 
 
-def _scaleout_task(task: tuple) -> ExperimentResult:
-    """One scale-out variant run (pool worker)."""
-    variant, kwargs = task
-    return scaleout_run(variant, **kwargs)
+# ----------------------------------------------------------------------
+# Online serving (simulated time, replay-verified)
+# ----------------------------------------------------------------------
 
 
-def scaleout_comparison(
-    variants: Sequence[str],
+def run_serving(
+    spec,
+    strategy: str,
     *,
-    jobs=_UNSET,
-    keep_cluster=_UNSET,
-    **kwargs,
-) -> list[ExperimentResult]:
-    """Several Figure 14 variants, optionally fanned over processes.
+    num_nodes: int = 4,
+    num_keys: int = 10_000,
+    initial_nodes: int | None = None,
+    epoch_us: float = 5_000.0,
+    rate_per_s: float = 2_000.0,
+    rw_ratio: float = 0.2,
+    resizes: tuple = (),
+    verify: bool = True,
+) -> ExperimentResult:
+    """One journaled online-serving run.
 
-    ``kwargs`` are forwarded to :func:`scaleout_run` unchanged.  Legacy
-    wrapper: ``jobs``/``keep_cluster``/``seed`` were removed and raise
-    ``TypeError`` — they live on :class:`repro.api.ExperimentSpec`.
+    Unlike the bench kinds this drives the :mod:`repro.serve` tick loop:
+    arrivals are synthesized per epoch, journaled write-ahead, and (by
+    default) the journal is replayed and checked byte-for-byte against
+    the live run before the result is returned.
     """
-    from repro.api import ExperimentSpec, run_experiment
+    # Deferred: repro.serve pulls in asyncio and the socket frontend,
+    # which no other kind (and no `import repro.api`) should pay for.
+    from repro.serve.experiment import serving_run
 
-    _warn_legacy_kwargs(
-        "scaleout_comparison", jobs=jobs, keep_cluster=keep_cluster,
-        seed=kwargs.get("seed", _UNSET),
+    return serving_run(
+        strategy,
+        num_nodes=num_nodes,
+        num_keys=num_keys,
+        initial_nodes=initial_nodes,
+        epoch_us=epoch_us,
+        duration_us=_duration_us(spec, 1.0),
+        rate_per_s=rate_per_s,
+        rw_ratio=rw_ratio,
+        resizes=tuple(resizes),
+        seed=spec.seed,
+        verify=verify,
     )
-    return run_experiment(ExperimentSpec(
-        kind="scaleout",
-        strategies=tuple(variants),
-        duration_s=kwargs.pop("duration_s", None),
-        seed=kwargs.pop("seed", SEED),
-        jobs=None if jobs is _UNSET else jobs,
-        keep_cluster=False if keep_cluster is _UNSET else keep_cluster,
-        params=kwargs,
-    ))
+
+
+# ----------------------------------------------------------------------
+# The kind registry and the pool worker
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Kind:
+    """One experiment family: how a row runs and what a spec may ask.
+
+    ``run(spec, strategy, **params)`` runs one row; its keyword-only
+    parameters are the kind's ``spec.params`` keys.  A sweep kind runs
+    every strategy at every point listed under ``params[sweep_key]``
+    (``sweep_default`` when absent; ``None`` makes the key required),
+    binding each point to ``run``'s ``sweep_point`` keyword.
+    ``scalable`` says ``run`` consults the spec's ``scale`` axis;
+    ``unsupported`` names spec fields the kind cannot honour, so setting
+    one is an error rather than a silently ignored knob.
+    """
+
+    run: Callable[..., ExperimentResult]
+    sweep_key: str | None = None
+    sweep_point: str | None = None
+    sweep_default: tuple | None = None
+    scalable: bool = False
+    unsupported: tuple[str, ...] = ()
+
+    @property
+    def valid_params(self) -> frozenset[str]:
+        names = {
+            name
+            for name, param in inspect.signature(self.run).parameters.items()
+            if param.kind is param.KEYWORD_ONLY
+        }
+        if self.sweep_key is not None:
+            names = names - {self.sweep_point} | {self.sweep_key}
+        return frozenset(names)
+
+
+KINDS: dict[str, Kind] = {
+    "google": Kind(run_google, scalable=True),
+    "tpcc": Kind(run_tpcc),
+    # A grid holds strategies × points live clusters at once.
+    "tpcc_sweep": Kind(
+        run_tpcc, sweep_key="hot_fractions", sweep_point="hot_fraction",
+        unsupported=("keep_cluster",),
+    ),
+    "multitenant": Kind(run_multitenant, scalable=True),
+    "scaleout": Kind(run_scaleout),
+    "forecast_robustness": Kind(
+        run_forecast, sweep_key="error_levels", sweep_point="error_level",
+        sweep_default=(0.0, 0.3, 0.6, 0.9), scalable=True,
+    ),
+    "replication": Kind(run_replication),
+    # ServeCore owns its cluster and its arrival-tick accounting: there
+    # is no tracer hook, no warm-up phase and no stats window to set.
+    "serving": Kind(
+        run_serving,
+        unsupported=("trace", "keep_cluster", "warmup_us", "window_us"),
+    ),
+    "straggler_clone": Kind(run_straggler_clone),
+}
+
+
+def run_task(task: tuple) -> ExperimentResult:
+    """Run one ``(spec, strategy[, sweep point])`` task (pool worker)."""
+    spec, strategy, *point = task
+    kind = KINDS[spec.kind]
+    params = {k: v for k, v in spec.params.items() if v is not None}
+    if kind.sweep_key is not None:
+        params.pop(kind.sweep_key, None)
+        (params[kind.sweep_point],) = point
+    return kind.run(spec, strategy, **params)

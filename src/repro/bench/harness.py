@@ -5,8 +5,9 @@ fresh cluster for the given :class:`StrategySpec`, loads the keyspace,
 attaches any controllers, drives the workload open- or closed-loop, and
 returns an :class:`ExperimentResult` carrying the aggregates and series
 the paper plots.  ``run_google_ycsb`` specializes it for the Google-
-trace experiments (Figures 2 and 6–10), where the offered rate follows
-the trace's total-load envelope.
+trace experiments (Figures 2 and 6–10, the robustness and replication
+comparisons), where the offered rate follows the trace's total-load
+envelope.
 
 ``parallel_map`` is the fleet primitive the figure comparisons build on:
 independent (strategy × sweep-point × seed) runs fan out over a process
@@ -21,15 +22,16 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from repro.bench.presets import bench_trace_config
 from repro.bench.specs import StrategySpec
 from repro.common.config import ClusterConfig
 from repro.common.rng import DeterministicRNG
 from repro.engine.cluster import Cluster
 from repro.obs.tracer import Tracer
 from repro.sim.stats import TimeSeries
-from repro.storage.partitioning import Partitioner
+from repro.storage.partitioning import Partitioner, make_uniform_ranges
 from repro.workloads.base import ClosedLoopDriver, OpenLoopDriver
-from repro.workloads.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
+from repro.workloads.google_trace import SyntheticGoogleTrace
 from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
 
 
@@ -217,66 +219,64 @@ def run_workload(
 
 def run_google_ycsb(
     spec: StrategySpec,
+    ycsb_config: YCSBConfig,
     *,
-    num_nodes: int = 20,
-    cluster_config: ClusterConfig | None = None,
-    ycsb_config: YCSBConfig | None = None,
-    trace_config: GoogleTraceConfig | None = None,
-    partitioner_factory: Callable[[], Partitioner] | None = None,
-    rate_scale: float = 1500.0,
+    cluster_config: ClusterConfig,
+    duration_us: float,
+    rate_scale: float = 4_500.0,
     seed: int = 7,
-    duration_us: float = 60_000_000.0,
-    warmup_us: float = 5_000_000.0,
-    stats_window_us: float = 5_000_000.0,
-    validate_plans: bool = False,
+    warmup_us: float | None = None,
+    stats_window_us: float | None = None,
+    partitioner_factory: Callable[[SyntheticGoogleTrace], Partitioner]
+    | None = None,
+    before_run: Callable[[Cluster], None] | None = None,
     keep_cluster: bool = False,
+    trace: Tracer | None = None,
 ) -> ExperimentResult:
     """The Section 5.2 experiment: YCSB shaped by a Google-style trace.
 
-    The offered (open-loop) rate is the trace's total-load envelope
-    times ``rate_scale`` transactions per second per unit load, so
-    throughput curves track the trace exactly as in Figures 2/6.
+    The offered (open-loop) rate is the synthetic trace's total-load
+    envelope times ``rate_scale`` transactions per second per unit load,
+    so throughput curves track the trace exactly as in Figures 2/6.
+    The trace is seeded from ``seed`` alone, so every strategy of a
+    comparison sees the same load; ``partitioner_factory`` receives it
+    (Schism trains offline on a period of the very trace the run
+    replays) and defaults to uniform ranges.  ``warmup_us`` /
+    ``stats_window_us`` of ``None`` scale with the run length.
     """
-    from repro.storage.partitioning import make_uniform_ranges
-
-    cluster_config = cluster_config or ClusterConfig(num_nodes=num_nodes)
-    ycsb_config = ycsb_config or YCSBConfig(num_partitions=num_nodes)
-    trace_config = trace_config or GoogleTraceConfig(
-        num_machines=ycsb_config.num_partitions,
-        duration_s=duration_us / 1e6,
+    num_nodes = ycsb_config.num_partitions
+    google_trace = SyntheticGoogleTrace(
+        bench_trace_config(num_nodes, duration_us / 1e6),
+        DeterministicRNG(seed, "trace"),
     )
-    trace_rng = DeterministicRNG(seed, "trace")
-    trace = SyntheticGoogleTrace(trace_config, trace_rng)
 
-    def workload_factory(rng: DeterministicRNG) -> GoogleYCSBWorkload:
-        return GoogleYCSBWorkload(ycsb_config, trace, rng)
+    def partitioner() -> Partitioner:
+        if partitioner_factory is not None:
+            return partitioner_factory(google_trace)
+        return make_uniform_ranges(ycsb_config.num_keys, num_nodes)
 
-    def rate_fn(now_us: float) -> float:
-        return rate_scale * trace.total_load_at(now_us)
-
-    if partitioner_factory is None:
-        partitioner_factory = lambda: make_uniform_ranges(  # noqa: E731
-            ycsb_config.num_keys, num_nodes
-        )
-
-    result = run_workload(
+    return run_workload(
         spec,
         cluster_config=cluster_config,
-        partitioner_factory=partitioner_factory,
-        workload_factory=workload_factory,
+        partitioner_factory=partitioner,
+        workload_factory=lambda rng: GoogleYCSBWorkload(
+            ycsb_config, google_trace, rng
+        ),
         keys=range(ycsb_config.num_keys),
         seed=seed,
         duration_us=duration_us,
-        warmup_us=warmup_us,
+        warmup_us=min(2_000_000.0, duration_us / 5)
+        if warmup_us is None else warmup_us,
         drain=False,
         mode="open",
-        rate_per_s=rate_fn,
-        stats_window_us=stats_window_us,
-        validate_plans=validate_plans,
+        rate_per_s=lambda now_us: rate_scale
+        * google_trace.total_load_at(now_us),
+        stats_window_us=max(500_000.0, duration_us / 16)
+        if stats_window_us is None else stats_window_us,
+        before_run=before_run,
         keep_cluster=keep_cluster,
+        trace=trace,
     )
-    result.extras["trace"] = trace
-    return result
 
 
 def peak_rss_mb() -> float:

@@ -12,6 +12,7 @@ The top-level entry point is :class:`Cluster`.
 """
 
 from repro.engine.cluster import Cluster
+from repro.engine.failover import FailoverReport, ReplicatedDeployment
 from repro.engine.locks import LockManager, LockMode
 from repro.engine.migration import (
     MigrationController,
@@ -25,7 +26,6 @@ from repro.engine.recovery import (
     recover_from_crash,
     replay_command_log,
 )
-from repro.engine.replication import FailoverReport, ReplicatedDeployment
 from repro.engine.sequencer import Sequencer
 
 __all__ = [

@@ -54,7 +54,6 @@ class Cluster:
         keep_command_log: bool = False,
         validate_plans: bool = False,
         tracer: "Tracer | None" = None,
-        dispatch_mode: str = "batched",
     ) -> None:
         self.config = config
         self.router = router
@@ -89,21 +88,6 @@ class Cluster:
         )
         self.command_log = CommandLog() if keep_command_log else None
         self.validate_plans = validate_plans
-        # Dispatch is prebound at construction: "batched" drains a whole
-        # epoch with the tracer check hoisted to one branch per batch;
-        # "single" retains the legacy per-event loop (kept as the
-        # differential-test reference — see tests/sanitize).
-        if dispatch_mode == "batched":
-            self._dispatch = self._dispatch_batched
-        elif dispatch_mode == "single":
-            self._dispatch = self._dispatch_single
-        else:
-            raise ConfigurationError(
-                f"unknown dispatch_mode {dispatch_mode!r} "
-                "(expected 'batched' or 'single')"
-            )
-        self.dispatch_mode = dispatch_mode
-
         self._next_seq = 0
         self._next_txn_id = 0
         self._unfinished = 0
@@ -221,7 +205,7 @@ class Cluster:
         start = max(self.kernel.now, self._scheduler_free_at)
         done = start + routing_cost
         self._scheduler_free_at = done
-        self.kernel.call_later(done - self.kernel.now, self._dispatch_entry,
+        self.kernel.call_later(done - self.kernel.now, self._dispatch,
                                plan, t_sequenced)
         digest = self.kernel.digest
         if digest is not None:
@@ -320,14 +304,13 @@ class Cluster:
         """Batches parked in the reorder buffer (diagnostics)."""
         return len(self._reorder_buffer)
 
-    def _dispatch_entry(self, plan, t_sequenced: float) -> None:
-        """Mode-neutral dispatch entry point.
+    def _dispatch(self, plan, t_sequenced: float) -> None:
+        """Drain one routed batch: per transaction, build its runtime,
+        enqueue its lock requests in plan order, and start it.
 
-        Recorded digest lines name callbacks by qualname, so scheduling
-        the prebound ``self._dispatch`` directly would leak the dispatch
-        *mode* into the event stream.  The digest's dispatch note lives
-        here for the same reason: one note per batch, whichever
-        dispatcher drains it.  One extra call per batch is noise.
+        The digest takes one note per batch and the tracer one
+        ``txn_dispatched`` per transaction; with neither attached the
+        loop touches only metrics, the lock manager and the runtimes.
         """
         digest = self.kernel.digest
         if digest is not None:
@@ -338,20 +321,7 @@ class Cluster:
                 "sched.dispatch", self._next_seq + 1,
                 [(p.txn.txn_id, p.coordinator) for p in plan],
             )
-        self._dispatch(plan, t_sequenced)
-
-    def _dispatch_batched(self, plan, t_sequenced: float) -> None:
-        """Drain one routed batch with instrumentation hoisted per batch.
-
-        With no tracer bound, the loop below touches only metrics, the
-        lock manager, and the runtimes — the hot path.  Otherwise the
-        instrumented twin runs, emitting exactly the trace events the
-        legacy single-event path would, in the same order.
-        """
         tracer = self.tracer
-        if tracer is not None:
-            self._dispatch_instrumented(plan, t_sequenced, tracer)
-            return
         now = self.kernel.now
         seq = self._next_seq
         note_dispatch = self.metrics.note_dispatch
@@ -363,6 +333,12 @@ class Cluster:
             kind = txn.kind
             if kind is TxnKind.READ_ONLY or kind is TxnKind.READ_WRITE:
                 note_dispatch(txn_plan)
+            if tracer is not None:
+                tracer.txn_dispatched(
+                    seq, txn.txn_id, kind.name,
+                    txn_plan.coordinator, tuple(sorted(txn_plan.masters)),
+                    txn.size,
+                )
             runtime = make_runtime(
                 self, txn_plan, seq, t_sequenced, now, finished
             )
@@ -377,76 +353,6 @@ class Cluster:
                     enqueue(seq, key, mode, partial(granted, key))
             runtime.start()
         self._next_seq = seq
-
-    def _dispatch_instrumented(self, plan, t_sequenced: float, tracer) -> None:
-        now = self.kernel.now
-        seq = self._next_seq
-        note_dispatch = self.metrics.note_dispatch
-        enqueue = self.lock_manager.enqueue
-        finished = self._runtime_finished
-        for txn_plan in plan:
-            seq += 1
-            txn = txn_plan.txn
-            if not txn.is_system():
-                note_dispatch(txn_plan)
-            tracer.txn_dispatched(
-                seq, txn.txn_id, txn.kind.name,
-                txn_plan.coordinator, tuple(sorted(txn_plan.masters)),
-                txn.size,
-            )
-            runtime = make_runtime(
-                self, txn_plan, seq, t_sequenced, now, finished
-            )
-            granted = runtime.on_lock_granted
-            if runtime.local_fast:
-                for key, mode in runtime.lock_requests():
-                    enqueue(seq, key, mode, granted)
-            else:
-                for key, mode in runtime.lock_requests():
-                    enqueue(seq, key, mode, partial(granted, key))
-            runtime.start()
-        self._next_seq = seq
-
-    def _dispatch_single(self, plan, t_sequenced: float) -> None:
-        """Legacy per-event dispatch loop.
-
-        The differential suite replays identical workloads through this
-        path and ``_dispatch_batched`` and compares event digests.
-        """
-        now = self.kernel.now
-        tracer = self.tracer
-        for txn_plan in plan:
-            self._next_seq += 1
-            if not txn_plan.txn.is_system():
-                self.metrics.note_dispatch(txn_plan)
-            if tracer is not None:
-                txn = txn_plan.txn
-                tracer.txn_dispatched(
-                    self._next_seq, txn.txn_id, txn.kind.name,
-                    txn_plan.coordinator, tuple(sorted(txn_plan.masters)),
-                    txn.size,
-                )
-            runtime = make_runtime(
-                self, txn_plan, self._next_seq, t_sequenced, now,
-                self._runtime_finished,
-            )
-            for key, mode in runtime.lock_requests():
-                self.lock_manager.enqueue(
-                    runtime.seq,
-                    key,
-                    mode,
-                    runtime.on_lock_granted
-                    if runtime.local_fast
-                    else self._make_grant_callback(runtime, key),
-                )
-            runtime.start()
-
-    @staticmethod
-    def _make_grant_callback(runtime: TxnRuntime, key: Key):
-        def granted() -> None:
-            runtime.on_lock_granted(key)
-
-        return granted
 
     def _runtime_finished(self, runtime: TxnRuntime) -> None:
         self._unfinished -= 1

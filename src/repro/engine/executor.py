@@ -1232,10 +1232,15 @@ def make_runtime(
 ) -> "TxnRuntime | LocalTxnRuntime":
     """Pick the cheapest runtime able to execute ``plan``.
 
-    Every dispatch path (batched, instrumented, and the legacy
-    single-event reference) must make the same choice: the event digest
-    folds callback names, so the sanitize differential suite would
-    flag any divergence between modes.
+    The choice reads only the plan's shape — never a caller-set option,
+    never whether a tracer or digest is attached — so a traced run takes
+    the same path as the run it is meant to explain (the dispatch
+    differential suite compares their kernel digests).
+
+    ``LocalTxnRuntime`` stays a separate class by measurement: sending
+    every plan through ``TxnRuntime`` costs the all-local
+    ``sim_tenant_calvin`` perfbench workload 40–46 % of its txn/s
+    (ROADMAP item 1).
     """
     txn = plan.txn
     masters = plan.masters

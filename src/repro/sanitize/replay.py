@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.api import ExperimentSpec, run_experiment
+from repro.bench.sharded import canonical_payload, payload_digest
 from repro.sanitize.digest import capture_digests
 
 __all__ = [
@@ -135,10 +136,14 @@ class KernelDigest:
 
 @dataclass(slots=True)
 class RunDigest:
-    """The digest fingerprint of one full experiment run."""
+    """The digest fingerprint of one full experiment run: every
+    kernel's event stream plus the canonical result payload (the model
+    numbers a figure is drawn from, which the event digests only imply).
+    """
 
     label: str
     kernels: list[KernelDigest]
+    result: str
 
     @property
     def combined(self) -> str:
@@ -158,6 +163,7 @@ class RunDigest:
         return {
             "label": self.label,
             "kernels": [k.to_json() for k in self.kernels],
+            "result": self.result,
         }
 
     @classmethod
@@ -165,6 +171,7 @@ class RunDigest:
         return cls(
             label=data["label"],
             kernels=[KernelDigest.from_json(k) for k in data["kernels"]],
+            result=data["result"],
         )
 
 
@@ -207,14 +214,16 @@ def run_digest(
     The run is forced serial (digests live in this process) and
     trace-free (a tracer changes nothing observable, but the point of a
     digest run is the minimal configuration).  Returns one
-    :class:`KernelDigest` per kernel the run created, in creation order.
+    :class:`KernelDigest` per kernel the run created, in creation order,
+    beside the digest of what the run returned.
     """
     clean = spec.with_overrides(jobs=None, keep_cluster=False, trace=None)
     with _maybe_inject():
         with capture_digests(record=record) as digests:
-            run_experiment(clean)
+            results = run_experiment(clean)
     return RunDigest(
         label=label,
+        result=payload_digest(canonical_payload(results)),
         kernels=[
             KernelDigest(
                 events=d.count,
@@ -392,6 +401,7 @@ class ReplayReport:
     ok: bool
     digests: dict[str, str]
     events: dict[str, int]
+    results: dict[str, str]
     divergence: DivergenceReport | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -401,6 +411,7 @@ class ReplayReport:
         for label, digest in self.digests.items():
             lines.append(
                 f"  {label:<12} {digest}  ({self.events[label]} events)"
+                f"  result {self.results[label]}"
             )
         lines.extend(f"  note: {note}" for note in self.notes)
         if self.divergence is not None:
@@ -418,8 +429,8 @@ def dual_replay(
 
     Returns a :class:`ReplayReport`; ``report.ok`` means every leg —
     two in-process runs plus one subprocess run per perturbed
-    ``PYTHONHASHSEED`` — produced the identical event-stream digest.  On
-    mismatch (and ``localize=True``) the diverging pair is re-run with
+    ``PYTHONHASHSEED`` — produced the identical event-stream digest and
+    the identical result digest.  On mismatch (and ``localize=True``) the diverging pair is re-run with
     per-event recording and the report carries the first divergent
     event, the shared prefix tail, and :mod:`repro.obs` span context
     around the divergence time.
@@ -433,14 +444,26 @@ def dual_replay(
 
     reference = runs[0]
     divergent = next(
-        (r for r in runs[1:] if r.combined != reference.combined), None
+        (
+            r for r in runs[1:]
+            if (r.combined, r.result) != (reference.combined, reference.result)
+        ),
+        None,
     )
     report = ReplayReport(
         ok=divergent is None,
         digests={r.label: r.combined for r in runs},
         events={r.label: r.events for r in runs},
+        results={r.label: r.result for r in runs},
     )
     if divergent is None or not localize:
+        return report
+    if divergent.combined == reference.combined:
+        report.notes.append(
+            f"{divergent.label} scheduled the identical event stream but "
+            "returned a different result payload: look at how metrics "
+            "and extras are computed, not at event order"
+        )
         return report
 
     recorded_a = run_digest(spec, record=True, label=reference.label)

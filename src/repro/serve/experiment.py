@@ -136,9 +136,3 @@ def serving_run(
         latency_p99_us=pcts[0.99],
         extras=extras,
     )
-
-
-def _serving_task(task) -> ExperimentResult:
-    """parallel_map worker: ``(strategy, kwargs)``."""
-    strategy, kwargs = task
-    return serving_run(strategy, **kwargs)

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.api import ExperimentSpec, PRESETS, preset_spec, run_experiment
-from repro.bench.figures import tpcc_comparison
+from repro.api import (
+    PRESETS,
+    VALID_PARAMS,
+    ExperimentSpec,
+    preset_spec,
+    run_experiment,
+)
 from repro.obs import Tracer
 
 TINY_TPCC = dict(duration_s=0.2, params={"clients": 40, "num_nodes": 4})
@@ -49,6 +54,50 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="does not support the scale"):
             run_experiment(spec)
 
+    def test_sweep_without_points_names_kind_and_field(self):
+        spec = ExperimentSpec(kind="tpcc_sweep", strategies=("calvin",))
+        with pytest.raises(ValueError, match="'tpcc_sweep' requires "
+                           r"params\['hot_fractions'\]"):
+            run_experiment(spec)
+
+    def test_sweep_rejects_keep_cluster(self):
+        spec = ExperimentSpec(kind="tpcc_sweep", strategies=("calvin",),
+                              keep_cluster=True,
+                              params={"hot_fractions": (0.0,)})
+        with pytest.raises(ValueError, match="'tpcc_sweep' does not "
+                           "support keep_cluster="):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("field", ["warmup_us", "window_us"])
+    def test_serving_rejects_warmup_and_window(self, field):
+        spec = ExperimentSpec(kind="serving", strategies=("calvin",),
+                              **{field: 1_000.0})
+        with pytest.raises(ValueError, match="'serving' does not "
+                           f"support {field}="):
+            run_experiment(spec)
+
+    def test_valid_params_are_the_workers_keywords(self):
+        # The did-you-mean set is read off the worker signatures, so a
+        # key the table admits is a key the worker binds — and the keys
+        # themselves are API: pin them.
+        assert {k: sorted(v) for k, v in VALID_PARAMS.items()} == {
+            "google": ["num_keys", "num_nodes", "rate_scale",
+                       "schism_periods", "ycsb_overrides"],
+            "tpcc": ["clients", "hot_fraction", "num_nodes"],
+            "tpcc_sweep": ["clients", "hot_fractions", "num_nodes"],
+            "multitenant": ["clients", "config", "partitioner_factory"],
+            "scaleout": ["clients", "event_at_s", "records_per_tenant"],
+            "forecast_robustness": ["detector", "error_levels", "forecaster",
+                                    "num_keys", "num_nodes", "rate_scale"],
+            "replication": ["forecaster", "num_keys", "num_nodes",
+                            "rate_scale", "replication", "schism_periods",
+                            "ycsb_overrides"],
+            "serving": ["epoch_us", "initial_nodes", "num_keys", "num_nodes",
+                        "rate_per_s", "resizes", "rw_ratio", "verify"],
+            "straggler_clone": ["hot_records", "num_keys", "rate_per_s",
+                                "replication", "slowdown"],
+        }
+
     def test_with_overrides_copies(self):
         spec = ExperimentSpec(kind="tpcc", strategies=("calvin",))
         other = spec.with_overrides(seed=11)
@@ -57,22 +106,6 @@ class TestSpecValidation:
 
 
 class TestDelegation:
-    def test_legacy_wrapper_matches_spec(self):
-        spec = ExperimentSpec(kind="tpcc", strategies=("calvin",), **TINY_TPCC)
-        (via_spec,) = run_experiment(spec)
-        (via_legacy,) = tpcc_comparison(
-            ["calvin"], 0.0, duration_s=0.2, clients=40, num_nodes=4,
-        )
-        assert via_legacy.commits == via_spec.commits
-        assert via_legacy.throughput_per_s == via_spec.throughput_per_s
-
-    def test_legacy_collapsed_kwargs_raise(self):
-        # The deprecation cycle ended: collapsed kwargs are now errors
-        # pointing at ExperimentSpec, not warnings.
-        with pytest.raises(TypeError, match="seed.*ExperimentSpec"):
-            tpcc_comparison(["calvin"], 0.0, duration_s=0.2, clients=40,
-                            num_nodes=4, seed=7)
-
     def test_trace_rides_along(self):
         tracer = Tracer(run="api-test")
         spec = ExperimentSpec(kind="tpcc", strategies=("calvin",),

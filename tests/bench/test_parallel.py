@@ -8,9 +8,10 @@ and the keep-cluster escape hatch refuses to cross process boundaries.
 
 import pytest
 
+from dataclasses import replace
+
 from repro.api import ExperimentSpec, run_experiment
 from repro.bench import figures
-from repro.bench.figures import multitenant_comparison
 from repro.bench.harness import parallel_map
 from repro.workloads.multitenant import MultiTenantConfig
 
@@ -69,15 +70,15 @@ class TestFleetEquivalence:
         with pytest.raises(ValueError, match="keep_cluster"):
             run_experiment(spec)
 
-    def test_legacy_collapsed_kwargs_raise(self):
-        with pytest.raises(TypeError, match="ExperimentSpec"):
-            multitenant_comparison(["calvin"], jobs=2, keep_cluster=True)
-
     def test_tpcc_sweep_groups_by_hot_fraction(self, monkeypatch):
-        monkeypatch.setattr(
-            figures, "_tpcc_task", lambda task: (task[0], task[1])
-        )
-        table = figures.tpcc_sweep(["a", "b"], [0.1, 0.9])
+        sweep = figures.KINDS["tpcc_sweep"]
+        monkeypatch.setitem(figures.KINDS, "tpcc_sweep", replace(
+            sweep, run=lambda spec, name, *, hot_fraction: (name, hot_fraction)
+        ))
+        table = run_experiment(ExperimentSpec(
+            kind="tpcc_sweep", strategies=("a", "b"),
+            params={"hot_fractions": (0.1, 0.9)},
+        ))
         assert table == {
             0.1: [("a", 0.1), ("b", 0.1)],
             0.9: [("a", 0.9), ("b", 0.9)],

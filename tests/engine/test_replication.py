@@ -10,7 +10,7 @@ from repro.core.fusion_table import FusionTable
 from repro.core.prescient import PrescientRouter
 from repro.baselines.calvin import CalvinRouter
 from repro.engine.cluster import Cluster
-from repro.engine.replication import ReplicatedDeployment
+from repro.engine.failover import ReplicatedDeployment
 from repro.storage.partitioning import make_uniform_ranges
 from repro.workloads.multitenant import MultiTenantConfig, MultiTenantWorkload
 

@@ -5,6 +5,7 @@ localized — the validate-the-validator half of the detector."""
 import pytest
 
 from repro.api import PRESETS, ExperimentSpec, preset_spec
+from repro.sanitize import replay
 from repro.sanitize.replay import (
     INJECT_ENV,
     dual_replay,
@@ -14,6 +15,29 @@ from repro.sanitize.replay import (
     spec_from_payload,
     spec_payload,
 )
+
+
+#: ``payload_digest(canonical_payload(run_experiment(preset)))`` at
+#: ``REPRO_BENCH_SCALE=0.01``, recorded on the commit before the
+#: experiment layer was merged into one (identical under
+#: ``PYTHONHASHSEED`` 1 and 31337).  These are model results, not
+#: kernel-event hexes: a refactor of the layers above ``run_workload``
+#: must leave every one unchanged, while engine work that changes what
+#: the model computes re-records them deliberately.
+PRESET_RESULT_DIGESTS = {
+    "fig02": "f403abd98fff55d7719fb15efe892bd1",
+    "fig06a": "97482dda474ada7f565f0ba57db890cd",
+    "fig06b": "cba2270e3c24c33e92c59fe8dd6a28c3",
+    "fig07": "af3cbdfe0d77facf141098bd91d8816e",
+    "fig11": "f8fb90722529a13a5afb6fc9ba4a0862",
+    "fig12": "1a1604987bbbe060c64b4dd7c6e5a7d2",
+    "fig12_scale": "b619a4f17a4e9f904294a596f9ff8f45",
+    "fig14": "dee299e894d50c23d4daeb8757e39b95",
+    "replication": "558085f3df5b88745a24c4c1086c7ec4",
+    "robustness": "07a2d124a493ca4b17617e0d5f24f100",
+    "serving": "8726760dc3e9a99909bf77782e5c681e",
+    "straggler_clone": "2f6ed43a2fe2b85f9da790e8fccfc4c3",
+}
 
 
 def _tiny_spec(**overrides) -> ExperimentSpec:
@@ -57,6 +81,7 @@ class TestSubprocessLeg:
         child = run_digest_subprocess(spec, hashseed=99)
         assert child.combined == parent.combined
         assert child.events == parent.events
+        assert child.result == parent.result
 
 
 class TestDualReplay:
@@ -70,6 +95,25 @@ class TestDualReplay:
     def test_preset_is_deterministic(self, name):
         report = dual_replay(preset_spec(name), hashseeds=(1, 2))
         assert report.ok, f"{name}:\n{report.describe()}"
+        # ok means all four legs agree, so one leg speaks for them all.
+        assert report.results["run-a"] == PRESET_RESULT_DIGESTS[name]
+
+    def test_every_preset_is_pinned(self):
+        assert set(PRESET_RESULT_DIGESTS) == set(PRESETS)
+
+    def test_result_digest_is_compared_across_legs(self, monkeypatch):
+        # Same event stream, different returned numbers: a hash-order
+        # dependence in metrics/extras code that scheduling never sees.
+        def skewed_child(spec, *, hashseed, **_kwargs):
+            run = run_digest(spec, label=f"hashseed-{hashseed}")
+            run.result = "0" * 32
+            return run
+
+        monkeypatch.setattr(replay, "run_digest_subprocess", skewed_child)
+        report = dual_replay(_tiny_spec(), hashseeds=(1,))
+        assert not report.ok
+        assert report.divergence is None
+        assert "different result payload" in report.describe()
 
 
 class TestInjectedBug:
