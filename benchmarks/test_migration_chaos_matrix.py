@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import replace
 
 from repro.faults.chaos import (
     MIGRATION_SCENARIOS,
-    SMOKE_MIGRATION_CONFIG,
-    make_migration_cluster_builder,
+    MIGRATION_SMOKE_CONFIG,
+    make_cluster_builder,
     make_schedule,
     migration_trial_digest,
-    run_migration_reference,
     run_migration_trial,
-    verify_migration_trial,
+    verify_trial,
 )
 
+CFG = MIGRATION_SMOKE_CONFIG
 SEEDS = (21, 97)
 #: (event_at_us, resume_at_us): early / middle / late in the migration.
 TIMINGS = (
@@ -40,27 +39,23 @@ def test_migration_chaos_matrix(run_bench, results_dir):
         cells = []
         for seed in SEEDS:
             for event_at, resume_at in TIMINGS:
-                config = replace(
-                    SMOKE_MIGRATION_CONFIG,
-                    event_at_us=event_at,
-                    resume_at_us=resume_at,
-                )
-                schedule = make_schedule(config.chaos, seed)
-                build = make_migration_cluster_builder(config)
-                reference = run_migration_reference(config, schedule, build)
+                schedule = make_schedule(CFG, seed)
+                build = make_cluster_builder(CFG)
+                reference = run_migration_trial(CFG, schedule, build, None)
                 assert reference.problems == []
                 for scenario in MIGRATION_SCENARIOS:
                     trial = run_migration_trial(
-                        config, schedule, build, scenario
+                        CFG, schedule, build, scenario,
+                        event_at_us=event_at, resume_at_us=resume_at,
                     )
                     cells.append((
                         seed, event_at, scenario, trial,
-                        verify_migration_trial(trial, reference),
+                        verify_trial(trial, reference),
                     ))
         digests = {
             scenario: (
-                migration_trial_digest(SMOKE_MIGRATION_CONFIG, scenario),
-                migration_trial_digest(SMOKE_MIGRATION_CONFIG, scenario),
+                migration_trial_digest(CFG, scenario),
+                migration_trial_digest(CFG, scenario),
             )
             for scenario in MIGRATION_SCENARIOS
         }

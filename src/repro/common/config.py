@@ -202,7 +202,6 @@ class ClusterConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
     costs: CostModel = field(default_factory=CostModel)
     routing: RoutingConfig = field(default_factory=RoutingConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     store_backend: str = "dict"

@@ -9,10 +9,11 @@ The subsystem has three layers:
   plan's windowed faults into scheduled kernel events against one
   cluster's network and worker pools;
 * :mod:`repro.faults.chaos` — the chaos harness: run a Google-trace YCSB
-  schedule under a plan (recovering from crashes via the durable tier)
+  schedule under a plan (recovering from crashes via the durable tier),
+  or with a background migration crashed, cancelled or paused part-way,
   and verify the paper's determinism invariant — the final state equals
-  the fault-free reference bit for bit, and no committed transaction is
-  ever lost.
+  the fault-free reference bit for bit, no committed transaction is
+  ever lost, and every record sits where the ownership view says.
 
 :mod:`repro.faults.forecast` extends the injector's reach beyond the
 cluster itself: :class:`FaultyForecaster` degrades the *forecast* the
@@ -27,6 +28,7 @@ from repro.faults.chaos import (
     make_cluster_builder,
     make_schedule,
     run_chaos_trial,
+    run_migration_trial,
     run_reference,
     verify_trial,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "make_cluster_builder",
     "make_schedule",
     "run_chaos_trial",
+    "run_migration_trial",
     "run_reference",
     "verify_trial",
 ]

@@ -12,7 +12,7 @@ turns that claim into an executable check:
    of (seed, time) — no client feedback loop — faults change *timing*
    but never *which* transactions arrive in *which order*.
 2. :func:`run_reference` runs the schedule fault-free and records the
-   final fingerprint and the applied-transaction set.
+   final fingerprint, the applied-transaction set and a placement audit.
 3. :func:`run_chaos_trial` runs the same schedule under a
    :class:`FaultPlan`.  Windowed faults are injected live; a crash
    abandons the cluster mid-flight, rebuilds it from
@@ -21,11 +21,16 @@ turns that claim into an executable check:
    shift keeps every remaining arrival in the same position of the
    sequencer's epoch grid, so recovery reproduces the reference batch
    composition exactly.
-4. :func:`verify_trial` compares trial to reference: equal fingerprints,
-   no committed transaction lost, every retry drained.
+4. :func:`run_migration_trial` disrupts a fixed background migration
+   part-way: a crash through the same crash path, a cancel and restart,
+   or a pause and resume; with no scenario it is their reference.
+5. :func:`verify_trial` compares any trial to its reference: equal
+   fingerprints, no committed transaction lost, every retry drained,
+   and a clean placement audit on both sides.
 
-``benchmarks/test_chaos_determinism.py`` sweeps dozens of random plans
-through this harness; ``tests/faults/test_chaos.py`` runs a fast subset.
+``benchmarks/test_chaos_determinism.py`` and
+``benchmarks/test_migration_chaos_matrix.py`` sweep plans and scenarios
+through this harness; ``tests/faults/`` runs fast subsets.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ from repro.common.types import Transaction, TxnId, TxnKind
 from repro.core import PrescientRouter
 from repro.core.provisioning import ChunkMigration, ColdMigrationPlan
 from repro.engine.cluster import Cluster
-from repro.engine.migration import MigrationController
+from repro.engine.migration import MigrationController, MigrationState
 from repro.engine.recovery import DurableState, recover_from_crash
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashFault, FaultPlan
 from repro.storage.partitioning import make_uniform_ranges
 from repro.workloads.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
 from repro.workloads.streaming import stream_schedule
@@ -75,6 +80,32 @@ class ChaosConfig:
         return self.num_txns * self.mean_gap_us
 
 
+#: The mid-migration smoke shape: one disrupted migration, small enough
+#: for tier 1.
+MIGRATION_SMOKE_CONFIG = ChaosConfig(num_keys=1_500, num_txns=80)
+
+#: Scenario names :func:`run_migration_trial` understands.
+MIGRATION_SCENARIOS = ("crash", "cancel-restart", "pause-resume")
+
+#: The fixed background migration of every migration run: keys
+#: ``[0, 300)`` move from node 0 to node 3 in six 50-record chunks, each
+#: re-homing its range statically, starting at ``MIGRATION_START_US``.
+MIGRATION_PLAN = ColdMigrationPlan(tuple(
+    ChunkMigration(
+        src=0, dst=3, keys=tuple(range(lo, lo + 50)),
+        range_reassign=(lo, lo + 50),
+    )
+    for lo in range(0, 300, 50)
+))
+MIGRATION_START_US = 4_000.0
+
+#: Ids up to this floor are reserved for the pre-minted workload
+#: schedule, so ids minted live via ``Cluster.next_txn_id`` (migration
+#: chunks, OLLP retries) never collide with it — the collision would
+#: silently merge commit callbacks.
+TXN_ID_FLOOR = 1_000_000
+
+
 @dataclass(slots=True)
 class ChaosRunResult:
     """Outcome of one run (reference or trial)."""
@@ -85,11 +116,24 @@ class ChaosRunResult:
     aborted) — for a crash trial, the durable log's transactions plus
     everything finished after recovery."""
 
+    audit: PlacementAuditReport
+    """Placement audit of the final cluster (stores vs. ownership view
+    vs. WAL history, record conservation)."""
+
     crashed: bool = False
     recovery_offset_us: float = 0.0
     messages_dropped: int = 0
     retries_sent: int = 0
     duplicates_suppressed: int = 0
+    controller_stats: dict[str, int] = field(default_factory=dict)
+    """Migration counters summed over every controller of the run (all
+    zero without a migration)."""
+
+    scenario_engaged: bool = True
+    """False when a migration disruption fired after the migration had
+    already finished — the run is still verified, but did not exercise
+    the mid-migration path."""
+
     problems: list[str] = field(default_factory=list)
     """Internal-invariant violations observed during the run itself."""
 
@@ -137,7 +181,8 @@ def make_schedule(
 
 
 def make_cluster_builder(config: ChaosConfig) -> Callable[[], Cluster]:
-    """A builder producing identical fresh clusters (required by replay)."""
+    """A builder producing identical fresh clusters (required by replay),
+    with ids up to :data:`TXN_ID_FLOOR` reserved for the schedule."""
     cluster_config = ClusterConfig(num_nodes=config.num_nodes)
 
     def build() -> Cluster:
@@ -148,6 +193,7 @@ def make_cluster_builder(config: ChaosConfig) -> Callable[[], Cluster]:
             keep_command_log=True,
         )
         cluster.load_data(range(config.num_keys))
+        cluster.set_txn_id_floor(TXN_ID_FLOOR)
         return cluster
 
     return build
@@ -174,17 +220,7 @@ def run_reference(
     build_cluster: Callable[[], Cluster],
 ) -> ChaosRunResult:
     """Run the schedule fault-free; the ground truth for every trial."""
-    cluster = build_cluster()
-    applied: set[TxnId] = set()
-    _track_applied(cluster, applied)
-    _submit_schedule(cluster, schedule)
-    cluster.run_until_quiescent(config.max_time_us)
-    problems = _postconditions(cluster)
-    return ChaosRunResult(
-        fingerprint=cluster.state_fingerprint(),
-        applied=frozenset(applied),
-        problems=problems,
-    )
+    return _run(config, schedule, build_cluster)
 
 
 def run_chaos_trial(
@@ -217,29 +253,119 @@ def run_chaos_trial(
     composition, routing, and lock order all replay exactly, and the
     final fingerprint must match the fault-free reference.
     """
-    crashes = plan.crashes()
+    return _run(config, schedule, build_cluster, plan, rng)
+
+
+def run_migration_trial(
+    config: ChaosConfig,
+    schedule: list[tuple[float, Transaction]],
+    build_cluster: Callable[[], Cluster],
+    scenario: str | None,
+    event_at_us: float = 50_000.0,
+    resume_at_us: float = 100_000.0,
+) -> ChaosRunResult:
+    """Run the workload with the migration disrupted mid-flight.
+
+    The disruption strikes at ``event_at_us``; a cancelled plan restarts
+    (a paused one resumes) at ``resume_at_us``.  Scenarios:
+
+    * ``"cancel-restart"`` — ``cancel()`` (capturing the unsubmitted
+      remainder), then ``start()`` a fresh session on that remainder.
+      The in-flight chunk's commit callback arrives for the cancelled
+      generation and must be dropped as an orphan, never resumed.
+    * ``"pause-resume"`` — ``pause()`` then ``resume()``; same session
+      throughout.
+    * ``"crash"`` — ``FaultPlan((CrashFault(event_at_us),))`` through
+      the crash path of :func:`run_chaos_trial`; a *new* controller on
+      the recovered cluster resumes the plan minus every chunk the
+      durable order already contains.  Replay re-executes logged
+      chunks, re-delivery commits in-flight ones, and backlog
+      resubmission re-sequences the rest under their original ids, so
+      none of them may be re-planned under fresh ids.
+
+    ``None`` runs the migration undisturbed: the reference all three
+    must converge to in fingerprint and applied set, and pass the
+    placement auditor with zero orphaned records.
+    """
+    if scenario is not None and scenario not in MIGRATION_SCENARIOS:
+        raise FaultInjectionError(f"unknown migration scenario {scenario!r}")
+    if scenario == "crash":
+        # A crash-only plan schedules no injector event and draws no
+        # random number, so the rng's seed is immaterial.
+        plan = FaultPlan((CrashFault(at_us=event_at_us),))
+        return _run(
+            config, schedule, build_cluster, plan,
+            DeterministicRNG(0, "migration-crash"), migrate=True,
+        )
+    disruption = None if scenario is None else (
+        scenario, event_at_us, resume_at_us
+    )
+    return _run(
+        config, schedule, build_cluster, migrate=True, disruption=disruption
+    )
+
+
+def _run(
+    config: ChaosConfig,
+    schedule: list[tuple[float, Transaction]],
+    build_cluster: Callable[[], Cluster],
+    plan: FaultPlan | None = None,
+    rng: DeterministicRNG | None = None,
+    migrate: bool = False,
+    disruption: tuple[str, float, float] | None = None,
+) -> ChaosRunResult:
+    """The one run loop behind every reference and trial.
+
+    ``plan`` (drawing from ``rng``) injects faults, ``migrate`` starts
+    the fixed migration, ``disruption`` is ``(scenario, event_at_us,
+    resume_at_us)`` of a non-crash migration scenario.  Same-instant
+    ``call_at`` order is part of the kernel digest, so the scheduling
+    order below is fixed: injector, schedule, migration start,
+    disruption; after a crash, injector, backlog, in-flight batches,
+    schedule, migration remainder.
+    """
     cluster = build_cluster()
-    plan.validate(cluster.config.num_nodes)
-    FaultInjector(cluster, plan, rng).install()
+    if plan is not None:
+        FaultInjector(cluster, plan, rng).install()
     applied: set[TxnId] = set()
     _track_applied(cluster, applied)
     _submit_schedule(cluster, schedule)
+    controllers: list[MigrationController] = []
+    if migrate:
+        controllers.append(MigrationController(cluster))
+        cluster.kernel.call_at(
+            MIGRATION_START_US, controllers[0].start, MIGRATION_PLAN
+        )
+    if disruption is not None:
+        _schedule_disruption(cluster, controllers[0], *disruption)
 
+    crashes = plan.crashes() if plan is not None else []
     if not crashes:
         cluster.run_until_quiescent(config.max_time_us)
-        return ChaosRunResult(
-            fingerprint=cluster.state_fingerprint(),
-            applied=frozenset(applied),
-            messages_dropped=cluster.network.messages_dropped,
-            retries_sent=cluster.network.retries_sent,
-            duplicates_suppressed=cluster.network.duplicates_suppressed,
-            problems=_postconditions(cluster),
+        if disruption is not None and cluster.kernel.now < disruption[2]:
+            # Quiescence only tracks submitted work: a cluster that
+            # drains while cancelled/paused looks idle before the
+            # recovery timer (at resume_at_us) fires.  Step past it,
+            # then drain the restarted migration.
+            cluster.run_until(disruption[2])
+            cluster.run_until_quiescent(config.max_time_us)
+        # A disruption engaged iff its cancel or pause shows in the
+        # migration's lifecycle history.
+        engaged = disruption is None or any(
+            state in ("cancelled", "paused")
+            for session in controllers[0].sessions
+            for _at, state in session.history
+        )
+        return _result(
+            config, [cluster], applied, controllers, [],
+            scenario_engaged=engaged,
         )
 
     crash_at = crashes[0].at_us
     if crash_at >= config.max_time_us:
         raise FaultInjectionError("crash scheduled after the drain budget")
     cluster.run_until(crash_at)
+    engaged_at_crash = not controllers or controllers[0].active
     durable = DurableState.capture(cluster)
     pre_crash_applied = set(applied)
     problems: list[str] = []
@@ -248,9 +374,6 @@ def run_chaos_trial(
         problems.append(
             f"{len(not_durable)} applied txns missing from durable order"
         )
-    dropped_before = cluster.network.messages_dropped
-    retries_before = cluster.network.retries_sent
-    dupes_before = cluster.network.duplicates_suppressed
 
     # The execution tier is gone; rebuild from the durable tier.
     recovered = recover_from_crash(
@@ -278,6 +401,17 @@ def run_chaos_trial(
     _submit_schedule(
         recovered, schedule, after_us=crash_at, offset_us=offset
     )
+    if controllers:
+        # Resume only what the durable order does not carry (see
+        # run_migration_trial's "crash" scenario).
+        controllers.append(MigrationController(recovered))
+        remainder = MIGRATION_PLAN.remainder_excluding(
+            _durable_migration_chunks(durable)
+        )
+        if remainder.chunks:
+            recovered.kernel.call_at(
+                crash_at + offset, controllers[-1].start, remainder
+            )
     recovered.run_until_quiescent(config.max_time_us + offset)
 
     logged: set[TxnId] = set()
@@ -287,18 +421,50 @@ def run_chaos_trial(
     lost = pre_crash_applied - final_applied
     if lost:
         problems.append(f"{len(lost)} pre-crash applied txns lost")
-    problems.extend(_postconditions(recovered))
-    return ChaosRunResult(
-        fingerprint=recovered.state_fingerprint(),
-        applied=frozenset(final_applied),
+    return _result(
+        config, [cluster, recovered], final_applied, controllers, problems,
+        scenario_engaged=engaged_at_crash,
         crashed=True,
         recovery_offset_us=offset,
-        messages_dropped=dropped_before + recovered.network.messages_dropped,
-        retries_sent=retries_before + recovered.network.retries_sent,
-        duplicates_suppressed=(
-            dupes_before + recovered.network.duplicates_suppressed
-        ),
+    )
+
+
+def _result(
+    config: ChaosConfig,
+    clusters: list[Cluster],
+    applied: set[TxnId],
+    controllers: list[MigrationController],
+    problems: list[str],
+    **fields,
+) -> ChaosRunResult:
+    """Score the run's final cluster against the drain invariants every
+    run must satisfy; network counters sum over every cluster the run
+    used (an abandoned one stopped at the crash)."""
+    final = clusters[-1]
+    if final.inflight:
+        problems.append(f"{final.inflight} transactions never finished")
+    if final.network.reliable_in_flight:
+        problems.append(
+            f"{final.network.reliable_in_flight} reliable messages "
+            "never delivered"
+        )
+    if final.buffered_epochs:
+        problems.append(
+            f"{final.buffered_epochs} epochs stuck in reorder buffer"
+        )
+    if controllers and controllers[-1].active:
+        problems.append("migration never finished")
+    networks = [c.network for c in clusters]
+    return ChaosRunResult(
+        fingerprint=final.state_fingerprint(),
+        applied=frozenset(applied),
+        audit=audit_placement(final, expected_total=config.num_keys),
+        messages_dropped=sum(n.messages_dropped for n in networks),
+        retries_sent=sum(n.retries_sent for n in networks),
+        duplicates_suppressed=sum(n.duplicates_suppressed for n in networks),
+        controller_stats=_controller_stats(*controllers),
         problems=problems,
+        **fields,
     )
 
 
@@ -308,376 +474,9 @@ def verify_trial(
     """Every way the trial deviates from the fault-free reference.
 
     An empty list is the chaos suite's pass condition: identical final
-    state, no committed transaction lost, no spurious transactions, and
+    state, no committed transaction lost, no spurious transactions, a
+    clean placement audit with zero orphaned records on both sides, and
     all in-run invariants held.
-    """
-    problems = list(trial.problems)
-    if trial.fingerprint != reference.fingerprint:
-        problems.append(
-            f"fingerprint mismatch: {trial.fingerprint:#x} != "
-            f"{reference.fingerprint:#x}"
-        )
-    lost = reference.applied - trial.applied
-    if lost:
-        problems.append(f"{len(lost)} reference txns never applied")
-    extra = trial.applied - reference.applied
-    if extra:
-        problems.append(f"{len(extra)} txns applied that reference lacks")
-    return problems
-
-
-# ---------------------------------------------------------------------------
-# Mid-migration chaos: crash / cancel-restart / pause-resume scenarios
-# ---------------------------------------------------------------------------
-
-#: Scenario names :func:`run_migration_trial` understands.
-MIGRATION_SCENARIOS = ("crash", "cancel-restart", "pause-resume")
-
-
-@dataclass(frozen=True, slots=True)
-class MigrationChaosConfig:
-    """One mid-migration chaos experiment: a foreground workload plus a
-    background range migration disrupted at ``event_at_us``.
-
-    ``txn_id_base`` reserves the low id range for the pre-minted
-    workload schedule so migration-chunk ids (minted live via
-    ``Cluster.next_txn_id``) never collide with it — the collision would
-    silently merge commit callbacks.
-    """
-
-    num_nodes: int = 4
-    num_keys: int = 1_500
-    num_txns: int = 80
-    mean_gap_us: float = 500.0
-    trace_duration_s: float = 30.0
-    max_time_us: float = 120_000_000.0
-
-    migrate_src: int = 0
-    migrate_dst: int = 3
-    migrate_lo: int = 0
-    migrate_hi: int = 300
-    chunk_records: int = 50
-    migration_start_us: float = 4_000.0
-    event_at_us: float = 50_000.0
-    """When the disruption (crash / cancel / pause) strikes."""
-
-    resume_at_us: float = 100_000.0
-    """When a cancelled plan restarts or a paused one resumes."""
-
-    txn_id_base: int = 1_000_000
-
-    @property
-    def chaos(self) -> ChaosConfig:
-        """The plain workload shape (for :func:`make_schedule`)."""
-        return ChaosConfig(
-            num_nodes=self.num_nodes,
-            num_keys=self.num_keys,
-            num_txns=self.num_txns,
-            mean_gap_us=self.mean_gap_us,
-            trace_duration_s=self.trace_duration_s,
-            max_time_us=self.max_time_us,
-        )
-
-
-#: The CI smoke shape: one crash mid-migration, small enough for tier 1.
-SMOKE_MIGRATION_CONFIG = MigrationChaosConfig()
-
-
-@dataclass(slots=True)
-class MigrationTrialResult:
-    """Outcome of one mid-migration run (reference or trial)."""
-
-    fingerprint: int
-    applied: frozenset[TxnId]
-    audit: PlacementAuditReport
-    controller_stats: dict[str, int]
-    scenario_engaged: bool = True
-    """False when the disruption fired after the migration had already
-    finished — the run is still verified, but did not exercise the
-    mid-migration path."""
-
-    crashed: bool = False
-    recovery_offset_us: float = 0.0
-    problems: list[str] = field(default_factory=list)
-
-
-def make_migration_cluster_builder(
-    config: MigrationChaosConfig,
-) -> Callable[[], Cluster]:
-    """Identical fresh clusters with the workload id range reserved."""
-    cluster_config = ClusterConfig(num_nodes=config.num_nodes)
-
-    def build() -> Cluster:
-        cluster = Cluster(
-            cluster_config,
-            PrescientRouter(cluster_config.routing),
-            make_uniform_ranges(config.num_keys, config.num_nodes),
-            keep_command_log=True,
-        )
-        cluster.load_data(range(config.num_keys))
-        cluster.set_txn_id_floor(config.txn_id_base)
-        return cluster
-
-    return build
-
-
-def make_migration_plan(config: MigrationChaosConfig) -> ColdMigrationPlan:
-    """Chunk the configured key range (with static-home reassignment)."""
-    chunks = []
-    for start in range(
-        config.migrate_lo, config.migrate_hi, config.chunk_records
-    ):
-        stop = min(start + config.chunk_records, config.migrate_hi)
-        chunks.append(
-            ChunkMigration(
-                src=config.migrate_src,
-                dst=config.migrate_dst,
-                keys=tuple(range(start, stop)),
-                range_reassign=(start, stop),
-            )
-        )
-    return ColdMigrationPlan(tuple(chunks))
-
-
-def _controller_stats(*controllers: MigrationController) -> dict[str, int]:
-    return {
-        "sessions": sum(len(c.sessions) for c in controllers),
-        "submitted": sum(c.chunks_submitted for c in controllers),
-        "committed": sum(c.chunks_committed for c in controllers),
-        "orphaned": sum(c.chunks_orphaned for c in controllers),
-        "records_moved": sum(c.records_moved for c in controllers),
-        "bytes_on_wire": sum(c.bytes_on_wire for c in controllers),
-    }
-
-
-def run_migration_reference(
-    config: MigrationChaosConfig,
-    schedule: list[tuple[float, Transaction]],
-    build_cluster: Callable[[], Cluster],
-) -> MigrationTrialResult:
-    """Workload plus undisturbed migration; ground truth for trials."""
-    cluster = build_cluster()
-    controller = MigrationController(cluster)
-    plan = make_migration_plan(config)
-    applied: set[TxnId] = set()
-    _track_applied(cluster, applied)
-    _submit_schedule(cluster, schedule)
-    cluster.kernel.call_at(
-        config.migration_start_us, controller.start, plan
-    )
-    cluster.run_until_quiescent(config.max_time_us)
-    problems = _postconditions(cluster)
-    if controller.active:
-        problems.append("reference migration never finished")
-    return MigrationTrialResult(
-        fingerprint=cluster.state_fingerprint(),
-        applied=frozenset(applied),
-        audit=audit_placement(cluster, expected_total=config.num_keys),
-        controller_stats=_controller_stats(controller),
-        problems=problems,
-    )
-
-
-def run_migration_trial(
-    config: MigrationChaosConfig,
-    schedule: list[tuple[float, Transaction]],
-    build_cluster: Callable[[], Cluster],
-    scenario: str,
-) -> MigrationTrialResult:
-    """Run the workload with the migration disrupted mid-flight.
-
-    Scenarios:
-
-    * ``"cancel-restart"`` — ``cancel()`` at ``event_at_us`` (capturing
-      the unsubmitted remainder), then ``start()`` a fresh session on
-      that remainder at ``resume_at_us``.  The in-flight chunk's commit
-      callback arrives for the cancelled generation and must be dropped
-      as an orphan, never resumed — the stale-callback bug this PR's
-      controller rewrite fixes.
-    * ``"pause-resume"`` — ``pause()`` at ``event_at_us``, ``resume()``
-      at ``resume_at_us``; same session throughout.
-    * ``"crash"`` — the execution tier dies at ``event_at_us``; a fresh
-      cluster replays the durable order, then a *new* controller resumes
-      the plan minus every chunk the durable order already contains
-      (logged, sequenced-in-flight, or backlogged — those re-execute by
-      replay or resubmission and must not be re-planned).
-
-    All three must converge to the reference fingerprint and applied
-    set, and pass the placement auditor with zero orphaned records.
-    """
-    if scenario not in MIGRATION_SCENARIOS:
-        raise FaultInjectionError(f"unknown migration scenario {scenario!r}")
-    if scenario == "crash":
-        return _run_migration_crash_trial(config, schedule, build_cluster)
-
-    cluster = build_cluster()
-    controller = MigrationController(cluster)
-    plan = make_migration_plan(config)
-    applied: set[TxnId] = set()
-    _track_applied(cluster, applied)
-    _submit_schedule(cluster, schedule)
-    cluster.kernel.call_at(
-        config.migration_start_us, controller.start, plan
-    )
-    engaged = {"fired": False}
-    holder: dict[str, list[ChunkMigration]] = {}
-
-    if scenario == "cancel-restart":
-
-        def disrupt() -> None:
-            if controller.active:
-                engaged["fired"] = True
-                holder["remainder"] = controller.cancel()
-
-        def recover() -> None:
-            remainder = holder.get("remainder")
-            if remainder:
-                controller.start(ColdMigrationPlan(tuple(remainder)))
-
-    else:  # pause-resume
-
-        def disrupt() -> None:
-            session = controller.session
-            if session is not None and session.state.value == "running":
-                engaged["fired"] = True
-                controller.pause()
-
-        def recover() -> None:
-            if engaged["fired"]:
-                controller.resume()
-
-    cluster.kernel.call_at(config.event_at_us, disrupt)
-    cluster.kernel.call_at(config.resume_at_us, recover)
-    cluster.run_until_quiescent(config.max_time_us)
-    if cluster.kernel.now < config.resume_at_us:
-        # Quiescence only tracks submitted work: a cluster that drains
-        # while cancelled/paused looks idle before the recovery timer
-        # fires.  Step past it, then drain the restarted migration.
-        cluster.run_until(config.resume_at_us)
-        cluster.run_until_quiescent(config.max_time_us)
-    problems = _postconditions(cluster)
-    if controller.active:
-        problems.append(f"{scenario} migration never finished")
-    return MigrationTrialResult(
-        fingerprint=cluster.state_fingerprint(),
-        applied=frozenset(applied),
-        audit=audit_placement(cluster, expected_total=config.num_keys),
-        controller_stats=_controller_stats(controller),
-        scenario_engaged=engaged["fired"],
-        problems=problems,
-    )
-
-
-def _durable_migration_chunks(durable: DurableState) -> set[ChunkMigration]:
-    """Every chunk the durable order will (re-)execute by itself."""
-    survived: set[ChunkMigration] = set()
-    batches = list(durable.command_log)
-    batches.extend(batch for _cut, batch in durable.in_flight)
-    for batch in batches:
-        for txn in batch:
-            if txn.kind is TxnKind.MIGRATION and isinstance(
-                txn.payload, ChunkMigration
-            ):
-                survived.add(txn.payload)
-    for txn in durable.backlog_priority + durable.backlog_pending:
-        if txn.kind is TxnKind.MIGRATION and isinstance(
-            txn.payload, ChunkMigration
-        ):
-            survived.add(txn.payload)
-    return survived
-
-
-def _run_migration_crash_trial(
-    config: MigrationChaosConfig,
-    schedule: list[tuple[float, Transaction]],
-    build_cluster: Callable[[], Cluster],
-) -> MigrationTrialResult:
-    crash_at = config.event_at_us
-    if crash_at >= config.max_time_us:
-        raise FaultInjectionError("crash scheduled after the drain budget")
-    cluster = build_cluster()
-    controller = MigrationController(cluster)
-    plan = make_migration_plan(config)
-    applied: set[TxnId] = set()
-    _track_applied(cluster, applied)
-    _submit_schedule(cluster, schedule)
-    cluster.kernel.call_at(
-        config.migration_start_us, controller.start, plan
-    )
-    cluster.run_until(crash_at)
-    engaged = controller.active
-    durable = DurableState.capture(cluster)
-    pre_crash_applied = set(applied)
-    problems: list[str] = []
-    not_durable = pre_crash_applied - durable.sequenced_txn_ids()
-    if not_durable:
-        problems.append(
-            f"{len(not_durable)} applied txns missing from durable order"
-        )
-
-    # The execution tier is gone; rebuild from the durable tier.  The
-    # resumed plan excludes chunks the durable order carries: replay
-    # re-executes logged ones, re-delivery commits the in-flight batch,
-    # and backlog resubmission re-sequences the rest under their
-    # original ids.
-    recovered = recover_from_crash(
-        build_cluster, durable, max_time_us=config.max_time_us
-    )
-    replay_end = recovered.kernel.now
-    epoch_us = recovered.config.engine.epoch_us
-    whole_epochs = math.floor((replay_end - crash_at) / epoch_us) + 1
-    offset = max(0, whole_epochs) * epoch_us
-
-    post_applied: set[TxnId] = set()
-    _track_applied(recovered, post_applied)
-    for txn in durable.backlog_priority + durable.backlog_pending:
-        recovered.kernel.call_at(crash_at + offset, recovered.submit, txn)
-    latency = recovered.config.costs.sequencer_latency_us
-    for cut_time, batch in durable.in_flight:
-        recovered.kernel.call_at(
-            cut_time + latency + offset,
-            recovered.inject_batch_ordered,
-            batch,
-        )
-    _submit_schedule(recovered, schedule, after_us=crash_at, offset_us=offset)
-
-    resumed = MigrationController(recovered)
-    remainder = plan.remainder_excluding(_durable_migration_chunks(durable))
-    if remainder.chunks:
-        recovered.kernel.call_at(
-            crash_at + offset, resumed.start, remainder
-        )
-    recovered.run_until_quiescent(config.max_time_us + offset)
-
-    logged: set[TxnId] = set()
-    for batch in durable.command_log:
-        logged.update(batch.ids())
-    final_applied = logged | post_applied
-    lost = pre_crash_applied - final_applied
-    if lost:
-        problems.append(f"{len(lost)} pre-crash applied txns lost")
-    problems.extend(_postconditions(recovered))
-    if resumed.active:
-        problems.append("resumed migration never finished")
-    return MigrationTrialResult(
-        fingerprint=recovered.state_fingerprint(),
-        applied=frozenset(final_applied),
-        audit=audit_placement(recovered, expected_total=config.num_keys),
-        controller_stats=_controller_stats(controller, resumed),
-        scenario_engaged=engaged,
-        crashed=True,
-        recovery_offset_us=offset,
-        problems=problems,
-    )
-
-
-def verify_migration_trial(
-    trial: MigrationTrialResult, reference: MigrationTrialResult
-) -> list[str]:
-    """Every way a mid-migration trial deviates from the reference.
-
-    Empty list == pass: identical final state and applied set, a clean
-    placement audit on both sides, and all in-run invariants held.
     """
     problems = list(trial.problems)
     if trial.fingerprint != reference.fingerprint:
@@ -704,8 +503,61 @@ def verify_migration_trial(
     return problems
 
 
+def _schedule_disruption(
+    cluster: Cluster,
+    controller: MigrationController,
+    scenario: str,
+    event_at_us: float,
+    resume_at_us: float,
+) -> None:
+    """Arm a cancel-restart or pause-resume of the live migration; one
+    that strikes after the migration finished does nothing."""
+    remainder: list[ChunkMigration] = []
+
+    def disrupt() -> None:
+        if not controller.active:
+            return
+        if scenario == "cancel-restart":
+            remainder.extend(controller.cancel())
+        elif controller.session.state is MigrationState.RUNNING:
+            controller.pause()
+
+    def recover() -> None:
+        session = controller.session
+        if remainder:
+            controller.start(ColdMigrationPlan(tuple(remainder)))
+        elif session is not None and session.state is MigrationState.PAUSED:
+            controller.resume()
+
+    cluster.kernel.call_at(event_at_us, disrupt)
+    cluster.kernel.call_at(resume_at_us, recover)
+
+
+def _controller_stats(*controllers: MigrationController) -> dict[str, int]:
+    return {
+        "sessions": sum(len(c.sessions) for c in controllers),
+        "submitted": sum(c.chunks_submitted for c in controllers),
+        "committed": sum(c.chunks_committed for c in controllers),
+        "orphaned": sum(c.chunks_orphaned for c in controllers),
+        "records_moved": sum(c.records_moved for c in controllers),
+        "bytes_on_wire": sum(c.bytes_on_wire for c in controllers),
+    }
+
+
+def _durable_migration_chunks(durable: DurableState) -> set[ChunkMigration]:
+    """Every chunk the durable order will (re-)execute by itself."""
+    txns = [txn for batch in durable.command_log for txn in batch]
+    txns += [txn for _cut, batch in durable.in_flight for txn in batch]
+    txns += durable.backlog_priority + durable.backlog_pending
+    return {
+        txn.payload for txn in txns
+        if txn.kind is TxnKind.MIGRATION
+        and isinstance(txn.payload, ChunkMigration)
+    }
+
+
 def migration_trial_digest(
-    config: MigrationChaosConfig, scenario: str, seed: int = 21
+    config: ChaosConfig, scenario: str, seed: int = 21
 ) -> str:
     """Combined sanitizer digest of one mid-migration trial.
 
@@ -713,40 +565,20 @@ def migration_trial_digest(
     it creates and folds the per-kernel digests (in creation order) into
     one hex string.  Two runs of the same (config, scenario, seed) — in
     the same process or across processes with different
-    ``PYTHONHASHSEED`` — must print the same value; CI's dual-replay
-    compare diffs exactly this.
+    ``PYTHONHASHSEED`` — must print the same value; CI's sanitize job
+    diffs exactly this.
     """
-    import hashlib
+    # Imported here: repro.sanitize imports the experiment layer, which
+    # imports this package.
+    from repro.sanitize.digest import capture_digests, fold_kernel_digests
 
-    from repro.sanitize.digest import capture_digests
-
-    schedule = make_schedule(config.chaos, seed)
-    build = make_migration_cluster_builder(config)
+    schedule = make_schedule(config, seed)
+    build = make_cluster_builder(config)
     with capture_digests() as digests:
         run_migration_trial(config, schedule, build, scenario)
-    folded = hashlib.blake2b(digest_size=16)
-    for digest in digests:
-        folded.update(f"{digest.count}:{digest.hexdigest()};".encode())
-    return folded.hexdigest()
+    return fold_kernel_digests((d.count, d.hexdigest()) for d in digests)
 
 
 def smoke_migration_digest() -> str:
     """The CI smoke digest: one crash-during-migration trial."""
-    return migration_trial_digest(SMOKE_MIGRATION_CONFIG, "crash")
-
-
-def _postconditions(cluster: Cluster) -> list[str]:
-    """Drain invariants every run must satisfy."""
-    problems: list[str] = []
-    if cluster.inflight:
-        problems.append(f"{cluster.inflight} transactions never finished")
-    if cluster.network.reliable_in_flight:
-        problems.append(
-            f"{cluster.network.reliable_in_flight} reliable messages "
-            "never delivered"
-        )
-    if cluster.buffered_epochs:
-        problems.append(
-            f"{cluster.buffered_epochs} epochs stuck in reorder buffer"
-        )
-    return problems
+    return migration_trial_digest(MIGRATION_SMOKE_CONFIG, "crash")

@@ -55,7 +55,7 @@ import hashlib
 import json
 import struct
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.sim import kernel as _kernel_mod
 
@@ -194,6 +194,15 @@ class StreamDigest:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StreamDigest({self.count} events, {self.hexdigest()})"
+
+
+def fold_kernel_digests(kernels: Iterable[tuple[int, str]]) -> str:
+    """One hex string for a run's per-kernel ``(events, hexdigest)``
+    pairs, in kernel-creation order (crash recovery adds a kernel)."""
+    folded = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    for events, hexdigest in kernels:
+        folded.update(f"{events}:{hexdigest};".encode())
+    return folded.hexdigest()
 
 
 @contextmanager

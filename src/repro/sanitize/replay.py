@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 from repro.api import ExperimentSpec, run_experiment
 from repro.bench.sharded import canonical_payload, payload_digest
-from repro.sanitize.digest import capture_digests
+from repro.sanitize.digest import capture_digests, fold_kernel_digests
 
 __all__ = [
     "DivergenceReport",
@@ -148,12 +148,9 @@ class RunDigest:
     @property
     def combined(self) -> str:
         """One hex string summarizing every kernel, in creation order."""
-        import hashlib
-
-        h = hashlib.blake2b(digest_size=16)
-        for kernel in self.kernels:
-            h.update(f"{kernel.events}:{kernel.hexdigest};".encode())
-        return h.hexdigest()
+        return fold_kernel_digests(
+            (kernel.events, kernel.hexdigest) for kernel in self.kernels
+        )
 
     @property
     def events(self) -> int:

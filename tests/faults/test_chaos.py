@@ -1,7 +1,10 @@
 """Fast chaos-determinism checks (the full sweep lives in benchmarks/)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.placement_audit import audit_placement
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 from repro.engine.recovery import DurableState
@@ -148,3 +151,61 @@ class TestRandomPlans:
             assert verify_trial(trial, reference) == [], (
                 f"plan {i}: {plan.events}"
             )
+
+
+class TestVerifyTrial:
+    """The one verifier reports each way a trial can deviate."""
+
+    def test_fingerprint_mismatch_reported(self, harness):
+        _schedule, _build, reference = harness
+        trial = replace(reference, fingerprint=reference.fingerprint ^ 1)
+        assert verify_trial(trial, reference) == [
+            f"fingerprint mismatch: {trial.fingerprint:#x} != "
+            f"{reference.fingerprint:#x}"
+        ]
+
+    def test_unapplied_reference_txn_reported(self, harness):
+        _schedule, _build, reference = harness
+        trial = replace(
+            reference, applied=reference.applied - {min(reference.applied)}
+        )
+        assert verify_trial(trial, reference) == [
+            "1 reference txns never applied"
+        ]
+
+    def test_misplaced_record_on_plain_trial_reported(self, harness):
+        schedule, build, reference = harness
+        built = []
+
+        def build_and_keep():
+            built.append(build())
+            return built[-1]
+
+        plan = FaultPlan(
+            events=(
+                StragglerFault(
+                    start_us=1_000.0, duration_us=50_000.0, node=1,
+                    slowdown=3.0,
+                ),
+            )
+        )
+        trial = run_chaos_trial(
+            CFG, schedule, build_and_keep, plan, DeterministicRNG(8, "t5")
+        )
+        # A plain fault-plan trial carries its own placement audit.
+        assert trial.audit.ok and trial.audit.orphaned_records == 0
+        assert verify_trial(trial, reference) == []
+
+        # Move one record to the wrong store after the run: the
+        # fingerprint cannot see placement, the audit must.
+        cluster = built[-1]
+        src = next(n for n in cluster.nodes if 5 in n.store.keys())
+        dst = cluster.nodes[(src.node_id + 1) % CFG.num_nodes]
+        dst.store.install(src.store.evict(5))
+        assert cluster.state_fingerprint() == reference.fingerprint
+        misplaced = replace(
+            trial, audit=audit_placement(cluster, expected_total=CFG.num_keys)
+        )
+        problems = verify_trial(misplaced, reference)
+        assert "trial has 1 orphaned records" in problems
+        assert any(p.startswith("trial placement audit:") for p in problems)

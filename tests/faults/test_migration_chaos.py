@@ -12,24 +12,23 @@ import pytest
 from repro.common.errors import FaultInjectionError
 from repro.faults.chaos import (
     MIGRATION_SCENARIOS,
-    SMOKE_MIGRATION_CONFIG,
-    make_migration_cluster_builder,
+    MIGRATION_SMOKE_CONFIG,
+    make_cluster_builder,
     make_schedule,
     migration_trial_digest,
-    run_migration_reference,
     run_migration_trial,
-    verify_migration_trial,
+    verify_trial,
 )
 
-CFG = SMOKE_MIGRATION_CONFIG
+CFG = MIGRATION_SMOKE_CONFIG
 SEED = 21
 
 
 @pytest.fixture(scope="module")
 def harness():
-    schedule = make_schedule(CFG.chaos, SEED)
-    build = make_migration_cluster_builder(CFG)
-    reference = run_migration_reference(CFG, schedule, build)
+    schedule = make_schedule(CFG, SEED)
+    build = make_cluster_builder(CFG)
+    reference = run_migration_trial(CFG, schedule, build, None)
     assert reference.problems == []
     assert reference.audit.ok, reference.audit.describe()
     return schedule, build, reference
@@ -42,7 +41,7 @@ def test_scenario_converges_to_reference(harness, scenario):
     assert trial.scenario_engaged, (
         f"{scenario} fired after the migration finished — tune event_at_us"
     )
-    assert verify_migration_trial(trial, reference) == []
+    assert verify_trial(trial, reference) == []
     assert trial.audit.orphaned_records == 0
 
 

@@ -14,6 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_fastpath_determinism import ALL_STRATEGIES, chaos_run, mini_run  # noqa: E402
 
+from repro.faults.chaos import verify_trial  # noqa: E402
+
 
 def main() -> None:
     print("GOLDEN = {")
@@ -26,7 +28,7 @@ def main() -> None:
         )
     print("}")
     reference, trial = chaos_run()
-    problems = [p for p in __import__("repro.faults.chaos", fromlist=["verify_trial"]).verify_trial(trial, reference)]
+    problems = verify_trial(trial, reference)
     assert problems == [], problems
     print(f"\nGOLDEN_CHAOS_FINGERPRINT = {trial.fingerprint:#x}")
     print(f"GOLDEN_CHAOS_APPLIED = {len(trial.applied)}")
