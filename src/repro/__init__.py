@@ -16,7 +16,7 @@ Subpackages:
 
 * :mod:`repro.common`    — keys, transactions, configs, deterministic RNG
 * :mod:`repro.sim`       — the discrete-event kernel
-* :mod:`repro.storage`   — record stores, partitioners, logs, checkpoints
+* :mod:`repro.storage`   — record stores, partitioners, logs
 * :mod:`repro.engine`    — sequencer, lock manager, executors, cluster
 * :mod:`repro.core`      — prescient routing, fusion table, provisioning
 * :mod:`repro.baselines` — Calvin, G-Store+, LEAP, T-Part, Clay, Squall,
@@ -59,7 +59,6 @@ from repro.engine import (
 from repro.faults import FaultInjector, FaultPlan
 from repro.storage import (
     HashPartitioner,
-    LookupPartitioner,
     RangePartitioner,
     make_uniform_ranges,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "FusionTable",
     "HashPartitioner",
     "HybridMigrationPlanner",
-    "LookupPartitioner",
     "MigrationController",
     "MigrationSession",
     "MigrationState",

@@ -222,7 +222,7 @@ PRESETS: dict[str, Callable[[], ExperimentSpec]] = {
         strategies=("calvin", "tpart", "leap", "clay", "hermes"),
     ),
     # Multi-tenant rotating hot spot at million-key scale: 2M keys over
-    # 50 nodes on array-backed stores (the ROADMAP item 2 smoke; see
+    # 50 nodes on array-backed stores (the DESIGN §15 scale smoke; see
     # SCALE_PROFILES["2m"]).  Two strategies keep the nightly job's
     # wall-clock bounded while still exercising prescient vs baseline.
     "fig12_scale": lambda: ExperimentSpec(

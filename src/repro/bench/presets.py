@@ -138,7 +138,7 @@ class ScaleProfile:
 
 #: Named profiles for ``ExperimentSpec.scale``.  "2m" is the CI-sized
 #: scale smoke (2M keys over 50 nodes ≈ the paper's per-node record
-#: density at 1/5 the node count); "20m" is the full ROADMAP item 2
+#: density at 1/5 the node count); "20m" is the full DESIGN §15 scale
 #: target for workstation runs.
 SCALE_PROFILES: dict[str, ScaleProfile] = {
     "2m": ScaleProfile(

@@ -79,6 +79,10 @@ class CostModel:
         return self.net_latency_us + payload_bytes / self.net_bandwidth_bytes_per_us
 
 
+#: Multiplier applied to the retry timeout after every attempt.
+RETRY_BACKOFF = 2.0
+
+
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """Timeout/retry schedule for reliable message delivery.
@@ -86,7 +90,7 @@ class RetryPolicy:
     Remote reads, migrated-record shipments, write-backs, and evictions
     are retried with exponential backoff when the network drops or
     delays them (fault injection, :mod:`repro.faults`).  Attempt ``n``
-    (0-based) waits ``timeout_us * backoff ** n`` before re-sending;
+    (0-based) waits ``timeout_us * RETRY_BACKOFF ** n`` before re-sending;
     after ``max_attempts`` sends the message is declared undeliverable
     and :class:`repro.common.errors.TimeoutExceeded` is raised.  The
     defaults tolerate partitions of several simulated seconds while
@@ -99,24 +103,15 @@ class RetryPolicy:
     max_attempts: int = 12
     """Total sends (first attempt included) before giving up."""
 
-    backoff: float = 2.0
-    """Multiplier applied to the timeout after every attempt."""
-
     def __post_init__(self) -> None:
         if self.timeout_us <= 0:
             raise ConfigurationError("RetryPolicy.timeout_us must be > 0")
         if self.max_attempts < 1:
             raise ConfigurationError("RetryPolicy.max_attempts must be >= 1")
-        if self.backoff < 1.0:
-            raise ConfigurationError("RetryPolicy.backoff must be >= 1")
 
     def delay_us(self, attempt: int) -> float:
         """Timeout after the ``attempt``-th send (0-based)."""
-        return self.timeout_us * self.backoff**attempt
-
-    def horizon_us(self) -> float:
-        """Total time until the last attempt's timeout expires."""
-        return sum(self.delay_us(n) for n in range(self.max_attempts))
+        return self.timeout_us * RETRY_BACKOFF**attempt
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,18 +23,6 @@ NodeId = int
 TxnId = int
 
 
-def key_sort_token(key: Key) -> tuple[str, str]:
-    """Return a total-order token for an arbitrary key.
-
-    Keys within one workload are homogeneous (all ints, or all tuples of
-    the same shape), but the lock manager must impose *one* global order
-    even when system transactions (e.g. chunk migrations) mix key types.
-    Sorting by ``(type name, repr)`` is deterministic across runs and
-    processes, which is all conservative ordered locking needs.
-    """
-    return (type(key).__name__, repr(key))
-
-
 class TxnKind(enum.Enum):
     """The classes of work the engine distinguishes.
 

@@ -25,7 +25,6 @@ from collections import OrderedDict
 from typing import Sequence
 
 from repro.common.config import FusionConfig
-from repro.common.errors import ConfigurationError
 from repro.common.types import Key, NodeId
 
 
@@ -125,33 +124,8 @@ class FusionTable:
     def __contains__(self, key: Key) -> bool:
         return key in self._entries
 
-    def items(self):
-        """Iterate (key, owner) pairs in eviction order (oldest first)."""
-        return self._entries.items()
-
-    def owners_of_node(self, node: NodeId) -> list[Key]:
-        """Keys currently fused onto ``node`` (used by provisioning)."""
-        return [k for k, n in self._entries.items() if n == node]
-
-    def reassign_node(self, old: NodeId, new: NodeId) -> int:
-        """Point every entry on ``old`` at ``new``; returns count.
-
-        View-level operation only: the caller is responsible for also
-        migrating the records physically (see
-        :meth:`HybridMigrationPlanner.plan_hot_drain`), otherwise the
-        replicated view and the stores diverge.
-        """
-        if old == new:
-            raise ConfigurationError("reassign_node requires distinct nodes")
-        count = 0
-        for key, node in self._entries.items():
-            if node == old:
-                self._entries[key] = new
-                count += 1
-        return count
-
     def snapshot(self) -> dict[Key, NodeId]:
-        """A copy of the current entries, for tests and checkpoints."""
+        """A copy of the current entries, for audits and tests."""
         return dict(self._entries)
 
     def stats_snapshot(self) -> dict[str, int]:

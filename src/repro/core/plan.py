@@ -110,20 +110,7 @@ class TxnPlan:
         nodes.update(self.writes_at)
         return nodes
 
-    def participant_nodes(self) -> set[NodeId]:
-        """Every node that does any work for this transaction."""
-        nodes: set[NodeId] = set(self.masters)
-        nodes.update(self.reads_from)
-        nodes.update(self.writes_at)
-        for move in self.migrations:
-            nodes.add(move.src)
-            nodes.add(move.dst)
-        for move in self.writebacks:
-            nodes.add(move.src)
-            nodes.add(move.dst)
-        return nodes
-
-    def validate(self, num_nodes_hint: int | None = None) -> None:
+    def validate(self) -> None:
         """Check internal consistency; raises :class:`RoutingError`.
 
         Routers run this in their tests and the engine runs it in debug
@@ -197,12 +184,6 @@ class TxnPlan:
                     f"txn {self.txn.txn_id}: replica-installs keys outside "
                     "the transaction's footprint"
                 )
-        if num_nodes_hint is not None:
-            for node in self.participant_nodes():
-                if not 0 <= node < num_nodes_hint:
-                    raise RoutingError(
-                        f"txn {self.txn.txn_id}: node {node} out of range"
-                    )
 
 
 @dataclass(slots=True)

@@ -151,31 +151,6 @@ class HybridMigrationPlanner:
         topology = TopologyChange(tuple(sorted([*current_nodes, new_node])))
         return topology, ColdMigrationPlan(tuple(chunks))
 
-    def plan_hot_drain(
-        self,
-        fused_keys: list,
-        removed_node: NodeId,
-        survivors: list[NodeId],
-    ) -> ColdMigrationPlan:
-        """Chunk the *fused* records living on a departing node.
-
-        Cold chunks enumerate a node's static ranges, which misses records
-        the fusion table displaced *onto* the node; this plans their exit.
-        Chunks rotate over the survivors to spread the hand-off.
-        """
-        alive = sorted(n for n in survivors if n != removed_node)
-        if not alive:
-            raise ConfigurationError("hot drain needs at least one survivor")
-        chunks: list[ChunkMigration] = []
-        ordered = sorted(fused_keys, key=repr)
-        for index in range(0, len(ordered), self.chunk_records):
-            batch = tuple(ordered[index:index + self.chunk_records])
-            dst = alive[(index // self.chunk_records) % len(alive)]
-            chunks.append(
-                ChunkMigration(src=removed_node, dst=dst, keys=batch)
-            )
-        return ColdMigrationPlan(tuple(chunks))
-
     def plan_consolidation(
         self,
         current_nodes: list[NodeId],

@@ -34,7 +34,7 @@ from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 from repro.storage.partitioning import Partitioner
 from repro.storage.store import state_fingerprint
-from repro.storage.wal import Checkpoint, CommandLog
+from repro.storage.wal import CommandLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -279,8 +279,8 @@ class Cluster:
         self._deliver_in_epoch_order(batch)
 
     def set_next_expected_epoch(self, epoch: int) -> None:
-        """Anchor the reorder buffer (used after checkpointed replay,
-        where ``epochs_delivered`` no longer equals the last epoch)."""
+        """Anchor the reorder buffer (crash recovery resumes the epoch
+        grid after the last logged batch)."""
         self._next_expected_epoch = epoch
 
     def _deliver_in_epoch_order(self, batch: Batch) -> None:
@@ -470,22 +470,6 @@ class Cluster:
                 if txn.kind is TxnKind.MIGRATION and txn.payload is not None:
                     chunks.append((batch.epoch, txn.txn_id, txn.payload))
         return chunks
-
-    def checkpoint(self) -> Checkpoint:
-        """Capture a consistent snapshot tagged with the last epoch.
-
-        Call this only when the cluster is quiescent (no in-flight
-        transactions); a checkpoint mid-flight would not be consistent
-        with any batch boundary.
-        """
-        if self._unfinished:
-            raise ConfigurationError(
-                "checkpoint requires a quiescent cluster; "
-                f"{self._unfinished} transactions in flight"
-            )
-        return Checkpoint.capture(
-            self.epochs_delivered, [node.store for node in self.nodes]
-        )
 
     # -- resource usage (Figure 8) ----------------------------------------
 

@@ -83,7 +83,7 @@ class TxnRuntime:
         "on_finished", "committed", "aborted", "will_abort", "coordinator",
         "t_locks", "t_serve_done", "t_data", "t_commit",
         "_coord_serve_cpu", "_coord_apply_cpu", "_coord_logic_cpu",
-        "_commit_event", "_data_ready", "_inbox", "_values",
+        "_data_ready", "_inbox", "_values",
         "_expected_from", "_received_from", "_migrated_by_src",
         "_release_stage", "_lock_mode", "_lock_order_sorted",
         "_all_groups", "_sole_group", "_evict_group", "_groups",
@@ -317,22 +317,6 @@ class TxnRuntime:
         self._coord_serve_cpu = 0.0
         self._coord_apply_cpu = 0.0
         self._coord_logic_cpu = 0.0
-
-        # Created on first access: nothing inside the engine waits on
-        # commit, so the common case never allocates the event.
-        self._commit_event: SimEvent | None = None
-
-    @property
-    def commit_event(self) -> SimEvent:
-        """One-shot event triggered (with the runtime) at commit/abort."""
-        event = self._commit_event
-        if event is None:
-            named = self.cluster.tracer is not None
-            event = self.cluster.kernel.event(
-                f"commit:{self.txn.txn_id}" if named else ""
-            )
-            self._commit_event = event
-        return event
 
     # ------------------------------------------------------------------
     # Lock plumbing (called by the cluster's scheduler)
@@ -752,8 +736,6 @@ class TxnRuntime:
                 self.txn.txn_id, self.coordinator, self.aborted,
                 stages=self.latency_stages() if self.committed else None,
             )
-        if self._commit_event is not None:
-            self._commit_event.trigger(self)
         self._start_writebacks()
         self._start_evictions()
         self.on_finished(self)
@@ -1240,7 +1222,7 @@ def make_runtime(
     ``LocalTxnRuntime`` stays a separate class by measurement: sending
     every plan through ``TxnRuntime`` costs the all-local
     ``sim_tenant_calvin`` perfbench workload 40–46 % of its txn/s
-    (ROADMAP item 1).
+    (DESIGN §14).
     """
     txn = plan.txn
     masters = plan.masters

@@ -83,9 +83,6 @@ class _KeyQueue:
         self.waiting: deque[_Request] = deque()
         self.last_enqueued = -1
 
-    def empty(self) -> bool:
-        return not self.holders and not self.waiting
-
 
 class LockManager:
     """Per-key FIFO queues with S/X modes and in-order grants."""

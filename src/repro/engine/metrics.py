@@ -94,11 +94,6 @@ class ClusterMetrics:
     cloned_reads = _counter_facade("_cloned_reads")
     replica_installs = _counter_facade("_replica_installs")
 
-    @property
-    def total_latency_sum(self) -> float:
-        """Summed client-perceived latency over post-warm-up commits."""
-        return self._latency_hist.sum
-
     # -- recording ------------------------------------------------------
 
     def note_dispatch(self, plan) -> None:

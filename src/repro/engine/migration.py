@@ -217,14 +217,6 @@ class MigrationController:
     def bytes_on_wire(self) -> int:
         return sum(s.bytes_on_wire for s in self.sessions)
 
-    @property
-    def remaining_chunks(self) -> int:
-        """Chunks planned but not yet handed to the sequencer."""
-        session = self.session
-        if session is None or session.terminal:
-            return 0
-        return len(session.remaining)
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(

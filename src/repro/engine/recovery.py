@@ -1,19 +1,21 @@
 """Failure recovery by deterministic replay (Section 4.3).
 
-A failed node (or a whole fresh replica) recovers by restoring its latest
-consistent checkpoint and replaying the command log: the routing, data
-fusion, and cold migrations are all deterministic functions of the
-totally ordered input, so replay reconstructs the exact pre-failure
-state.  :func:`replay_command_log` performs that replay on a freshly
-built cluster and returns it; the recovery tests compare fingerprints
-and physical record placement against the original run.
+A failed node (or a whole fresh replica) recovers by replaying the
+command log: the routing, data fusion, and cold migrations are all
+deterministic functions of the totally ordered input, so replay
+reconstructs the exact pre-failure state.  (The paper restores a
+checkpoint first to shorten the replay; replaying the whole log reaches
+the identical state, and no workload here measures replay length.)
+:func:`replay_command_log` performs that replay on a freshly built
+cluster and returns it; the recovery tests compare fingerprints and
+physical record placement against the original run.
 
 For *mid-flight* crashes (the fault-injection subsystem,
 :mod:`repro.faults`), :class:`DurableState` captures everything that
-survives an execution-tier crash — the command log, the last checkpoint,
-batches sequenced but still inside the ordering latency, and the
-sequencer backlog (both live in the replicated ordering tier in the real
-system, so a crash of the execution nodes cannot lose them) — and
+survives an execution-tier crash — the command log, batches sequenced
+but still inside the ordering latency, and the sequencer backlog (both
+live in the replicated ordering tier in the real system, so a crash of
+the execution nodes cannot lose them) — and
 :func:`recover_from_crash` rebuilds a cluster from it.  Re-delivery of
 the in-flight batches and re-submission of the backlog are left to the
 caller, because only the caller knows how resumed time should line up
@@ -28,45 +30,28 @@ from typing import Callable
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import Batch, Transaction, TxnId
 from repro.engine.cluster import Cluster
-from repro.storage.wal import Checkpoint, CommandLog
+from repro.storage.wal import CommandLog
 
 
 def replay_command_log(
     build_cluster: Callable[[], Cluster],
     log: CommandLog,
-    checkpoint: Checkpoint | None = None,
     max_time_us: float = 3_600_000_000.0,
 ) -> Cluster:
     """Rebuild state by replaying ``log`` on a freshly built cluster.
 
     ``build_cluster`` must construct the cluster exactly as the original
     was built at time zero: same config, same router construction, same
-    initial partitioner, same loaded data.  If ``checkpoint`` is given,
-    the snapshot replaces execution of batches up to its epoch — but the
-    scheduler state (fusion table, static-map mutations) for that prefix
-    is rebuilt by *routing* those batches without executing them, which
-    is sound because routing is a pure function of the ordered input and
-    execution never feeds back into the ownership view.
-
-    Batches after the checkpoint are injected one per sequencer epoch,
-    preserving the total order; the function runs the cluster until
-    quiescent and returns it.
+    initial partitioner, same loaded data.  Batches are injected one per
+    sequencer epoch, preserving the total order; the function runs the
+    cluster until quiescent and returns it.
     """
     cluster = build_cluster()
     if cluster.inflight:
         raise SimulationError("replay target must start quiescent")
 
-    batches = list(log)
-    if checkpoint is not None:
-        for batch in batches:
-            if batch.epoch <= checkpoint.epoch:
-                # Rebuild scheduler state (ownership view) without executing.
-                cluster.router.route_batch(batch, cluster.view)
-        checkpoint.restore([node.store for node in cluster.nodes])
-        batches = [b for b in batches if b.epoch > checkpoint.epoch]
-
     spacing = cluster.config.engine.epoch_us
-    for index, batch in enumerate(batches):
+    for index, batch in enumerate(log):
         cluster.kernel.call_later(
             spacing * (index + 1), cluster.inject_batch, batch
         )
@@ -80,7 +65,7 @@ def replay_command_log(
 class DurableState:
     """What survives an execution-tier crash (Section 4.3 + Figure 4).
 
-    The command log and checkpoint are durable storage; the sequenced
+    The command log is durable storage; the sequenced
     in-flight batches and the accepted backlog live in the replicated
     ordering tier (a Zab quorum acknowledged them), so a crash of the
     execution nodes loses *none* of the total order — only volatile
@@ -89,7 +74,6 @@ class DurableState:
 
     crashed_at_us: float
     command_log: CommandLog
-    checkpoint: Checkpoint | None
     in_flight: list[tuple[float, Batch]] = field(default_factory=list)
     """``(cut_time, batch)`` sequenced but undelivered at the crash."""
 
@@ -99,9 +83,7 @@ class DurableState:
     next_txn_id: int = 0
 
     @staticmethod
-    def capture(
-        cluster: Cluster, checkpoint: Checkpoint | None = None
-    ) -> "DurableState":
+    def capture(cluster: Cluster) -> "DurableState":
         """Snapshot the durable tier of a (possibly mid-batch) cluster."""
         if cluster.command_log is None:
             raise ConfigurationError(
@@ -114,7 +96,6 @@ class DurableState:
         return DurableState(
             crashed_at_us=cluster.kernel.now,
             command_log=log_copy,
-            checkpoint=checkpoint,
             in_flight=cluster.sequencer.sequenced_in_flight(),
             backlog_priority=priority,
             backlog_pending=pending,
@@ -136,8 +117,6 @@ class DurableState:
         last = 0
         for batch in self.command_log:
             last = batch.epoch
-        if last == 0 and self.checkpoint is not None:
-            last = self.checkpoint.epoch
         return last
 
 
@@ -148,8 +127,7 @@ def recover_from_crash(
 ) -> Cluster:
     """Rebuild a crashed cluster's state from its durable tier.
 
-    Replays the command log (from the checkpoint if one was taken) and
-    restores the sequencer's epoch numbering so the recovered cluster
+    Replays the command log and restores the sequencer's epoch numbering so the recovered cluster
     continues the same total order.  The caller finishes the hand-off by
     re-delivering ``durable.in_flight`` through
     :meth:`Cluster.inject_batch_ordered` and re-submitting the backlog —
@@ -157,10 +135,7 @@ def recover_from_crash(
     with the original epoch grid so recovery is exactly input-preserving).
     """
     cluster = replay_command_log(
-        build_cluster,
-        durable.command_log,
-        checkpoint=durable.checkpoint,
-        max_time_us=max_time_us,
+        build_cluster, durable.command_log, max_time_us=max_time_us
     )
     cluster.sequencer.restore_epoch(durable.last_assigned_epoch)
     cluster.set_next_expected_epoch(durable.last_logged_epoch() + 1)

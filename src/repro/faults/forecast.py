@@ -107,11 +107,6 @@ class FaultyForecaster(Forecaster):
             del self._history[0]
         self.inner.observe(batch)
 
-    def reset(self) -> None:
-        self.active = []
-        self._history = []
-        self.inner.reset()
-
     # ------------------------------------------------------------------
     # Distortions
     # ------------------------------------------------------------------

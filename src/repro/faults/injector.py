@@ -47,7 +47,6 @@ class FaultInjector:
         self.activations = 0
         self.deactivations = 0
         self._rule_ids: dict[int, int] = {}
-        self._timers: list = []
 
     def install(
         self, from_virtual_us: float = 0.0, offset_us: float = 0.0
@@ -71,24 +70,8 @@ class FaultInjector:
             start_kernel = (
                 max(event.start_us, from_virtual_us) + offset_us
             )
-            self._timers.append(
-                kernel.call_at(start_kernel, self._activate, event)
-            )
-            self._timers.append(
-                kernel.call_at(end_virtual + offset_us, self._deactivate, event)
-            )
-
-    def uninstall(self) -> None:
-        """Cancel every window transition that has not fired yet.
-
-        Already-active faults stay active (callers that want a clean
-        network deactivate explicitly); this only stops *future*
-        activations/deactivations, e.g. when a trial ends early and the
-        cluster keeps running for a drain phase.
-        """
-        for handle in self._timers:
-            handle.cancel()
-        self._timers.clear()
+            kernel.call_at(start_kernel, self._activate, event)
+            kernel.call_at(end_virtual + offset_us, self._deactivate, event)
 
     # ------------------------------------------------------------------
 

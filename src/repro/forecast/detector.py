@@ -91,11 +91,3 @@ class MispredictDetector:
             self._good_streak = 0
             return "recover"
         return None
-
-    def reset(self) -> None:
-        """Forget all observations (fresh run)."""
-        self.ewma = 0.0
-        self.engaged = False
-        self.epochs_observed = 0
-        self._bad_streak = 0
-        self._good_streak = 0

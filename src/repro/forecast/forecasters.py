@@ -93,9 +93,6 @@ class Forecaster(ABC):
     def observe(self, batch: Batch) -> None:
         """Learn from the real batch after it has been planned."""
 
-    def reset(self) -> None:
-        """Drop learned state (fresh run)."""
-
 
 class OracleForecaster(Forecaster):
     """The paper's implicit forecaster: the future *is* the batch.
@@ -119,13 +116,15 @@ class _LearnedForecaster(Forecaster):
     def _epoch_rng(self, epoch: int) -> DeterministicRNG:
         return self._rng.fork("epoch", epoch)
 
+    @abstractmethod
     def _ready(self) -> bool:
-        raise NotImplementedError  # pragma: no cover - abstract
+        """Whether enough history exists to predict (else: the oracle)."""
 
+    @abstractmethod
     def _predict_keys(
         self, txn: Transaction, index: int, rng: DeterministicRNG
     ) -> Sequence[Key]:
-        raise NotImplementedError  # pragma: no cover - abstract
+        """The predicted footprint of the batch's ``index``-th txn."""
 
     def predict(self, batch: Batch) -> Batch:
         if not self._ready():
@@ -261,10 +260,6 @@ class EWMAForecaster(_LearnedForecaster):
             self._table.observe(keys)
             self._epochs_seen += 1
 
-    def reset(self) -> None:
-        self._table = _HeatTable(self._table.alpha, self._table.max_tracked)
-        self._epochs_seen = 0
-
 
 class MarkovForecaster(_LearnedForecaster):
     """First-order Markov chain over per-partition arrival weights.
@@ -294,8 +289,6 @@ class MarkovForecaster(_LearnedForecaster):
         super().__init__(rng)
         self.num_partitions = num_partitions
         self.partition_of = partition_of
-        self._alpha = alpha
-        self._max_tracked = max_tracked_per_partition
         self._transitions = np.ones((num_partitions, num_partitions))
         self._prev_weights: np.ndarray | None = None
         self._tables = [
@@ -364,17 +357,6 @@ class MarkovForecaster(_LearnedForecaster):
                 if 0 <= part < self.num_partitions:
                     self._tables[part].observe((key,))
 
-    def reset(self) -> None:
-        self._transitions = np.ones(
-            (self.num_partitions, self.num_partitions)
-        )
-        self._prev_weights = None
-        self._predicted = None
-        self._tables = [
-            _HeatTable(self._alpha, self._max_tracked)
-            for _ in range(self.num_partitions)
-        ]
-
 
 class SeasonalNaiveForecaster(_LearnedForecaster):
     """Seasonal-naive: epoch e's footprints repeat epoch e - period.
@@ -413,6 +395,3 @@ class SeasonalNaiveForecaster(_LearnedForecaster):
         # Only one season of lookback is ever consulted.
         if len(self._history) > self.period:
             del self._history[0]
-
-    def reset(self) -> None:
-        self._history = []

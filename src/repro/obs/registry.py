@@ -49,7 +49,7 @@ class Counter:
             raise ValueError(f"counter {self.name!r} can only increase")
         self.value += amount
 
-    add = inc  # alias matching repro.sim.stats.Counter
+    add = inc  # the coordinators count records and chunks with ``add``
 
     def set_total(self, total: float) -> None:
         """Raise the counter to an absolute total (facade ``+=`` support)."""
@@ -76,19 +76,12 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """A distribution: keeps every observation for exact percentiles.
 
     Observations are stored (floats are cheap and runs are bounded), so
-    percentiles use the same nearest-rank method as
-    :func:`repro.sim.stats.percentiles` — deterministic, no
+    percentiles are exact nearest-rank sample points — deterministic, no
     interpolation, directly comparable across runs.
     """
 

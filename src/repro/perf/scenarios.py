@@ -456,7 +456,7 @@ def scale_sim(scale: float) -> int:
 def scale_sim_20m(scale: float) -> int:
     """Full-scale smoke: 20M keys / 100 nodes / array store.
 
-    The ROADMAP item 2 target shape, far too heavy for per-PR CI — the
+    The full DESIGN §15 scale target, far too heavy for per-PR CI — the
     weekly workflow runs it on a schedule and archives the RSS extras.
     Like :func:`scale_sim`, the keyspace and cluster width are fixed
     and ``scale`` only scales the simulated duration.  Work unit: one

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.types import Key, NodeId
+from repro.common.types import NodeId
 
 __all__ = ["ReplicaDirectory"]
 
@@ -80,10 +80,6 @@ class ReplicaDirectory:
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
-
-    def range_of(self, key: Key) -> int:
-        """The range id covering an integer key."""
-        return key // self.range_records
 
     def span_of(self, range_id: int) -> tuple[int, int]:
         """The ``[lo, hi)`` key interval of a range."""

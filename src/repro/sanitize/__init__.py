@@ -26,6 +26,8 @@ function of ``(spec, seed)``.  This package makes that property an
 
 The fixture corpus in :mod:`repro.sanitize.corpus` proves each lint rule
 fires; ``tests/sanitize/`` wires all three layers into the test suite.
+Beside them, :mod:`repro.sanitize.reach` runs every entry point under
+``cProfile`` and fails on functions none of them enters.
 """
 
 from __future__ import annotations

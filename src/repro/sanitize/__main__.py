@@ -15,6 +15,9 @@ Usage::
     # sweep every preset (the nightly job)
     PYTHONPATH=src python -m repro.sanitize replay --all-presets \
         --duration-s 0.3
+
+    # run every entry point under cProfile; fail on functions none enters
+    PYTHONPATH=src python -m repro.sanitize reach --report reach-report.txt
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return status
 
 
+def _cmd_reach(args: argparse.Namespace) -> int:
+    from repro.sanitize import reach
+
+    return reach.main(keep=args.keep, profiles=args.profiles,
+                      report=args.report)
+
+
 def _cmd_replay_child(_args: argparse.Namespace) -> int:
     print(replay_child_main(sys.stdin.read()))
     return 0
@@ -102,6 +112,18 @@ def main(argv: list[str] | None = None) -> int:
                           default=[1, 2],
                           help="PYTHONHASHSEED values for the hash leg")
     p_replay.set_defaults(fn=_cmd_replay)
+
+    p_reach = sub.add_parser(
+        "reach", help="fail on functions no entry point reaches"
+    )
+    p_reach.add_argument("--report", default=None, metavar="FILE",
+                         help="also write the report to FILE")
+    p_reach.add_argument("--keep", default=None, metavar="DIR",
+                         help="keep each leg's profiles and log in DIR")
+    p_reach.add_argument("--profiles", default=None, metavar="DIR",
+                         help="judge the profiles a --keep run left in DIR; "
+                              "run no leg")
+    p_reach.set_defaults(fn=_cmd_reach)
 
     p_child = sub.add_parser(
         "replay-child",

@@ -31,17 +31,20 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import Iterator, Sequence
 
 from repro.api import ExperimentSpec, run_experiment
-from repro.bench.sharded import canonical_payload, payload_digest
+from repro.bench.harness import ExperimentResult
 from repro.sanitize.digest import capture_digests, fold_kernel_digests
 
 __all__ = [
     "DivergenceReport",
     "ReplayReport",
     "RunDigest",
+    "canonical_payload",
     "dual_replay",
+    "payload_digest",
     "run_digest",
     "run_digest_subprocess",
     "spec_from_payload",
@@ -104,6 +107,68 @@ def spec_from_payload(payload: dict) -> ExperimentSpec:
         scale=payload.get("scale"),
         params=params,
     )
+
+
+# ----------------------------------------------------------------------
+# Result digests — what a run returned, reduced to canonical JSON
+# ----------------------------------------------------------------------
+
+
+def canonical_payload(obj):
+    """Reduce experiment output to a canonical JSON-able structure.
+
+    Handles the shapes runners return (result lists, sweep dicts) and
+    the metric types inside them.  Floats pass through unchanged —
+    ``json`` round-trips them exactly via ``repr`` — so two payloads
+    are equal iff every metric is bit-identical.  Host-dependent numbers
+    (wall clock, peak RSS) are not part of a result.  Objects outside
+    the deterministic result contract (tracers, kept clusters) are
+    rejected loudly rather than repr'd into false mismatches.
+    """
+    if isinstance(obj, ExperimentResult):
+        series = obj.throughput_series
+        return {
+            "strategy": obj.strategy,
+            "commits": obj.commits,
+            "duration_us": obj.duration_us,
+            "throughput_per_s": obj.throughput_per_s,
+            "mean_latency_us": obj.mean_latency_us,
+            "latency_breakdown_us": canonical_payload(
+                dict(obj.latency_breakdown_us)
+            ),
+            "cpu_utilization": obj.cpu_utilization,
+            "net_bytes_per_commit": obj.net_bytes_per_commit,
+            "remote_reads": obj.remote_reads,
+            "writebacks": obj.writebacks,
+            "evictions": obj.evictions,
+            "latency_p50_us": obj.latency_p50_us,
+            "latency_p95_us": obj.latency_p95_us,
+            "latency_p99_us": obj.latency_p99_us,
+            "throughput": {
+                "times": list(getattr(series, "times", ())),
+                "values": list(getattr(series, "values", ())),
+            },
+            "extras": canonical_payload(obj.extras),
+        }
+    if isinstance(obj, dict):
+        return {str(k): canonical_payload(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonical_payload(v) for v in obj]
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(
+        f"non-canonical object {type(obj).__name__} in a result payload; "
+        "digested runs must not carry tracers, clusters, or other live "
+        "objects (drop keep_cluster/trace from the spec)"
+    )
+
+
+def payload_digest(payload) -> str:
+    """BLAKE2b digest of the canonical payload's sorted-key JSON."""
+    blob = json.dumps(
+        payload, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    return blake2b(blob, digest_size=16).hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,6 @@ class ServeDriver:
         self._stopping = False
         #: set by the grid timer or by :meth:`stop` to end an idle sleep.
         self._wakeup = asyncio.Event()
-        self._finished: ServeReport | None = None
 
     # ------------------------------------------------------------------
     # Client-facing API (event-loop thread)
@@ -137,9 +136,4 @@ class ServeDriver:
         # finish() drains in-flight work and settles every request.
         if self._arrivals or self._resizes:
             self._tick_once()
-        self._finished = core.finish()
-        return self._finished
-
-    @property
-    def report(self) -> ServeReport | None:
-        return self._finished
+        return core.finish()

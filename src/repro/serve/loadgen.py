@@ -37,6 +37,12 @@ from repro.serve.journal import JournalWriter
 
 __all__ = ["LoadgenConfig", "LoadgenReport", "run_loadgen"]
 
+#: Keys per read-only request.
+READS_PER_TXN = 2
+
+#: How long a client waits for its outstanding replies after sending.
+DRAIN_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True, slots=True)
 class LoadgenConfig:
@@ -45,8 +51,6 @@ class LoadgenConfig:
     connections: int = 4
     #: fraction of requests that write (single-key read-modify-write).
     rw_ratio: float = 0.2
-    #: keys per read-only request.
-    reads_per_txn: int = 2
     seed: int = 7
     #: flash crowd: at this second, rate multiplies and all traffic
     #: lands in the bottom ``hot_span`` keys.
@@ -57,7 +61,6 @@ class LoadgenConfig:
     #: elastic events: (at_s, "add" | "remove", node).
     resizes: tuple[tuple[float, str, int], ...] = ()
     journal_path: str | None = None
-    drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -194,7 +197,7 @@ async def _client(
         else:
             keys = sorted({
                 rng.randint(0, num_keys - 1)
-                for _ in range(load_config.reads_per_txn)
+                for _ in range(READS_PER_TXN)
             })
             writes = []
         tag += 1
@@ -207,9 +210,7 @@ async def _client(
     if not outstanding:
         reads_task.cancel()
     try:
-        await asyncio.wait_for(
-            reads_task, timeout=load_config.drain_timeout_s
-        )
+        await asyncio.wait_for(reads_task, timeout=DRAIN_TIMEOUT_S)
     except (asyncio.TimeoutError, asyncio.CancelledError):
         pass
     writer.close()

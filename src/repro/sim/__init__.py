@@ -10,13 +10,11 @@ with a FIFO tiebreaker — because determinism is the whole point: given the
 same inputs, every run produces the same interleaving.
 """
 
-from repro.sim.kernel import AllOf, Delay, Kernel, Process, SimEvent
+from repro.sim.kernel import Delay, Kernel, Process, SimEvent
 from repro.sim.network import Network
-from repro.sim.stats import Counter, LatencyBreakdown, TimeSeries, WindowedRate
+from repro.sim.stats import LatencyBreakdown, TimeSeries, WindowedRate
 
 __all__ = [
-    "AllOf",
-    "Counter",
     "Delay",
     "Kernel",
     "LatencyBreakdown",

@@ -8,16 +8,15 @@ Design notes
 * A :class:`Process` wraps a generator.  The generator yields:
     - ``Delay(dt)``      — resume after ``dt`` simulated microseconds,
     - ``SimEvent``       — resume when the event is triggered; the
-      triggered value is sent back into the generator,
-    - ``AllOf(events)``  — resume when every listed event has triggered.
+      triggered value is sent back into the generator.
   Returning from the generator completes the process's ``done`` event.
 * There is no pre-emption; a process runs until its next yield.  All
   CPU-time accounting is therefore explicit ``Delay`` yields.
 
 Fast path
 ---------
-Zero-delay callbacks (``call_soon``) — every process step, event
-trigger, and ``AllOf`` waiter — dominate kernel traffic, so they bypass
+Zero-delay callbacks (``call_soon``) — every process step and event
+trigger — dominate kernel traffic, so they bypass
 the timer heap entirely: they go onto a FIFO run-queue (a deque) and pop
 in O(1) instead of paying an O(log n) heap sift against thousands of
 pending timers.  Determinism is preserved bit for bit because both
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.common.errors import SimulationError
 
@@ -154,19 +153,6 @@ class SimEvent:
         return f"SimEvent({self.name!r}, {state})"
 
 
-class AllOf:
-    """Yielded by a process to wait for several events at once.
-
-    The process resumes with a list of the events' values, in the order
-    the events were given.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[SimEvent]) -> None:
-        self.events = list(events)
-
-
 class Process:
     """A generator-based simulated process."""
 
@@ -191,37 +177,15 @@ class Process:
             self.done.trigger(stop.value)
             return
         # Checked most-frequent first: executor processes mostly wait on
-        # events; explicit Delay yields are rarer, AllOf rarer still.
+        # events; explicit Delay yields are rarer.
         if isinstance(yielded, SimEvent):
             yielded.add_waiter(self._step)
         elif isinstance(yielded, Delay):
             self.kernel.call_later_unhandled(yielded.dt, self._step, None)
-        elif isinstance(yielded, AllOf):
-            self._wait_all(yielded.events)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported {yielded!r}"
             )
-
-    def _wait_all(self, events: list[SimEvent]) -> None:
-        if not events:
-            self.kernel.call_soon(self._step, [])
-            return
-        remaining = len(events)
-        results: list[Any] = [None] * len(events)
-
-        def make_waiter(index: int) -> Callable[[Any], None]:
-            def waiter(value: Any) -> None:
-                nonlocal remaining
-                results[index] = value
-                remaining -= 1
-                if remaining == 0:
-                    self._step(results)
-
-            return waiter
-
-        for i, event in enumerate(events):
-            event.add_waiter(make_waiter(i))
 
 
 class Kernel:

@@ -297,9 +297,3 @@ class Network:
     def total_bytes(self) -> int:
         """Total bytes that crossed the wire so far."""
         return sum(self.bytes_sent.values())
-
-    def reset_counters(self) -> None:
-        """Zero the accounting (used when a warm-up window ends)."""
-        self.bytes_sent.clear()
-        self.bytes_received.clear()
-        self.messages_sent.clear()

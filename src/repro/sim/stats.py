@@ -1,4 +1,4 @@
-"""Metric collection: counters, windowed rates, and latency breakdowns.
+"""Metric collection: time series, windowed rates, and latency breakdowns.
 
 The benchmark harness reads these to print the same series the paper
 plots: throughput per window (Figures 2, 6, 12, 14), latency breakdowns
@@ -9,22 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
-
-
-class Counter:
-    """A monotonically increasing named counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
 
 
 class TimeSeries:
@@ -45,12 +29,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def mean(self) -> float:
-        """Mean of recorded values (0 when empty)."""
-        if not self.values:
-            return 0.0
-        return sum(self.values) / len(self.values)
 
 
 class WindowedRate:
@@ -88,26 +66,6 @@ class WindowedRate:
         return sum(self._counts.values())
 
 
-def percentiles(
-    values: Iterable[float],
-    quantiles: tuple[float, ...] = (0.5, 0.95, 0.99),
-) -> dict[float, float]:
-    """Nearest-rank percentiles of ``values`` (all 0.0 when empty).
-
-    The value at rank ``ceil(q·n)`` of the sorted sample — an exact
-    sample point, no interpolation, so the result is deterministic and
-    directly comparable across runs.  One sort serves all quantiles.
-    """
-    for q in quantiles:
-        if not 0 < q <= 1:
-            raise ValueError("quantile must be in (0, 1]")
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return {q: 0.0 for q in quantiles}
-    return {q: ordered[max(0, math.ceil(q * n) - 1)] for q in quantiles}
-
-
 #: The latency buckets of the paper's Figure 7, in presentation order.
 LATENCY_STAGES = (
     "scheduling",
@@ -142,17 +100,3 @@ class LatencyBreakdown:
         if self.count == 0:
             return {stage: 0.0 for stage in LATENCY_STAGES}
         return {stage: self.sums[stage] / self.count for stage in LATENCY_STAGES}
-
-    def average_total(self) -> float:
-        """Mean end-to-end latency."""
-        return sum(self.averages().values())
-
-
-def merge_breakdowns(parts: Iterable[LatencyBreakdown]) -> LatencyBreakdown:
-    """Combine per-node breakdowns into a cluster-wide one."""
-    merged = LatencyBreakdown()
-    for part in parts:
-        for stage, value in part.sums.items():
-            merged.sums[stage] += value
-        merged.count += part.count
-    return merged

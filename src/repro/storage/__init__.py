@@ -6,15 +6,13 @@ migration — is described by a :class:`Partitioner`.  Live ownership may
 differ: the engine overlays the fusion table (or a baseline's migration
 state) on top of the static map.
 
-Durability pieces (:class:`UndoLog`, :class:`CommandLog`,
-:class:`Checkpoint`) model Section 4.3 of the paper: user aborts roll back
+Durability pieces (:class:`UndoLog`, :class:`CommandLog`) model Section 4.3 of the paper: user aborts roll back
 via undo records, and recovery replays the command log deterministically.
 """
 
 from repro.storage.partitioning import (
     HashPartitioner,
     KeyedPartitioner,
-    LookupPartitioner,
     Partitioner,
     RangePartitioner,
     make_uniform_ranges,
@@ -28,15 +26,13 @@ from repro.storage.store import (
     make_store,
     state_fingerprint,
 )
-from repro.storage.wal import Checkpoint, CommandLog, UndoLog
+from repro.storage.wal import CommandLog, UndoLog
 
 __all__ = [
     "ArrayRecordStore",
-    "Checkpoint",
     "CommandLog",
     "HashPartitioner",
     "KeyedPartitioner",
-    "LookupPartitioner",
     "Partitioner",
     "RangePartitioner",
     "Record",

@@ -4,22 +4,20 @@ A partitioner answers "which node is the *static home* of this key?".
 Routers combine this with the live ownership overlay (the fusion table)
 to compute where a record actually is right now.
 
-Four concrete schemes cover every experiment in the paper:
+Three concrete schemes cover every experiment in the paper:
 
 * :class:`RangePartitioner` — contiguous integer ranges (the paper's
   default initial partitioning, and the target of cold migrations);
 * :class:`HashPartitioner` — hash placement (Figure 13);
 * :class:`KeyedPartitioner` — partition by a derived attribute, e.g.
-  TPC-C keys by warehouse;
-* :class:`LookupPartitioner` — explicit key→node table with a fallback,
-  used for Schism's offline plans.
+  TPC-C keys by warehouse.
 """
 
 from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import Key, NodeId
@@ -37,11 +35,6 @@ class Partitioner(ABC):
     @abstractmethod
     def home(self, key: Key) -> NodeId:
         """Return the node that statically owns ``key``."""
-
-    @property
-    @abstractmethod
-    def num_partitions(self) -> int:
-        """Number of partitions (== nodes) this partitioner spans."""
 
 
 class RangePartitioner(Partitioner):
@@ -64,10 +57,6 @@ class RangePartitioner(Partitioner):
             raise ConfigurationError("range starts must be sorted")
         if len(set(self._starts)) != len(self._starts):
             raise ConfigurationError("range starts must be distinct")
-
-    @property
-    def num_partitions(self) -> int:
-        return len(set(self._owners))
 
     def home(self, key: Key) -> NodeId:
         if not isinstance(key, int):
@@ -118,25 +107,6 @@ class RangePartitioner(Partitioner):
             owners.append(owner)
         self._starts = starts
         self._owners = owners
-
-    def homes_bulk(self, keys: Iterable[int]) -> list[NodeId]:
-        """Static homes of ``keys``, in order, one bisect per key.
-
-        Exactly ``[self.home(k) for k in keys]`` minus the per-call
-        attribute lookups and the type check — the batch fast path
-        ownership views use once their per-key memo is capped, so bulk
-        routing stays O(len(keys) · log segments) with O(1) extra
-        memory no matter how large the keyspace is.
-        """
-        starts = self._starts
-        owners = self._owners
-        lookup = bisect.bisect_right
-        out: list[NodeId] = []
-        append = out.append
-        for key in keys:
-            index = lookup(starts, key) - 1
-            append(owners[index if index >= 0 else 0])
-        return out
 
     def owner_spans(
         self, key_lo: int, key_hi: int
@@ -205,10 +175,6 @@ class HashPartitioner(Partitioner):
             raise ConfigurationError("num_nodes must be >= 1")
         self._num_nodes = num_nodes
 
-    @property
-    def num_partitions(self) -> int:
-        return self._num_nodes
-
     def home(self, key: Key) -> NodeId:
         if isinstance(key, int):
             h = key
@@ -234,46 +200,5 @@ class KeyedPartitioner(Partitioner):
     def version(self) -> int:  # type: ignore[override]
         return self._inner.version
 
-    @property
-    def num_partitions(self) -> int:
-        return self._inner.num_partitions
-
     def home(self, key: Key) -> NodeId:
         return self._inner.home(self._derive(key))
-
-
-class LookupPartitioner(Partitioner):
-    """Explicit key→node lookup with a fallback partitioner.
-
-    This is the shape of Schism's output: a fine-grained mapping for the
-    keys that appeared in the training trace, backed by a coarse scheme
-    for everything else.
-    """
-
-    def __init__(
-        self,
-        table: Mapping[Key, NodeId],
-        fallback: Partitioner,
-        num_partitions: int | None = None,
-    ) -> None:
-        self._table = dict(table)
-        self._fallback = fallback
-        self._num = num_partitions or fallback.num_partitions
-
-    @property
-    def version(self) -> int:  # type: ignore[override]
-        # The explicit table is immutable; only the fallback can change.
-        return self._fallback.version
-
-    @property
-    def num_partitions(self) -> int:
-        return self._num
-
-    def home(self, key: Key) -> NodeId:
-        found = self._table.get(key)
-        if found is not None:
-            return found
-        return self._fallback.home(key)
-
-    def __len__(self) -> int:
-        return len(self._table)

@@ -24,7 +24,7 @@ Two backends implement the :class:`StoreBackend` protocol:
   the overlay (fusion-table capacity), not the keyspace.
 
 Both backends speak :class:`Record` at their edges (pre-images for
-undo, eviction/installation during migration, snapshots), so the engine
+undo, eviction/installation during migration), so the engine
 and WAL are backend-agnostic; the array backend synthesizes transient
 ``Record`` objects on those paths and mutates its columns in place on
 the hot ``write`` path.  Fingerprints hash ``(key, version, value)``
@@ -56,7 +56,7 @@ class Record:
     """One stored record: a version counter and a value fingerprint.
 
     ``size`` tags the payload size in bytes the record stands for; it
-    rides along through migrations and snapshots but is deliberately
+    rides along through migrations but is deliberately
     excluded from :func:`state_fingerprint` (it is bookkeeping, not
     state).
     """
@@ -155,14 +155,6 @@ class StoreBackend(ABC):
         """Iterate every held record (transient copies allowed)."""
 
     @abstractmethod
-    def snapshot(self) -> dict[Key, Record]:
-        """Deep copy of the store, for checkpoints."""
-
-    @abstractmethod
-    def restore_snapshot(self, snap: dict[Key, Record]) -> None:
-        """Replace contents with a checkpoint's snapshot."""
-
-    @abstractmethod
     def memory_bytes(self) -> int:
         """Estimated resident bytes of the store's bookkeeping."""
 
@@ -241,12 +233,6 @@ class RecordStore(StoreBackend):
 
     def iter_records(self) -> Iterator[Record]:
         return iter(self._records.values())
-
-    def snapshot(self) -> dict[Key, Record]:
-        return {k: r.copy() for k, r in self._records.items()}
-
-    def restore_snapshot(self, snap: dict[Key, Record]) -> None:
-        self._records = {k: r.copy() for k, r in snap.items()}
 
     def memory_bytes(self) -> int:
         return len(self._records) * RECORD_OBJECT_BYTES
@@ -506,19 +492,6 @@ class ArrayRecordStore(StoreBackend):
                 )
         yield from self._spill.values()
 
-    def snapshot(self) -> dict[Key, Record]:
-        return {record.key: record.copy() for record in self.iter_records()}
-
-    def restore_snapshot(self, snap: dict[Key, Record]) -> None:
-        # Checkpoint restore resets to a spill-only layout: simple and
-        # correct; checkpoints are a small-scale (recovery-test) feature
-        # and the slab layout is a load-time optimization, not state.
-        self._slabs = []
-        self._slab_los = []
-        self._spill = {k: r.copy() for k, r in snap.items()}
-        self._count = len(self._spill)
-        self._data_bytes = sum(r.size for r in self._spill.values())
-
     def memory_bytes(self) -> int:
         return (
             sum(slab.nbytes() for slab in self._slabs)
@@ -538,7 +511,7 @@ class ReplicaStore:
 
     Holds read-only copies of records whose primary lives elsewhere.
     Deliberately not a :class:`StoreBackend`: replicas never see writes,
-    undo, checkpoints, or migration eviction — only sequenced installs,
+    undo, or migration eviction — only sequenced installs,
     lock-free reads, and invalidation drops.  Keeping the type separate
     means :func:`state_fingerprint` (which walks primary stores) cannot
     accidentally hash replica copies, so enabling replication leaves

@@ -1,10 +1,12 @@
-"""Durability structures: undo log, command log, and checkpoints.
+"""Durability structures: undo log and command log.
 
 Section 4.3 of the paper: each node keeps an UNDO log for in-flight
-writes and a command log of totally ordered transaction requests; recovery
-restores the latest checkpoint and deterministically replays the command
-log (including the prescient routing and data fusion, which are pure
-functions of the ordered input).
+writes and a command log of totally ordered transaction requests;
+recovery deterministically replays the command log (including the
+prescient routing and data fusion, which are pure functions of the
+ordered input).  The paper also restores a checkpoint first, to shorten
+the replay; the simulator always replays the whole log, which reaches
+the identical state.
 
 In the simulator the logs are in-memory lists — what matters for the
 reproduction is the *replay semantics*, which :mod:`repro.engine.recovery`
@@ -13,11 +15,9 @@ exercises end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.common.errors import StorageError
-from repro.common.types import Batch, Key, TxnId
-from repro.storage.store import Record, RecordStore
+from repro.common.types import Batch, TxnId
+from repro.storage.store import Record, StoreBackend
 
 
 class UndoLog:
@@ -34,7 +34,7 @@ class UndoLog:
     def save(self, txn_id: TxnId, pre_image: Record) -> None:
         self._entries.setdefault(txn_id, []).append(pre_image)
 
-    def rollback(self, txn_id: TxnId, store: RecordStore) -> int:
+    def rollback(self, txn_id: TxnId, store: StoreBackend) -> int:
         """Undo all of ``txn_id``'s writes on ``store``; returns count."""
         entries = self._entries.pop(txn_id, [])
         for pre_image in reversed(entries):
@@ -69,42 +69,8 @@ class CommandLog:
             )
         self._batches.append(batch)
 
-    def batches_since(self, epoch: int) -> list[Batch]:
-        """All batches with epoch strictly greater than ``epoch``."""
-        return [b for b in self._batches if b.epoch > epoch]
-
     def __len__(self) -> int:
         return len(self._batches)
 
     def __iter__(self):
         return iter(self._batches)
-
-
-@dataclass(slots=True)
-class Checkpoint:
-    """A consistent point-in-time snapshot of every node's store.
-
-    ``epoch`` is the last batch epoch included in the snapshot; recovery
-    restores the snapshot and replays ``CommandLog.batches_since(epoch)``.
-    """
-
-    epoch: int
-    snapshots: dict[int, dict[Key, Record]] = field(default_factory=dict)
-
-    @staticmethod
-    def capture(epoch: int, stores: list[RecordStore]) -> "Checkpoint":
-        """Snapshot every store at a batch boundary."""
-        return Checkpoint(
-            epoch=epoch,
-            snapshots={store.node_id: store.snapshot() for store in stores},
-        )
-
-    def restore(self, stores: list[RecordStore]) -> None:
-        """Load the snapshot back into the given stores."""
-        for store in stores:
-            snap = self.snapshots.get(store.node_id)
-            if snap is None:
-                raise StorageError(
-                    f"checkpoint has no snapshot for node {store.node_id}"
-                )
-            store.restore_snapshot(snap)

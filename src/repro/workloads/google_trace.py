@@ -67,10 +67,6 @@ class GoogleTraceConfig:
     def num_ticks(self) -> int:
         return max(1, int(self.duration_s / self.tick_s))
 
-    @property
-    def duration_us(self) -> float:
-        return self.duration_s * 1e6
-
 
 class SyntheticGoogleTrace:
     """Per-machine load series with spikes and provisioning shifts."""
@@ -136,10 +132,6 @@ class SyntheticGoogleTrace:
         tick = int(now_us / 1e6 / self.config.tick_s)
         return min(max(tick, 0), self.config.num_ticks - 1)
 
-    def load_at(self, machine: int, now_us: float) -> float:
-        """One machine's load level at a time."""
-        return float(self.loads[machine, self.tick_of(now_us)])
-
     def total_load_at(self, now_us: float) -> float:
         """Cluster-wide load level (offered-rate envelope)."""
         return float(self.loads[:, self.tick_of(now_us)].sum())
@@ -152,7 +144,3 @@ class SyntheticGoogleTrace:
         """Inverse-CDF draw of a machine given uniform ``u`` in [0,1)."""
         column = self._cum_weights[:, self.tick_of(now_us)]
         return int(np.searchsorted(column, u, side="left"))
-
-    def mean_total_load(self) -> float:
-        """Average total load over the trace (rate-calibration helper)."""
-        return float(self.loads.sum(axis=0).mean())

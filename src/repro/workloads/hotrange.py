@@ -89,9 +89,6 @@ class HotRangeWorkload:
         self.rng = rng.fork("hotrange")
         self._span = config.num_keys // config.num_nodes
 
-    def all_keys(self) -> range:
-        return range(self.config.num_keys)
-
     def _local_pair(self, node: int) -> list[int]:
         lo = node * self._span
         rng = self.rng

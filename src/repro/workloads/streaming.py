@@ -1,20 +1,12 @@
 """Streaming trace generation: arrival schedules that never materialize.
 
-The chaos harness and several benchmarks pre-compute open-loop arrival
-schedules as ``list[(arrival_us, Transaction)]``.  That is fine at 400
-transactions; at million-key scale a pre-minted schedule is the largest
-allocation in the run.  This module provides the same schedules as
-*generators*:
-
-* :func:`stream_schedule` — the draw-for-draw generator equivalent of
-  the materialized pattern ``now += rng.expovariate(1/gap);
-  workload.make_txn(txn_id, now)``.  Because the arrival stream and the
-  workload's own RNG are independently forked streams, laziness cannot
-  reorder any draw: ``list(stream_schedule(...))`` is *identical* to
-  the eager loop, element for element.
-* :class:`ScheduleStream` — submits a (possibly unbounded) arrival
-  iterator into a cluster one timer at a time, holding O(1) schedule
-  state instead of the whole list.
+The chaos harness draws its open-loop arrival schedules from
+:func:`stream_schedule`, the draw-for-draw generator equivalent of the
+materialized pattern ``now += rng.expovariate(1/gap);
+workload.make_txn(txn_id, now)``.  Because the arrival stream and the
+workload's own RNG are independently forked streams, laziness cannot
+reorder any draw: ``list(stream_schedule(...))`` is *identical* to the
+eager loop, element for element.
 
 Determinism argument: a generator defers *Python* work, not *draws* —
 each ``next()`` performs exactly the draws the eager loop's iteration
@@ -24,13 +16,10 @@ equivalence test (``tests/workloads/test_streaming.py``) pins this.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Transaction
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.cluster import Cluster
 
 
 def stream_schedule(
@@ -53,49 +42,3 @@ def stream_schedule(
     for txn_id in range(first_txn_id, first_txn_id + num_txns):
         now += expovariate(rate)
         yield now, make_txn(txn_id, now)
-
-
-class ScheduleStream:
-    """Feed an arrival iterator into a cluster, one timer in flight.
-
-    The eager pattern (``kernel.call_at`` per pair, upfront) holds the
-    whole schedule in the timer wheel; this holds exactly one pending
-    arrival — when it fires, the transaction is submitted and the next
-    pair is pulled.  Arrival times must be non-decreasing (generators
-    from :func:`stream_schedule` are), so submission order and times
-    are identical to the eager pattern.
-    """
-
-    def __init__(
-        self,
-        cluster: "Cluster",
-        arrivals: Iterator[tuple[float, Transaction]],
-        after_us: float = -1.0,
-        offset_us: float = 0.0,
-    ) -> None:
-        self._cluster = cluster
-        self._arrivals = iter(arrivals)
-        self._after_us = after_us
-        self._offset_us = offset_us
-        self.submitted = 0
-        self.exhausted = False
-
-    def start(self) -> "ScheduleStream":
-        """Arm the first timer; returns self for chaining."""
-        self._pump()
-        return self
-
-    def _pump(self) -> None:
-        for arrival, txn in self._arrivals:
-            if arrival <= self._after_us:
-                continue
-            self._cluster.kernel.call_at(
-                arrival + self._offset_us, self._fire, txn
-            )
-            return
-        self.exhausted = True
-
-    def _fire(self, txn: Transaction) -> None:
-        self._cluster.submit(txn)
-        self.submitted += 1
-        self._pump()

@@ -154,7 +154,3 @@ class GoogleYCSBWorkload:
         return Transaction.read_only(
             txn_id, sorted(frozen), arrival_time=now_us, profile=self._profile
         )
-
-    def all_keys(self) -> range:
-        """Every key to load before running."""
-        return range(self.config.num_keys)

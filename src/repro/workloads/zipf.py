@@ -18,7 +18,7 @@ module-level cache, so creating one sampler per partition is cheap.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -128,13 +128,7 @@ def _lazy_zipf_cdf(n: int, theta: float) -> _LazyZipfCdf:
 class ZipfSampler:
     """Samples ranks 0..n-1 with P(rank r) ∝ 1/(r+1)^θ."""
 
-    def __init__(
-        self,
-        n: int,
-        theta: float,
-        rng: DeterministicRNG,
-        lazy: bool | None = None,
-    ) -> None:
+    def __init__(self, n: int, theta: float, rng: DeterministicRNG) -> None:
         if n < 1:
             raise ConfigurationError("Zipf needs at least one item")
         if theta < 0:
@@ -147,41 +141,22 @@ class ZipfSampler:
         # underlying ``random.Random.random`` skips two wrapper frames
         # per draw without touching the draw sequence.
         self._random = rng.py.random
-        if lazy is None:
-            lazy = n >= LAZY_CDF_THRESHOLD
-        if lazy:
+        if n >= LAZY_CDF_THRESHOLD:
             # Million-key mode: block-lazy CDF, draw-identical to the
             # materialized list (see _LazyZipfCdf).  The instance-level
-            # closures shadow the class methods so the small-n hot path
-            # below stays branch-free and byte-identical.
-            self._cdf = None
+            # closure shadows ``sample`` so the small-n hot path below
+            # stays branch-free and byte-identical.
             self._cdf_list = None
-            lazy_cdf = _lazy_zipf_cdf(n, theta)
-            locate = lazy_cdf.locate
+            locate = self._locate = _lazy_zipf_cdf(n, theta).locate
             random = self._random
 
             def sample() -> int:
                 return locate(random())
 
-            def sample_distinct(count: int) -> list[int]:
-                if count > n:
-                    raise ConfigurationError(
-                        f"cannot draw {count} distinct items from {n}"
-                    )
-                seen: set[int] = set()
-                out: list[int] = []
-                while len(out) < count:
-                    rank = locate(random())
-                    if rank not in seen:
-                        seen.add(rank)
-                        out.append(rank)
-                return out
-
             self.sample = sample  # type: ignore[method-assign]
-            self.sample_distinct = sample_distinct  # type: ignore[method-assign]
         else:
-            self._cdf = _zipf_cdf(n, theta)
             self._cdf_list = _zipf_cdf_list(n, theta)
+            self._locate = partial(bisect_left, self._cdf_list)
 
     def sample(self) -> int:
         """One rank in [0, n); rank 0 is the hottest item."""
@@ -193,12 +168,12 @@ class ZipfSampler:
             raise ConfigurationError(
                 f"cannot draw {count} distinct items from {self.n}"
             )
-        cdf = self._cdf_list
+        locate = self._locate
         random = self._random
         seen: set[int] = set()
         out: list[int] = []
         while len(out) < count:
-            rank = bisect_left(cdf, random())
+            rank = locate(random())
             if rank not in seen:
                 seen.add(rank)
                 out.append(rank)

@@ -7,7 +7,6 @@ from repro.common.types import (
     ExecutionProfile,
     Transaction,
     TxnKind,
-    key_sort_token,
 )
 
 
@@ -71,12 +70,3 @@ class TestBatch:
         assert len(batch) == 3
         assert batch.ids() == [0, 1, 2]
         assert list(batch) == txns
-
-
-class TestKeySortToken:
-    def test_orders_mixed_key_types_deterministically(self):
-        keys = [("stock", 1, 2), 5, ("wh", 0), 3]
-        ordered = sorted(keys, key=key_sort_token)
-        assert ordered == sorted(keys, key=key_sort_token)
-        ints = [k for k in ordered if isinstance(k, int)]
-        assert ints == sorted(ints)

@@ -1,11 +1,9 @@
 """Unit + property tests for the bounded fusion table (Section 4.1)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import FusionConfig
-from repro.common.errors import ConfigurationError
 from repro.core.fusion_table import FusionTable
 
 
@@ -104,28 +102,6 @@ class TestDuplicatePut:
         evicted = table.put("b", 3)
         assert evicted == [("a", 9)]
         assert table.evictions_total == 1
-
-
-class TestProvisioningHelpers:
-    def test_owners_of_node(self):
-        table = FusionTable()
-        table.put("a", 1)
-        table.put("b", 2)
-        table.put("c", 1)
-        assert table.owners_of_node(1) == ["a", "c"]
-
-    def test_reassign_node(self):
-        table = FusionTable()
-        table.put("a", 1)
-        table.put("b", 2)
-        moved = table.reassign_node(1, 3)
-        assert moved == 1
-        assert table.get("a") == 3
-        assert table.get("b") == 2
-
-    def test_reassign_same_node_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FusionTable().reassign_node(1, 1)
 
 
 class TestCounters:

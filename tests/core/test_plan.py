@@ -76,15 +76,6 @@ class TestTxnPlanValidation:
         with pytest.raises(RoutingError):
             plan.validate()
 
-    def test_node_range_hint(self):
-        plan = TxnPlan(
-            txn=rw(1, [1], [1]),
-            masters=(5,),
-            reads_from={5: frozenset([1])},
-            writes_at={5: frozenset([1])},
-        )
-        with pytest.raises(RoutingError):
-            plan.validate(num_nodes_hint=3)
 
     def test_remote_read_count(self):
         plan = TxnPlan(
@@ -94,16 +85,6 @@ class TestTxnPlanValidation:
             writes_at={0: frozenset([1])},
         )
         assert plan.remote_read_count() == 2
-
-    def test_participant_nodes(self):
-        plan = TxnPlan(
-            txn=rw(1, [1, 2], [1]),
-            masters=(0,),
-            reads_from={0: frozenset([1]), 1: frozenset([2])},
-            writes_at={0: frozenset([1])},
-            writebacks=(Migration(2, 0, 3),),
-        )
-        assert plan.participant_nodes() == {0, 1, 3}
 
 
 class TestRoutingPlanValidation:

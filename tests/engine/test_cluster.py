@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.config import ClusterConfig, EngineConfig
-from repro.common.errors import ConfigurationError
 from repro.common.types import Transaction
 from repro.core.prescient import PrescientRouter
 from repro.baselines.calvin import CalvinRouter
@@ -167,20 +166,6 @@ class TestLatencyAccounting:
         total = runtime.t_commit - runtime.t_sequenced
         assert sum(stages.values()) == pytest.approx(total, rel=1e-6)
         assert stages["remote_wait"] > 0
-
-
-class TestCheckpointGuard:
-    def test_checkpoint_requires_quiescence(self):
-        cluster = build()
-        cluster.submit(Transaction.read_write(1, [5], [5]))
-        with pytest.raises(ConfigurationError):
-            cluster.checkpoint()
-
-    def test_checkpoint_after_drain(self):
-        cluster = build()
-        run_txns(cluster, [Transaction.read_write(1, [5], [5])])
-        checkpoint = cluster.checkpoint()
-        assert checkpoint.snapshots[0][5].version == 1
 
 
 class TestTopologyTransaction:

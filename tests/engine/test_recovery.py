@@ -10,7 +10,6 @@ from repro.baselines.calvin import CalvinRouter
 from repro.engine.cluster import Cluster
 from repro.engine.recovery import replay_command_log
 from repro.storage.partitioning import make_uniform_ranges
-from repro.storage.wal import CommandLog
 from repro.workloads.multitenant import MultiTenantConfig, MultiTenantWorkload
 from repro.workloads.base import ClosedLoopDriver
 
@@ -65,118 +64,8 @@ def test_full_replay_reaches_identical_state(router_factory, overlay_factory):
     assert replayed.placement_snapshot() == original.placement_snapshot()
 
 
-def test_checkpointed_replay_skips_old_batches():
-    build_original = builder(CalvinRouter, keep_log=True)
-    original = build_original()
-    run_workload_on(original, stop_us=500_000.0)
-    checkpoint = original.checkpoint()
-    epoch_at_checkpoint = original.epochs_delivered
-
-    # More work after the checkpoint.
-    workload = MultiTenantWorkload(WL, DeterministicRNG(99))
-    driver = ClosedLoopDriver(
-        original, workload, num_clients=10, stop_us=original.kernel.now + 400_000
-    )
-    driver.start()
-    original.run_until_quiescent(60_000_000)
-
-    replayed = replay_command_log(
-        builder(CalvinRouter), original.command_log, checkpoint=checkpoint
-    )
-    assert replayed.state_fingerprint() == original.state_fingerprint()
-    assert replayed.placement_snapshot() == original.placement_snapshot()
-    # Fewer batches executed than logged.
-    executed = replayed.epochs_delivered
-    assert executed == len(original.command_log) - epoch_at_checkpoint
-
-
 def test_replay_with_empty_log_is_initial_state():
     build = builder(CalvinRouter, keep_log=True)
     original = build()
     replayed = replay_command_log(build, original.command_log)
     assert replayed.state_fingerprint() == original.state_fingerprint()
-
-
-def test_replay_empty_log_with_checkpoint_is_pure_restore():
-    """An empty post-checkpoint log degenerates to restoring the
-    snapshot: nothing is routed, nothing executes."""
-    build = builder(CalvinRouter, keep_log=True)
-    original = build()
-    run_workload_on(original, stop_us=300_000.0)
-    checkpoint = original.checkpoint()
-
-    replayed = replay_command_log(
-        builder(CalvinRouter), CommandLog(), checkpoint=checkpoint
-    )
-    assert replayed.state_fingerprint() == original.state_fingerprint()
-    assert replayed.placement_snapshot() == original.placement_snapshot()
-    assert replayed.epochs_delivered == 0
-
-
-def test_checkpoint_at_non_boundary_epoch():
-    """A checkpoint strictly inside the log — neither the initial state
-    nor the final epoch — must split replay into a routed-only prefix
-    and an executed suffix that still lands on the original state."""
-    build_original = builder(CalvinRouter, keep_log=True)
-    original = build_original()
-    run_workload_on(original, stop_us=300_000.0)
-    checkpoint = original.checkpoint()
-
-    workload = MultiTenantWorkload(WL, DeterministicRNG(41))
-    driver = ClosedLoopDriver(
-        original, workload, num_clients=10,
-        stop_us=original.kernel.now + 300_000,
-    )
-    driver.start()
-    original.run_until_quiescent(60_000_000)
-
-    epochs = [batch.epoch for batch in original.command_log]
-    assert epochs[0] <= checkpoint.epoch < epochs[-1]  # strictly inside
-
-    replayed = replay_command_log(
-        builder(CalvinRouter), original.command_log, checkpoint=checkpoint
-    )
-    assert replayed.state_fingerprint() == original.state_fingerprint()
-    assert replayed.placement_snapshot() == original.placement_snapshot()
-    executed = sum(1 for e in epochs if e > checkpoint.epoch)
-    assert replayed.epochs_delivered == executed
-
-
-def test_checkpoint_at_final_epoch_executes_nothing():
-    build_original = builder(CalvinRouter, keep_log=True)
-    original = build_original()
-    run_workload_on(original, stop_us=300_000.0)
-    checkpoint = original.checkpoint()
-    assert checkpoint.epoch == list(original.command_log)[-1].epoch
-
-    replayed = replay_command_log(
-        builder(CalvinRouter), original.command_log, checkpoint=checkpoint
-    )
-    assert replayed.state_fingerprint() == original.state_fingerprint()
-    assert replayed.epochs_delivered == 0
-
-
-def test_checkpointed_replay_with_prescient_routing():
-    """The checkpoint skips execution but the fusion-table state of the
-    skipped prefix must still be rebuilt by routing it (§4.3)."""
-    overlay = lambda: FusionTable(FusionConfig(capacity=150))  # noqa: E731
-    build_original = builder(PrescientRouter, overlay, keep_log=True)
-    original = build_original()
-    run_workload_on(original, stop_us=400_000.0)
-    checkpoint = original.checkpoint()
-
-    workload = MultiTenantWorkload(WL, DeterministicRNG(123))
-    driver = ClosedLoopDriver(
-        original, workload, num_clients=10,
-        stop_us=original.kernel.now + 300_000,
-    )
-    driver.start()
-    original.run_until_quiescent(60_000_000)
-
-    replayed = replay_command_log(
-        builder(PrescientRouter, overlay),
-        original.command_log,
-        checkpoint=checkpoint,
-    )
-    assert replayed.state_fingerprint() == original.state_fingerprint()
-    assert replayed.placement_snapshot() == original.placement_snapshot()

@@ -126,18 +126,3 @@ class TestSmoothing:
         detector = make(alpha=0.5)
         detector.observe(0.8)
         assert detector.ewma == pytest.approx(0.8)
-
-
-class TestReset:
-    def test_reset_restores_initial_state(self):
-        detector = make()
-        for _ in range(3):
-            detector.observe(0.9)
-        detector.reset()
-        assert not detector.engaged
-        assert detector.ewma == 0.0
-        assert detector.epochs_observed == 0
-        # Needs the full streak again.
-        assert detector.observe(0.9) is None
-        assert detector.observe(0.9) is None
-        assert detector.observe(0.9) == "engage"

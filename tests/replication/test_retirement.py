@@ -1,7 +1,7 @@
 """Budget-driven replica retirement: the once-dead ``retire`` path.
 
-Regression for ROADMAP item 3 ("``retire`` exists but nothing calls
-it"): with ``ReplicationConfig.side_store_budget`` set, the provisioner
+Regression for "``retire`` exists but nothing calls it" (DESIGN §16):
+with ``ReplicationConfig.side_store_budget`` set, the provisioner
 must name cold holders once a node's side-store exceeds the budget, the
 directory must stop serving them, and the coordinator's fenced drop
 must physically free the bytes.  Every test here fails on the pre-PR

@@ -8,8 +8,10 @@ from repro.api import PRESETS, ExperimentSpec, preset_spec
 from repro.sanitize import replay
 from repro.sanitize.replay import (
     INJECT_ENV,
+    canonical_payload,
     dual_replay,
     first_divergence,
+    payload_digest,
     run_digest,
     run_digest_subprocess,
     spec_from_payload,
@@ -50,6 +52,18 @@ def _tiny_spec(**overrides) -> ExperimentSpec:
 def _small_runs(monkeypatch):
     """Downscale every run (inherited by the subprocess legs too)."""
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
+
+
+class TestCanonicalPayload:
+    def test_plain_scalars_pass_through(self):
+        obj = {"a": [1, 2.5, "x", None, True]}
+        payload = canonical_payload(obj)
+        assert payload == obj
+        assert payload_digest(payload) == payload_digest(canonical_payload(obj))
+
+    def test_live_objects_rejected(self):
+        with pytest.raises(TypeError, match="non-canonical"):
+            canonical_payload({"cluster": object()})
 
 
 class TestSpecPayload:

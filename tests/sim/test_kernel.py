@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.kernel import AllOf, Delay, Kernel
+from repro.sim.kernel import Delay, Kernel
 
 
 class TestScheduling:
@@ -101,34 +101,6 @@ class TestProcess:
         kernel.call_later(10, event.trigger, "hello")
         kernel.run()
         assert got == ["hello"]
-
-    def test_all_of_waits_for_every_event(self):
-        kernel = Kernel()
-        events = [kernel.event(str(i)) for i in range(3)]
-        got = []
-
-        def proc():
-            values = yield AllOf(events)
-            got.append((kernel.now, values))
-
-        kernel.process(proc())
-        kernel.call_later(10, events[2].trigger, "c")
-        kernel.call_later(20, events[0].trigger, "a")
-        kernel.call_later(30, events[1].trigger, "b")
-        kernel.run()
-        assert got == [(30, ["a", "b", "c"])]
-
-    def test_all_of_empty_resumes_immediately(self):
-        kernel = Kernel()
-        got = []
-
-        def proc():
-            values = yield AllOf([])
-            got.append(values)
-
-        kernel.process(proc())
-        kernel.run()
-        assert got == [[]]
 
     def test_done_event_carries_return_value(self):
         kernel = Kernel()

@@ -56,10 +56,3 @@ class TestAccounting:
         assert network.bytes_received[0] == 100
         assert network.total_bytes() == 600
         assert network.messages_sent[0] == 2
-
-    def test_reset_counters(self, net):
-        kernel, network = net
-        network.send(0, 1, 300, lambda: None)
-        kernel.run()
-        network.reset_counters()
-        assert network.total_bytes() == 0

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigurationError
 from repro.storage.partitioning import (
     HashPartitioner,
-    KeyedPartitioner,
-    LookupPartitioner,
     RangePartitioner,
     make_uniform_ranges,
 )
@@ -113,21 +111,3 @@ class TestHashPartitioner:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ConfigurationError):
             HashPartitioner(0)
-
-
-class TestKeyedPartitioner:
-    def test_derives_attribute(self):
-        inner = RangePartitioner([0, 10], [0, 1])
-        part = KeyedPartitioner(lambda key: key[1], inner)
-        assert part.home(("stock", 5, 99)) == 0
-        assert part.home(("stock", 15, 99)) == 1
-        assert part.num_partitions == 2
-
-
-class TestLookupPartitioner:
-    def test_table_overrides_fallback(self):
-        fallback = make_uniform_ranges(100, 2)
-        part = LookupPartitioner({5: 1}, fallback)
-        assert part.home(5) == 1
-        assert part.home(6) == fallback.home(6)
-        assert len(part) == 1

@@ -164,27 +164,6 @@ class TestMigrationPrimitives:
         assert record.version == 1 and record.size == 32
 
 
-class TestSnapshots:
-    def test_snapshot_is_deep(self, store):
-        snap = store.snapshot()
-        store.write(0, txn_id=1)
-        assert snap[0].version == 0
-
-    def test_restore_snapshot(self, store):
-        snap = store.snapshot()
-        store.write(0, txn_id=1)
-        store.restore_snapshot(snap)
-        assert store.read(0).version == 0
-
-    def test_restore_snapshot_resets_membership(self, store):
-        snap = store.snapshot()
-        store.evict(2)
-        store.load(40)
-        store.restore_snapshot(snap)
-        assert sorted(store.keys()) == [0, 1, 2, 3, 4]
-        assert len(store) == 5
-
-
 class TestFingerprint:
     def test_identical_states_match(self, backend):
         a, b = make_store(backend, 0), make_store(backend, 0)

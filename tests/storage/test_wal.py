@@ -1,11 +1,11 @@
-"""Unit tests for undo log, command log, and checkpoints."""
+"""Unit tests for the undo log and the command log."""
 
 import pytest
 
 from repro.common.errors import StorageError
 from repro.common.types import Batch, Transaction
 from repro.storage.store import RecordStore
-from repro.storage.wal import Checkpoint, CommandLog, UndoLog
+from repro.storage.wal import CommandLog, UndoLog
 
 
 @pytest.fixture
@@ -54,32 +54,3 @@ class TestCommandLog:
         log.append(self._batch(2))
         with pytest.raises(StorageError):
             log.append(self._batch(2))
-
-    def test_batches_since(self):
-        log = CommandLog()
-        for epoch in (1, 2, 3):
-            log.append(self._batch(epoch))
-        assert [b.epoch for b in log.batches_since(1)] == [2, 3]
-
-
-class TestCheckpoint:
-    def test_capture_restore_roundtrip(self, store):
-        other = RecordStore(1)
-        other.load(100)
-        checkpoint = Checkpoint.capture(5, [store, other])
-        store.write(0, txn_id=9)
-        other.write(100, txn_id=9)
-        checkpoint.restore([store, other])
-        assert store.read(0).version == 0
-        assert other.read(100).version == 0
-
-    def test_restore_missing_node_raises(self, store):
-        checkpoint = Checkpoint.capture(1, [store])
-        stranger = RecordStore(7)
-        with pytest.raises(StorageError):
-            checkpoint.restore([stranger])
-
-    def test_snapshot_isolated_from_later_writes(self, store):
-        checkpoint = Checkpoint.capture(1, [store])
-        store.write(1, txn_id=3)
-        assert checkpoint.snapshots[0][1].version == 0

@@ -7,6 +7,10 @@ resolve: the path exists (a glob matches at least one file) and each
 ``::`` part names a class or function defined in it; the dotted name
 imports as a module or resolves as an attribute of one.  A rename that
 forgets the docs fails here instead of in a reader's shell.
+
+Nothing cites a ROADMAP open item by number: the items are renumbered at
+every re-anchor, so such a citation silently comes to point at the wrong
+item.  Cite the DESIGN section instead.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ _PATH = re.compile(
     r"(?<![\w./-])((?:src|tests|benchmarks|examples)/[\w./*-]*(?:::\w+)*)"
 )
 _NAME = re.compile(r"(?<![\w./-])(repro(?:\.\w+)+)")
+_ITEM_CITATION = re.compile(r"ROADMAP\s+item")
+
+#: Trees scanned for item citations, beside the documents.
+CITING_TREES = ("src", "tests", "benchmarks", ".github")
 
 
 def _references() -> list[tuple[str, int, str]]:
@@ -105,6 +113,22 @@ def test_every_reference_resolves():
         if problem is not None:
             stale.append(f"{document}:{line} `{reference}`: {problem}")
     assert stale == [], "\n".join(stale)
+
+
+def test_no_roadmap_item_citations():
+    paths = [ROOT / document for document in DOCUMENTS]
+    for tree in CITING_TREES:
+        paths += [
+            path for path in sorted((ROOT / tree).rglob("*"))
+            if path.is_file() and "__pycache__" not in path.parts
+        ]
+    hits = []
+    for path in paths:
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for match in _ITEM_CITATION.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            hits.append(f"{path.relative_to(ROOT)}:{line}")
+    assert hits == [], "cite the DESIGN section instead:\n" + "\n".join(hits)
 
 
 @pytest.mark.parametrize(

@@ -64,9 +64,6 @@ class TestQueries:
             float(trace.loads[:, 0].sum())
         )
 
-    def test_mean_total_load(self, trace):
-        assert trace.mean_total_load() > 0
-
 
 class TestConfigValidation:
     def test_rejects_zero_machines(self):

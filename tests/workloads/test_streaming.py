@@ -1,20 +1,14 @@
 """Streaming trace generation must be invisible in the results.
 
 ``stream_schedule`` is the generator form of the materialized arrival
-schedule; ``ScheduleStream`` feeds it into a cluster one timer at a
-time.  Both claims are determinism claims, so both are pinned against
-the eager path element-for-element and fingerprint-for-fingerprint.
+schedule.  That is a determinism claim, so it is pinned against the
+eager path element for element.
 """
 
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Transaction
-from repro.faults.chaos import (
-    ChaosConfig,
-    iter_schedule,
-    make_cluster_builder,
-    make_schedule,
-)
-from repro.workloads.streaming import ScheduleStream, stream_schedule
+from repro.faults.chaos import ChaosConfig, iter_schedule, make_schedule
+from repro.workloads.streaming import stream_schedule
 
 TINY = ChaosConfig(num_nodes=2, num_keys=500, num_txns=60)
 
@@ -82,46 +76,3 @@ class TestStreamSchedule:
         assert minted == []
         next(gen)
         assert minted == [1]
-
-
-class TestScheduleStream:
-    def test_run_matches_eager_submission(self):
-        build = make_cluster_builder(TINY)
-
-        eager_cluster = build()
-        for arrival, txn in make_schedule(TINY, seed=11):
-            eager_cluster.kernel.call_at(
-                arrival, eager_cluster.submit, txn
-            )
-        eager_cluster.run_until_quiescent(TINY.max_time_us)
-
-        lazy_cluster = build()
-        stream = ScheduleStream(
-            lazy_cluster, iter_schedule(TINY, seed=11)
-        ).start()
-        lazy_cluster.run_until_quiescent(TINY.max_time_us)
-
-        assert stream.exhausted
-        assert stream.submitted == TINY.num_txns
-        assert lazy_cluster.metrics.commits == eager_cluster.metrics.commits
-        assert (
-            lazy_cluster.state_fingerprint()
-            == eager_cluster.state_fingerprint()
-        )
-
-    def test_after_us_skips_past_arrivals(self):
-        build = make_cluster_builder(TINY)
-        cluster = build()
-        schedule = make_schedule(TINY, seed=2)
-        cutoff = schedule[len(schedule) // 2][0]
-        remaining = sum(1 for at, _ in schedule if at > cutoff)
-        stream = ScheduleStream(
-            cluster, iter(schedule), after_us=cutoff
-        ).start()
-        cluster.run_until_quiescent(TINY.max_time_us)
-        assert stream.submitted == remaining
-
-    def test_empty_iterator_exhausts_immediately(self):
-        cluster = make_cluster_builder(TINY)()
-        stream = ScheduleStream(cluster, iter(())).start()
-        assert stream.exhausted and stream.submitted == 0
