@@ -404,6 +404,21 @@ class Cluster:
         """Transactions submitted but not yet finished."""
         return self._unfinished
 
+    def close(self) -> None:
+        """Break a finished cluster's reference cycles; it cannot run again.
+
+        While the cluster lives, the kernel heap holds the sequencer's
+        next batch cut (kernel → sequencer → ``_on_batch`` → cluster →
+        kernel), and the sequencer holds ``_on_batch`` as its delivery
+        hook.  Dropping the pending events and the hook leaves the
+        cluster acyclic, so reference counting frees it as soon as its
+        owner lets go instead of at the next full collection, which the
+        kernel's dispatch loops hold off (see :mod:`repro.sim.kernel`).
+        Inspection (fingerprints, metrics, placement) still works.
+        """
+        self.kernel.clear()
+        self.sequencer.deliver = None
+
     def state_fingerprint(self) -> int:
         """Order-independent hash of all record versions and values."""
         return state_fingerprint([node.store for node in self.nodes])

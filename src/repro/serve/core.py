@@ -239,7 +239,11 @@ class ServeCore:
         return used
 
     def finish(self) -> ServeReport:
-        """Drain, seal the journal with the footer, and report."""
+        """Drain, seal the journal with the footer, and report.
+
+        The drained cluster is closed (:meth:`Cluster.close`): it stays
+        readable, and reference counting frees it with this core.
+        """
         self.drain()
         self._finished = True
         cluster = self.cluster
@@ -260,6 +264,7 @@ class ServeCore:
                 "active_nodes": list(cluster.view.active_nodes),
             },
         )
+        cluster.close()
         if self.journal is not None:
             self.journal.footer(
                 ticks=self.ticks,

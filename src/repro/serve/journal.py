@@ -127,7 +127,12 @@ class Journal:
 
 
 def read_journal(path: str) -> Journal:
-    """Parse a journal file, validating record order and version."""
+    """Parse a journal file, validating record order and version.
+
+    Every defect — a torn or malformed line, a record out of order, a
+    tick number that does not continue ``0, 1, 2, ...`` — raises
+    :class:`ConfigurationError` naming ``path:line``.
+    """
     config: Mapping | None = None
     ticks: list[TickRecord] = []
     footer: Mapping | None = None
@@ -136,7 +141,16 @@ def read_journal(path: str) -> Journal:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"{path}:{line_no}: malformed record ({exc.msg})"
+                ) from None
+            if not isinstance(record, dict):
+                raise ConfigurationError(
+                    f"{path}:{line_no}: record is not a JSON object"
+                )
             kind = record.get("kind")
             if kind == "header":
                 if config is not None:
@@ -153,6 +167,11 @@ def read_journal(path: str) -> Journal:
                 if config is None:
                     raise ConfigurationError(
                         f"{path}:{line_no}: tick before header"
+                    )
+                if record.get("tick") != len(ticks):
+                    raise ConfigurationError(
+                        f"{path}:{line_no}: tick {record.get('tick')!r} "
+                        f"out of sequence, expected {len(ticks)}"
                     )
                 ticks.append(TickRecord(
                     tick=record["tick"],

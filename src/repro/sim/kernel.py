@@ -31,10 +31,22 @@ entry dead and it is skipped (and its callback reference dropped) when
 it reaches the top of the heap, so retry timeouts and fault windows no
 longer cost a dispatch when they are disarmed.  When dead entries pile
 up faster than they surface, the heap is compacted in place.
+
+Collector pause
+---------------
+``run`` and ``run_until`` switch CPython's cyclic garbage collector off
+for the length of the dispatch loop and back on when it exits (only if
+it was on).  The hot path allocates runtimes, tuples and closures by
+the hundred thousand, and those allocations used to set off collector
+passes (the full ones scanning every live object) that found nothing:
+the event loop creates no reference cycles, and
+``tests/sim/test_collector.py`` holds it to that.  Reference counting
+frees everything the loop drops.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from typing import Any, Callable, Generator
@@ -351,6 +363,8 @@ class Kernel:
         fold = None if digest is None or digest.record else digest.fold
         block_mask = self._DIGEST_BLOCK_MASK
         processed = 0
+        collector_on = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if runq and (not heap or runq[0] < heap[0]):
@@ -388,6 +402,8 @@ class Kernel:
                 fn(*args)
             self.now = max(self.now, t_end)
         finally:
+            if collector_on:
+                gc.enable()
             self.events_processed += processed
             self._running = False
             if digest is not None:
@@ -405,6 +421,8 @@ class Kernel:
         fold = None if digest is None or digest.record else digest.fold
         block_mask = self._DIGEST_BLOCK_MASK
         processed = 0
+        collector_on = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if runq and (not heap or runq[0] < heap[0]):
@@ -435,6 +453,8 @@ class Kernel:
                         digest.fold_block()
                 fn(*args)
         finally:
+            if collector_on:
+                gc.enable()
             self.events_processed += processed
             self._running = False
             if digest is not None:
@@ -443,3 +463,17 @@ class Kernel:
     def pending(self) -> int:
         """Number of live events still queued (cancelled timers excluded)."""
         return len(self._runq) + len(self._heap) - self._dead
+
+    def clear(self) -> None:
+        """Drop every pending event without running it.
+
+        A queued entry holds a client of the kernel (a timer handle, a
+        process step, the sequencer's next cut) and that client holds
+        the kernel, so a kernel with anything pending sits in reference
+        cycles.  Clearing the queues is what lets a finished owner be
+        freed by reference counting (see
+        :meth:`repro.engine.cluster.Cluster.close`).
+        """
+        self._runq.clear()
+        self._heap.clear()
+        self._dead = 0

@@ -89,6 +89,36 @@ class TestReader:
         with pytest.raises(ConfigurationError, match="unknown record"):
             read_journal(str(path))
 
+    # A run killed mid-write leaves a torn last line; a stray edit can
+    # leave a line that parses but is not a record.  Either must name
+    # the file and line instead of escaping as a raw decoder error.
+    @pytest.mark.parametrize(
+        "tail", ['{"kind": "tick", "ti', "[1, 2]\n"],
+        ids=["torn", "not-an-object"],
+    )
+    def test_malformed_line_rejected_with_location(self, tmp_path, tail):
+        path = write_small(tmp_path / "j.jsonl", footer=False)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(tail)
+        with pytest.raises(ConfigurationError, match=r"j\.jsonl:4: "):
+            read_journal(path)
+
+    @pytest.mark.parametrize(
+        "numbers", [(0, 2), (1,), (0, 0)], ids=["gap", "late-start", "repeat"]
+    )
+    def test_tick_gap_rejected(self, tmp_path, numbers):
+        path = tmp_path / "j.jsonl"
+        with JournalWriter(str(path)) as journal:
+            journal.header({})
+            for number in numbers:
+                journal.tick(number, [])
+        line_no = len(numbers) + 1
+        with pytest.raises(
+            ConfigurationError,
+            match=rf":{line_no}: tick {numbers[-1]} out of sequence",
+        ):
+            read_journal(str(path))
+
     # Version 1 footers carry the pre-numeric digest encoding: they must
     # be refused up front, not fail verification mysteriously later.
     @pytest.mark.parametrize("version", [1, 99])

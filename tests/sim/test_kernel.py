@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -261,3 +263,85 @@ class TestFastPath:
             key=lambda i: ((i * 37) % 50 + 1, i),
         )
         assert fired == expected
+
+    def test_clear_drops_pending_events(self):
+        kernel = Kernel()
+        fired = []
+        kernel.call_later(10, fired.append, "timer")
+        kernel.call_later(20, fired.append, "cancelled").cancel()
+        kernel.call_later_unhandled(5, fired.append, "raw")
+        kernel.call_soon(fired.append, "soon")
+        kernel.clear()
+        assert kernel.pending() == 0
+        kernel.run()
+        assert fired == []
+
+
+def run_leg(kernel, leg):
+    if leg == "run":
+        kernel.run()
+    else:
+        kernel.run_until(1_000)
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the caller's collector setting whatever a test does."""
+    was_on = gc.isenabled()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("collector_state")
+@pytest.mark.parametrize("leg", ["run", "run_until"])
+class TestCollectorPause:
+    """The dispatch loops pause automatic collection and restore it."""
+
+    def test_off_inside_callbacks_and_back_on_after(self, leg):
+        gc.enable()
+        kernel = Kernel()
+        seen = []
+        kernel.call_later(10, lambda: seen.append(gc.isenabled()))
+        kernel.call_soon(lambda: seen.append(gc.isenabled()))
+        run_leg(kernel, leg)
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_off(self, leg):
+        gc.disable()
+        kernel = Kernel()
+        kernel.call_later(10, lambda: None)
+        run_leg(kernel, leg)
+        assert not gc.isenabled()
+
+    def test_restored_when_a_callback_raises(self, leg):
+        gc.enable()
+        kernel = Kernel()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        kernel.call_later(10, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_leg(kernel, leg)
+        assert gc.isenabled()
+
+    def test_nested_kernel_leaves_outer_pause_alone(self, leg):
+        # The failover/replication shape: a callback of one kernel runs
+        # another kernel to completion.
+        gc.enable()
+        outer, inner = Kernel(), Kernel()
+        seen = []
+        inner.call_later(5, lambda: seen.append(("inner", gc.isenabled())))
+
+        def run_inner():
+            run_leg(inner, leg)
+            seen.append(("outer after inner", gc.isenabled()))
+
+        outer.call_later(10, run_inner)
+        run_leg(outer, leg)
+        assert seen == [("inner", False), ("outer after inner", False)]
+        assert gc.isenabled()
