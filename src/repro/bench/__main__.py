@@ -9,7 +9,8 @@ Usage::
     python -m repro.bench scaleout squall hermes-cold-5
 
 Prints the same tables/series the benchmarks assert on, without pytest —
-handy for exploring parameters interactively.
+handy for exploring parameters interactively.  A flag left unset runs
+the kind's own default (the operating point the figures use).
 """
 
 from __future__ import annotations
@@ -34,25 +35,23 @@ def main(argv: list[str] | None = None) -> int:
 
     google = sub.add_parser("google", help="Google-trace YCSB comparison")
     google.add_argument("strategies", nargs="+")
-    google.add_argument("--duration", type=float, default=5.0)
-    google.add_argument("--rate-scale", type=float, default=3_500.0)
+    google.add_argument("--rate-scale", type=float, default=None)
     google.add_argument("--latency", action="store_true",
                         help="also print the Figure 7 latency breakdown")
 
     tpcc = sub.add_parser("tpcc", help="TPC-C hot-spot comparison")
     tpcc.add_argument("strategies", nargs="+")
     tpcc.add_argument("--hot", type=float, default=0.9)
-    tpcc.add_argument("--duration", type=float, default=4.0)
 
     multi = sub.add_parser("multitenant", help="moving hot-spot comparison")
     multi.add_argument("strategies", nargs="+")
-    multi.add_argument("--duration", type=float, default=8.0)
 
     scale = sub.add_parser("scaleout", help="Figure 14 scale-out variants")
     scale.add_argument("variants", nargs="+")
-    scale.add_argument("--duration", type=float, default=16.0)
 
     for cmd in (google, tpcc, multi, scale):
+        cmd.add_argument("--duration", type=float, default=None,
+                         help="simulated seconds (default: the kind's)")
         cmd.add_argument(
             "--jobs", type=int, default=None, metavar="N",
             help="fan runs out over N worker processes "
@@ -72,7 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         results = run_experiment(ExperimentSpec(
             kind="google", strategies=tuple(args.strategies),
             duration_s=args.duration, jobs=args.jobs,
-            params={"rate_scale": args.rate_scale},
+            params=(
+                {} if args.rate_scale is None
+                else {"rate_scale": args.rate_scale}
+            ),
         ))
         print(format_table(results, "Google-trace YCSB"))
         print(format_series(results))

@@ -35,10 +35,10 @@ from repro.baselines.squall import SquallExecutor
 from repro.bench.harness import ExperimentResult, run_google_ycsb, run_workload
 from repro.bench.presets import (
     GOOGLE_BENCH,
+    GOOGLE_RATE_SCALE,
     SCALE_PROFILES,
     ScaleProfile,
     bench_cluster_config,
-    bench_fusion_config,
     bench_scale,
 )
 from repro.bench.specs import StrategySpec, make_strategy
@@ -75,14 +75,22 @@ from repro.replication import (
     ReplicationRouter,
 )
 from repro.storage.partitioning import Partitioner, make_uniform_ranges
+from repro.workloads import hotrange
 from repro.workloads.google_trace import SyntheticGoogleTrace
 from repro.workloads.multitenant import (
     MultiTenantConfig,
     MultiTenantWorkload,
     perfect_partitioner,
 )
-from repro.workloads.tpcc import TPCCConfig, TPCCWorkload, tpcc_partitioner
-from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
+from repro.workloads.tpcc import (
+    CUSTOMERS_PER_DISTRICT,
+    DISTRICTS_PER_WAREHOUSE,
+    ITEMS,
+    TPCCConfig,
+    TPCCWorkload,
+    tpcc_partitioner,
+)
+from repro.workloads.ycsb import RECORD_BYTES, GoogleYCSBWorkload, YCSBConfig
 
 
 # ----------------------------------------------------------------------
@@ -137,10 +145,9 @@ def google_spec(name: str, num_keys: int) -> StrategySpec:
     """Strategy spec with Google-bench sizing for the fusion/clay knobs."""
     return make_strategy(
         name,
-        fusion=bench_fusion_config(capacity=max(200, num_keys // 20)),
+        fusion=FusionConfig(capacity=max(200, num_keys // 20)),
         clay_clump_records=max(50, num_keys // 80),
         clay_monitor_interval_us=2_000_000.0,
-        clay_imbalance_tolerance=0.25,
     )
 
 
@@ -259,7 +266,7 @@ def run_google(
     *,
     num_nodes: int | None = None,
     num_keys: int | None = None,
-    rate_scale: float = 4_500.0,
+    rate_scale: float = GOOGLE_RATE_SCALE,
     ycsb_overrides: dict | None = None,
     schism_periods: dict[str, tuple[float, float]] | None = None,
 ) -> ExperimentResult:
@@ -385,10 +392,9 @@ def _forecast_spec(
         name=variant,
         make_router=make_router,
         make_overlay=lambda: FusionTable(
-            bench_fusion_config(capacity=max(200, num_keys // 20))
+            FusionConfig(capacity=max(200, num_keys // 20))
         ),
         attach=attach,
-        notes="forecast-driven prescient routing",
     )
 
 
@@ -400,7 +406,7 @@ def run_forecast(
     forecaster: str = "oracle",
     num_nodes: int | None = None,
     num_keys: int | None = None,
-    rate_scale: float = 4_500.0,
+    rate_scale: float = GOOGLE_RATE_SCALE,
     detector: dict | None = None,
 ) -> ExperimentResult:
     """One robustness-curve point: variant × forecast-error level.
@@ -525,7 +531,6 @@ def _replication_spec(
         name=variant,
         make_router=make_router,
         attach=attach,
-        notes="forecast-provisioned read replicas over prescient routing",
     )
 
 
@@ -535,7 +540,7 @@ def run_replication(
     *,
     num_nodes: int | None = None,
     num_keys: int | None = None,
-    rate_scale: float = 4_500.0,
+    rate_scale: float = GOOGLE_RATE_SCALE,
     ycsb_overrides: dict | None = None,
     schism_periods: dict[str, tuple[float, float]] | None = None,
     forecaster: str = "oracle",
@@ -572,7 +577,6 @@ def run_replication(
         before_run=cluster_holder.append,
     )
     (cluster,) = cluster_holder
-    record_bytes = ycsb_config.record_bytes
     migration_records = sum(
         node.records_migrated_in for node in cluster.nodes
     )
@@ -580,18 +584,13 @@ def run_replication(
         node.records_replicated_in for node in cluster.nodes
     )
     result.extras["migration_records"] = migration_records
-    result.extras["migration_bytes"] = migration_records * record_bytes
+    result.extras["migration_bytes"] = migration_records * RECORD_BYTES
     result.extras["replication_records"] = replication_records
-    result.extras["replication_bytes"] = replication_records * record_bytes
+    result.extras["replication_bytes"] = replication_records * RECORD_BYTES
     result.extras["replica_reads"] = cluster.metrics.replica_reads
     result.extras["cloned_reads"] = cluster.metrics.cloned_reads
     result.extras["forecaster"] = forecaster
     return result
-
-
-#: Cluster size the straggler × clone scenario is written for: hot
-#: range at node 0, consumer localities at 1 and 2, reader at 3.
-_STRAGGLER_CLONE_NODES = 4
 
 
 def run_straggler_clone(
@@ -630,14 +629,11 @@ def run_straggler_clone(
     extras so callers can assert cloning changed the tail and never the
     state, must be identical across the pair.
     """
-    from repro.workloads.hotrange import HotRangeConfig, HotRangeWorkload
-
     duration_us = _duration_us(spec, 2.5)
     seed = spec.seed
     warm_until_us = duration_us * 0.4
-    hotrange_config = HotRangeConfig(
+    hotrange_config = hotrange.HotRangeConfig(
         num_keys=num_keys,
-        num_nodes=_STRAGGLER_CLONE_NODES,
         hot_records=hot_records,
         warm_until_us=warm_until_us,
     )
@@ -646,7 +642,7 @@ def run_straggler_clone(
     # must provision identically for the fingerprint-parity check.
     params.setdefault("range_records", hot_records)
     params.setdefault("fanout", 2)
-    cluster_config = bench_cluster_config(_STRAGGLER_CLONE_NODES)
+    cluster_config = bench_cluster_config(hotrange.NUM_NODES)
     warm_epochs = warm_until_us / cluster_config.engine.epoch_us
     params.setdefault(
         "provision_interval", max(1, int(warm_epochs * 0.8))
@@ -654,7 +650,7 @@ def run_straggler_clone(
     params.setdefault("routing", {"balance": False})
     strategy = _replication_spec(
         name,
-        num_nodes=_STRAGGLER_CLONE_NODES,
+        num_nodes=hotrange.NUM_NODES,
         num_keys=num_keys,
         forecaster_name="oracle",
         seed=seed,
@@ -662,7 +658,7 @@ def run_straggler_clone(
     )
 
     cluster_holder: list[Cluster] = []
-    straggler_node = hotrange_config.consumer_nodes[0]
+    straggler_node = hotrange.CONSUMER_NODES[0]
 
     def before_run(cluster: Cluster) -> None:
         cluster_holder.append(cluster)
@@ -682,9 +678,9 @@ def run_straggler_clone(
         strategy,
         cluster_config=cluster_config,
         partitioner_factory=lambda: make_uniform_ranges(
-            num_keys, _STRAGGLER_CLONE_NODES
+            num_keys, hotrange.NUM_NODES
         ),
-        workload_factory=lambda rng: HotRangeWorkload(
+        workload_factory=lambda rng: hotrange.HotRangeWorkload(
             hotrange_config, rng
         ),
         keys=range(num_keys),
@@ -744,11 +740,11 @@ def run_tpcc(
         # TPC-C keys are tuples; Clay's range clumps need an integer
         # keyspace, so Clay migrates whole warehouses: clump id ==
         # warehouse id, realized as warehouse-range reassignment.
-        strategy = _clay_tpcc_spec(tpcc_config, clay_monitor_interval_us)
+        strategy = _clay_tpcc_spec(clay_monitor_interval_us)
     else:
         strategy = make_strategy(
             name,
-            fusion=bench_fusion_config(capacity=4_000),
+            fusion=FusionConfig(capacity=4_000),
             clay_monitor_interval_us=clay_monitor_interval_us,
         )
     return run_workload(
@@ -766,9 +762,7 @@ def run_tpcc(
     )
 
 
-def _clay_tpcc_spec(
-    tpcc_config: TPCCConfig, monitor_interval_us: float = 1_500_000.0
-) -> StrategySpec:
+def _clay_tpcc_spec(monitor_interval_us: float) -> StrategySpec:
     """Clay over TPC-C: clumps are warehouses, moved via the warehouse
     range map inside the KeyedPartitioner."""
     from repro.baselines.clay import ClayController, ClayRouter
@@ -785,11 +779,11 @@ def _clay_tpcc_spec(
 
         def clump_keys(self, clump: int):
             keys = [("wh", clump)]
-            for d in range(tpcc_config.districts_per_warehouse):
+            for d in range(DISTRICTS_PER_WAREHOUSE):
                 keys.append(("dist", clump, d))
-                for c in range(tpcc_config.customers_per_district):
+                for c in range(CUSTOMERS_PER_DISTRICT):
                     keys.append(("cust", clump, d, c))
-            for item in range(tpcc_config.items):
+            for item in range(ITEMS):
                 keys.append(("stock", clump, item))
             return tuple(keys)
 
@@ -819,7 +813,6 @@ def _clay_tpcc_spec(
         name="clay",
         make_router=make_router,
         attach=attach,
-        notes="clay with warehouse-granularity clumps",
     )
 
 
@@ -865,7 +858,7 @@ def run_multitenant(
     duration_us = _duration_us(spec, profile.duration_s if profile else 8.0)
     strategy = make_strategy(
         name,
-        fusion=bench_fusion_config(capacity=wl_config.num_keys // 20),
+        fusion=FusionConfig(capacity=wl_config.num_keys // 20),
         clay_clump_records=max(50, wl_config.records_per_tenant // 5),
         clay_monitor_interval_us=1_000_000.0,
     )

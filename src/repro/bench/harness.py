@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.bench.presets import bench_trace_config
+from repro.bench.presets import GOOGLE_RATE_SCALE, bench_trace_config
 from repro.bench.specs import StrategySpec
 from repro.common.config import ClusterConfig
 from repro.common.rng import DeterministicRNG
@@ -84,12 +84,10 @@ def run_workload(
     drain: bool = True,
     mode: str = "closed",
     clients: int = 200,
-    think_us: float = 0.0,
     rate_per_s: float | Callable[[float], float] = 10_000.0,
     stats_window_us: float = 1_000_000.0,
     active_nodes: Iterable[int] | None = None,
     before_run: Callable[[Cluster], None] | None = None,
-    validate_plans: bool = False,
     keep_cluster: bool = False,
     trace: Tracer | None = None,
     rng_label: str | None = None,
@@ -131,7 +129,6 @@ def run_workload(
         overlay=spec.build_overlay(),
         active_nodes=active_nodes,
         stats_window_us=stats_window_us,
-        validate_plans=validate_plans,
         tracer=trace,
     )
     cluster.metrics.registry.common_labels["strategy"] = spec.name
@@ -139,13 +136,9 @@ def run_workload(
 
     if keys is None:
         keys = workload.all_keys()
-    record_bytes = getattr(
-        getattr(workload, "config", None), "record_bytes", 0
-    )
-    record_bytes = getattr(
-        getattr(workload, "profile", None), "record_bytes", record_bytes
-    )
-    cluster.load_data(keys, record_bytes=int(record_bytes or 0))
+    # Loaded records take the size the workload's transactions ship; a
+    # workload that declares none loads untracked (0-byte) records.
+    cluster.load_data(keys, record_bytes=getattr(workload, "record_bytes", 0))
 
     attached = spec.attach(cluster) if spec.attach is not None else None
     cluster.metrics.warmup_until = warmup_us
@@ -157,8 +150,7 @@ def run_workload(
 
     if mode == "closed":
         driver = ClosedLoopDriver(
-            cluster, workload, num_clients=clients,
-            stop_us=duration_us, think_us=think_us,
+            cluster, workload, num_clients=clients, stop_us=duration_us
         )
     elif mode == "open":
         driver = OpenLoopDriver(
@@ -223,7 +215,7 @@ def run_google_ycsb(
     *,
     cluster_config: ClusterConfig,
     duration_us: float,
-    rate_scale: float = 4_500.0,
+    rate_scale: float = GOOGLE_RATE_SCALE,
     seed: int = 7,
     warmup_us: float | None = None,
     stats_window_us: float | None = None,

@@ -27,7 +27,6 @@ from repro.common.config import (
     ClusterConfig,
     CostModel,
     EngineConfig,
-    FusionConfig,
 )
 from repro.workloads.google_trace import GoogleTraceConfig
 
@@ -79,11 +78,6 @@ def bench_cluster_config(
     )
 
 
-def bench_fusion_config(capacity: int = 2_000) -> FusionConfig:
-    """Default fusion-table sizing (~5 % of the default bench keyspace)."""
-    return FusionConfig(capacity=capacity)
-
-
 def bench_trace_config(
     num_machines: int, duration_s: float
 ) -> GoogleTraceConfig:
@@ -101,6 +95,10 @@ def bench_trace_config(
         shifts_per_machine=max(1.0, 1.0 * per_minute),
     )
 
+
+#: Offered Google-YCSB transactions per second per unit of trace load:
+#: the open-loop rate is the trace's total-load envelope times this.
+GOOGLE_RATE_SCALE = 4_500.0
 
 #: Downscaled Google-YCSB defaults used by Figures 2 and 6-10.
 GOOGLE_BENCH = {

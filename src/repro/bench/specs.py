@@ -16,7 +16,7 @@ partitioner, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.baselines.calvin import CalvinRouter
@@ -43,8 +43,6 @@ class StrategySpec:
     make_router: Callable[[], Router]
     make_overlay: Callable[[], KeyOverlay] | None = None
     attach: Callable[["Cluster"], object] | None = None
-    notes: str = ""
-    extras: dict = field(default_factory=dict)
 
     def build_overlay(self) -> KeyOverlay | None:
         if self.make_overlay is None:
@@ -56,35 +54,29 @@ def make_strategy(
     name: str,
     *,
     fusion: FusionConfig | None = None,
-    routing: RoutingConfig | None = None,
     clay_clump_records: int = 500,
     clay_monitor_interval_us: float = 30_000_000.0,
-    clay_imbalance_tolerance: float = 0.25,
 ) -> StrategySpec:
     """Build the spec for one of the paper's systems by name."""
     if name == "calvin":
         return StrategySpec(
             name="calvin",
             make_router=CalvinRouter,
-            notes="vanilla multi-master over static partitions",
         )
     if name == "gstore":
         return StrategySpec(
             name="gstore",
             make_router=GStoreRouter,
-            notes="look-present grouping; pull then push back",
         )
     if name == "leap":
         return StrategySpec(
             name="leap",
             make_router=LeapRouter,
-            notes="look-present fusion; no balancing, unbounded overlay",
         )
     if name == "tpart":
         return StrategySpec(
             name="tpart",
-            make_router=lambda: TPartRouter(routing),
-            notes="routing-only with forward pushing; batch-end writeback",
+            make_router=TPartRouter,
         )
     if name == "clay":
         router_holder: list[ClayRouter] = []
@@ -101,7 +93,6 @@ def make_strategy(
                 router_holder[-1],
                 executor,
                 monitor_interval_us=clay_monitor_interval_us,
-                imbalance_tolerance=clay_imbalance_tolerance,
             )
             controller.start()
             return controller
@@ -110,28 +101,17 @@ def make_strategy(
             name="clay",
             make_router=make_router,
             attach=attach,
-            notes="look-back clump re-partitioning via Squall",
         )
     if name in ("hermes", "hermes-noreorder", "hermes-nobalance"):
-        base = routing if routing is not None else RoutingConfig()
-        if name == "hermes-noreorder":
-            config = RoutingConfig(
-                alpha=base.alpha, reorder=False, balance=base.balance,
-                max_delta=base.max_delta,
-            )
-        elif name == "hermes-nobalance":
-            config = RoutingConfig(
-                alpha=base.alpha, reorder=base.reorder, balance=False,
-                max_delta=base.max_delta,
-            )
-        else:
-            config = base
+        config = RoutingConfig(
+            reorder=name != "hermes-noreorder",
+            balance=name != "hermes-nobalance",
+        )
         fusion_config = fusion if fusion is not None else FusionConfig()
         return StrategySpec(
             name=name,
             make_router=lambda: PrescientRouter(config),
             make_overlay=lambda: FusionTable(fusion_config),
-            notes="prescient routing + bounded fusion table",
         )
     raise ConfigurationError(f"unknown strategy {name!r}")
 

@@ -93,14 +93,13 @@ class RetryPolicy:
     (0-based) waits ``timeout_us * RETRY_BACKOFF ** n`` before re-sending;
     after ``max_attempts`` sends the message is declared undeliverable
     and :class:`repro.common.errors.TimeoutExceeded` is raised.  The
-    defaults tolerate partitions of several simulated seconds while
-    adding nothing to fault-free runs (the first send already succeeds).
+    engine's schedule is :data:`repro.engine.executor.RETRY_POLICY`.
     """
 
-    timeout_us: float = 2_000.0
-    """Wait before the first retry (well above one network round trip)."""
+    timeout_us: float
+    """Wait before the first retry."""
 
-    max_attempts: int = 12
+    max_attempts: int
     """Total sends (first attempt included) before giving up."""
 
     def __post_init__(self) -> None:
@@ -126,16 +125,10 @@ class RoutingConfig:
     alpha: float = 0.0
     reorder: bool = True
     balance: bool = True
-    max_delta: int = 64
-    """Upper bound on the remote-edge relaxation δ before giving up; the
-    trivial even-spread plan is always feasible, so in practice δ stays
-    small, but a bound keeps the worst case finite."""
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise ConfigurationError("alpha must be >= 0")
-        if self.max_delta < 1:
-            raise ConfigurationError("max_delta must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,8 +189,6 @@ class ClusterConfig:
     num_nodes: int = 4
     engine: EngineConfig = field(default_factory=EngineConfig)
     costs: CostModel = field(default_factory=CostModel)
-    routing: RoutingConfig = field(default_factory=RoutingConfig)
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     store_backend: str = "dict"
     """Per-node record-store backend (:data:`repro.storage.store.

@@ -54,6 +54,12 @@ from repro.core.router import (
     split_system_txns,
 )
 
+#: Upper bound on the remote-edge relaxation δ of Algorithm 1's
+#: balancing phase before it gives up; the trivial even-spread plan is
+#: always feasible, so in practice δ stays small, but a bound keeps the
+#: worst case finite.
+MAX_DELTA = 64
+
 
 class _TxnState:
     """Planning-time bookkeeping for one transaction."""
@@ -323,7 +329,7 @@ class PrescientRouter(Router):
         overloaded = {node for node, load in loads.items() if load > theta}
         underloaded = {node for node, load in loads.items() if load < theta}
         delta = 1
-        while overloaded and underloaded and delta <= self.config.max_delta:
+        while overloaded and underloaded and delta <= MAX_DELTA:
             moved_any = False
             for pos in range(b - 1, -1, -1):
                 index, master = order[pos]

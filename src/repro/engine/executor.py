@@ -30,6 +30,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
+from repro.common.config import RetryPolicy
 from repro.common.types import Key, NodeId, TxnKind
 from repro.core.plan import TxnPlan
 from repro.engine.locks import LockMode
@@ -41,6 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Fixed size of a control message without record payload.
 CONTROL_BYTES = 64
+
+#: Retry schedule of every record shipment (remote read, write-back,
+#: eviction).  The first timeout sits well above one network round trip,
+#: and twelve doubling attempts ride out partitions of several simulated
+#: seconds while adding nothing to fault-free runs.
+RETRY_POLICY = RetryPolicy(timeout_us=2_000.0, max_attempts=12)
 
 # Release stages, in increasing precedence: a key involved in several
 # actions releases at the latest-stage action.
@@ -472,7 +479,6 @@ class TxnRuntime:
             record_bytes = txn.profile.record_bytes
             payload = CONTROL_BYTES + record_bytes * len(keys)
             send_reliable = cluster.network.send_reliable
-            retry = cluster.config.retry
             metrics = cluster.metrics
             coordinator = self.coordinator
             for master in masters:
@@ -484,7 +490,7 @@ class TxnRuntime:
                     master,
                     payload,
                     self._make_delivery(master, loc, shipped, values),
-                    retry,
+                    RETRY_POLICY,
                     describe=f"remote read txn {txn.txn_id}",
                 )
                 metrics.remote_reads += len(keys)
@@ -760,7 +766,7 @@ class TxnRuntime:
                 dst,
                 payload,
                 self._make_writeback_install(dst, records),
-                cluster.config.retry,
+                RETRY_POLICY,
                 describe=f"writeback txn {self.txn.txn_id}",
             )
             cluster.metrics.writebacks += len(moves)
@@ -848,7 +854,7 @@ class TxnRuntime:
                 dst,
                 payload,
                 arrived,
-                cluster.config.retry,
+                RETRY_POLICY,
                 describe=f"eviction txn {self.txn.txn_id}",
             )
             cluster.metrics.evictions += len(moves)

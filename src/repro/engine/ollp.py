@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.types import ExecutionProfile, Key, Transaction
+from repro.common.types import Key, Transaction
 from repro.engine.cluster import Cluster
 
 ValueReader = Callable[[Key], int]
@@ -42,7 +42,6 @@ class DependentTxnSpec:
 
     dependency_keys: frozenset
     compute: Callable[[ValueReader], Footprint]
-    profile: ExecutionProfile = ExecutionProfile()
 
     def __post_init__(self) -> None:
         if not self.dependency_keys:
@@ -126,7 +125,6 @@ class OLLP:
             read_set=reads,
             write_set=writes,
             arrival_time=self.cluster.kernel.now,
-            profile=spec.profile,
             validator=validator,
             payload=spec,
         )

@@ -60,6 +60,16 @@ from repro.workloads.streaming import stream_schedule
 from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
 
 
+#: Mean exponential inter-arrival gap of the open-loop schedule.
+MEAN_GAP_US = 500.0
+
+#: Length of the Google trace that shapes the schedule's partitions.
+TRACE_DURATION_S = 30.0
+
+#: Drain budget per run — generous next to the retry horizon.
+MAX_TIME_US = 120_000_000.0
+
+
 @dataclass(frozen=True, slots=True)
 class ChaosConfig:
     """Shape of one chaos experiment (sized for fast CI by default)."""
@@ -67,17 +77,11 @@ class ChaosConfig:
     num_nodes: int = 4
     num_keys: int = 4_000
     num_txns: int = 400
-    mean_gap_us: float = 500.0
-    """Mean exponential inter-arrival gap of the open-loop schedule."""
-
-    trace_duration_s: float = 30.0
-    max_time_us: float = 120_000_000.0
-    """Drain budget per run — generous next to the retry horizon."""
 
     @property
     def horizon_us(self) -> float:
         """Nominal span of the arrival schedule (fault-placement window)."""
-        return self.num_txns * self.mean_gap_us
+        return self.num_txns * MEAN_GAP_US
 
 
 #: The mid-migration smoke shape: one disrupted migration, small enough
@@ -154,7 +158,7 @@ def iter_schedule(config: ChaosConfig, seed: int):
     trace = SyntheticGoogleTrace(
         GoogleTraceConfig(
             num_machines=config.num_nodes,
-            duration_s=config.trace_duration_s,
+            duration_s=TRACE_DURATION_S,
         ),
         rng,
     )
@@ -168,7 +172,7 @@ def iter_schedule(config: ChaosConfig, seed: int):
     return stream_schedule(
         workload.make_txn,
         rng.fork("arrivals"),
-        config.mean_gap_us,
+        MEAN_GAP_US,
         config.num_txns,
     )
 
@@ -188,7 +192,7 @@ def make_cluster_builder(config: ChaosConfig) -> Callable[[], Cluster]:
     def build() -> Cluster:
         cluster = Cluster(
             cluster_config,
-            PrescientRouter(cluster_config.routing),
+            PrescientRouter(),
             make_uniform_ranges(config.num_keys, config.num_nodes),
             keep_command_log=True,
         )
@@ -341,14 +345,14 @@ def _run(
 
     crashes = plan.crashes() if plan is not None else []
     if not crashes:
-        cluster.run_until_quiescent(config.max_time_us)
+        cluster.run_until_quiescent(MAX_TIME_US)
         if disruption is not None and cluster.kernel.now < disruption[2]:
             # Quiescence only tracks submitted work: a cluster that
             # drains while cancelled/paused looks idle before the
             # recovery timer (at resume_at_us) fires.  Step past it,
             # then drain the restarted migration.
             cluster.run_until(disruption[2])
-            cluster.run_until_quiescent(config.max_time_us)
+            cluster.run_until_quiescent(MAX_TIME_US)
         # A disruption engaged iff its cancel or pause shows in the
         # migration's lifecycle history.
         engaged = disruption is None or any(
@@ -362,7 +366,7 @@ def _run(
         )
 
     crash_at = crashes[0].at_us
-    if crash_at >= config.max_time_us:
+    if crash_at >= MAX_TIME_US:
         raise FaultInjectionError("crash scheduled after the drain budget")
     cluster.run_until(crash_at)
     engaged_at_crash = not controllers or controllers[0].active
@@ -377,7 +381,7 @@ def _run(
 
     # The execution tier is gone; rebuild from the durable tier.
     recovered = recover_from_crash(
-        build_cluster, durable, max_time_us=config.max_time_us
+        build_cluster, durable, max_time_us=MAX_TIME_US
     )
     replay_end = recovered.kernel.now
     epoch_us = recovered.config.engine.epoch_us
@@ -412,7 +416,7 @@ def _run(
             recovered.kernel.call_at(
                 crash_at + offset, controllers[-1].start, remainder
             )
-    recovered.run_until_quiescent(config.max_time_us + offset)
+    recovered.run_until_quiescent(MAX_TIME_US + offset)
 
     logged: set[TxnId] = set()
     for batch in durable.command_log:

@@ -12,8 +12,8 @@ segmenting the run at the crash instant and recovering through
 ``FaultPlan.random`` draws a bounded random plan from a
 :class:`DeterministicRNG`, so a whole chaos campaign is reproducible from
 one root seed.  Randomized windowed faults are bounded well under the
-default :class:`repro.common.config.RetryPolicy` horizon (~8 simulated
-seconds), so every dropped message is eventually retried through.
+engine's retry horizon (:data:`repro.engine.executor.RETRY_POLICY`, ~8
+simulated seconds), so every dropped message is eventually retried through.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ class FaultPlan:
         """Draw a bounded random plan over ``[0, horizon_us]``.
 
         Windows are capped at ``max_window_us`` (default 1 simulated
-        second), far below the default retry horizon, so partitions and
+        second), far below the engine's retry horizon, so partitions and
         loss bursts always heal before reliable delivery gives up.  The
         plan always contains at least one event.
         """

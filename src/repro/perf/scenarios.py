@@ -20,7 +20,6 @@ from repro.common.config import (
     CostModel,
     EngineConfig,
     FusionConfig,
-    RetryPolicy,
 )
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Batch, Transaction
@@ -29,6 +28,7 @@ from repro.core.prescient import PrescientRouter
 from repro.core.router import ClusterView, OwnershipView
 from repro.baselines.calvin import CalvinRouter
 from repro.engine.cluster import Cluster
+from repro.engine.executor import RETRY_POLICY
 from repro.sim.kernel import Delay, Kernel
 from repro.sim.network import Network
 from repro.storage.partitioning import make_uniform_ranges
@@ -266,7 +266,7 @@ def network_send(scale: float) -> int:
     """
     kernel = Kernel()
     network = Network(kernel, CostModel())
-    policy = RetryPolicy()
+    policy = RETRY_POLICY
     n = max(1, int(40_000 * scale))
     concurrency = 200
     sent = [0]

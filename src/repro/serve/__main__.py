@@ -13,6 +13,7 @@ import asyncio
 import json
 import sys
 
+from repro.common.errors import ConfigurationError
 from repro.serve.core import ServeConfig
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.replayer import verify_journal
@@ -32,26 +33,30 @@ def _parse_resize(text: str) -> tuple[float, str, int]:
 
 
 def _loadgen_parser(sub) -> None:
+    # Defaults are the dataclasses' own, so the CLI cannot drift from them.
+    serve, load = ServeConfig(), LoadgenConfig()
     p = sub.add_parser("loadgen", help="wall-clock load generator")
-    p.add_argument("--duration", type=float, default=12.0,
-                   help="send phase length in seconds (default 12)")
-    p.add_argument("--rate", type=float, default=1_000.0,
+    p.add_argument("--duration", type=float, default=load.duration_s,
+                   help="send phase length in seconds (default %(default)s)")
+    p.add_argument("--rate", type=float, default=load.rate_per_s,
                    help="target open-loop send rate, txn/s")
-    p.add_argument("--connections", type=int, default=4)
-    p.add_argument("--keys", type=int, default=10_000)
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--initial-nodes", type=int, default=None,
+    p.add_argument("--connections", type=int, default=load.connections)
+    p.add_argument("--keys", type=int, default=serve.num_keys)
+    p.add_argument("--nodes", type=int, default=serve.num_nodes)
+    p.add_argument("--initial-nodes", type=int, default=serve.initial_nodes,
                    help="start with only the first K nodes active")
-    p.add_argument("--strategy", default="hermes")
-    p.add_argument("--epoch-us", type=float, default=5_000.0)
-    p.add_argument("--rw-ratio", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--journal", default=None,
+    p.add_argument("--strategy", default=serve.strategy)
+    p.add_argument("--epoch-us", type=float, default=serve.epoch_us)
+    p.add_argument("--rw-ratio", type=float, default=load.rw_ratio)
+    p.add_argument("--seed", type=int, default=load.seed)
+    p.add_argument("--journal", default=load.journal_path,
                    help="record the arrival journal to this path")
-    p.add_argument("--flash-crowd-at", type=float, default=None,
+    p.add_argument("--flash-crowd-at", type=float,
+                   default=load.flash_crowd_at_s,
                    help="start a hot-key storm at this second")
-    p.add_argument("--flash-crowd-s", type=float, default=2.0)
-    p.add_argument("--flash-crowd-mult", type=float, default=4.0)
+    p.add_argument("--flash-crowd-s", type=float, default=load.flash_crowd_s)
+    p.add_argument("--flash-crowd-mult", type=float,
+                   default=load.flash_crowd_multiplier)
     p.add_argument("--resize", type=_parse_resize, action="append",
                    default=[], metavar="AT_S:add|remove:NODE",
                    help="elastic event under load (repeatable)")
@@ -97,7 +102,11 @@ def _cmd_loadgen(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    result = verify_journal(args.journal)
+    try:
+        result = verify_journal(args.journal)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     replayed = result.replayed
     print(
         f"replayed {replayed.ticks} ticks, {replayed.commits} commits, "

@@ -11,6 +11,8 @@ the admitted stream.  Two limits, both deliberately simple:
   whole pipeline (sequencer backlog + dispatched work) — beyond it the
   server sheds and signals backpressure so the front end stops reading
   from its sockets instead of buffering unboundedly.
+
+The serving stack's limits are :data:`repro.serve.driver.SERVE_ADMISSION`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ __all__ = ["AdmissionConfig", "AdmissionController"]
 
 @dataclass(frozen=True, slots=True)
 class AdmissionConfig:
-    max_per_tick: int = 2_000
-    max_inflight: int = 8_000
+    max_per_tick: int
+    max_inflight: int
 
     def __post_init__(self) -> None:
         if self.max_per_tick < 1:
@@ -41,8 +43,8 @@ class AdmissionConfig:
 class AdmissionController:
     """Decides, per arrival, admit vs shed; tracks both counts."""
 
-    def __init__(self, config: AdmissionConfig | None = None) -> None:
-        self.config = config if config is not None else AdmissionConfig()
+    def __init__(self, config: AdmissionConfig) -> None:
+        self.config = config
         self.admitted = 0
         self.shed = 0
         self._tick_count = 0

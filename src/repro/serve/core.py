@@ -32,8 +32,8 @@ history.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.bench.specs import make_strategy
 from repro.common.config import ClusterConfig, EngineConfig
@@ -43,10 +43,20 @@ from repro.engine.cluster import Cluster
 from repro.engine.elastic import ElasticDirector
 from repro.engine.executor import TxnRuntime
 from repro.sanitize.digest import capture_digests
-from repro.serve.journal import JournalWriter
 from repro.storage.partitioning import make_uniform_ranges
 
-__all__ = ["ServeConfig", "ServeCore", "ServeReport"]
+if TYPE_CHECKING:  # pragma: no cover - journal.py imports this module
+    from repro.serve.journal import JournalWriter
+
+__all__ = ["SERVE_ENGINE", "ServeConfig", "ServeCore", "ServeReport"]
+
+#: The serving cluster's engine; :class:`ServeCore` substitutes the
+#: config's ``epoch_us``, because one tick is one sequencer epoch.
+SERVE_ENGINE = EngineConfig(
+    workers_per_node=2,
+    migration_chunk_records=500,
+    migration_chunk_gap_us=2_000.0,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,10 +75,6 @@ class ServeConfig:
     initial_nodes: int | None = None
     strategy: str = "hermes"
     epoch_us: float = 5_000.0
-    workers_per_node: int = 2
-    max_batch_size: int = 1_000
-    migration_chunk_records: int = 500
-    migration_chunk_gap_us: float = 2_000.0
     #: attach an event-stream digest to the kernel (needed for the
     #: byte-identical replay guarantee; costs one hash per event).
     digest: bool = True
@@ -91,22 +97,22 @@ class ServeConfig:
         )
 
     def to_json(self) -> dict:
-        return {
-            "num_keys": self.num_keys,
-            "num_nodes": self.num_nodes,
-            "initial_nodes": self.initial_nodes,
-            "strategy": self.strategy,
-            "epoch_us": self.epoch_us,
-            "workers_per_node": self.workers_per_node,
-            "max_batch_size": self.max_batch_size,
-            "migration_chunk_records": self.migration_chunk_records,
-            "migration_chunk_gap_us": self.migration_chunk_gap_us,
-            "digest": self.digest,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ServeConfig":
-        return cls(**dict(data))
+        """Rebuild the config :meth:`to_json` wrote.
+
+        The key set must match exactly: a :class:`ConfigurationError`
+        names every unknown and every missing key.
+        """
+        names = {f.name for f in fields(cls)}
+        unknown, missing = sorted(set(data) - names), sorted(names - set(data))
+        if unknown or missing:
+            raise ConfigurationError(
+                f"unknown config keys {unknown}, missing config keys {missing}"
+            )
+        return cls(**data)
 
 
 @dataclass(slots=True)
@@ -140,17 +146,7 @@ class ServeCore:
             self.cluster = Cluster(
                 ClusterConfig(
                     num_nodes=config.num_nodes,
-                    engine=EngineConfig(
-                        epoch_us=config.epoch_us,
-                        workers_per_node=config.workers_per_node,
-                        max_batch_size=config.max_batch_size,
-                        migration_chunk_records=(
-                            config.migration_chunk_records
-                        ),
-                        migration_chunk_gap_us=(
-                            config.migration_chunk_gap_us
-                        ),
-                    ),
+                    engine=replace(SERVE_ENGINE, epoch_us=config.epoch_us),
                 ),
                 spec.make_router(),
                 make_uniform_ranges(config.num_keys, active),

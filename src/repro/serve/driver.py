@@ -27,10 +27,13 @@ import asyncio
 from typing import Callable, Mapping
 
 from repro.engine.executor import TxnRuntime
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.core import ServeCore, ServeReport
 
-__all__ = ["ServeDriver"]
+__all__ = ["SERVE_ADMISSION", "ServeDriver"]
+
+#: The front door's admission limits (:mod:`repro.serve.admission`).
+SERVE_ADMISSION = AdmissionConfig(max_per_tick=2_000, max_inflight=8_000)
 
 
 class ServeDriver:
@@ -44,7 +47,9 @@ class ServeDriver:
     ) -> None:
         self.core = core
         self.admission = (
-            admission if admission is not None else AdmissionController()
+            admission
+            if admission is not None
+            else AdmissionController(SERVE_ADMISSION)
         )
         self.tick_interval_s = (
             tick_interval_s

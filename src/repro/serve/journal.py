@@ -8,7 +8,7 @@ never appear — admission happens ahead of the journal.
 
 Format (one JSON object per line, ``sort_keys`` for byte stability)::
 
-    {"kind": "header", "version": 2, "config": {...}}
+    {"kind": "header", "version": 3, "config": {...}}
     {"kind": "tick", "tick": 0, "requests": [...], "resizes": [...]}
     ...
     {"kind": "footer", "ticks": N, "accepted": A, "commits": C,
@@ -27,12 +27,15 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.serve.core import ServeConfig
 
 __all__ = ["Journal", "JournalWriter", "TickRecord", "read_journal"]
 
 #: Version 2: the footer digest is the block-hashed numeric encoding of
 #: :mod:`repro.sanitize.digest`; a version-1 footer cannot be verified.
-JOURNAL_VERSION = 2
+#: Version 3: the header config is exactly :class:`ServeConfig`'s fields;
+#: a version-2 header also carries four engine settings it no longer has.
+JOURNAL_VERSION = 3
 
 
 def _dumps(record: Mapping) -> str:
@@ -121,7 +124,7 @@ class TickRecord:
 class Journal:
     """A fully parsed journal file."""
 
-    config: Mapping
+    config: ServeConfig
     ticks: tuple[TickRecord, ...]
     footer: Mapping | None = field(default=None)
 
@@ -130,69 +133,82 @@ def read_journal(path: str) -> Journal:
     """Parse a journal file, validating record order and version.
 
     Every defect — a torn or malformed line, a record out of order, a
-    tick number that does not continue ``0, 1, 2, ...`` — raises
+    tick number that does not continue ``0, 1, 2, ...``, a header config
+    that is not exactly :class:`ServeConfig`'s keys, a tick whose
+    requests or resizes are malformed — raises
     :class:`ConfigurationError` naming ``path:line``.
     """
-    config: Mapping | None = None
+    config: ServeConfig | None = None
     ticks: list[TickRecord] = []
     footer: Mapping | None = None
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: malformed record ({exc.msg})"
-                ) from None
-            if not isinstance(record, dict):
-                raise ConfigurationError(
-                    f"{path}:{line_no}: record is not a JSON object"
-                )
-            kind = record.get("kind")
-            if kind == "header":
-                if config is not None:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: duplicate header"
-                    )
-                if record.get("version") != JOURNAL_VERSION:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: unsupported journal "
-                        f"version {record.get('version')!r}"
-                    )
-                config = record["config"]
-            elif kind == "tick":
-                if config is None:
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: tick before header"
-                    )
-                if record.get("tick") != len(ticks):
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: tick {record.get('tick')!r} "
-                        f"out of sequence, expected {len(ticks)}"
-                    )
-                ticks.append(TickRecord(
-                    tick=record["tick"],
-                    requests=tuple(record.get("requests", ())),
-                    resizes=tuple(
-                        (kind_, node)
-                        for kind_, node in record.get("resizes", ())
-                    ),
-                ))
-            elif kind == "footer":
-                footer = {
-                    key: value
-                    for key, value in record.items()
-                    if key != "kind"
-                }
-            else:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: unknown record kind {kind!r}"
-                )
+                record = _parse_record(line)
+                kind = record.get("kind")
+                if kind == "header":
+                    if config is not None:
+                        raise ConfigurationError("duplicate header")
+                    config = _header_config(record)
+                elif kind == "tick":
+                    if config is None:
+                        raise ConfigurationError("tick before header")
+                    ticks.append(_tick_record(record, len(ticks)))
+                elif kind == "footer":
+                    footer = {k: v for k, v in record.items() if k != "kind"}
+                else:
+                    raise ConfigurationError(f"unknown record kind {kind!r}")
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
     if config is None:
         raise ConfigurationError(f"{path}: journal has no header")
-    return Journal(
-        config=config, ticks=tuple(ticks), footer=footer
+    return Journal(config=config, ticks=tuple(ticks), footer=footer)
+
+
+def _parse_record(line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"malformed record ({exc.msg})") from None
+    if not isinstance(record, dict):
+        raise ConfigurationError("record is not a JSON object")
+    return record
+
+
+def _header_config(record: dict) -> ServeConfig:
+    if record.get("version") != JOURNAL_VERSION:
+        raise ConfigurationError(
+            f"unsupported journal version {record.get('version')!r}"
+        )
+    config = record.get("config")
+    if not isinstance(config, dict):
+        raise ConfigurationError("header config is not a JSON object")
+    try:
+        return ServeConfig.from_json(config)
+    except TypeError as exc:  # a value of the wrong type
+        raise ConfigurationError(f"bad header config: {exc}") from None
+
+
+def _tick_record(record: dict, expected: int) -> TickRecord:
+    if record.get("tick") != expected:
+        raise ConfigurationError(
+            f"tick {record.get('tick')!r} out of sequence, "
+            f"expected {expected}"
+        )
+    requests = record.get("requests", [])
+    if not isinstance(requests, list) or not all(
+        isinstance(request, dict) for request in requests
+    ):
+        raise ConfigurationError("requests must be JSON objects")
+    resizes = record.get("resizes", [])
+    if not isinstance(resizes, list) or not all(
+        isinstance(resize, list) and len(resize) == 2 for resize in resizes
+    ):
+        raise ConfigurationError("resizes must be [kind, node] pairs")
+    return TickRecord(
+        tick=expected,
+        requests=tuple(requests),
+        resizes=tuple((kind, node) for kind, node in resizes),
     )

@@ -15,7 +15,7 @@ Scenario knobs:
 
 * ``flash_crowd_at_s`` — a hot-key storm: for ``flash_crowd_s``
   seconds the send rate multiplies and every request lands in the
-  bottom ``hot_span`` keys, exercising admission control and (under
+  bottom :data:`HOT_SPAN` keys, exercising admission control and (under
   prescient strategies) live re-fusion of the hot range.
 * ``resizes`` — elastic events ``(at_s, "add"|"remove", node)``
   applied under load through the journaled resize path.
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
-from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.core import ServeConfig, ServeCore
 from repro.serve.driver import ServeDriver
 from repro.serve.frontend import Frontend
@@ -43,6 +42,9 @@ READS_PER_TXN = 2
 #: How long a client waits for its outstanding replies after sending.
 DRAIN_TIMEOUT_S = 30.0
 
+#: A flash crowd's requests all land in keys ``[0, HOT_SPAN)``.
+HOT_SPAN = 256
+
 
 @dataclass(frozen=True, slots=True)
 class LoadgenConfig:
@@ -53,11 +55,10 @@ class LoadgenConfig:
     rw_ratio: float = 0.2
     seed: int = 7
     #: flash crowd: at this second, rate multiplies and all traffic
-    #: lands in the bottom ``hot_span`` keys.
+    #: lands in the bottom :data:`HOT_SPAN` keys.
     flash_crowd_at_s: float | None = None
     flash_crowd_s: float = 2.0
     flash_crowd_multiplier: float = 4.0
-    hot_span: int = 256
     #: elastic events: (at_s, "add" | "remove", node).
     resizes: tuple[tuple[float, str, int], ...] = ()
     journal_path: str | None = None
@@ -136,7 +137,7 @@ async def _client(
     rng = DeterministicRNG(load_config.seed, "loadgen", conn_id)
     rate = load_config.rate_per_s / load_config.connections
     num_keys = serve_config.num_keys
-    hot_span = min(load_config.hot_span, num_keys)
+    hot_span = min(HOT_SPAN, num_keys)
     outstanding: dict[int, float] = {}
     send_done = asyncio.Event()
 
@@ -223,7 +224,6 @@ async def _client(
 async def run_loadgen(
     serve_config: ServeConfig,
     load_config: LoadgenConfig,
-    admission: AdmissionConfig | None = None,
 ) -> LoadgenReport:
     """Stand up server + clients in-process and measure a full run."""
     journal = (
@@ -232,7 +232,7 @@ async def run_loadgen(
         else None
     )
     core = ServeCore(serve_config, journal=journal)
-    driver = ServeDriver(core, AdmissionController(admission))
+    driver = ServeDriver(core)
     frontend = Frontend(driver)
     host, port = await frontend.start()
     loop = asyncio.get_running_loop()

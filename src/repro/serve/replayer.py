@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.serve.core import ServeConfig, ServeCore, ServeReport
+from repro.serve.core import ServeCore, ServeReport
 from repro.serve.journal import Journal, read_journal
 
 __all__ = ["replay_journal", "verify_journal", "VerifyResult"]
 
 
 def _replay(journal: Journal) -> ServeReport:
-    config = ServeConfig.from_json(journal.config)
-    core = ServeCore(config)
+    core = ServeCore(journal.config)
     for record in journal.ticks:
         core.tick(record.requests, resizes=record.resizes)
     return core.finish()

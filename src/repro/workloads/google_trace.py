@@ -28,9 +28,29 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 
 
+# Figure 1's calibration: the shape of every machine's series, as the
+# module docstring lists it.  Only the spike and shift counts are fields:
+# they scale with the window (:func:`repro.bench.presets.
+# bench_trace_config`).
+
+#: A machine's baseline load is uniform on ``[BASE_LOAD_LO, BASE_LOAD_HI)``.
+BASE_LOAD_LO = 0.15
+BASE_LOAD_HI = 0.55
+#: AR(1) fluctuation around the baseline: coefficient and noise sigma.
+NOISE_PHI = 0.9
+NOISE_SIGMA = 0.06
+#: A spike adds a load uniform on ``[SPIKE_MAGNITUDE_LO,
+#: SPIKE_MAGNITUDE_HI)`` for ``1 + Exp(SPIKE_DURATION_TICKS_MEAN)`` ticks.
+SPIKE_MAGNITUDE_LO = 0.4
+SPIKE_MAGNITUDE_HI = 1.4
+SPIKE_DURATION_TICKS_MEAN = 10.0
+#: Probability a regime shift parks the machine near idle.
+IDLE_SHIFT_PROB = 0.25
+
+
 @dataclass(frozen=True, slots=True)
 class GoogleTraceConfig:
-    """Shape parameters of the synthetic trace."""
+    """Size and event density of the synthetic trace."""
 
     num_machines: int = 20
     duration_s: float = 2160.0
@@ -39,29 +59,17 @@ class GoogleTraceConfig:
     tick_s: float = 15.0
     """Resolution of the load series (the paper plots 15 s windows)."""
 
-    base_load_lo: float = 0.15
-    base_load_hi: float = 0.55
-    noise_phi: float = 0.9
-    noise_sigma: float = 0.06
     spikes_per_machine: float = 12.0
     """Expected episodic spikes per machine over the whole trace."""
 
-    spike_magnitude_lo: float = 0.4
-    spike_magnitude_hi: float = 1.4
-    spike_duration_ticks_mean: float = 10.0
     shifts_per_machine: float = 3.0
     """Expected provisioning regime shifts per machine."""
-
-    idle_shift_prob: float = 0.25
-    """Probability a regime shift parks the machine near idle."""
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
             raise ConfigurationError("need at least one machine")
         if self.duration_s <= 0 or self.tick_s <= 0:
             raise ConfigurationError("duration and tick must be positive")
-        if not 0 <= self.noise_phi < 1:
-            raise ConfigurationError("noise_phi must be in [0, 1)")
 
     @property
     def num_ticks(self) -> int:
@@ -87,24 +95,24 @@ class SyntheticGoogleTrace:
         loads = np.zeros((cfg.num_machines, ticks))
         for machine in range(cfg.num_machines):
             mrng = self._rng.fork("machine", machine)
-            base = mrng.np.uniform(cfg.base_load_lo, cfg.base_load_hi)
+            base = mrng.np.uniform(BASE_LOAD_LO, BASE_LOAD_HI)
 
             # Regime shifts: piecewise-constant baseline.
             baseline = np.full(ticks, base)
             num_shifts = mrng.np.poisson(cfg.shifts_per_machine)
             for _shift in range(num_shifts):
                 at = int(mrng.np.integers(0, ticks))
-                if mrng.np.random() < cfg.idle_shift_prob:
+                if mrng.np.random() < IDLE_SHIFT_PROB:
                     level = 0.03
                 else:
-                    level = mrng.np.uniform(cfg.base_load_lo, cfg.base_load_hi)
+                    level = mrng.np.uniform(BASE_LOAD_LO, BASE_LOAD_HI)
                 baseline[at:] = level
 
             # AR(1) fluctuation around the baseline.
             noise = np.zeros(ticks)
-            eps = mrng.np.normal(0.0, cfg.noise_sigma, size=ticks)
+            eps = mrng.np.normal(0.0, NOISE_SIGMA, size=ticks)
             for t in range(1, ticks):
-                noise[t] = cfg.noise_phi * noise[t - 1] + eps[t]
+                noise[t] = NOISE_PHI * noise[t - 1] + eps[t]
 
             series = baseline + noise
 
@@ -113,10 +121,10 @@ class SyntheticGoogleTrace:
             for _spike in range(num_spikes):
                 at = int(mrng.np.integers(0, ticks))
                 duration = 1 + int(
-                    mrng.np.exponential(cfg.spike_duration_ticks_mean)
+                    mrng.np.exponential(SPIKE_DURATION_TICKS_MEAN)
                 )
                 magnitude = mrng.np.uniform(
-                    cfg.spike_magnitude_lo, cfg.spike_magnitude_hi
+                    SPIKE_MAGNITUDE_LO, SPIKE_MAGNITUDE_HI
                 )
                 series[at : at + duration] += magnitude
 

@@ -37,6 +37,12 @@ from repro.storage.partitioning import (
 )
 from repro.workloads.zipf import ZipfSampler
 
+# Section 5.3.2's transaction: a read-modify-write of two records of one
+# tenant, drawn from a Zipfian with theta 0.9, each record this size.
+RECORDS_PER_TXN = 2
+ZIPF_THETA = 0.9
+RECORD_BYTES = 1024
+
 
 @dataclass(frozen=True, slots=True)
 class MultiTenantConfig:
@@ -47,8 +53,6 @@ class MultiTenantConfig:
     records_per_tenant: int = 2500
     """Scaled from the paper's 2.5 M records per tenant."""
 
-    records_per_txn: int = 2
-    zipf_theta: float = 0.9
     hot_share: float = 0.9
     """Fraction of transactions aimed at the hot node's tenants."""
 
@@ -60,12 +64,11 @@ class MultiTenantConfig:
     hot spot to ``fixed_hot_tenant`` (the Figure 14 scale-out setup)."""
 
     fixed_hot_tenant: int = 0
-    record_bytes: int = 1024
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1 or self.tenants_per_node < 1:
             raise ConfigurationError("need >= 1 node and tenant")
-        if self.records_per_txn > self.records_per_tenant:
+        if RECORDS_PER_TXN > self.records_per_tenant:
             raise ConfigurationError("transaction larger than a tenant")
         if not 0 <= self.hot_share <= 1:
             raise ConfigurationError("hot_share must be in [0,1]")
@@ -95,13 +98,15 @@ class MultiTenantConfig:
 class MultiTenantWorkload:
     """RMW-two-records-in-one-tenant transaction factory."""
 
+    record_bytes = RECORD_BYTES
+
     def __init__(self, config: MultiTenantConfig, rng: DeterministicRNG):
         self.config = config
         self._rng = rng.fork("multitenant")
         self._zipf = ZipfSampler(
-            config.records_per_tenant, config.zipf_theta, self._rng.fork("z")
+            config.records_per_tenant, ZIPF_THETA, self._rng.fork("z")
         )
-        self._profile = ExecutionProfile(record_bytes=config.record_bytes)
+        self._profile = ExecutionProfile(record_bytes=RECORD_BYTES)
         # ``make_txn`` runs once per client request, so the tenant pick is
         # hot; bind the underlying ``random.Random`` draws to skip the
         # wrapper frames (the draw sequence is untouched).
@@ -131,7 +136,7 @@ class MultiTenantWorkload:
         cfg = self.config
         tenant = self._pick_tenant(now_us)
         lo = tenant * cfg.records_per_tenant
-        offsets = self._zipf.sample_distinct(cfg.records_per_txn)
+        offsets = self._zipf.sample_distinct(RECORDS_PER_TXN)
         keys = frozenset([lo + offset for offset in offsets])
         return Transaction(
             txn_id=txn_id,

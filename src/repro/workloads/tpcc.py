@@ -36,6 +36,22 @@ from repro.storage.partitioning import (
     RangePartitioner,
 )
 
+# Section 5.3.1's mix.  New-Order and Payment are 45 % and 43 % of the
+# standard TPC-C mix, so New-Order is 45/88 of the pair; the remote
+# probabilities are the TPC-C specification's.
+NEW_ORDER_RATIO = 0.51
+#: Per-item probability a New-Order line hits a remote warehouse.
+REMOTE_ITEM_PROB = 0.01
+#: Probability Payment pays through a remote warehouse's customer.
+REMOTE_PAYMENT_PROB = 0.15
+
+# The schema's shape per warehouse, scaled down from TPC-C's (key-space
+# size only affects memory): 10 districts, 30 customers per district
+# (from 3000) and 1000 items (from 100k) with one stock row each.
+DISTRICTS_PER_WAREHOUSE = 10
+CUSTOMERS_PER_DISTRICT = 30
+ITEMS = 1000
+
 
 @dataclass(frozen=True, slots=True)
 class TPCCConfig:
@@ -43,25 +59,9 @@ class TPCCConfig:
 
     num_warehouses: int = 400
     num_nodes: int = 20
-    districts_per_warehouse: int = 10
-    customers_per_district: int = 30
-    """Scaled from TPC-C's 3000 (key-space size only affects memory)."""
-
-    items: int = 1000
-    """Scaled from 100k; stock rows exist per (warehouse, item)."""
-
     hot_fraction: float = 0.0
     """Fraction of requests concentrated on the first node's warehouses
     (the paper's 50 %/80 %/90 % settings; 0 = the Normal workload)."""
-
-    remote_item_prob: float = 0.01
-    """Per-item probability a New-Order line hits a remote warehouse."""
-
-    remote_payment_prob: float = 0.15
-    """Probability Payment pays through a remote warehouse's customer."""
-
-    new_order_ratio: float = 0.51
-    record_bytes: int = 512
 
     def __post_init__(self) -> None:
         if self.num_warehouses < self.num_nodes:
@@ -70,11 +70,8 @@ class TPCCConfig:
             raise ConfigurationError(
                 "num_warehouses must divide evenly across nodes"
             )
-        for name in ("hot_fraction", "remote_item_prob",
-                     "remote_payment_prob", "new_order_ratio"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ConfigurationError(f"{name} must be in [0,1]")
+        if not 0 <= self.hot_fraction <= 1:
+            raise ConfigurationError("hot_fraction must be in [0,1]")
 
     @property
     def warehouses_per_node(self) -> int:
@@ -95,13 +92,19 @@ def tpcc_partitioner(config: TPCCConfig) -> Partitioner:
     return KeyedPartitioner(warehouse_of_key, by_warehouse)
 
 
+#: Size of every TPC-C record, loaded and transferred.
+RECORD_BYTES = 512
+
 #: New-Order touches ~13 records and runs real logic per order line.
-NEW_ORDER_PROFILE = ExecutionProfile(logic_factor=2.0, record_bytes=512)
-PAYMENT_PROFILE = ExecutionProfile(logic_factor=1.0, record_bytes=512)
+NEW_ORDER_PROFILE = ExecutionProfile(logic_factor=2.0,
+                                     record_bytes=RECORD_BYTES)
+PAYMENT_PROFILE = ExecutionProfile(logic_factor=1.0, record_bytes=RECORD_BYTES)
 
 
 class TPCCWorkload:
     """New-Order/Payment transaction factory with a node-0 hot spot."""
+
+    record_bytes = RECORD_BYTES
 
     def __init__(self, config: TPCCConfig, rng: DeterministicRNG) -> None:
         self.config = config
@@ -123,28 +126,27 @@ class TPCCWorkload:
         return other if other < home else other + 1
 
     def make_txn(self, txn_id: int, now_us: float) -> Transaction:
-        if self._rng.random() < self.config.new_order_ratio:
+        if self._rng.random() < NEW_ORDER_RATIO:
             return self._new_order(txn_id, now_us)
         return self._payment(txn_id, now_us)
 
     def _new_order(self, txn_id: int, now_us: float) -> Transaction:
-        cfg = self.config
         w = self._pick_warehouse()
-        d = self._rng.randint(0, cfg.districts_per_warehouse - 1)
-        c = self._rng.randint(0, cfg.customers_per_district - 1)
+        d = self._rng.randint(0, DISTRICTS_PER_WAREHOUSE - 1)
+        c = self._rng.randint(0, CUSTOMERS_PER_DISTRICT - 1)
         ol_cnt = self._rng.randint(5, 15)
 
         reads: set[Key] = {("wh", w), ("dist", w, d), ("cust", w, d, c)}
         writes: set[Key] = {("dist", w, d)}
         seen_items: set[int] = set()
         while len(seen_items) < ol_cnt:
-            item = self._rng.randint(0, cfg.items - 1)
+            item = self._rng.randint(0, ITEMS - 1)
             if item in seen_items:
                 continue
             seen_items.add(item)
             supply_w = (
                 self._other_warehouse(w)
-                if self._rng.random() < cfg.remote_item_prob
+                if self._rng.random() < REMOTE_ITEM_PROB
                 else w
             )
             stock_key = ("stock", supply_w, item)
@@ -159,15 +161,14 @@ class TPCCWorkload:
         )
 
     def _payment(self, txn_id: int, now_us: float) -> Transaction:
-        cfg = self.config
         w = self._pick_warehouse()
-        d = self._rng.randint(0, cfg.districts_per_warehouse - 1)
-        if self._rng.random() < cfg.remote_payment_prob:
+        d = self._rng.randint(0, DISTRICTS_PER_WAREHOUSE - 1)
+        if self._rng.random() < REMOTE_PAYMENT_PROB:
             cw = self._other_warehouse(w)
         else:
             cw = w
-        cd = self._rng.randint(0, cfg.districts_per_warehouse - 1)
-        cc = self._rng.randint(0, cfg.customers_per_district - 1)
+        cd = self._rng.randint(0, DISTRICTS_PER_WAREHOUSE - 1)
+        cc = self._rng.randint(0, CUSTOMERS_PER_DISTRICT - 1)
 
         touched: set[Key] = {
             ("wh", w),
@@ -186,12 +187,11 @@ class TPCCWorkload:
 
     def all_keys(self) -> Iterator[Key]:
         """Every record to load: warehouses, districts, customers, stock."""
-        cfg = self.config
-        for w in range(cfg.num_warehouses):
+        for w in range(self.config.num_warehouses):
             yield ("wh", w)
-            for d in range(cfg.districts_per_warehouse):
+            for d in range(DISTRICTS_PER_WAREHOUSE):
                 yield ("dist", w, d)
-                for c in range(cfg.customers_per_district):
+                for c in range(CUSTOMERS_PER_DISTRICT):
                     yield ("cust", w, d, c)
-            for item in range(cfg.items):
+            for item in range(ITEMS):
                 yield ("stock", w, item)

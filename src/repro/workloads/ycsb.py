@@ -13,9 +13,10 @@ read-modify-write) each split into local and distributed variants:
   keyspace, whose peak sweeps the keyspace to model worldwide diurnal
   activity.
 
-Both the distributed and read-write ratios default to the paper's 50 %.
-Transaction length is fixed at 2 records by default, or sampled from a
-normal distribution for the Figure 9 transaction-length study.
+Half the transactions are distributed and, by default, half are
+read-write (the paper's 50 % mixes).  Transaction length is fixed at 2
+records, or sampled from a normal distribution for the Figure 9
+transaction-length study.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ from repro.common.types import ExecutionProfile, Transaction
 from repro.workloads.google_trace import SyntheticGoogleTrace
 from repro.workloads.zipf import MovingTwoSidedZipf, ZipfSampler
 
+# Section 5.2.2's fixed mix: records per transaction, the share of
+# distributed transactions, the skew of the global moving hot spot, and
+# the record size every transfer is charged for.
+RECORDS_PER_TXN = 2
+DISTRIBUTED_RATIO = 0.5
+GLOBAL_THETA = 0.8
+RECORD_BYTES = 1024
+
 
 @dataclass(frozen=True, slots=True)
 class YCSBConfig:
@@ -37,34 +46,22 @@ class YCSBConfig:
     """Total records (the paper's 200 M, downscaled)."""
 
     num_partitions: int = 20
-    records_per_txn: int = 2
     txn_len_mean: float | None = None
     """When set (with ``txn_len_std``), transaction length is sampled
     from a normal distribution — the Figure 9 study."""
 
     txn_len_std: float = 0.0
-    distributed_ratio: float = 0.5
     rw_ratio: float = 0.5
     zipf_theta: float = 0.7
-    global_theta: float = 0.8
     global_cycle_us: float = 720e6
     """Period of the global hot spot's sweep (the paper's simulated
     24-hour cycle: a third of the 2160 s emulation)."""
 
-    record_bytes: int = 1024
-    abort_ratio: float = 0.0
-
     def __post_init__(self) -> None:
         if self.num_keys < self.num_partitions:
             raise ConfigurationError("need at least one key per partition")
-        if not 0 <= self.distributed_ratio <= 1:
-            raise ConfigurationError("distributed_ratio must be in [0,1]")
         if not 0 <= self.rw_ratio <= 1:
             raise ConfigurationError("rw_ratio must be in [0,1]")
-        if not 0 <= self.abort_ratio <= 1:
-            raise ConfigurationError("abort_ratio must be in [0,1]")
-        if self.records_per_txn < 1:
-            raise ConfigurationError("records_per_txn must be >= 1")
 
     @property
     def partition_size(self) -> int:
@@ -73,6 +70,8 @@ class YCSBConfig:
 
 class GoogleYCSBWorkload:
     """Transaction factory driven by a synthetic Google trace."""
+
+    record_bytes = RECORD_BYTES
 
     def __init__(
         self,
@@ -93,18 +92,18 @@ class GoogleYCSBWorkload:
         )
         self._global = MovingTwoSidedZipf(
             config.num_keys,
-            config.global_theta,
+            GLOBAL_THETA,
             config.global_cycle_us,
             self._rng.fork("global"),
         )
-        self._profile = ExecutionProfile(record_bytes=config.record_bytes)
+        self._profile = ExecutionProfile(record_bytes=RECORD_BYTES)
 
     # ------------------------------------------------------------------
 
     def _txn_length(self) -> int:
         cfg = self.config
         if cfg.txn_len_mean is None:
-            return cfg.records_per_txn
+            return RECORDS_PER_TXN
         length = round(self._rng.gauss(cfg.txn_len_mean, cfg.txn_len_std))
         return max(1, min(length, cfg.partition_size))
 
@@ -122,7 +121,7 @@ class GoogleYCSBWorkload:
         """
         cfg = self.config
         length = self._txn_length()
-        distributed = self._rng.random() < cfg.distributed_ratio
+        distributed = self._rng.random() < DISTRIBUTED_RATIO
         partition = self.trace.sample_machine(now_us, self._rng.random())
 
         keys: set[int] = set()
@@ -139,9 +138,6 @@ class GoogleYCSBWorkload:
 
         read_write = self._rng.random() < cfg.rw_ratio
         frozen = frozenset(keys)
-        aborts = (
-            cfg.abort_ratio > 0 and self._rng.random() < cfg.abort_ratio
-        )
         if read_write:
             return Transaction(
                 txn_id=txn_id,
@@ -149,7 +145,6 @@ class GoogleYCSBWorkload:
                 write_set=frozen,
                 arrival_time=now_us,
                 profile=self._profile,
-                aborts=aborts,
             )
         return Transaction.read_only(
             txn_id, sorted(frozen), arrival_time=now_us, profile=self._profile

@@ -1,8 +1,17 @@
 """Smoke tests for the ``python -m repro.bench`` CLI."""
 
+import inspect
+
 import pytest
 
+from repro.bench import __main__ as cli
 from repro.bench.__main__ import main
+from repro.bench.figures import run_google
+from repro.bench.presets import GOOGLE_RATE_SCALE
+
+
+class _Captured(Exception):
+    """Raised by the stand-in runner once it has the spec."""
 
 
 class TestCLI:
@@ -27,6 +36,30 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_unset_flags_run_the_kinds_defaults(self, monkeypatch):
+        # The CLI must run the operating point the figures use: a flag
+        # left unset is not passed, so the kind's default applies.
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            raise _Captured
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        for argv in (
+            ["google", "calvin"],
+            ["google", "calvin", "--rate-scale", "2000", "--duration", "3"],
+        ):
+            with pytest.raises(_Captured):
+                main(argv)
+        unset, given = specs
+        assert unset.duration_s is None
+        assert unset.params == {}
+        assert given.duration_s == 3.0
+        assert given.params == {"rate_scale": 2000.0}
+        default = inspect.signature(run_google).parameters["rate_scale"]
+        assert default.default == GOOGLE_RATE_SCALE == 4_500.0
 
     def test_unknown_strategy_fails_loudly(self):
         with pytest.raises(Exception):

@@ -38,10 +38,6 @@ class TestRoutingConfig:
         with pytest.raises(ConfigurationError):
             RoutingConfig(alpha=-0.5)
 
-    def test_max_delta_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            RoutingConfig(max_delta=0)
-
     def test_flags_default_on(self):
         config = RoutingConfig()
         assert config.reorder and config.balance

@@ -21,7 +21,7 @@ from repro.common.config import ClusterConfig
 from repro.common.rng import DeterministicRNG
 from repro.core import PrescientRouter
 from repro.engine.cluster import Cluster
-from repro.faults.chaos import ChaosConfig, make_schedule
+from repro.faults.chaos import MAX_TIME_US, ChaosConfig, make_schedule
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs import Tracer
@@ -43,7 +43,7 @@ def run_digest(
     with capture_digests() as digests:
         cluster = Cluster(
             cluster_config,
-            PrescientRouter(cluster_config.routing),
+            PrescientRouter(),
             make_uniform_ranges(cfg.num_keys, cfg.num_nodes),
             tracer=Tracer() if traced else None,
         )
@@ -53,7 +53,7 @@ def run_digest(
             FaultInjector(cluster, plan, rng).install()
         for arrival, txn in schedule:
             cluster.kernel.call_at(arrival, cluster.submit, txn)
-        cluster.run_until_quiescent(cfg.max_time_us)
+        cluster.run_until_quiescent(MAX_TIME_US)
     return cluster.state_fingerprint(), [d.hexdigest() for d in digests]
 
 

@@ -9,10 +9,11 @@ and every submitted request is answered exactly once — also across
 """
 
 import asyncio
+from dataclasses import replace
 
-from repro.serve.admission import AdmissionConfig, AdmissionController
+from repro.serve.admission import AdmissionController
 from repro.serve.core import ServeConfig, ServeCore
-from repro.serve.driver import ServeDriver
+from repro.serve.driver import SERVE_ADMISSION, ServeDriver
 from repro.serve.journal import JournalWriter, read_journal
 from repro.serve.replayer import verify_journal
 
@@ -92,7 +93,7 @@ class TestBacklog:
             # into max_batch_size epochs that completion ticks drain.
             core = ServeCore(CONFIG, journal=JournalWriter(path))
             admission = AdmissionController(
-                AdmissionConfig(max_per_tick=total)
+                replace(SERVE_ADMISSION, max_per_tick=total)
             )
             driver = ServeDriver(core, admission)
             running = asyncio.ensure_future(driver.run())

@@ -5,12 +5,15 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.serve.journal import JournalWriter, read_journal
+from repro.serve.core import ServeConfig
+from repro.serve.journal import JOURNAL_VERSION, JournalWriter, read_journal
+
+SMALL = ServeConfig(num_keys=8, strategy="calvin")
 
 
 def write_small(path, footer=True):
     with JournalWriter(str(path)) as journal:
-        journal.header({"num_keys": 8, "strategy": "calvin"})
+        journal.header(SMALL.to_json())
         journal.tick(0, [{"reads": [1, 2]}, {"reads": [3], "writes": [3]}])
         journal.tick(1, [{"reads": [4]}], resizes=[("add", 3)])
         if footer:
@@ -25,7 +28,7 @@ class TestWriter:
     def test_round_trip(self, tmp_path):
         path = write_small(tmp_path / "j.jsonl")
         journal = read_journal(path)
-        assert journal.config == {"num_keys": 8, "strategy": "calvin"}
+        assert journal.config == SMALL
         assert len(journal.ticks) == 2
         assert journal.ticks[0].requests == (
             {"reads": [1, 2]}, {"reads": [3], "writes": [3]},
@@ -109,7 +112,7 @@ class TestReader:
     def test_tick_gap_rejected(self, tmp_path, numbers):
         path = tmp_path / "j.jsonl"
         with JournalWriter(str(path)) as journal:
-            journal.header({})
+            journal.header(SMALL.to_json())
             for number in numbers:
                 journal.tick(number, [])
         line_no = len(numbers) + 1
@@ -132,4 +135,41 @@ class TestReader:
             ConfigurationError,
             match=f"unsupported journal version {version}",
         ):
+            read_journal(str(path))
+
+    # A hand-edited or foreign journal must fail on its header or tick
+    # line with the location, never as a raw KeyError/TypeError/ValueError
+    # from deep inside replay.  The version-2 mirrors of the engine
+    # settings are unknown keys now.
+    @pytest.mark.parametrize(
+        "header, tick, match",
+        [
+            ({}, None, r":1: header config is not a JSON object"),
+            ({"config": [1, 2]}, None,
+             r":1: header config is not a JSON object"),
+            ({"config": {**SMALL.to_json(), "workers_per_node": 2,
+                         "max_batch_size": 1000}}, None,
+             r":1: unknown config keys "
+             r"\['max_batch_size', 'workers_per_node'\], "
+             r"missing config keys \[\]"),
+            ({"config": {"num_keys": 8}}, None,
+             r":1: unknown config keys \[\], "
+             r"missing config keys \['digest', "),
+            ({"config": SMALL.to_json()},
+             {"kind": "tick", "tick": 0, "requests": [],
+              "resizes": [["add"]]},
+             r":2: resizes must be \[kind, node\] pairs"),
+        ],
+        ids=["no-config", "config-not-object", "unknown-keys",
+             "missing-keys", "resize-not-pair"],
+    )
+    def test_malformed_header_or_tick_rejected_with_location(
+        self, tmp_path, header, tick, match
+    ):
+        path = tmp_path / "j.jsonl"
+        lines = [{"kind": "header", "version": JOURNAL_VERSION, **header}]
+        if tick is not None:
+            lines.append(tick)
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ConfigurationError, match=r"j\.jsonl" + match):
             read_journal(str(path))

@@ -5,6 +5,7 @@ import pytest
 from repro.common.config import CostModel, RetryPolicy
 from repro.common.errors import FaultInjectionError, TimeoutExceeded
 from repro.common.rng import DeterministicRNG
+from repro.engine.executor import RETRY_POLICY
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 
@@ -117,7 +118,7 @@ class TestReliableDelivery:
         kernel, network = net
         times = []
         network.send_reliable(
-            0, 1, 1000, lambda: times.append(kernel.now), RetryPolicy()
+            0, 1, 1000, lambda: times.append(kernel.now), RETRY_POLICY
         )
         kernel.run()
         assert times == [200.0]
@@ -179,7 +180,7 @@ class TestReliableDelivery:
         kernel, network = net
         delivered = []
         network.send_reliable(
-            3, 3, 100, lambda: delivered.append(kernel.now), RetryPolicy()
+            3, 3, 100, lambda: delivered.append(kernel.now), RETRY_POLICY
         )
         kernel.run()
         assert delivered == [0.0]

@@ -70,10 +70,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             GoogleTraceConfig(num_machines=0)
 
-    def test_rejects_bad_phi(self):
-        with pytest.raises(ConfigurationError):
-            GoogleTraceConfig(noise_phi=1.0)
-
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigurationError):
             GoogleTraceConfig(duration_s=0)

@@ -105,7 +105,7 @@ class TestValidation:
 
     def test_txn_bigger_than_tenant(self):
         with pytest.raises(ConfigurationError):
-            MultiTenantConfig(records_per_tenant=1, records_per_txn=2)
+            MultiTenantConfig(records_per_tenant=1)
 
     def test_skewed_needs_multiple_nodes(self):
         config = MultiTenantConfig(num_nodes=1, tenants_per_node=4,

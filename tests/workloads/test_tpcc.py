@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
+from repro.workloads import tpcc
 from repro.workloads.tpcc import (
     TPCCConfig,
     TPCCWorkload,
@@ -14,13 +15,7 @@ from repro.workloads.tpcc import (
 
 @pytest.fixture
 def config():
-    return TPCCConfig(
-        num_warehouses=40,
-        num_nodes=4,
-        districts_per_warehouse=4,
-        customers_per_district=10,
-        items=50,
-    )
+    return TPCCConfig(num_warehouses=40, num_nodes=4)
 
 
 @pytest.fixture
@@ -82,12 +77,9 @@ class TestTransactionShapes:
         assert any(s <= 3 for s in sizes)      # payments
         assert any(s >= 8 for s in sizes)      # new-orders
 
-    def test_remote_items_cross_warehouses(self, config):
-        hot = TPCCConfig(
-            num_warehouses=40, num_nodes=4, districts_per_warehouse=4,
-            customers_per_district=10, items=50, remote_item_prob=0.5,
-        )
-        workload = TPCCWorkload(hot, DeterministicRNG(3))
+    def test_remote_items_cross_warehouses(self, config, monkeypatch):
+        monkeypatch.setattr(tpcc, "REMOTE_ITEM_PROB", 0.5)
+        workload = TPCCWorkload(config, DeterministicRNG(3))
         crossing = 0
         for i in range(50):
             txn = workload._new_order(i, 0.0)
@@ -98,8 +90,7 @@ class TestTransactionShapes:
 
     def test_hot_fraction_concentrates_on_node0(self, config):
         hot_config = TPCCConfig(
-            num_warehouses=40, num_nodes=4, districts_per_warehouse=4,
-            customers_per_district=10, items=50, hot_fraction=0.9,
+            num_warehouses=40, num_nodes=4, hot_fraction=0.9
         )
         workload = TPCCWorkload(hot_config, DeterministicRNG(5))
         part = tpcc_partitioner(hot_config)
@@ -124,6 +115,6 @@ class TestTransactionShapes:
 class TestLoading:
     def test_all_keys_count(self, config):
         keys = list(TPCCWorkload(config, DeterministicRNG(1)).all_keys())
-        per_warehouse = 1 + 4 * (1 + 10) + 50
+        per_warehouse = 1 + 10 * (1 + 30) + 1000
         assert len(keys) == 40 * per_warehouse
         assert len(set(keys)) == len(keys)

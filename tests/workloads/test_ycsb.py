@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 from repro.common.types import TxnKind
+from repro.workloads import ycsb
 from repro.workloads.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
 from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
 
@@ -32,7 +33,7 @@ class TestConfig:
 
     def test_ratio_bounds(self):
         with pytest.raises(ConfigurationError):
-            YCSBConfig(distributed_ratio=1.5)
+            YCSBConfig(rw_ratio=1.5)
 
 
 class TestTransactionMix:
@@ -53,10 +54,11 @@ class TestTransactionMix:
             if txn.kind is TxnKind.READ_WRITE:
                 assert txn.write_set == txn.read_set
 
-    def test_distributed_ratio_creates_cross_partition(self, trace):
-        config = YCSBConfig(
-            num_keys=4000, num_partitions=4, distributed_ratio=1.0
-        )
+    def test_distributed_ratio_creates_cross_partition(
+        self, trace, monkeypatch
+    ):
+        monkeypatch.setattr(ycsb, "DISTRIBUTED_RATIO", 1.0)
+        config = YCSBConfig(num_keys=4000, num_partitions=4)
         workload = GoogleYCSBWorkload(config, trace, DeterministicRNG(5))
         size = config.partition_size
         cross = 0
@@ -67,10 +69,9 @@ class TestTransactionMix:
                 cross += 1
         assert cross > 80  # global keys usually land off-partition
 
-    def test_zero_distributed_keeps_local(self, trace):
-        config = YCSBConfig(
-            num_keys=4000, num_partitions=4, distributed_ratio=0.0
-        )
+    def test_zero_distributed_keeps_local(self, trace, monkeypatch):
+        monkeypatch.setattr(ycsb, "DISTRIBUTED_RATIO", 0.0)
+        config = YCSBConfig(num_keys=4000, num_partitions=4)
         workload = GoogleYCSBWorkload(config, trace, DeterministicRNG(5))
         size = config.partition_size
         for i in range(100):
@@ -88,14 +89,6 @@ class TestTransactionMix:
         assert 8 < mean < 12
         assert min(sizes) >= 1
 
-    def test_abort_ratio(self, trace):
-        config = YCSBConfig(
-            num_keys=4000, num_partitions=4, abort_ratio=0.5, rw_ratio=1.0
-        )
-        workload = GoogleYCSBWorkload(config, trace, DeterministicRNG(5))
-        aborts = sum(workload.make_txn(i, 0).aborts for i in range(200))
-        assert 60 < aborts < 140
-
     def test_deterministic(self, trace):
         config = YCSBConfig(num_keys=4000, num_partitions=4)
         a = GoogleYCSBWorkload(config, trace, DeterministicRNG(9))
@@ -105,10 +98,9 @@ class TestTransactionMix:
             assert ta.read_set == tb.read_set
             assert ta.kind == tb.kind
 
-    def test_local_skew_follows_trace_weights(self, trace):
-        config = YCSBConfig(
-            num_keys=4000, num_partitions=4, distributed_ratio=0.0
-        )
+    def test_local_skew_follows_trace_weights(self, trace, monkeypatch):
+        monkeypatch.setattr(ycsb, "DISTRIBUTED_RATIO", 0.0)
+        config = YCSBConfig(num_keys=4000, num_partitions=4)
         workload = GoogleYCSBWorkload(config, trace, DeterministicRNG(5))
         size = config.partition_size
         counts = [0, 0, 0, 0]
