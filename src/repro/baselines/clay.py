@@ -86,6 +86,11 @@ class ClayRouter(CalvinRouter):
         self.window_clump_heat = {}
 
 
+#: A node is overloaded once its windowed load exceeds the mean by this
+#: fraction; only then does the monitor build a plan.
+IMBALANCE_TOLERANCE = 0.25
+
+
 class ClayController:
     """Clay's monitor/planner loop, paired with a Squall executor."""
 
@@ -95,18 +100,14 @@ class ClayController:
         router: ClayRouter,
         executor: "SquallExecutor",
         monitor_interval_us: float = 30_000_000.0,
-        imbalance_tolerance: float = 0.25,
         max_clumps_per_plan: int = 64,
     ) -> None:
         if monitor_interval_us <= 0:
             raise ConfigurationError("monitor interval must be positive")
-        if imbalance_tolerance < 0:
-            raise ConfigurationError("imbalance tolerance must be >= 0")
         self.cluster = cluster
         self.router = router
         self.executor = executor
         self.monitor_interval_us = monitor_interval_us
-        self.imbalance_tolerance = imbalance_tolerance
         self.max_clumps_per_plan = max_clumps_per_plan
         self.plans_generated = 0
         self._started = False
@@ -139,7 +140,7 @@ class ClayController:
         if total <= 0:
             return None
         average = total / len(active)
-        target = average * (1 + self.imbalance_tolerance)
+        target = average * (1 + IMBALANCE_TOLERANCE)
         hottest = max(active, key=lambda node: (loads[node], -node))
         if loads[hottest] <= target:
             return None

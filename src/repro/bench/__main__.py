@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.api import ExperimentSpec, run_experiment
+from repro.api import PRESETS, ExperimentSpec, run_experiment
 from repro.bench.reporting import (
     format_latency_breakdown,
     format_series,
@@ -41,7 +41,11 @@ def main(argv: list[str] | None = None) -> int:
 
     tpcc = sub.add_parser("tpcc", help="TPC-C hot-spot comparison")
     tpcc.add_argument("strategies", nargs="+")
-    tpcc.add_argument("--hot", type=float, default=0.9)
+    tpcc.add_argument(
+        "--hot", type=float,
+        default=PRESETS["fig11"]().params["hot_fraction"],
+        help="hot-spot fraction (default: the fig11 preset's)",
+    )
 
     multi = sub.add_parser("multitenant", help="moving hot-spot comparison")
     multi.add_argument("strategies", nargs="+")

@@ -12,7 +12,6 @@ The top-level entry point is :class:`Cluster`.
 """
 
 from repro.engine.cluster import Cluster
-from repro.engine.failover import FailoverReport, ReplicatedDeployment
 from repro.engine.locks import LockManager, LockMode
 from repro.engine.migration import (
     MigrationController,
@@ -23,6 +22,7 @@ from repro.engine.node import Node, WorkerPool
 from repro.engine.ollp import OLLP, DependentTxnSpec
 from repro.engine.recovery import (
     DurableState,
+    promote_replica,
     recover_from_crash,
     replay_command_log,
 )
@@ -31,7 +31,6 @@ from repro.engine.sequencer import Sequencer
 __all__ = [
     "Cluster",
     "DurableState",
-    "FailoverReport",
     "LockManager",
     "LockMode",
     "DependentTxnSpec",
@@ -40,9 +39,9 @@ __all__ = [
     "MigrationState",
     "Node",
     "OLLP",
-    "ReplicatedDeployment",
     "Sequencer",
     "WorkerPool",
+    "promote_replica",
     "recover_from_crash",
     "replay_command_log",
 ]

@@ -186,7 +186,7 @@ class Cluster:
 
     def _on_batch(self, batch: Batch) -> None:
         self.epochs_delivered += 1
-        self.metrics.batches += 1
+        self.metrics.batches_total.inc()
         if self.command_log is not None:
             self.command_log.append(batch)
         t_sequenced = self.kernel.now
@@ -262,28 +262,15 @@ class Cluster:
     def inject_batch_ordered(self, batch: Batch) -> None:
         """Inject a batch, buffering until its epoch is next in line.
 
-        WAN replication and crash re-delivery can present epochs out of
-        order (a fast link overtaking a slow one, a promoted primary
-        cutting new batches while old ones are still in flight).  The
-        reorder buffer releases batches strictly in epoch order, so every
-        cluster processes the *same* total order — the invariant all the
-        determinism guarantees rest on.  The transactions count as
+        Batches forwarded to a WAN replica or re-delivered to a crash's
+        survivor arrive from outside the local sequencer, so nothing but
+        their epoch numbers orders them.  The reorder buffer releases
+        batches strictly in epoch order, so every cluster processes the
+        *same* total order — the invariant all the determinism
+        guarantees rest on.  The transactions count as
         unfinished from arrival, even while buffered.
         """
         self._unfinished += len(batch)
-        self._deliver_in_epoch_order(batch)
-
-    def deliver_ordered(self, batch: Batch) -> None:
-        """Epoch-ordered delivery for batches already counted unfinished
-        (the sequencer-tee path of a promoted primary)."""
-        self._deliver_in_epoch_order(batch)
-
-    def set_next_expected_epoch(self, epoch: int) -> None:
-        """Anchor the reorder buffer (crash recovery resumes the epoch
-        grid after the last logged batch)."""
-        self._next_expected_epoch = epoch
-
-    def _deliver_in_epoch_order(self, batch: Batch) -> None:
         if self._next_expected_epoch is None:
             # Lazy anchor: valid whenever delivered epochs are the
             # contiguous prefix 1..epochs_delivered (fresh clusters,
@@ -298,6 +285,11 @@ class Cluster:
             ready = self._reorder_buffer.pop(self._next_expected_epoch)
             self._next_expected_epoch += 1
             self._on_batch(ready)
+
+    def set_next_expected_epoch(self, epoch: int) -> None:
+        """Anchor the reorder buffer (a crash's survivor resumes the
+        epoch grid after the last logged batch)."""
+        self._next_expected_epoch = epoch
 
     @property
     def buffered_epochs(self) -> int:

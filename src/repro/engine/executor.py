@@ -493,7 +493,7 @@ class TxnRuntime:
                     RETRY_POLICY,
                     describe=f"remote read txn {txn.txn_id}",
                 )
-                metrics.remote_reads += len(keys)
+                metrics.remote_reads_total.inc(len(keys))
                 if tracer is not None:
                     tracer.remote_read(
                         txn.txn_id, loc, master, len(keys), payload
@@ -646,7 +646,7 @@ class TxnRuntime:
                 for record in incoming:
                     install(record)
                 node.records_replicated_in += len(incoming)
-                cluster.metrics.replica_installs += len(incoming)
+                cluster.metrics.replica_installs_total.inc(len(incoming))
             else:
                 install = node.store.install
                 for record in incoming:
@@ -730,7 +730,7 @@ class TxnRuntime:
         self.t_commit = cluster.kernel.now
         if self.will_abort:
             self.aborted = True
-            cluster.metrics.aborts += 1
+            cluster.metrics.aborts_total.inc()
         else:
             self.committed = True
             cluster.nodes[self.coordinator].commits += 1
@@ -769,7 +769,7 @@ class TxnRuntime:
                 RETRY_POLICY,
                 describe=f"writeback txn {self.txn.txn_id}",
             )
-            cluster.metrics.writebacks += len(moves)
+            cluster.metrics.writebacks_total.inc(len(moves))
             tracer = cluster.tracer
             if tracer is not None:
                 tracer.data_move(
@@ -857,7 +857,7 @@ class TxnRuntime:
                 RETRY_POLICY,
                 describe=f"eviction txn {self.txn.txn_id}",
             )
-            cluster.metrics.evictions += len(moves)
+            cluster.metrics.evictions_total.inc(len(moves))
             tracer = cluster.tracer
             if tracer is not None:
                 tracer.data_move(
@@ -1192,7 +1192,7 @@ class LocalTxnRuntime:
         self.t_commit = cluster.kernel.now
         if self.will_abort:
             self.aborted = True
-            cluster.metrics.aborts += 1
+            cluster.metrics.aborts_total.inc()
         else:
             self.committed = True
             node.commits += 1

@@ -6,15 +6,14 @@ latency breakdowns (Figure 7), remote-read / migration / write-back
 counters, and — via the nodes' worker pools and the network — CPU and
 network usage (Figure 8).
 
-Since the observability rework, the scalar state lives in a typed
+The scalar state lives in a typed
 :class:`~repro.obs.registry.MetricsRegistry` (``self.registry``): run
 counters are registry :class:`~repro.obs.registry.Counter` instruments
-and client latencies a :class:`~repro.obs.registry.Histogram`.  The
-public accessors below are thin facades over those instruments, kept so
-every existing call site — including ``metrics.remote_reads += n``
-writers in the executor — works unchanged, while ``registry.snapshot()``
-exposes the same numbers uniformly (with labels) to reporting and
-tracing code.
+(``metrics.remote_reads_total``, ...), which writers ``inc`` directly,
+and client latencies a :class:`~repro.obs.registry.Histogram`.  Each
+counter has a read-only int accessor (``metrics.remote_reads``), and
+``registry.snapshot()`` exposes the same numbers uniformly (with labels)
+to reporting and tracing code.
 
 Accessor naming: time-valued accessors carry a ``_us`` suffix
 (``mean_latency_us``, ``latency_percentile_us``, ...).  The unsuffixed
@@ -34,23 +33,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _counter_facade(attr: str) -> property:
-    """An int-valued property reading/raising one registry counter.
-
-    The setter accepts the value ``metrics.x += n`` produces (the new
-    absolute total) and forwards it via
-    :meth:`~repro.obs.registry.Counter.set_total`, so increment-style
-    call sites keep working while the counter itself stays monotonic.
-    """
+    """A read-only int view of one registry counter."""
 
     def fget(self: "ClusterMetrics") -> int:
         counter: Counter = getattr(self, attr)
         return int(counter.value)
 
-    def fset(self: "ClusterMetrics", total: float) -> None:
-        counter: Counter = getattr(self, attr)
-        counter.set_total(total)
-
-    return property(fget, fset)
+    return property(fget)
 
 
 class ClusterMetrics:
@@ -65,34 +54,34 @@ class ClusterMetrics:
         self.latency = LatencyBreakdown()
         self.warmup_until = 0.0
         reg = self.registry
-        self._commits = reg.counter("txn_commits_total")
-        self._aborts = reg.counter("txn_aborts_total")
-        self._remote_reads = reg.counter("remote_reads_total")
-        self._writebacks = reg.counter("writebacks_total")
-        self._evictions = reg.counter("evictions_total")
-        self._batches = reg.counter("batches_total")
-        self._user_txns = reg.counter("user_txns_dispatched_total")
-        self._distributed_txns = reg.counter("distributed_txns_total")
-        self._ollp_exhausted = reg.counter("ollp_exhausted_total")
-        self._replica_reads = reg.counter("replica_reads_total")
-        self._cloned_reads = reg.counter("cloned_reads_total")
-        self._replica_installs = reg.counter("replica_installs_total")
+        self.commits_total = reg.counter("txn_commits_total")
+        self.aborts_total = reg.counter("txn_aborts_total")
+        self.remote_reads_total = reg.counter("remote_reads_total")
+        self.writebacks_total = reg.counter("writebacks_total")
+        self.evictions_total = reg.counter("evictions_total")
+        self.batches_total = reg.counter("batches_total")
+        self.user_txns_total = reg.counter("user_txns_dispatched_total")
+        self.distributed_txns_total = reg.counter("distributed_txns_total")
+        self.ollp_exhausted_total = reg.counter("ollp_exhausted_total")
+        self.replica_reads_total = reg.counter("replica_reads_total")
+        self.cloned_reads_total = reg.counter("cloned_reads_total")
+        self.replica_installs_total = reg.counter("replica_installs_total")
         self._latency_hist: Histogram = reg.histogram("txn_latency_us")
 
-    # -- scalar facades over the registry ------------------------------
+    # -- read-only views of the registry counters ----------------------
 
-    commits = _counter_facade("_commits")
-    aborts = _counter_facade("_aborts")
-    remote_reads = _counter_facade("_remote_reads")
-    writebacks = _counter_facade("_writebacks")
-    evictions = _counter_facade("_evictions")
-    batches = _counter_facade("_batches")
-    user_txns = _counter_facade("_user_txns")
-    distributed_txns = _counter_facade("_distributed_txns")
-    ollp_exhausted = _counter_facade("_ollp_exhausted")
-    replica_reads = _counter_facade("_replica_reads")
-    cloned_reads = _counter_facade("_cloned_reads")
-    replica_installs = _counter_facade("_replica_installs")
+    commits = _counter_facade("commits_total")
+    aborts = _counter_facade("aborts_total")
+    remote_reads = _counter_facade("remote_reads_total")
+    writebacks = _counter_facade("writebacks_total")
+    evictions = _counter_facade("evictions_total")
+    batches = _counter_facade("batches_total")
+    user_txns = _counter_facade("user_txns_total")
+    distributed_txns = _counter_facade("distributed_txns_total")
+    ollp_exhausted = _counter_facade("ollp_exhausted_total")
+    replica_reads = _counter_facade("replica_reads_total")
+    cloned_reads = _counter_facade("cloned_reads_total")
+    replica_installs = _counter_facade("replica_installs_total")
 
     # -- recording ------------------------------------------------------
 
@@ -107,15 +96,15 @@ class ClusterMetrics:
         multi-master ones (every executing owner); post-commit
         background movement (writebacks, evictions) does not count.
         """
-        self._user_txns.inc()
+        self.user_txns_total.inc()
         replica = plan.replica_reads
         if replica is not None:
-            self._replica_reads.inc(
+            self.replica_reads_total.inc(
                 sum(len(keys) for keys in replica.values())
             )
         cloned = plan.cloned_reads
         if cloned is not None:
-            self._cloned_reads.inc(
+            self.cloned_reads_total.inc(
                 sum(len(keys) for keys in cloned.values())
             )
         masters = plan.masters
@@ -131,16 +120,16 @@ class ClusterMetrics:
             ):
                 return
         if len(plan.execution_nodes()) > 1:
-            self._distributed_txns.inc()
+            self.distributed_txns_total.inc()
 
     def distributed_txn_ratio(self) -> float:
         """Fraction of dispatched user transactions touching > 1 node."""
-        total = self._user_txns.value
-        return self._distributed_txns.value / total if total else 0.0
+        total = self.user_txns_total.value
+        return self.distributed_txns_total.value / total if total else 0.0
 
     def note_ollp_exhausted(self) -> None:
         """Record one OLLP transaction that ran out of restarts."""
-        self._ollp_exhausted.inc()
+        self.ollp_exhausted_total.inc()
 
     def note_commit(self, runtime: "TxnRuntime") -> None:
         """Record one committed user transaction."""
@@ -148,7 +137,7 @@ class ClusterMetrics:
         assert now is not None
         self.commit_rate.record(now)
         if now >= self.warmup_until:
-            self._commits.inc()
+            self.commits_total.inc()
             self.latency.record(runtime.latency_stages())
             self._latency_hist.observe(runtime.total_latency())
 

@@ -1,4 +1,5 @@
-"""Failure recovery by deterministic replay (Section 4.3).
+"""Failure recovery by deterministic replay (Section 4.3) and replica
+takeover (Section 2.1, Figure 4).
 
 A failed node (or a whole fresh replica) recovers by replaying the
 command log: the routing, data fusion, and cold migrations are all
@@ -7,19 +8,25 @@ reconstructs the exact pre-failure state.  (The paper restores a
 checkpoint first to shorten the replay; replaying the whole log reaches
 the identical state, and no workload here measures replay length.)
 :func:`replay_command_log` performs that replay on a freshly built
-cluster and returns it; the recovery tests compare fingerprints and
-physical record placement against the original run.
+cluster and returns it.
 
 For *mid-flight* crashes (the fault-injection subsystem,
 :mod:`repro.faults`), :class:`DurableState` captures everything that
 survives an execution-tier crash — the command log, batches sequenced
 but still inside the ordering latency, and the sequencer backlog (both
 live in the replicated ordering tier in the real system, so a crash of
-the execution nodes cannot lose them) — and
-:func:`recover_from_crash` rebuilds a cluster from it.  Re-delivery of
-the in-flight batches and re-submission of the backlog are left to the
-caller, because only the caller knows how resumed time should line up
-with the original epoch grid (see ``repro.faults.chaos``).
+the execution nodes cannot lose them).  A survivor comes from one of two
+places, and both end in the same hand-off of the total order:
+
+* :func:`recover_from_crash` rebuilds a cluster by replaying the log;
+* :func:`promote_replica` promotes a WAN replica that has been consuming
+  the primary's delivered batches :data:`WAN_DELAY_US` behind it — the
+  same input, so it needs no recovery protocol, only to finish the
+  batches still crossing the WAN.
+
+Re-delivery of the in-flight batches and re-submission of the backlog
+are left to the caller, because only the caller knows how resumed time
+should line up with the original epoch grid (see ``repro.faults.chaos``).
 """
 
 from __future__ import annotations
@@ -120,6 +127,10 @@ class DurableState:
         return last
 
 
+#: One-way delay of the WAN link feeding a replica site its ordered input.
+WAN_DELAY_US = 50_000.0
+
+
 def recover_from_crash(
     build_cluster: Callable[[], Cluster],
     durable: DurableState,
@@ -127,8 +138,8 @@ def recover_from_crash(
 ) -> Cluster:
     """Rebuild a crashed cluster's state from its durable tier.
 
-    Replays the command log and restores the sequencer's epoch numbering so the recovered cluster
-    continues the same total order.  The caller finishes the hand-off by
+    Replays the command log, then hands the total order over (see
+    :func:`_resume_order`).  The caller finishes the hand-off by
     re-delivering ``durable.in_flight`` through
     :meth:`Cluster.inject_batch_ordered` and re-submitting the backlog —
     both at times of its choosing (``repro.faults.chaos`` aligns them
@@ -137,7 +148,34 @@ def recover_from_crash(
     cluster = replay_command_log(
         build_cluster, durable.command_log, max_time_us=max_time_us
     )
+    _resume_order(cluster, durable)
+    return cluster
+
+
+def promote_replica(
+    replica: Cluster,
+    durable: DurableState,
+    max_time_us: float = 3_600_000_000.0,
+) -> Cluster:
+    """Promote a replica fed the dead primary's delivered batches.
+
+    Every batch the primary delivered before ``durable.crashed_at_us``
+    reaches the replica by ``crashed_at_us + WAN_DELAY_US``; running past
+    that instant to quiescence leaves the replica holding exactly the
+    command log's state.  The hand-off and the caller's part are those of
+    :func:`recover_from_crash`.  A replica that lost a forwarded batch
+    does not drain; the caller's checks report what is stuck.
+    """
+    replica.run_until(durable.crashed_at_us + WAN_DELAY_US)
+    replica.run_until_quiescent(max_time_us)
+    _resume_order(replica, durable)
+    return replica
+
+
+def _resume_order(cluster: Cluster, durable: DurableState) -> None:
+    """Continue the dead cluster's total order on ``cluster``: the
+    sequencer's epoch numbering, the reorder buffer's anchor after the
+    last logged batch, and the transaction-id counter."""
     cluster.sequencer.restore_epoch(durable.last_assigned_epoch)
     cluster.set_next_expected_epoch(durable.last_logged_epoch() + 1)
     cluster._next_txn_id = max(cluster._next_txn_id, durable.next_txn_id)
-    return cluster

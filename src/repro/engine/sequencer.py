@@ -95,12 +95,11 @@ class Sequencer:
         return list(self._in_flight)
 
     def restore_epoch(self, epoch: int) -> None:
-        """Fast-forward the epoch counter (crash recovery / failover).
+        """Fast-forward the epoch counter (a crash's survivor).
 
-        A recovered cluster's sequencer must continue the global epoch
-        numbering where the durable state left off, and a promoted
-        replica must continue after the last epoch its dead primary
-        forwarded, or epoch-ordered delivery would see collisions.
+        A recovered cluster or a promoted replica must continue the
+        global epoch numbering where the dead cluster's durable state
+        left off, or epoch-ordered delivery would see collisions.
         """
         if epoch < self._epoch:
             raise SimulationError(

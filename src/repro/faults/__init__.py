@@ -3,17 +3,19 @@
 The subsystem has three layers:
 
 * :mod:`repro.faults.plan` — declarative fault schedules
-  (:class:`FaultPlan` of crashes, partitions, loss, jitter, stragglers),
-  including bounded random plans drawn from a deterministic seed;
+  (:class:`FaultPlan` of crashes, failovers, partitions, loss, jitter,
+  stragglers), including bounded random plans drawn from a
+  deterministic seed;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, which turns a
   plan's windowed faults into scheduled kernel events against one
   cluster's network and worker pools;
 * :mod:`repro.faults.chaos` — the chaos harness: run a Google-trace YCSB
-  schedule under a plan (recovering from crashes via the durable tier),
-  or with a background migration crashed, cancelled or paused part-way,
-  and verify the paper's determinism invariant — the final state equals
-  the fault-free reference bit for bit, no committed transaction is
-  ever lost, and every record sits where the ownership view says.
+  schedule under a plan (a crash's survivor replays the durable tier or
+  is a promoted WAN replica), or with a background migration crashed,
+  failed over, cancelled or paused part-way, and verify the paper's
+  determinism invariant — the final state equals the fault-free
+  reference bit for bit, no committed transaction is ever lost, and
+  every record sits where the ownership view says.
 
 :mod:`repro.faults.forecast` extends the injector's reach beyond the
 cluster itself: :class:`FaultyForecaster` degrades the *forecast* the
@@ -37,6 +39,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FORECAST_FAULT_KINDS,
     CrashFault,
+    FailoverFault,
     FaultPlan,
     ForecastFault,
     JitterFault,
@@ -51,6 +54,7 @@ __all__ = [
     "ChaosConfig",
     "ChaosRunResult",
     "CrashFault",
+    "FailoverFault",
     "FaultInjector",
     "FaultPlan",
     "FaultyForecaster",

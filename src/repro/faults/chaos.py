@@ -15,15 +15,18 @@ turns that claim into an executable check:
    final fingerprint, the applied-transaction set and a placement audit.
 3. :func:`run_chaos_trial` runs the same schedule under a
    :class:`FaultPlan`.  Windowed faults are injected live; a crash
-   abandons the cluster mid-flight, rebuilds it from
-   :class:`~repro.engine.recovery.DurableState`, and resumes the
-   workload on a time axis shifted by a whole number of epochs — the
-   shift keeps every remaining arrival in the same position of the
-   sequencer's epoch grid, so recovery reproduces the reference batch
-   composition exactly.
+   abandons the cluster mid-flight and hands its
+   :class:`~repro.engine.recovery.DurableState` to a survivor — a
+   cluster rebuilt by replay, or, for a :class:`FailoverFault`, a WAN
+   replica promoted in its place — which resumes the workload on a time
+   axis shifted by a whole number of epochs.  The shift keeps every
+   remaining arrival in the same position of the sequencer's epoch
+   grid, so the survivor reproduces the reference batch composition
+   exactly.
 4. :func:`run_migration_trial` disrupts a fixed background migration
-   part-way: a crash through the same crash path, a cancel and restart,
-   or a pause and resume; with no scenario it is their reference.
+   part-way: a crash or a failover through the same crash path, a
+   cancel and restart, or a pause and resume; with no scenario it is
+   their reference.
 5. :func:`verify_trial` compares any trial to its reference: equal
    fingerprints, no committed transaction lost, every retry drained,
    and a clean placement audit on both sides.
@@ -46,14 +49,19 @@ from repro.analysis.placement_audit import (
 from repro.common.config import ClusterConfig
 from repro.common.errors import FaultInjectionError
 from repro.common.rng import DeterministicRNG
-from repro.common.types import Transaction, TxnId, TxnKind
+from repro.common.types import Batch, Transaction, TxnId, TxnKind
 from repro.core import PrescientRouter
 from repro.core.provisioning import ChunkMigration, ColdMigrationPlan
 from repro.engine.cluster import Cluster
 from repro.engine.migration import MigrationController, MigrationState
-from repro.engine.recovery import DurableState, recover_from_crash
+from repro.engine.recovery import (
+    WAN_DELAY_US,
+    DurableState,
+    promote_replica,
+    recover_from_crash,
+)
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import CrashFault, FaultPlan
+from repro.faults.plan import CrashFault, FailoverFault, FaultPlan
 from repro.storage.partitioning import make_uniform_ranges
 from repro.workloads.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
 from repro.workloads.streaming import stream_schedule
@@ -88,8 +96,11 @@ class ChaosConfig:
 #: for tier 1.
 MIGRATION_SMOKE_CONFIG = ChaosConfig(num_keys=1_500, num_txns=80)
 
+#: The crash kind behind each crash scenario of :func:`run_migration_trial`.
+_CRASH_SCENARIOS = {"crash": CrashFault, "failover": FailoverFault}
+
 #: Scenario names :func:`run_migration_trial` understands.
-MIGRATION_SCENARIOS = ("crash", "cancel-restart", "pause-resume")
+MIGRATION_SCENARIOS = (*_CRASH_SCENARIOS, "cancel-restart", "pause-resume")
 
 #: The fixed background migration of every migration run: keys
 #: ``[0, 300)`` move from node 0 to node 3 in six 50-record chunks, each
@@ -126,6 +137,10 @@ class ChaosRunResult:
 
     crashed: bool = False
     recovery_offset_us: float = 0.0
+    resubmitted: int = 0
+    """Backlog and in-flight transactions handed to a crash's survivor:
+    the accepted input that had not reached the command log."""
+
     messages_dropped: int = 0
     retries_sent: int = 0
     duplicates_suppressed: int = 0
@@ -203,6 +218,22 @@ def make_cluster_builder(config: ChaosConfig) -> Callable[[], Cluster]:
     return build
 
 
+def _tee_to_replica(primary: Cluster, replica: Cluster) -> None:
+    """Forward each batch ``primary`` delivers to ``replica`` across the
+    WAN; the clone isolates replica-side mutation, and the ordered
+    injection pins the epoch order at the receiver."""
+    deliver = primary.sequencer.deliver
+
+    def tee(batch: Batch) -> None:
+        deliver(batch)
+        replica.kernel.call_at(
+            primary.kernel.now + WAN_DELAY_US,
+            replica.inject_batch_ordered, batch.clone(),
+        )
+
+    primary.sequencer.deliver = tee
+
+
 def _submit_schedule(
     cluster: Cluster,
     schedule: list[tuple[float, Transaction]],
@@ -234,14 +265,18 @@ def run_chaos_trial(
     plan: FaultPlan,
     rng: DeterministicRNG,
 ) -> ChaosRunResult:
-    """Run the schedule under ``plan``; crash-recover if the plan crashes.
+    """Run the schedule under ``plan``; hand over to a survivor if the
+    plan crashes.
 
     The crash path is the interesting one.  At the crash instant ``T``
     the cluster object is abandoned (the execution tier died) and its
-    durable tier captured.  A fresh cluster replays the command log,
-    which ends at kernel time ``R``.  The workload then resumes shifted
-    by ``O = k * epoch_us``, the smallest whole number of epochs with
-    ``T + O > R``:
+    durable tier captured.  The survivor is a fresh cluster replaying
+    the command log for a :class:`CrashFault`, or for a
+    :class:`FailoverFault` the replica built at time zero, fed every
+    delivered batch ``WAN_DELAY_US`` later and run until it has consumed
+    them; either way it holds the logged state at kernel time ``R``.
+    The workload then resumes shifted by ``O = k * epoch_us``, the
+    smallest whole number of epochs with ``T + O > R``:
 
     * the sequencer backlog is resubmitted at kernel ``T + O`` (its
       virtual crash-time position, in captured order),
@@ -286,17 +321,20 @@ def run_migration_trial(
       chunks, re-delivery commits in-flight ones, and backlog
       resubmission re-sequences the rest under their original ids, so
       none of them may be re-planned under fresh ids.
+    * ``"failover"`` — the same with a :class:`FailoverFault`: the
+      survivor is the promoted replica, which executed the logged
+      chunks as they crossed the WAN.
 
-    ``None`` runs the migration undisturbed: the reference all three
+    ``None`` runs the migration undisturbed: the reference they all
     must converge to in fingerprint and applied set, and pass the
     placement auditor with zero orphaned records.
     """
     if scenario is not None and scenario not in MIGRATION_SCENARIOS:
         raise FaultInjectionError(f"unknown migration scenario {scenario!r}")
-    if scenario == "crash":
+    if scenario in _CRASH_SCENARIOS:
         # A crash-only plan schedules no injector event and draws no
         # random number, so the rng's seed is immaterial.
-        plan = FaultPlan((CrashFault(at_us=event_at_us),))
+        plan = FaultPlan((_CRASH_SCENARIOS[scenario](at_us=event_at_us),))
         return _run(
             config, schedule, build_cluster, plan,
             DeterministicRNG(0, "migration-crash"), migrate=True,
@@ -326,9 +364,15 @@ def _run(
     ``call_at`` order is part of the kernel digest, so the scheduling
     order below is fixed: injector, schedule, migration start,
     disruption; after a crash, injector, backlog, in-flight batches,
-    schedule, migration remainder.
+    schedule, migration remainder.  Only a failover plan builds the
+    replica, right after the primary.
     """
+    crashes = plan.crashes() if plan is not None else []
     cluster = build_cluster()
+    replica = None
+    if crashes and isinstance(crashes[0], FailoverFault):
+        replica = build_cluster()
+        _tee_to_replica(cluster, replica)
     if plan is not None:
         FaultInjector(cluster, plan, rng).install()
     applied: set[TxnId] = set()
@@ -343,7 +387,6 @@ def _run(
     if disruption is not None:
         _schedule_disruption(cluster, controllers[0], *disruption)
 
-    crashes = plan.crashes() if plan is not None else []
     if not crashes:
         cluster.run_until_quiescent(MAX_TIME_US)
         if disruption is not None and cluster.kernel.now < disruption[2]:
@@ -379,10 +422,14 @@ def _run(
             f"{len(not_durable)} applied txns missing from durable order"
         )
 
-    # The execution tier is gone; rebuild from the durable tier.
-    recovered = recover_from_crash(
-        build_cluster, durable, max_time_us=MAX_TIME_US
-    )
+    # The execution tier is gone: promote the replica that consumed the
+    # same input, or rebuild from the durable tier.
+    if replica is not None:
+        recovered = promote_replica(replica, durable, max_time_us=MAX_TIME_US)
+    else:
+        recovered = recover_from_crash(
+            build_cluster, durable, max_time_us=MAX_TIME_US
+        )
     replay_end = recovered.kernel.now
     epoch_us = recovered.config.engine.epoch_us
     whole_epochs = math.floor((replay_end - crash_at) / epoch_us) + 1
@@ -393,7 +440,8 @@ def _run(
     FaultInjector(recovered, plan, rng).install(
         from_virtual_us=crash_at, offset_us=offset
     )
-    for txn in durable.backlog_priority + durable.backlog_pending:
+    backlog = durable.backlog_priority + durable.backlog_pending
+    for txn in backlog:
         recovered.kernel.call_at(crash_at + offset, recovered.submit, txn)
     latency = recovered.config.costs.sequencer_latency_us
     for cut_time, batch in durable.in_flight:
@@ -430,6 +478,9 @@ def _run(
         scenario_engaged=engaged_at_crash,
         crashed=True,
         recovery_offset_us=offset,
+        resubmitted=len(backlog) + sum(
+            len(batch) for _cut, batch in durable.in_flight
+        ),
     )
 
 

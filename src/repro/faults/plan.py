@@ -5,9 +5,11 @@ frozen dataclass naming *when* the fault starts, *how long* it lasts, and
 *what* it hits.  Plans are interpreted by
 :class:`repro.faults.injector.FaultInjector` (windowed faults: partitions,
 loss, jitter, stragglers) and by the chaos harness
-(:mod:`repro.faults.chaos`), which handles :class:`CrashFault` by
+(:mod:`repro.faults.chaos`), which handles a :class:`CrashFault` by
 segmenting the run at the crash instant and recovering through
-:func:`repro.engine.recovery.recover_from_crash`.
+:func:`repro.engine.recovery.recover_from_crash` — or, for its
+:class:`FailoverFault` kind, by promoting a WAN replica through
+:func:`repro.engine.recovery.promote_replica`.
 
 ``FaultPlan.random`` draws a bounded random plan from a
 :class:`DeterministicRNG`, so a whole chaos campaign is reproducible from
@@ -34,6 +36,12 @@ class CrashFault:
     def __post_init__(self) -> None:
         if self.at_us <= 0:
             raise FaultInjectionError("crash time must be > 0")
+
+
+@dataclass(frozen=True, slots=True)
+class FailoverFault(CrashFault):
+    """The primary site is lost at ``at_us`` and a WAN replica, fed the
+    same ordered input, takes over (§2.1, Figure 4)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,9 +221,9 @@ class FaultPlan:
     def validate(self, num_nodes: int) -> None:
         """Check the plan against a cluster of ``num_nodes`` nodes.
 
-        At most one crash is allowed per plan: the crash model restarts
-        the *whole* execution tier, so a second crash is just a second
-        plan applied to the recovered cluster.
+        At most one crash (of either kind) is allowed per plan: the crash
+        model replaces the *whole* execution tier, so a second crash is
+        just a second plan applied to the survivor.
         """
         if len(self.crashes()) > 1:
             raise FaultInjectionError("at most one crash per plan")

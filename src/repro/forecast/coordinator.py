@@ -77,7 +77,7 @@ class FallbackCoordinator:
         # slot; the unsubmitted remainder is abandoned (and counted).
         remainder = self.controller.cancel()
         if remainder:
-            self._cancelled_chunks.add(len(remainder))
+            self._cancelled_chunks.inc(len(remainder))
 
     def _on_recover(self, epoch: int) -> None:
         self._recoveries.inc()

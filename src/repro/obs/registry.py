@@ -14,8 +14,8 @@ strategy name the harness stamps on every run) are merged into every
 snapshot row, which is how per-strategy ratios stay comparable across a
 sweep without threading the strategy through every component.
 
-:class:`~repro.engine.metrics.ClusterMetrics` is a facade over one of
-these registries; ad-hoc experiment code can read the registry directly
+:class:`~repro.engine.metrics.ClusterMetrics` holds one of these
+registries; ad-hoc experiment code can read the registry directly
 via ``cluster.metrics.registry``.
 """
 
@@ -49,16 +49,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r} can only increase")
         self.value += amount
 
-    add = inc  # the coordinators count records and chunks with ``add``
-
-    def set_total(self, total: float) -> None:
-        """Raise the counter to an absolute total (facade ``+=`` support)."""
-        if total < self.value:
-            raise ValueError(
-                f"counter {self.name!r} cannot decrease "
-                f"({self.value} -> {total})"
-            )
-        self.value = total
 
 
 class Gauge:

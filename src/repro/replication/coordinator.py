@@ -104,7 +104,7 @@ class ReplicationCoordinator:
         self, chunks: list[ChunkMigration], epoch: int
     ) -> None:
         self._cycles.inc()
-        self._chunks.add(len(chunks))
+        self._chunks.inc(len(chunks))
         plan = ColdMigrationPlan(chunks=tuple(chunks))
         tracer = self.cluster.tracer
         if tracer is not None:
@@ -212,7 +212,7 @@ class ReplicationCoordinator:
         if lo >= hi:
             return
         freed = self.cluster.nodes[node].replicas.drop(range(lo, hi))
-        self._retired_records.add(freed)
+        self._retired_records.inc(freed)
         tracer = self.cluster.tracer
         if tracer is not None:
             tracer.replication(

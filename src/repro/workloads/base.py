@@ -94,19 +94,15 @@ class ClosedLoopDriver:
         workload: WorkloadGenerator,
         num_clients: int,
         stop_us: float,
-        think_us: float = 0.0,
     ) -> None:
         if num_clients < 1:
             raise ConfigurationError("need at least one client")
         if stop_us <= 0:
             raise ConfigurationError("stop_us must be positive")
-        if think_us < 0:
-            raise ConfigurationError("think_us must be >= 0")
         self.cluster = cluster
         self.workload = workload
         self.num_clients = num_clients
         self.stop_us = stop_us
-        self.think_us = think_us
         self.submitted = 0
 
     def start(self) -> None:
@@ -114,16 +110,12 @@ class ClosedLoopDriver:
         for _client in range(self.num_clients):
             self._issue()
 
-    def _issue(self) -> None:
+    def _issue(self, _committed=None) -> None:
+        """Issue one request; also each client's commit callback, so a
+        client resubmits the instant its request commits."""
         kernel = self.cluster.kernel
         if kernel.now >= self.stop_us:
             return
         txn = self.workload.make_txn(self.cluster.next_txn_id(), kernel.now)
         self.submitted += 1
-        self.cluster.submit(txn, on_commit=self._on_commit)
-
-    def _on_commit(self, _runtime) -> None:
-        if self.think_us > 0:
-            self.cluster.kernel.call_later(self.think_us, self._issue)
-        else:
-            self._issue()
+        self.cluster.submit(txn, on_commit=self._issue)

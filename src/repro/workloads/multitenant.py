@@ -15,7 +15,7 @@ blocks:
 * **perfect** — each node gets exactly its own tenants' ranges;
 * **hash**   — keys hash-scatter across nodes (creates distributed
   transactions, since a transaction's two records may land apart);
-* **skewed** — the first ``skewed_tenants`` tenants (≈43 % of data) pile
+* **skewed** — the first :data:`SKEWED_TENANTS` tenants (≈43 % of data) pile
   onto node 0.
 
 Section 5.4's scale-out experiment uses ``hot_mode="fixed"``: one hot
@@ -170,21 +170,26 @@ def hash_partitioner(config: MultiTenantConfig) -> Partitioner:
     return HashPartitioner(config.num_nodes)
 
 
-def skewed_partitioner(
-    config: MultiTenantConfig, skewed_tenants: int = 7
-) -> RangePartitioner:
-    """First ``skewed_tenants`` tenants (~43 % of data) pile on node 0.
+#: Tenants the skewed layout (Figure 13) piles on node 0: 7 of the
+#: default 16.
+SKEWED_TENANTS = 7
+
+
+def skewed_partitioner(config: MultiTenantConfig) -> RangePartitioner:
+    """First :data:`SKEWED_TENANTS` tenants (~43 % of data) pile on node 0.
 
     The remaining tenants spread evenly over the remaining nodes, as in
     the paper's skewed initial partitioning.
     """
-    if not 0 < skewed_tenants < config.num_tenants:
-        raise ConfigurationError("skewed_tenants out of range")
+    if config.num_tenants <= SKEWED_TENANTS:
+        raise ConfigurationError(
+            f"skewed layout needs > {SKEWED_TENANTS} tenants"
+        )
     if config.num_nodes < 2:
         raise ConfigurationError("skewed layout needs >= 2 nodes")
     starts = [0]
     owners = [0]
-    rest = list(range(skewed_tenants, config.num_tenants))
+    rest = list(range(SKEWED_TENANTS, config.num_tenants))
     others = list(range(1, config.num_nodes))
     per_node = max(1, len(rest) // len(others))
     for index, tenant in enumerate(rest):

@@ -15,7 +15,7 @@ from repro.workloads.base import ClosedLoopDriver
 NUM_KEYS = 800
 
 
-def build_clay(monitor_us=300_000.0, tolerance=0.2):
+def build_clay(monitor_us=300_000.0):
     router = ClayRouter(clump_records=50)
     cluster = Cluster(
         ClusterConfig(
@@ -33,7 +33,6 @@ def build_clay(monitor_us=300_000.0, tolerance=0.2):
     controller = ClayController(
         cluster, router, executor,
         monitor_interval_us=monitor_us,
-        imbalance_tolerance=tolerance,
     )
     return cluster, router, controller
 
@@ -99,7 +98,3 @@ class TestControllerPlans:
         executor = SquallExecutor(cluster)
         with pytest.raises(ConfigurationError):
             ClayController(cluster, router, executor, monitor_interval_us=0)
-        with pytest.raises(ConfigurationError):
-            ClayController(
-                cluster, router, executor, imbalance_tolerance=-0.1
-            )

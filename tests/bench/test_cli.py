@@ -4,6 +4,7 @@ import inspect
 
 import pytest
 
+from repro.api import PRESETS
 from repro.bench import __main__ as cli
 from repro.bench.__main__ import main
 from repro.bench.figures import run_google
@@ -60,6 +61,20 @@ class TestCLI:
         assert given.params == {"rate_scale": 2000.0}
         default = inspect.signature(run_google).parameters["rate_scale"]
         assert default.default == GOOGLE_RATE_SCALE == 4_500.0
+
+    def test_tpcc_hot_defaults_to_the_fig11_preset(self, monkeypatch):
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            raise _Captured
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        with pytest.raises(_Captured):
+            main(["tpcc", "calvin"])
+        (spec,) = specs
+        fig11 = PRESETS["fig11"]()
+        assert spec.params["hot_fraction"] == fig11.params["hot_fraction"]
 
     def test_unknown_strategy_fails_loudly(self):
         with pytest.raises(Exception):

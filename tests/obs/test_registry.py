@@ -30,17 +30,13 @@ class TestInstrumentFamilies:
 
 
 class TestCounter:
-    def test_inc_and_set_total_are_monotone(self):
+    def test_inc_is_monotone(self):
         counter = MetricsRegistry().counter("c")
         counter.inc()
-        counter.add(2.0)
+        counter.inc(2.0)
         assert counter.value == 3.0
-        counter.set_total(10.0)
-        assert counter.value == 10.0
         with pytest.raises(ValueError):
             counter.inc(-1.0)
-        with pytest.raises(ValueError):
-            counter.set_total(5.0)
 
 
 class TestHistogram:

@@ -330,8 +330,7 @@ class TestCollectorPause:
         assert gc.isenabled()
 
     def test_nested_kernel_leaves_outer_pause_alone(self, leg):
-        # The failover/replication shape: a callback of one kernel runs
-        # another kernel to completion.
+        # A callback of one kernel runs another kernel to completion.
         gc.enable()
         outer, inner = Kernel(), Kernel()
         seen = []

@@ -109,33 +109,6 @@ class TestClosedLoop:
         cluster.run_until_quiescent(30_000_000)
         assert cluster.metrics.commits == driver.submitted
 
-    def test_think_time_slows_clients(self, cluster):
-        fast = ClosedLoopDriver(
-            cluster, CountingWorkload(), num_clients=5, stop_us=500_000.0
-        )
-        fast.start()
-        cluster.run_until_quiescent(30_000_000)
-        fast_count = fast.submitted
-
-        cluster2 = Cluster(
-            ClusterConfig(
-                num_nodes=2, engine=EngineConfig(epoch_us=5_000.0)
-            ),
-            CalvinRouter(),
-            make_uniform_ranges(100, 2),
-        )
-        cluster2.load_data(range(100))
-        slow = ClosedLoopDriver(
-            cluster2, CountingWorkload(), num_clients=5,
-            stop_us=500_000.0, think_us=50_000.0,
-        )
-        slow.start()
-        cluster2.run_until_quiescent(30_000_000)
-        assert slow.submitted < fast_count
-
     def test_bad_args(self, cluster):
         with pytest.raises(ConfigurationError):
             ClosedLoopDriver(cluster, CountingWorkload(), 0, stop_us=1000.0)
-        with pytest.raises(ConfigurationError):
-            ClosedLoopDriver(cluster, CountingWorkload(), 1, stop_us=1000.0,
-                             think_us=-1.0)

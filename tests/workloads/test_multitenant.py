@@ -80,7 +80,7 @@ class TestLayouts:
         assert len(homes) > 1
 
     def test_skewed_puts_first_tenants_on_node0(self, config):
-        part = skewed_partitioner(config, skewed_tenants=7)
+        part = skewed_partitioner(config)
         for tenant in range(7):
             lo, _hi = config.tenant_range(tenant)
             assert part.home(lo) == 0
@@ -91,7 +91,7 @@ class TestLayouts:
         assert 0 not in later_homes
 
     def test_skewed_fraction_is_large(self, config):
-        part = skewed_partitioner(config, skewed_tenants=7)
+        part = skewed_partitioner(config)
         on_zero = sum(
             1 for k in range(config.num_keys) if part.home(k) == 0
         )
@@ -108,7 +108,7 @@ class TestValidation:
             MultiTenantConfig(records_per_tenant=1)
 
     def test_skewed_needs_multiple_nodes(self):
-        config = MultiTenantConfig(num_nodes=1, tenants_per_node=4,
+        config = MultiTenantConfig(num_nodes=1, tenants_per_node=8,
                                    records_per_tenant=10)
-        with pytest.raises(ConfigurationError):
-            skewed_partitioner(config, skewed_tenants=2)
+        with pytest.raises(ConfigurationError, match="needs >= 2 nodes"):
+            skewed_partitioner(config)
