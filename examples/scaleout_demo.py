@@ -28,7 +28,7 @@ def main() -> None:
         print(f"  {variant}: {description}")
         (results[variant],) = run_experiment(ExperimentSpec(
             kind="scaleout", strategies=(variant,), duration_s=12.0,
-            keep_cluster=True, params={"event_at_s": 3.0},
+            keep_cluster=True,
         ))
 
     print("\nthroughput around the scale-out event (txns per 0.5 s window):")

@@ -29,7 +29,12 @@ from dataclasses import dataclass, field, replace
 from difflib import get_close_matches
 from typing import TYPE_CHECKING, Callable
 
-from repro.bench.figures import KINDS, run_task, scale_profile
+from repro.bench.figures import (
+    KINDS,
+    REPLICATION_KEYS,
+    run_task,
+    scale_profile,
+)
 from repro.bench.harness import parallel_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -119,7 +124,16 @@ def run_experiment(spec: ExperimentSpec):
                     "generators and kernel heap, a Tracer), which cannot "
                     "be shipped between processes; use jobs=1 (or None)"
                 )
-    _reject_unknown(spec.kind, set(spec.params) - VALID_PARAMS[spec.kind])
+    _reject_unknown(
+        f"params for kind {spec.kind!r}",
+        set(spec.params),
+        VALID_PARAMS[spec.kind],
+    )
+    replication = spec.params.get("replication")
+    if replication is not None:
+        _reject_unknown(
+            "params['replication'] keys", set(replication), REPLICATION_KEYS
+        )
 
     if kind.sweep_key is None:
         tasks = [(spec, name) for name in spec.strategies]
@@ -170,11 +184,12 @@ VALID_PARAMS: dict[str, frozenset[str]] = {
 }
 
 
-def _reject_unknown(kind: str, unknown: set[str]) -> None:
+def _reject_unknown(what: str, given: set[str], known: frozenset[str]) -> None:
+    unknown = given - known
     if not unknown:
         return
-    valid = sorted(VALID_PARAMS[kind])
-    parts = [f"unknown params for kind {kind!r}: {sorted(unknown)}"]
+    valid = sorted(known)
+    parts = [f"unknown {what}: {sorted(unknown)}"]
     for name in sorted(unknown):
         close = get_close_matches(name, valid, n=1)
         if close:

@@ -153,35 +153,32 @@ def google_spec(name: str, num_keys: int) -> StrategySpec:
 
 def _google_setup(
     spec,
-    num_nodes: int | None,
-    num_keys: int | None,
     ycsb_overrides: dict | None = None,
     zipf_theta: float = 0.8,
 ) -> tuple[YCSBConfig, ClusterConfig, float]:
     """Workload, cluster and duration of a Google-YCSB kind.
 
-    Explicit params beat the scale profile, which beats
+    The scale profile, when the spec names one, beats
     :data:`GOOGLE_BENCH`; the global hot spot sweeps the keyspace twice
     per run whatever its length.
     """
     profile = scale_profile(spec)
     if profile is None:
-        nodes, keys, seconds, backend = (
+        num_nodes, num_keys, seconds, backend = (
             GOOGLE_BENCH["num_nodes"], GOOGLE_BENCH["num_keys"],
             GOOGLE_BENCH["duration_s"], "dict",
         )
     else:
-        nodes, keys, seconds, backend = (
+        num_nodes, num_keys, seconds, backend = (
             profile.num_nodes, profile.num_keys,
             profile.duration_s, profile.store_backend,
         )
-    num_nodes = _or(num_nodes, nodes)
     duration_us = _duration_us(spec, seconds)
     overrides = dict(ycsb_overrides or {})
     overrides.setdefault("zipf_theta", zipf_theta)
     overrides.setdefault("global_cycle_us", duration_us / 2)
     ycsb_config = YCSBConfig(
-        num_keys=_or(num_keys, keys), num_partitions=num_nodes, **overrides
+        num_keys=num_keys, num_partitions=num_nodes, **overrides
     )
     return (
         ycsb_config,
@@ -264,8 +261,6 @@ def run_google(
     spec,
     name: str,
     *,
-    num_nodes: int | None = None,
-    num_keys: int | None = None,
     rate_scale: float = GOOGLE_RATE_SCALE,
     ycsb_overrides: dict | None = None,
     schism_periods: dict[str, tuple[float, float]] | None = None,
@@ -275,7 +270,7 @@ def run_google(
     ``schism_periods`` maps a label (e.g. ``"schism1"``) to the fraction
     interval of the run used as its offline training trace.
     """
-    setup = _google_setup(spec, num_nodes, num_keys, ycsb_overrides)
+    setup = _google_setup(spec, ycsb_overrides)
     ycsb_config = setup[0]
     return _run_google_row(
         spec, name, lambda n: google_spec(n, ycsb_config.num_keys),
@@ -343,7 +338,6 @@ def _forecast_spec(
     num_keys: int,
     forecaster_name: str,
     seed: int,
-    detector_params: dict | None = None,
     migrate_at_us: float | None = None,
 ) -> StrategySpec:
     """Strategy spec for one robustness-curve variant.
@@ -365,7 +359,7 @@ def _forecast_spec(
         forecaster = FaultyForecaster(
             inner, rng, key_universe=range(num_keys)
         )
-    detector = MispredictDetector(**(detector_params or {}))
+    detector = MispredictDetector()
     fallback = variant != "hermes-forecast-nofallback"
     router_holder: list[ForecastRouter] = []
 
@@ -404,10 +398,6 @@ def run_forecast(
     *,
     error_level: float,
     forecaster: str = "oracle",
-    num_nodes: int | None = None,
-    num_keys: int | None = None,
-    rate_scale: float = GOOGLE_RATE_SCALE,
-    detector: dict | None = None,
 ) -> ExperimentResult:
     """One robustness-curve point: variant × forecast-error level.
 
@@ -419,7 +409,7 @@ def run_forecast(
     """
     # The curve was calibrated at YCSB's default skew, not the 0.8 the
     # figure comparisons use; the pinned preset result digests hold it.
-    setup = _google_setup(spec, num_nodes, num_keys, zipf_theta=0.7)
+    setup = _google_setup(spec, zipf_theta=0.7)
     ycsb_config, _cluster_config, duration_us = setup
     seed = spec.seed
 
@@ -454,11 +444,10 @@ def run_forecast(
             num_keys=ycsb_config.num_keys,
             forecaster_name=forecaster,
             seed=seed,
-            detector_params=detector,
             migrate_at_us=0.3 * duration_us,
         ),
         setup,
-        rate_scale,
+        GOOGLE_RATE_SCALE,
         before_run=before_run,
     )
     result.extras["error_level"] = error_level
@@ -475,15 +464,19 @@ def run_forecast(
 #: and `schism*` via an offline-trained partitioner).
 REPLICATION_VARIANTS = ("hermes-replica", "hermes-clone")
 
+#: The floor on records per replica range of a replication row: about
+#: 800 ranges span the key space, never fewer than this many records.
+MIN_RANGE_RECORDS = 32
+
 
 def _replication_spec(
     variant: str,
-    *,
-    num_nodes: int,
     num_keys: int,
-    forecaster_name: str,
-    seed: int,
-    replication_params: dict | None = None,
+    *,
+    range_records: int,
+    provision_interval: int,
+    fanout: int = 1,
+    routing: RoutingConfig | None = None,
 ) -> StrategySpec:
     """Strategy spec for one replication-comparison variant.
 
@@ -494,28 +487,19 @@ def _replication_spec(
     cloning, arXiv 2002.04416).  Neither uses the fusion-table overlay:
     the point of the comparison is replication *bytes* versus migration
     *bytes*, so reads replicate while writes still migrate through the
-    plain overlay path.  Other names delegate to :func:`google_spec`.
+    plain overlay path.  Replicas are provisioned from the oracle
+    forecast.  Other names delegate to :func:`google_spec`.
     """
     if variant not in REPLICATION_VARIANTS:
         return google_spec(variant, num_keys)
-    params = dict(replication_params or {})
-    rng = DeterministicRNG(seed, "replication", variant)
-    forecaster = _make_forecaster(forecaster_name, rng, num_nodes, num_keys)
+    forecaster = OracleForecaster()
     config = ReplicationConfig(
         key_lo=0,
         key_hi=num_keys,
-        range_records=params.get("range_records", max(32, num_keys // 800)),
-        provision_interval=params.get("provision_interval", 4),
-        max_ranges_per_cycle=params.get("max_ranges_per_cycle", 8),
+        range_records=range_records,
+        provision_interval=provision_interval,
         clone=variant == "hermes-clone",
-        fanout=params.get("fanout", 1),
-        side_store_budget=params.get("side_store_budget"),
-    )
-    routing_params = params.get("routing")
-    routing = (
-        RoutingConfig(**routing_params)
-        if routing_params is not None
-        else None
+        fanout=fanout,
     )
     router_holder: list[ReplicationRouter] = []
 
@@ -534,16 +518,26 @@ def _replication_spec(
     )
 
 
+def _replication_row_spec(
+    variant: str, num_keys: int, *, provision_interval: int = 4
+) -> StrategySpec:
+    """A :func:`run_replication` row's strategy.  Its keyword-only
+    parameters are the keys ``params["replication"]`` accepts
+    (:data:`REPLICATION_KEYS`)."""
+    return _replication_spec(
+        variant,
+        num_keys,
+        range_records=max(MIN_RANGE_RECORDS, num_keys // 800),
+        provision_interval=provision_interval,
+    )
+
+
 def run_replication(
     spec,
     name: str,
     *,
-    num_nodes: int | None = None,
-    num_keys: int | None = None,
-    rate_scale: float = GOOGLE_RATE_SCALE,
     ycsb_overrides: dict | None = None,
     schism_periods: dict[str, tuple[float, float]] | None = None,
-    forecaster: str = "oracle",
     replication: dict | None = None,
 ) -> ExperimentResult:
     """One row of the replication-vs-migration comparison: a baseline
@@ -555,7 +549,7 @@ def run_replication(
     record size), plus the distributed-transaction ratio and p99 the
     harness already reports.
     """
-    setup = _google_setup(spec, num_nodes, num_keys, ycsb_overrides)
+    setup = _google_setup(spec, ycsb_overrides)
     ycsb_config = setup[0]
     # The worker outlives run_workload, so a before_run capture is all
     # that is needed to harvest byte accounting without keep_cluster.
@@ -563,16 +557,11 @@ def run_replication(
     result = _run_google_row(
         spec,
         name,
-        lambda variant: _replication_spec(
-            variant,
-            num_nodes=ycsb_config.num_partitions,
-            num_keys=ycsb_config.num_keys,
-            forecaster_name=forecaster,
-            seed=spec.seed,
-            replication_params=replication,
+        lambda variant: _replication_row_spec(
+            variant, ycsb_config.num_keys, **(replication or {})
         ),
         setup,
-        rate_scale,
+        GOOGLE_RATE_SCALE,
         schism_periods,
         before_run=cluster_holder.append,
     )
@@ -589,20 +578,17 @@ def run_replication(
     result.extras["replication_bytes"] = replication_records * RECORD_BYTES
     result.extras["replica_reads"] = cluster.metrics.replica_reads
     result.extras["cloned_reads"] = cluster.metrics.cloned_reads
-    result.extras["forecaster"] = forecaster
+    result.extras["forecaster"] = "oracle"
     return result
 
 
-def run_straggler_clone(
-    spec,
-    name: str,
-    *,
-    num_keys: int = 4_000,
-    hot_records: int = 50,
-    rate_per_s: float = 2_000.0,
-    slowdown: float = 8.0,
-    replication: dict | None = None,
-) -> ExperimentResult:
+#: Offered arrivals per second of the straggler run.
+STRAGGLER_RATE_PER_S = 2_000.0
+#: How many times slower the straggling holder serves.
+STRAGGLER_SLOWDOWN = 8.0
+
+
+def run_straggler_clone(spec, name: str) -> ExperimentResult:
     """One straggler × clone-mode run (typically ``hermes-replica`` vs
     ``hermes-clone``).
 
@@ -632,29 +618,18 @@ def run_straggler_clone(
     duration_us = _duration_us(spec, 2.5)
     seed = spec.seed
     warm_until_us = duration_us * 0.4
-    hotrange_config = hotrange.HotRangeConfig(
-        num_keys=num_keys,
-        hot_records=hot_records,
-        warm_until_us=warm_until_us,
-    )
-    params = dict(replication or {})
-    # The hot range must be exactly one replica range, and both modes
-    # must provision identically for the fingerprint-parity check.
-    params.setdefault("range_records", hot_records)
-    params.setdefault("fanout", 2)
+    hotrange_config = hotrange.HotRangeConfig(warm_until_us=warm_until_us)
     cluster_config = bench_cluster_config(hotrange.NUM_NODES)
     warm_epochs = warm_until_us / cluster_config.engine.epoch_us
-    params.setdefault(
-        "provision_interval", max(1, int(warm_epochs * 0.8))
-    )
-    params.setdefault("routing", {"balance": False})
+    # The hot range must be exactly one replica range, and both modes
+    # must provision identically for the fingerprint-parity check.
     strategy = _replication_spec(
         name,
-        num_nodes=hotrange.NUM_NODES,
-        num_keys=num_keys,
-        forecaster_name="oracle",
-        seed=seed,
-        replication_params=params,
+        hotrange.NUM_KEYS,
+        range_records=hotrange.HOT_RECORDS,
+        provision_interval=max(1, int(warm_epochs * 0.8)),
+        fanout=2,
+        routing=RoutingConfig(balance=False),
     )
 
     cluster_holder: list[Cluster] = []
@@ -667,7 +642,7 @@ def run_straggler_clone(
                 start_us=warm_until_us,
                 duration_us=duration_us - warm_until_us,
                 node=straggler_node,
-                slowdown=slowdown,
+                slowdown=STRAGGLER_SLOWDOWN,
             ),
         ))
         FaultInjector(
@@ -678,19 +653,19 @@ def run_straggler_clone(
         strategy,
         cluster_config=cluster_config,
         partitioner_factory=lambda: make_uniform_ranges(
-            num_keys, hotrange.NUM_NODES
+            hotrange.NUM_KEYS, hotrange.NUM_NODES
         ),
         workload_factory=lambda rng: hotrange.HotRangeWorkload(
             hotrange_config, rng
         ),
-        keys=range(num_keys),
+        keys=range(hotrange.NUM_KEYS),
         duration_us=duration_us,
         # Percentiles must cover only the measured phase: the straggler
         # window, where the reader node owns all the traffic.
         warmup_us=warm_until_us,
         drain=True,
         mode="open",
-        rate_per_s=rate_per_s,
+        rate_per_s=STRAGGLER_RATE_PER_S,
         stats_window_us=_or(spec.window_us, duration_us / 16),
         before_run=before_run,
         # Both variants must replay the *same* arrival stream or the
@@ -704,7 +679,7 @@ def run_straggler_clone(
     result.extras["cloned_reads"] = cluster.metrics.cloned_reads
     result.extras["replica_reads"] = cluster.metrics.replica_reads
     result.extras["straggler_node"] = straggler_node
-    result.extras["slowdown"] = slowdown
+    result.extras["slowdown"] = STRAGGLER_SLOWDOWN
     holder_count = getattr(
         getattr(router, "directory", None), "holder_count", None
     )
@@ -718,21 +693,22 @@ def run_straggler_clone(
 # ----------------------------------------------------------------------
 
 
+#: Cluster width of the TPC-C runs (ten warehouses per node).
+TPCC_NUM_NODES = 8
+#: Closed-loop clients of the TPC-C runs.
+TPCC_CLIENTS = 900
+
+
 def run_tpcc(
-    spec,
-    name: str,
-    *,
-    hot_fraction: float = 0.0,
-    num_nodes: int = 8,
-    clients: int = 900,
+    spec, name: str, *, hot_fraction: float = 0.0
 ) -> ExperimentResult:
     """Closed-loop TPC-C with a node-0 hot spot: one strategy at one
     hot fraction (the ``tpcc_sweep`` kind runs the whole Figure 11 grid
     of them through one pool)."""
     duration_us = _duration_us(spec, 4.0)
     tpcc_config = TPCCConfig(
-        num_warehouses=num_nodes * 10,
-        num_nodes=num_nodes,
+        num_warehouses=TPCC_NUM_NODES * 10,
+        num_nodes=TPCC_NUM_NODES,
         hot_fraction=hot_fraction,
     )
     clay_monitor_interval_us = min(1_500_000.0, duration_us / 5)
@@ -749,14 +725,14 @@ def run_tpcc(
         )
     return run_workload(
         strategy,
-        cluster_config=bench_cluster_config(num_nodes),
+        cluster_config=bench_cluster_config(TPCC_NUM_NODES),
         partitioner_factory=lambda: tpcc_partitioner(tpcc_config),
         workload_factory=lambda rng: TPCCWorkload(tpcc_config, rng),
         duration_us=duration_us,
         warmup_us=_or(spec.warmup_us, min(1_000_000.0, duration_us / 5)),
         drain=False,
         mode="closed",
-        clients=clients,
+        clients=TPCC_CLIENTS,
         stats_window_us=_or(spec.window_us, 1_000_000.0),
         **_run_knobs(spec),
     )
@@ -821,6 +797,10 @@ def _clay_tpcc_spec(monitor_interval_us: float) -> StrategySpec:
 # ----------------------------------------------------------------------
 
 
+#: Closed-loop clients of an unscaled multi-tenant run.
+MULTITENANT_CLIENTS = 800
+
+
 def run_multitenant(
     spec,
     name: str,
@@ -828,7 +808,6 @@ def run_multitenant(
     config: MultiTenantConfig | None = None,
     partitioner_factory: Callable[[MultiTenantConfig], Partitioner]
     = perfect_partitioner,
-    clients: int | None = None,
 ) -> ExperimentResult:
     """Closed-loop multi-tenant workload (moving hot spot by default).
 
@@ -874,38 +853,36 @@ def run_multitenant(
         warmup_us=_or(spec.warmup_us, min(1_000_000.0, duration_us / 10)),
         drain=False,
         mode="closed",
-        clients=_or(clients, profile.clients if profile else 800),
+        clients=profile.clients if profile else MULTITENANT_CLIENTS,
         stats_window_us=_or(spec.window_us, 500_000.0),
         **_run_knobs(spec),
     )
 
 
-def run_scaleout(
-    spec,
-    variant: str,
-    *,
-    event_at_s: float = 4.0,
-    clients: int = 600,
-    records_per_tenant: int = 2_500,
-) -> ExperimentResult:
+#: Unscaled second at which the scale-out run gains its fourth node.
+SCALEOUT_EVENT_AT_S = 4.0
+#: Closed-loop clients of the scale-out run.
+SCALEOUT_CLIENTS = 600
+
+
+def run_scaleout(spec, variant: str) -> ExperimentResult:
     """One Figure 14 scale-out scenario.
 
     Variants: ``squall`` (Calvin + chunked range migration including hot
     records), ``clay+squall`` (Clay plans after its monitoring window),
     ``hermes-nocold-5``, ``hermes-nocold-10`` (fusion only, 5 %/10 %
     capacity), ``hermes-cold-5`` (fusion + cold chunks that skip fused
-    records).  A 3-node cluster gains a 4th node at ``event_at_s``; the
-    hot tenant (25 % of load) occupies the first quarter of node 0.
+    records).  A 3-node cluster gains a 4th node at
+    :data:`SCALEOUT_EVENT_AT_S`; the hot tenant (25 % of load) occupies the first quarter of node 0.
     """
     wl_config = MultiTenantConfig(
         num_nodes=3,
         tenants_per_node=4,
-        records_per_tenant=records_per_tenant,
         hot_mode="fixed",
         fixed_hot_tenant=0,
         hot_share=0.25,
     )
-    event_us = event_at_s * bench_scale() * 1e6
+    event_us = SCALEOUT_EVENT_AT_S * bench_scale() * 1e6
     hot_lo, hot_hi = wl_config.tenant_range(0)
     new_node = 3
     num_physical = 4
@@ -918,7 +895,7 @@ def run_scaleout(
     elif variant == "clay+squall":
         strategy = make_strategy(
             "clay",
-            clay_clump_records=max(50, records_per_tenant // 5),
+            clay_clump_records=max(50, wl_config.records_per_tenant // 5),
             clay_monitor_interval_us=2_000_000.0,
         )
     elif variant in capacity_pct:
@@ -957,7 +934,7 @@ def run_scaleout(
         warmup_us=_or(spec.warmup_us, min(1_000_000.0, event_us / 2)),
         drain=False,
         mode="closed",
-        clients=clients,
+        clients=SCALEOUT_CLIENTS,
         active_nodes=[0, 1, 2],
         before_run=before_run,
         stats_window_us=_or(spec.window_us, 500_000.0),
@@ -976,21 +953,15 @@ def run_serving(
     spec,
     strategy: str,
     *,
-    num_nodes: int = 4,
-    num_keys: int = 10_000,
     initial_nodes: int | None = None,
-    epoch_us: float = 5_000.0,
-    rate_per_s: float = 2_000.0,
-    rw_ratio: float = 0.2,
     resizes: tuple = (),
-    verify: bool = True,
 ) -> ExperimentResult:
     """One journaled online-serving run.
 
     Unlike the bench kinds this drives the :mod:`repro.serve` tick loop:
-    arrivals are synthesized per epoch, journaled write-ahead, and (by
-    default) the journal is replayed and checked byte-for-byte against
-    the live run before the result is returned.
+    arrivals are synthesized per epoch, journaled write-ahead, and the
+    journal is replayed and checked byte-for-byte against the live run
+    before the result is returned.
     """
     # Deferred: repro.serve pulls in asyncio and the socket frontend,
     # which no other kind (and no `import repro.api`) should pay for.
@@ -998,22 +969,25 @@ def run_serving(
 
     return serving_run(
         strategy,
-        num_nodes=num_nodes,
-        num_keys=num_keys,
         initial_nodes=initial_nodes,
-        epoch_us=epoch_us,
         duration_us=_duration_us(spec, 1.0),
-        rate_per_s=rate_per_s,
-        rw_ratio=rw_ratio,
         resizes=tuple(resizes),
         seed=spec.seed,
-        verify=verify,
     )
 
 
 # ----------------------------------------------------------------------
 # The kind registry and the pool worker
 # ----------------------------------------------------------------------
+
+
+def _keyword_only(fn: Callable) -> frozenset[str]:
+    """The names of ``fn``'s keyword-only parameters."""
+    return frozenset(
+        name
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.kind is param.KEYWORD_ONLY
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -1039,14 +1013,10 @@ class Kind:
 
     @property
     def valid_params(self) -> frozenset[str]:
-        names = {
-            name
-            for name, param in inspect.signature(self.run).parameters.items()
-            if param.kind is param.KEYWORD_ONLY
-        }
+        names = _keyword_only(self.run)
         if self.sweep_key is not None:
             names = names - {self.sweep_point} | {self.sweep_key}
-        return frozenset(names)
+        return names
 
 
 KINDS: dict[str, Kind] = {
@@ -1072,6 +1042,10 @@ KINDS: dict[str, Kind] = {
     ),
     "straggler_clone": Kind(run_straggler_clone),
 }
+
+#: The keys ``params["replication"]`` of the ``replication`` kind
+#: accepts; ``run_experiment`` rejects any other by name.
+REPLICATION_KEYS = _keyword_only(_replication_row_spec)
 
 
 def run_task(task: tuple) -> ExperimentResult:

@@ -16,7 +16,7 @@ counter has a read-only int accessor (``metrics.remote_reads``), and
 to reporting and tracing code.
 
 Accessor naming: time-valued accessors carry a ``_us`` suffix
-(``mean_latency_us``, ``latency_percentile_us``, ...).  The unsuffixed
+(``mean_latency_us``, ``latency_percentiles_us``, ...).  The unsuffixed
 ``latency_percentile``/``latency_percentiles`` spellings predated the
 convention and have been removed.
 """
@@ -164,19 +164,14 @@ class ClusterMetrics:
         span_us = until - self.warmup_until
         return self.commits / (span_us / 1e6)
 
-    def latency_percentile_us(self, quantile: float) -> float:
-        """Client-perceived latency percentile in microseconds.
-
-        Nearest-rank method over post-warm-up commits: the value at rank
-        ``ceil(q·n)``.  Returns 0.0 before any commit is recorded.
-        """
-        return self.latency_percentiles_us((quantile,))[quantile]
-
     def latency_percentiles_us(
         self, quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)
     ) -> dict[float, float]:
-        """Several nearest-rank percentiles at once (sorted once).
+        """Client-perceived latency percentiles in microseconds.
 
-        Returns a plain dict keyed by the quantile floats passed in.
+        Nearest-rank method over post-warm-up commits, sorted once: the
+        value at rank ``ceil(q·n)`` for each quantile, in a plain dict
+        keyed by the floats passed in.  Every value is 0.0 before any
+        commit is recorded.
         """
         return self._latency_hist.percentiles(quantiles)

@@ -64,7 +64,6 @@ class ReplicaDirectory:
         "_outages",
         "installs_total",
         "invalidations_total",
-        "retires_total",
     )
 
     def __init__(self, range_records: int) -> None:
@@ -75,16 +74,6 @@ class ReplicaDirectory:
         self._outages: set[NodeId] = set()
         self.installs_total = 0
         self.invalidations_total = 0
-        self.retires_total = 0
-
-    # ------------------------------------------------------------------
-    # Geometry
-    # ------------------------------------------------------------------
-
-    def span_of(self, range_id: int) -> tuple[int, int]:
-        """The ``[lo, hi)`` key interval of a range."""
-        lo = range_id * self.range_records
-        return lo, lo + self.range_records
 
     # ------------------------------------------------------------------
     # Mutation (sequenced call sites only)
@@ -110,10 +99,9 @@ class ReplicaDirectory:
 
         Only ranges with directory entries pay anything; the commutative
         max makes the per-batch pass order-independent.  Holder entries
-        are *kept* (and their side-store copies survive until a budget
-        retirement fences them out): an in-flight replica read
-        dispatched in an earlier epoch may still be serving from the
-        copy, and a later re-install refreshes the same entry.
+        and their side-store copies are *kept*: an in-flight replica
+        read dispatched in an earlier epoch may still be serving from
+        the copy, and a later re-install refreshes the same entry.
         """
         entry = self._ranges.get(range_id)
         if entry is None:
@@ -121,24 +109,6 @@ class ReplicaDirectory:
         if epoch > entry.last_invalidate:
             entry.last_invalidate = epoch
         self.invalidations_total += 1
-
-    def retire(self, range_id: int, node: NodeId) -> None:
-        """Drop a holder from the directory (directory-only retirement).
-
-        Called at routing time when a node's side-store exceeds its
-        budget (:class:`~repro.replication.provision.ReplicaProvisioner`
-        plans the victims).  Retiring only stops the router from
-        choosing the holder again; the node's side-store keeps the copy
-        until every transaction routed *before* the retirement has
-        finished — an in-flight replica read dispatched in an earlier
-        epoch may still serve from it.  The coordinator performs that
-        fenced physical drop (see
-        :meth:`~repro.replication.coordinator.ReplicationCoordinator`).
-        """
-        entry = self._ranges.get(range_id)
-        if entry is not None and node in entry.holders:
-            del entry.holders[node]
-            self.retires_total += 1
 
     # ------------------------------------------------------------------
     # Outage overlay (fault injection)
@@ -190,27 +160,6 @@ class ReplicaDirectory:
     ) -> bool:
         return node in self.valid_holders(range_id, active_nodes)
 
-    def is_holder(self, range_id: int, node: NodeId) -> bool:
-        """Whether ``node`` holds the range at all, valid or stale."""
-        entry = self._ranges.get(range_id)
-        return entry is not None and node in entry.holders
-
-    def holdings(self) -> list[tuple[int, NodeId, int, int]]:
-        """Every holder entry as ``(range_id, node, installed_epoch,
-        last_invalidate)``, sorted — the budget accountant's view.
-
-        Staleness is derivable (``installed <= last_invalidate``): stale
-        copies still occupy side-store bytes, so retirement planning
-        must see them alongside the valid ones.
-        """
-        rows = [
-            (range_id, node, installed, entry.last_invalidate)
-            for range_id, entry in self._ranges.items()
-            for node, installed in entry.holders.items()
-        ]
-        rows.sort()
-        return rows
-
     def tracked_ranges(self) -> list[int]:
         """Every range id with a directory entry, sorted."""
         return sorted(self._ranges)
@@ -223,6 +172,5 @@ class ReplicaDirectory:
         return {
             "replica_installs": self.installs_total,
             "replica_invalidations": self.invalidations_total,
-            "replica_retires": self.retires_total,
             "replica_ranges_tracked": len(self._ranges),
         }

@@ -20,13 +20,8 @@ consumer still ends up with several holders to clone reads across
 (clone mode forces an effective fanout of at least two — one holder per
 range makes request cloning vacuous).
 
-The provisioner is also the budget authority: when a node's side-store
-holdings exceed ``side_store_budget`` bytes, :meth:`plan_retirements`
-names the coldest ``(range, holder)`` pairs to retire — the ranges
-whose demand dried up longest ago, stale copies ahead of valid ones
-within a cohort.  Ranking and
-every tie-break are pure sorts, so both the provisioning and the
-retirement schedule are deterministic functions of the forecast stream.
+Ranking and every tie-break are pure sorts, so the provisioning
+schedule is a deterministic function of the forecast stream.
 """
 
 from __future__ import annotations
@@ -36,59 +31,28 @@ from typing import TYPE_CHECKING
 from repro.common.types import Batch, NodeId
 from repro.core.provisioning import ChunkMigration
 from repro.core.router import ClusterView
-from repro.storage.store import RECORD_OBJECT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.replication.directory import ReplicaDirectory
 
 __all__ = ["ReplicaProvisioner"]
 
+#: Copy chunks one provision cycle may plan, fanout copies included.
+MAX_RANGES_PER_CYCLE = 8
+
 
 class ReplicaProvisioner:
     """Turns forecast demand into ranked replica-install chunks."""
 
-    __slots__ = (
-        "range_records",
-        "max_ranges_per_cycle",
-        "key_lo",
-        "key_hi",
-        "fanout",
-        "side_store_budget",
-        "cycles",
-        "chunks_planned",
-        "retire_cycles",
-        "ranges_retired",
-        "_demand_cycle",
-    )
+    __slots__ = ("range_records", "key_lo", "key_hi", "fanout")
 
     def __init__(
-        self,
-        range_records: int,
-        max_ranges_per_cycle: int,
-        key_lo: int,
-        key_hi: int,
-        fanout: int = 1,
-        side_store_budget: int | None = None,
+        self, range_records: int, key_lo: int, key_hi: int, fanout: int = 1
     ) -> None:
         self.range_records = range_records
-        self.max_ranges_per_cycle = max_ranges_per_cycle
         self.key_lo = key_lo
         self.key_hi = key_hi
         self.fanout = fanout
-        self.side_store_budget = side_store_budget
-        self.cycles = 0
-        self.chunks_planned = 0
-        self.retire_cycles = 0
-        self.ranges_retired = 0
-        #: range id -> provision cycle that last saw read demand for it;
-        #: retirement's coldness signal (install epochs age even while a
-        #: range stays hot, demand recency does not).
-        self._demand_cycle: dict[int, int] = {}
-
-    def _span_bytes(self, range_id: int) -> int:
-        lo = max(range_id * self.range_records, self.key_lo)
-        hi = min((range_id + 1) * self.range_records, self.key_hi)
-        return max(0, hi - lo) * RECORD_OBJECT_BYTES
 
     def plan(
         self,
@@ -98,14 +62,13 @@ class ReplicaProvisioner:
     ) -> list[ChunkMigration]:
         """Rank replica demand in ``predicted`` into install chunks.
 
-        Returns at most ``max_ranges_per_cycle`` chunks, highest demand
+        Returns at most :data:`MAX_RANGES_PER_CYCLE` chunks, highest demand
         first; pairs whose target already validly holds the range, and
         ranges the target fully owns, are skipped.  With ``fanout > 1``
         each selected range fans out to further eligible holders
         (rotated over the active set by range id), still within the
         per-cycle chunk budget.
         """
-        self.cycles += 1
         range_records = self.range_records
         ownership = view.ownership
         # Ranges the forecast expects writes into replicate badly: every
@@ -144,8 +107,6 @@ class ReplicaProvisioner:
                     demand.get((range_id, best), 0) + 1
                 )
 
-        for range_id, _node in demand:
-            self._demand_cycle[range_id] = self.cycles
         if not demand:
             return []
         ranked = sorted(
@@ -180,7 +141,7 @@ class ReplicaProvisioner:
             return True
 
         for (range_id, dst), _count in ranked:
-            if len(chunks) >= self.max_ranges_per_cycle:
+            if len(chunks) >= MAX_RANGES_PER_CYCLE:
                 break
             plan_copy(range_id, dst)
             if self.fanout < 2:
@@ -201,60 +162,10 @@ class ReplicaProvisioner:
             candidates = sorted(active)
             start = range_id % len(candidates)
             for cand in candidates[start:] + candidates[:start]:
-                if extras <= 0 or len(chunks) >= self.max_ranges_per_cycle:
+                if extras <= 0 or len(chunks) >= MAX_RANGES_PER_CYCLE:
                     break
                 if cand == dst:
                     continue
                 if plan_copy(range_id, cand):
                     extras -= 1
-        self.chunks_planned += len(chunks)
         return chunks
-
-    def plan_retirements(
-        self, directory: "ReplicaDirectory"
-    ) -> list[tuple[int, NodeId]]:
-        """Name the ``(range, holder)`` pairs to retire this cycle.
-
-        A node pays its directory-accounted side-store bytes (every held
-        range's span, valid or stale) against ``side_store_budget``;
-        while over budget its coldest holdings go: least-recently
-        demanded ranges first (so hot ranges are not churned out and
-        straight back in), stale copies ahead of valid ones within a
-        demand cohort, oldest install breaking ties.  Physical drops are
-        the coordinator's fenced job — this only decides *what* stops
-        serving.
-        """
-        budget = self.side_store_budget
-        if budget is None:
-            return []
-        per_node: dict[NodeId, list[tuple[int, int, int]]] = {}
-        for range_id, node, installed, floor in directory.holdings():
-            per_node.setdefault(node, []).append(
-                (range_id, installed, floor)
-            )
-        retirements: list[tuple[int, NodeId]] = []
-        demand_cycle = self._demand_cycle
-        for node in sorted(per_node):
-            held = per_node[node]
-            held_bytes = sum(
-                self._span_bytes(range_id) for range_id, _, _ in held
-            )
-            if held_bytes <= budget:
-                continue
-            held.sort(
-                key=lambda item: (
-                    demand_cycle.get(item[0], 0),  # coldest demand first
-                    item[1] > item[2],             # stale before valid
-                    item[1],                       # oldest install
-                    item[0],
-                )
-            )
-            for range_id, _installed, _floor in held:
-                if held_bytes <= budget:
-                    break
-                retirements.append((range_id, node))
-                held_bytes -= self._span_bytes(range_id)
-        if retirements:
-            self.retire_cycles += 1
-            self.ranges_retired += len(retirements)
-        return retirements

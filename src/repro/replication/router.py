@@ -15,10 +15,9 @@ replica layer driven by the same forecast window:
   copy chunks, handed to the coordinator (which runs them through the
   migration session machinery; the ``controller_busy`` callback skips a
   cycle while a previous one is still installing).  Ranges fan out to
-  ``fanout`` holders (at least two in clone mode), and on the same
-  cadence holdings over ``side_store_budget`` are retired — directory
-  immediately, side-store bytes behind a dispatch-sequence fence the
-  coordinator drains (no in-flight read ever loses its copy).
+  ``fanout`` holders (at least two in clone mode).  Holders are never
+  retired: an invalidated copy stays in the side store until a refresh
+  install rewrites it.
 * **Install interception** — copy-chunk MIGRATION transactions are
   planned here via :func:`build_replica_install_plan` (primary
   ownership untouched); everything else routes through the inner
@@ -70,19 +69,14 @@ class ReplicationConfig:
     ``fanout`` is how many holders each provisioned range fans out to;
     clone mode raises the effective fanout to at least two, because a
     single holder leaves request cloning with nobody to clone to.
-    ``side_store_budget`` caps each node's replica side-store in bytes
-    (directory-accounted, ``None`` = unlimited); holdings beyond it are
-    retired coldest-first on the provision cadence.
     """
 
     key_lo: int
     key_hi: int
     range_records: int = 64
     provision_interval: int = 4
-    max_ranges_per_cycle: int = 4
     clone: bool = False
     fanout: int = 1
-    side_store_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.key_hi <= self.key_lo:
@@ -91,12 +85,8 @@ class ReplicationConfig:
             raise ValueError("range_records must be >= 1")
         if self.provision_interval < 1:
             raise ValueError("provision_interval must be >= 1")
-        if self.max_ranges_per_cycle < 1:
-            raise ValueError("max_ranges_per_cycle must be >= 1")
         if self.fanout < 1:
             raise ValueError("fanout must be >= 1")
-        if self.side_store_budget is not None and self.side_store_budget < 1:
-            raise ValueError("side_store_budget must be >= 1 byte or None")
 
 
 class _OutageSink:
@@ -140,7 +130,6 @@ class ReplicationRouter(Router):
         self.directory = ReplicaDirectory(replication.range_records)
         self.provisioner = ReplicaProvisioner(
             range_records=replication.range_records,
-            max_ranges_per_cycle=replication.max_ranges_per_cycle,
             key_lo=replication.key_lo,
             key_hi=replication.key_hi,
             # One holder per range makes request cloning vacuous: clone
@@ -150,7 +139,6 @@ class ReplicationRouter(Router):
                 if replication.clone
                 else replication.fanout
             ),
-            side_store_budget=replication.side_store_budget,
         )
         #: Fault sinks: ForecastFault windows reach a FaultyForecaster,
         #: ReplicaOutageFault windows reach the directory overlay.
@@ -161,14 +149,7 @@ class ReplicationRouter(Router):
         #: Bound by the ReplicationCoordinator (strategy attach hook).
         self.tracer = None
         self.on_provision = None
-        self.on_retire = None
         self.controller_busy = None
-        #: Cumulative transactions routed in *prior* batches — the
-        #: dispatch-sequence fence a retirement hands the coordinator:
-        #: once every runtime with seq <= fence has finished, no
-        #: in-flight read can still be serving from the retired copy
-        #: (later batches routed against the post-retire directory).
-        self._seq_fence = 0
         #: txn_id -> routing epoch of each intercepted install chunk;
         #: the coordinator pops it at chunk commit to stamp validity.
         self._install_epochs: dict[int, int] = {}
@@ -211,35 +192,19 @@ class ReplicationRouter(Router):
                 if key in write_set and type(key) is int:
                     directory.invalidate(key // range_records, epoch)
 
-        # 2) Budget retirement, then forecast-driven provisioning, both
-        #    on the configured cadence.  Retirement runs first so a
-        #    freed holder slot is visible to this cycle's install
-        #    ranking, and before step 4 so this batch's rewrites
-        #    already consult the post-retire directory.
+        # 2) Forecast-driven provisioning on the configured cadence.
         predicted = self.forecaster.predict(batch)
-        if epoch % self.replication.provision_interval == 0:
-            retirements = self.provisioner.plan_retirements(directory)
-            if retirements:
-                # Fence: transactions routed in earlier batches may
-                # still be in flight toward the retired copies; the
-                # coordinator drops the bytes only once all of them
-                # have finished.
-                fence = self._seq_fence
-                on_retire = self.on_retire
-                for range_id, node in retirements:
-                    directory.retire(range_id, node)
-                    if on_retire is not None:
-                        on_retire(range_id, node, fence)
-            if self.on_provision is not None:
-                busy = self.controller_busy
-                if busy is None or not busy():
-                    chunks = self.provisioner.plan(
-                        predicted, view, directory
-                    )
-                    if chunks:
-                        self.provision_cycles += 1
-                        self.provision_chunks += len(chunks)
-                        self.on_provision(chunks, epoch)
+        if (
+            epoch % self.replication.provision_interval == 0
+            and self.on_provision is not None
+        ):
+            busy = self.controller_busy
+            if busy is None or not busy():
+                chunks = self.provisioner.plan(predicted, view, directory)
+                if chunks:
+                    self.provision_cycles += 1
+                    self.provision_chunks += len(chunks)
+                    self.on_provision(chunks, epoch)
         self.forecaster.observe(batch)
 
         # 3) Intercept copy chunks; everything else is plain Hermes.
@@ -268,9 +233,6 @@ class ReplicationRouter(Router):
             rewritten = self._rewrite_plan(txn_plan, view)
             if rewritten is not None:
                 plans[index] = rewritten
-        # Every plan in the batch gets a dispatch seq; advance the
-        # retirement fence so the next batch counts this one as prior.
-        self._seq_fence += len(plans)
         return plan
 
     def stats_snapshot(self) -> dict[str, float]:
@@ -283,8 +245,6 @@ class ReplicationRouter(Router):
         stats["cloned_keys"] = self.cloned_keys
         stats["replica_provision_cycles"] = self.provision_cycles
         stats["replica_provision_chunks"] = self.provision_chunks
-        stats["replica_retire_cycles"] = self.provisioner.retire_cycles
-        stats["replica_ranges_retired"] = self.provisioner.ranges_retired
         stats["replica_outages_active"] = len(self.directory.outages)
         stats.update(self.directory.stats_snapshot())
         return stats

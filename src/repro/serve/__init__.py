@@ -11,7 +11,7 @@ giving up replayability:
   time is slaved to the arrival stream, never to the wall clock.
 * :mod:`~repro.serve.journal` — the append-only arrival journal
   (JSON lines).  The journal *is* the deterministic history: replaying
-  it through :func:`~repro.serve.replayer.replay_journal` reproduces
+  it through :func:`~repro.serve.replayer.verify_journal` reproduces
   the original run's state fingerprint and event digest byte for byte.
 * :class:`~repro.serve.admission.AdmissionController` — load shedding
   and backpressure ahead of the journal: shed requests never enter the
@@ -30,7 +30,7 @@ See DESIGN.md §17 for the architecture and the journal format.
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.core import ServeConfig, ServeCore, ServeReport
 from repro.serve.journal import Journal, JournalWriter, read_journal
-from repro.serve.replayer import replay_journal, verify_journal
+from repro.serve.replayer import verify_journal
 
 __all__ = [
     "AdmissionConfig",
@@ -41,6 +41,5 @@ __all__ = [
     "ServeCore",
     "ServeReport",
     "read_journal",
-    "replay_journal",
     "verify_journal",
 ]

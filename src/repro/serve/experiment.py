@@ -2,9 +2,9 @@
 
 Runs the same ``ServeCore`` tick loop the wall-clock driver paces, but
 entirely under simulated time: arrivals are synthesized per tick from a
-:class:`~repro.common.rng.DeterministicRNG`, journaled, executed, and —
-when ``verify=True`` — replayed from the journal and checked byte for
-byte against the live run's fingerprint and digest.  This is the
+:class:`~repro.common.rng.DeterministicRNG`, journaled, executed, and
+replayed from the journal and checked byte for byte against the live
+run's fingerprint and digest.  This is the
 tier-1-testable spine of the serving stack; the wall clock only ever
 adds pacing on top (:mod:`repro.serve.driver`).
 """
@@ -23,21 +23,25 @@ from repro.serve.replayer import verify_journal
 
 __all__ = ["serving_run"]
 
+#: Keyspace, cluster width and tick length of a serving run.
+NUM_KEYS = 10_000
+NUM_NODES = 4
+EPOCH_US = 5_000.0
+#: Synthesized arrivals per simulated second, and the share of them that
+#: are single-key read-modify-writes (the rest read two keys).
+RATE_PER_S = 2_000.0
+RW_RATIO = 0.2
 
-def _synthesize_tick(
-    rng: DeterministicRNG,
-    num_keys: int,
-    per_tick: int,
-    rw_ratio: float,
-) -> list[dict]:
+
+def _synthesize_tick(rng: DeterministicRNG, per_tick: int) -> list[dict]:
     requests = []
     for _ in range(per_tick):
-        if rng.random() < rw_ratio:
-            key = rng.randint(0, num_keys - 1)
+        if rng.random() < RW_RATIO:
+            key = rng.randint(0, NUM_KEYS - 1)
             requests.append({"reads": [key], "writes": [key]})
         else:
-            a = rng.randint(0, num_keys - 1)
-            b = rng.randint(0, num_keys - 1)
+            a = rng.randint(0, NUM_KEYS - 1)
+            b = rng.randint(0, NUM_KEYS - 1)
             requests.append({"reads": sorted({a, b})})
     return requests
 
@@ -45,53 +49,44 @@ def _synthesize_tick(
 def serving_run(
     strategy: str,
     *,
-    num_keys: int = 10_000,
-    num_nodes: int = 4,
-    initial_nodes: int | None = None,
-    epoch_us: float = 5_000.0,
-    duration_us: float = 1_000_000.0,
-    rate_per_s: float = 2_000.0,
-    rw_ratio: float = 0.2,
-    resizes: tuple[tuple[float, str, int], ...] = (),
-    seed: int = 7,
-    verify: bool = True,
-    journal_path: str | None = None,
+    initial_nodes: int | None,
+    duration_us: float,
+    resizes: tuple[tuple[float, str, int], ...],
+    seed: int,
 ) -> ExperimentResult:
-    """One journaled serve run (simulated time), optionally verified.
+    """One journaled serve run (simulated time), verified by replay.
 
     ``resizes`` holds ``(at_us, kind, node)`` elastic events, applied at
-    the first tick whose window covers ``at_us``.  When ``verify`` is
-    set the journal is replayed in-process and a fingerprint or digest
-    mismatch raises :class:`~repro.common.errors.SimulationError` — a
-    serving experiment that cannot replay is a broken run, not a result.
+    the first tick whose window covers ``at_us``.  The journal is
+    replayed in-process and a fingerprint or digest mismatch raises
+    :class:`~repro.common.errors.SimulationError` — a serving experiment
+    that cannot replay is a broken run, not a result.
     """
     config = ServeConfig(
-        num_keys=num_keys,
-        num_nodes=num_nodes,
+        num_keys=NUM_KEYS,
+        num_nodes=NUM_NODES,
         initial_nodes=initial_nodes,
         strategy=strategy,
-        epoch_us=epoch_us,
+        epoch_us=EPOCH_US,
     )
-    cleanup = journal_path is None
-    if journal_path is None:
-        handle, journal_path = tempfile.mkstemp(
-            prefix=f"serve-{strategy}-", suffix=".jsonl"
-        )
-        os.close(handle)
+    handle, journal_path = tempfile.mkstemp(
+        prefix=f"serve-{strategy}-", suffix=".jsonl"
+    )
+    os.close(handle)
     core = ServeCore(config, journal=JournalWriter(journal_path))
     rng = DeterministicRNG(seed, "serving", strategy)
-    ticks = max(1, int(duration_us / epoch_us))
-    per_tick = max(1, round(rate_per_s * epoch_us / 1e6))
+    ticks = max(1, int(duration_us / EPOCH_US))
+    per_tick = max(1, round(RATE_PER_S * EPOCH_US / 1e6))
     pending_resizes = sorted(resizes)
     try:
         for tick in range(ticks):
             tick_resizes = []
-            window_end = (tick + 1) * epoch_us
+            window_end = (tick + 1) * EPOCH_US
             while pending_resizes and pending_resizes[0][0] < window_end:
                 _at, kind, node = pending_resizes.pop(0)
                 tick_resizes.append((kind, node))
             core.tick(
-                _synthesize_tick(rng, num_keys, per_tick, rw_ratio),
+                _synthesize_tick(rng, per_tick),
                 resizes=tick_resizes,
             )
         report = core.finish()
@@ -103,17 +98,15 @@ def serving_run(
             "resizes": report.extras["resizes"],
             "active_nodes": report.extras["active_nodes"],
         }
-        if verify:
-            outcome = verify_journal(journal_path)
-            if not outcome.ok:
-                raise SimulationError(
-                    "serve journal failed replay verification: "
-                    + "; ".join(outcome.mismatches)
-                )
-            extras["journal_verified"] = True
+        outcome = verify_journal(journal_path)
+        if not outcome.ok:
+            raise SimulationError(
+                "serve journal failed replay verification: "
+                + "; ".join(outcome.mismatches)
+            )
+        extras["journal_verified"] = True
     finally:
-        if cleanup:
-            os.unlink(journal_path)
+        os.unlink(journal_path)
     cluster = core.cluster
     metrics = cluster.metrics
     end = report.duration_us

@@ -14,21 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.serve.core import ServeCore, ServeReport
-from repro.serve.journal import Journal, read_journal
+from repro.serve.journal import read_journal
 
-__all__ = ["replay_journal", "verify_journal", "VerifyResult"]
-
-
-def _replay(journal: Journal) -> ServeReport:
-    core = ServeCore(journal.config)
-    for record in journal.ticks:
-        core.tick(record.requests, resizes=record.resizes)
-    return core.finish()
-
-
-def replay_journal(path: str) -> ServeReport:
-    """Re-execute a journal; returns the replayed run's report."""
-    return _replay(read_journal(path))
+__all__ = ["verify_journal", "VerifyResult"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,12 +32,16 @@ class VerifyResult:
 def verify_journal(path: str) -> VerifyResult:
     """Replay a journal and compare against its recorded footer.
 
-    A journal without a footer (crashed run) fails verification with an
-    explicit mismatch entry rather than an exception — the caller
-    decides whether that is fatal.
+    The replayed run's report is the result's ``replayed``.  A journal
+    without a footer (crashed run) fails verification with an explicit
+    mismatch entry rather than an exception — the caller decides whether
+    that is fatal.
     """
     journal = read_journal(path)
-    replayed = _replay(journal)
+    core = ServeCore(journal.config)
+    for record in journal.ticks:
+        core.tick(record.requests, resizes=record.resizes)
+    replayed = core.finish()
     footer = dict(journal.footer or {})
     mismatches = []
     if not footer:

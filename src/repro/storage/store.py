@@ -511,8 +511,8 @@ class ReplicaStore:
 
     Holds read-only copies of records whose primary lives elsewhere.
     Deliberately not a :class:`StoreBackend`: replicas never see writes,
-    undo, or migration eviction — only sequenced installs,
-    lock-free reads, and invalidation drops.  Keeping the type separate
+    undo, or migration eviction — only sequenced installs and lock-free
+    reads.  Keeping the type separate
     means :func:`state_fingerprint` (which walks primary stores) cannot
     accidentally hash replica copies, so enabling replication leaves
     every state digest untouched.
@@ -550,18 +550,6 @@ class ReplicaStore:
         self.installs_total += 1
         if len(self.records) > self.records_peak:
             self.records_peak = len(self.records)
-
-    def drop(self, keys: Iterable[Key]) -> int:
-        """Discard stale copies after an invalidation; returns drops."""
-        records = self.records
-        dropped = 0
-        for key in keys:
-            if records.pop(key, None) is not None:
-                dropped += 1
-        return dropped
-
-    def memory_bytes(self) -> int:
-        return len(self.records) * RECORD_OBJECT_BYTES
 
 
 #: Backend registry keyed by ``ClusterConfig.store_backend``.

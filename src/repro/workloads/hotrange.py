@@ -5,7 +5,7 @@ the ``n``-th quarter of the keyspace):
 
 * **Warm phase** (``now < warm_until_us``) — consumer localities (nodes
   1 and 2) issue read-only transactions pairing two local
-  keys with one key from the *hot range* (the first ``hot_records``
+  keys with one key from the *hot range* (the first :data:`HOT_RECORDS`
   keys, owned by node 0).  Under a replication strategy this demand
   provisions replica copies of the hot range into both consumers' side
   stores.
@@ -40,6 +40,11 @@ __all__ = ["HotRangeConfig", "HotRangeWorkload"]
 
 #: Cluster size the layout is written for.
 NUM_NODES = 4
+#: Keyspace size, split into one uniform range per node.
+NUM_KEYS = 4_000
+#: The hot range is keys ``[0, HOT_RECORDS)``, owned by node 0; it fits
+#: in half of node 0's span (the other half absorbs the write trickle).
+HOT_RECORDS = 50
 #: Localities whose warm-phase demand provisions the replicas.
 CONSUMER_NODES = (1, 2)
 #: The measured locality.
@@ -51,21 +56,10 @@ WRITE_RATIO = 0.1
 
 @dataclass(frozen=True, slots=True)
 class HotRangeConfig:
-    num_keys: int = 4_000
-    #: the hot range is keys ``[0, hot_records)`` — owned by node 0.
-    hot_records: int = 50
     #: phase boundary in simulated microseconds.
     warm_until_us: float = 1_000_000.0
 
     def __post_init__(self) -> None:
-        if self.num_keys < NUM_NODES:
-            raise ConfigurationError("need at least one key per node")
-        span = self.num_keys // NUM_NODES
-        if not 0 < self.hot_records <= span // 2:
-            raise ConfigurationError(
-                "hot_records must fit in half of node 0's span "
-                "(the other half absorbs the write trickle)"
-            )
         if self.warm_until_us <= 0:
             raise ConfigurationError("warm_until_us must be > 0")
 
@@ -76,7 +70,7 @@ class HotRangeWorkload:
     def __init__(self, config: HotRangeConfig, rng: DeterministicRNG) -> None:
         self.config = config
         self.rng = rng.fork("hotrange")
-        self._span = config.num_keys // NUM_NODES
+        self._span = NUM_KEYS // NUM_NODES
 
     def _local_pair(self, node: int) -> list[int]:
         lo = node * self._span
@@ -88,7 +82,7 @@ class HotRangeWorkload:
         return [first, second]
 
     def _hot_key(self) -> int:
-        return self.rng.randint(0, self.config.hot_records - 1)
+        return self.rng.randint(0, HOT_RECORDS - 1)
 
     def make_txn(self, txn_id: int, now_us: float) -> Transaction:
         config = self.config

@@ -9,9 +9,8 @@ from repro.api import (
     preset_spec,
     run_experiment,
 )
+from repro.bench import figures
 from repro.obs import Tracer
-
-TINY_TPCC = dict(duration_s=0.2, params={"clients": 40, "num_nodes": 4})
 
 
 class TestSpecValidation:
@@ -33,6 +32,17 @@ class TestSpecValidation:
         spec = ExperimentSpec(kind="tpcc", strategies=("calvin", "tpart"),
                               trace=Tracer(), jobs=2)
         with pytest.raises(ValueError, match="jobs=1"):
+            run_experiment(spec)
+
+    def test_unknown_replication_key_suggests_close_match(self):
+        spec = preset_spec("replication", strategies=("hermes-replica",),
+                           duration_s=0.1)
+        spec = spec.with_overrides(params={
+            **spec.params, "replication": {"provision_intervall": 2},
+        })
+        with pytest.raises(TypeError, match="did you mean "
+                           "'provision_interval' instead of "
+                           "'provision_intervall'"):
             run_experiment(spec)
 
     def test_unknown_params_suggest_close_match(self):
@@ -81,21 +91,16 @@ class TestSpecValidation:
         # key the table admits is a key the worker binds — and the keys
         # themselves are API: pin them.
         assert {k: sorted(v) for k, v in VALID_PARAMS.items()} == {
-            "google": ["num_keys", "num_nodes", "rate_scale",
-                       "schism_periods", "ycsb_overrides"],
-            "tpcc": ["clients", "hot_fraction", "num_nodes"],
-            "tpcc_sweep": ["clients", "hot_fractions", "num_nodes"],
-            "multitenant": ["clients", "config", "partitioner_factory"],
-            "scaleout": ["clients", "event_at_s", "records_per_tenant"],
-            "forecast_robustness": ["detector", "error_levels", "forecaster",
-                                    "num_keys", "num_nodes", "rate_scale"],
-            "replication": ["forecaster", "num_keys", "num_nodes",
-                            "rate_scale", "replication", "schism_periods",
+            "google": ["rate_scale", "schism_periods", "ycsb_overrides"],
+            "tpcc": ["hot_fraction"],
+            "tpcc_sweep": ["hot_fractions"],
+            "multitenant": ["config", "partitioner_factory"],
+            "scaleout": [],
+            "forecast_robustness": ["error_levels", "forecaster"],
+            "replication": ["replication", "schism_periods",
                             "ycsb_overrides"],
-            "serving": ["epoch_us", "initial_nodes", "num_keys", "num_nodes",
-                        "rate_per_s", "resizes", "rw_ratio", "verify"],
-            "straggler_clone": ["hot_records", "num_keys", "rate_per_s",
-                                "replication", "slowdown"],
+            "serving": ["initial_nodes", "resizes"],
+            "straggler_clone": [],
         }
 
     def test_with_overrides_copies(self):
@@ -106,10 +111,12 @@ class TestSpecValidation:
 
 
 class TestDelegation:
-    def test_trace_rides_along(self):
+    def test_trace_rides_along(self, monkeypatch):
+        monkeypatch.setattr(figures, "TPCC_NUM_NODES", 4)
+        monkeypatch.setattr(figures, "TPCC_CLIENTS", 40)
         tracer = Tracer(run="api-test")
         spec = ExperimentSpec(kind="tpcc", strategies=("calvin",),
-                              trace=tracer, **TINY_TPCC)
+                              trace=tracer, duration_s=0.2)
         (traced,) = run_experiment(spec)
         (plain,) = run_experiment(spec.with_overrides(trace=None))
         assert traced.extras["tracer"] is tracer

@@ -17,6 +17,8 @@ fixture so the clusters are only built once.
 import pytest
 
 from repro.api import ExperimentSpec, run_experiment
+from repro.bench import figures
+from repro.bench.presets import GOOGLE_BENCH
 from repro.obs.tracer import Tracer
 
 ERROR_LEVEL = 0.9
@@ -33,14 +35,14 @@ def robustness():
         jobs=1,
         keep_cluster=True,
         trace=tracer,
-        params={
-            "error_levels": (ERROR_LEVEL,),
-            "num_nodes": 4,
-            "num_keys": 4_000,
-            "rate_scale": 2_000.0,
-        },
+        params={"error_levels": (ERROR_LEVEL,)},
     )
-    results = run_experiment(spec)
+    # Four nodes, 4,000 keys and a lighter offered load.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(GOOGLE_BENCH, "num_nodes", 4)
+        patch.setitem(GOOGLE_BENCH, "num_keys", 4_000)
+        patch.setattr(figures, "GOOGLE_RATE_SCALE", 2_000.0)
+        results = run_experiment(spec)
     fallback, ablation = results[ERROR_LEVEL]
     return fallback, ablation, tracer
 

@@ -49,7 +49,7 @@ class TestFleetEquivalence:
         spec = ExperimentSpec(
             kind="multitenant", strategies=("calvin", "hermes"),
             duration_s=0.4, window_us=100_000.0,
-            params={"config": TINY, "clients": 8},
+            params={"config": TINY},
         )
         serial = run_experiment(spec)
         pooled = run_experiment(spec.with_overrides(jobs=2))

@@ -15,18 +15,25 @@ two clusters); everything is asserted off one shared module fixture.
 import pytest
 
 from repro.api import ExperimentSpec, run_experiment
+from repro.bench import figures
+from repro.bench.presets import GOOGLE_BENCH
 
 PARAMS = {
-    "num_nodes": 4,
-    "num_keys": 4_000,
-    "rate_scale": 2_500.0,
     "ycsb_overrides": {"rw_ratio": 0.2},
-    "replication": {
-        "range_records": 25,
-        "provision_interval": 2,
-        "max_ranges_per_cycle": 8,
-    },
+    "replication": {"provision_interval": 2},
 }
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_cluster():
+    """Four nodes, 4,000 keys in 25-record replica ranges and a lighter
+    offered load."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(GOOGLE_BENCH, "num_nodes", 4)
+        patch.setitem(GOOGLE_BENCH, "num_keys", 4_000)
+        patch.setattr(figures, "MIN_RANGE_RECORDS", 25)
+        patch.setattr(figures, "GOOGLE_RATE_SCALE", 2_500.0)
+        yield
 
 
 def make_spec(**overrides):

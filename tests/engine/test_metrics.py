@@ -74,7 +74,7 @@ class TestPercentiles:
         p = metrics.latency_percentiles_us((0.5, 1.0))
         assert p[0.5] == 200.0
         assert p[1.0] == 400.0
-        assert metrics.latency_percentile_us(0.25) == 100.0
+        assert metrics.latency_percentiles_us((0.25,))[0.25] == 100.0
 
     def test_pre_us_aliases_removed(self):
         metrics = ClusterMetrics(window_us=1000.0)
@@ -83,14 +83,14 @@ class TestPercentiles:
 
     def test_empty_is_zero(self):
         metrics = ClusterMetrics(window_us=1000.0)
-        assert metrics.latency_percentile_us(0.99) == 0.0
+        assert metrics.latency_percentiles_us((0.99,))[0.99] == 0.0
 
     def test_bad_quantile(self):
         metrics = ClusterMetrics(window_us=1000.0)
         with pytest.raises(ValueError):
-            metrics.latency_percentile_us(0.0)
+            metrics.latency_percentiles_us((0.0,))
         with pytest.raises(ValueError):
-            metrics.latency_percentile_us(1.5)
+            metrics.latency_percentiles_us((1.5,))
 
 
 class TestRegistryBacking:

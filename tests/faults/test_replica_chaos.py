@@ -41,7 +41,7 @@ def run_scenario(with_outage: bool):
         OracleForecaster(),
         ReplicationConfig(
             key_lo=0, key_hi=NUM_KEYS, range_records=50,
-            provision_interval=2, max_ranges_per_cycle=4,
+            provision_interval=2,
         ),
     )
     cluster = Cluster(

@@ -1,4 +1,4 @@
-"""ReplicaDirectory: validity epochs, outages, and retirement."""
+"""ReplicaDirectory: validity epochs and outages."""
 
 import pytest
 
@@ -8,11 +8,6 @@ ACTIVE = [0, 1, 2, 3]
 
 
 class TestGeometry:
-    def test_span_of(self):
-        d = ReplicaDirectory(50)
-        assert d.span_of(0) == (0, 50)
-        assert d.span_of(3) == (150, 200)
-
     def test_rejects_bad_range_records(self):
         with pytest.raises(ValueError):
             ReplicaDirectory(0)
@@ -95,16 +90,6 @@ class TestLiveness:
         d.clear_outage(1)
         # The side-store was never wrong, merely unreachable.
         assert d.valid_holders(2, ACTIVE) == [1]
-
-    def test_retire_is_directory_only(self):
-        d = ReplicaDirectory(50)
-        d.install(2, 1, epoch=5)
-        d.install(2, 3, epoch=5)
-        d.retire(2, 1)
-        assert d.valid_holders(2, ACTIVE) == [3]
-        assert d.retires_total == 1
-        d.retire(2, 1)  # idempotent
-        assert d.retires_total == 1
 
 
 class TestStats:

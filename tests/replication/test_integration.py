@@ -33,7 +33,7 @@ def build_cluster(clone: bool, with_tracer: bool = True):
         OracleForecaster(),
         ReplicationConfig(
             key_lo=0, key_hi=NUM_KEYS, range_records=50,
-            provision_interval=2, max_ranges_per_cycle=4, clone=clone,
+            provision_interval=2, clone=clone,
         ),
     )
     tracer = (

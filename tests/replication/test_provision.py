@@ -11,7 +11,7 @@ from repro.core.router import (
     build_chunk_migration_plan,
     build_replica_install_plan,
 )
-from repro.replication import ReplicaDirectory, ReplicaProvisioner
+from repro.replication import ReplicaDirectory, ReplicaProvisioner, provision
 from repro.storage.partitioning import make_uniform_ranges
 
 NUM_KEYS = 400
@@ -24,10 +24,7 @@ def make_view() -> ClusterView:
 
 
 def make_provisioner(**overrides) -> ReplicaProvisioner:
-    params = dict(
-        range_records=50, max_ranges_per_cycle=4,
-        key_lo=0, key_hi=NUM_KEYS,
-    )
+    params = dict(range_records=50, key_lo=0, key_hi=NUM_KEYS)
     params.update(overrides)
     return ReplicaProvisioner(**params)
 
@@ -58,11 +55,12 @@ class TestDemandRanking:
         )
         assert chunks == []
 
-    def test_ranking_prefers_higher_demand(self):
+    def test_ranking_prefers_higher_demand(self, monkeypatch):
+        monkeypatch.setattr(provision, "MAX_RANGES_PER_CYCLE", 1)
         txns = [read_only(i, [10 + i, 250]) for i in range(3)]
         txns.append(read_only(99, [40, 350]))
         batch = Batch(epoch=0, txns=txns)
-        chunks = make_provisioner(max_ranges_per_cycle=1).plan(
+        chunks = make_provisioner().plan(
             batch, make_view(), ReplicaDirectory(50)
         )
         (chunk,) = chunks
@@ -97,15 +95,16 @@ class TestDemandRanking:
         chunks = make_provisioner().plan(batch, make_view(), directory)
         assert chunks == []
 
-    def test_max_ranges_per_cycle_caps_output(self):
+    def test_max_ranges_per_cycle_caps_output(self, monkeypatch):
+        monkeypatch.setattr(provision, "MAX_RANGES_PER_CYCLE", 2)
         txns = [
             read_only(i, [10 + i, 20 + i, 110 + 10 * i])
             for i in range(4)
         ]
         batch = Batch(epoch=0, txns=txns)
-        chunks = make_provisioner(
-            range_records=10, max_ranges_per_cycle=2
-        ).plan(batch, make_view(), ReplicaDirectory(10))
+        chunks = make_provisioner(range_records=10).plan(
+            batch, make_view(), ReplicaDirectory(10)
+        )
         assert len(chunks) == 2
 
     def test_span_clamped_to_keyspace(self):

@@ -23,7 +23,7 @@ def make_view() -> ClusterView:
 def make_router(**overrides) -> ReplicationRouter:
     params = dict(
         key_lo=0, key_hi=NUM_KEYS, range_records=50,
-        provision_interval=2, max_ranges_per_cycle=4,
+        provision_interval=2,
     )
     params.update(overrides)
     return ReplicationRouter(

@@ -21,6 +21,7 @@ from repro.replication import (
     ReplicationConfig,
     ReplicationCoordinator,
     ReplicationRouter,
+    provision,
 )
 from repro.storage.partitioning import make_uniform_ranges
 
@@ -43,10 +44,7 @@ def read_only(txn_id, keys):
 
 class TestFanoutProvisioning:
     def make_provisioner(self, **overrides) -> ReplicaProvisioner:
-        params = dict(
-            range_records=RANGE_RECORDS, max_ranges_per_cycle=4,
-            key_lo=0, key_hi=NUM_KEYS,
-        )
+        params = dict(range_records=RANGE_RECORDS, key_lo=0, key_hi=NUM_KEYS)
         params.update(overrides)
         return ReplicaProvisioner(**params)
 
@@ -71,11 +69,12 @@ class TestFanoutProvisioning:
         )
         assert [chunk.dst for chunk in chunks] == [0]
 
-    def test_fanout_respects_cycle_cap(self):
+    def test_fanout_respects_cycle_cap(self, monkeypatch):
+        monkeypatch.setattr(provision, "MAX_RANGES_PER_CYCLE", 2)
         batch = Batch(epoch=0, txns=[read_only(1, [10, 20, 260])])
-        chunks = self.make_provisioner(
-            fanout=3, max_ranges_per_cycle=2
-        ).plan(batch, make_view(), ReplicaDirectory(RANGE_RECORDS))
+        chunks = self.make_provisioner(fanout=3).plan(
+            batch, make_view(), ReplicaDirectory(RANGE_RECORDS)
+        )
         assert len(chunks) == 2
 
     def test_fanout_deterministic(self):
@@ -94,7 +93,7 @@ def build_cluster(clone: bool):
         OracleForecaster(),
         ReplicationConfig(
             key_lo=0, key_hi=NUM_KEYS, range_records=RANGE_RECORDS,
-            provision_interval=2, max_ranges_per_cycle=4, clone=clone,
+            provision_interval=2, clone=clone,
             # Clone mode forces an effective fanout of two; matching it
             # explicitly keeps the clone/no-clone install plans (and so
             # the txn-id stream) identical for the parity check.

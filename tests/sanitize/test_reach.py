@@ -6,15 +6,14 @@ the recorded stats then stand in for a full ``reach`` run.
 
 import cProfile
 import importlib.util
-import re
 import sys
 import textwrap
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.sanitize import reach
+from tests.test_doc_references import _PATH, _path_problem
 
 FIXTURE = '''\
 from abc import ABC, abstractmethod
@@ -214,20 +213,21 @@ def test_committed_allowlist_names_existing_defs():
 
 
 def test_committed_allowlist_names_tests_that_exist():
+    # The documents' resolver: a deleted test file or class leaves the
+    # reason dangling, and that fails here rather than in the reach job.
     with open(reach.ALLOWLIST, encoding="utf-8") as handle:
         entries, _ = reach.parse_allowlist(handle.read())
-    root = Path(reach.ROOT)
     missing = []
     for entry in entries:
-        cited = re.findall(r"(tests/[\w/]+\.py)(?:::(\w+))?", entry.reason)
-        if entry.tag == "observer" and not cited:
+        cited = _PATH.findall(entry.reason)
+        if entry.tag == "observer" and not any(
+            reference.startswith("tests/") for reference in cited
+        ):
             missing.append(f"{entry.key}: an observer names its test")
-        for path, name in cited:
-            source = root / path
-            if not source.is_file() or name and not re.search(
-                rf"(class|def) {name}\b", source.read_text()
-            ):
-                missing.append(f"{entry.key}: {path}::{name}")
+        for reference in cited:
+            problem = _path_problem(reference)
+            if problem is not None:
+                missing.append(f"{entry.key}: `{reference}`: {problem}")
     assert missing == []
 
 

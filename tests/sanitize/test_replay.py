@@ -35,10 +35,10 @@ PRESET_RESULT_DIGESTS = {
     "fig12": "1a1604987bbbe060c64b4dd7c6e5a7d2",
     "fig12_scale": "b619a4f17a4e9f904294a596f9ff8f45",
     "fig14": "dee299e894d50c23d4daeb8757e39b95",
-    "replication": "558085f3df5b88745a24c4c1086c7ec4",
+    "replication": "503fbb0bef7c4b5d91d36a23fa3be647",
     "robustness": "07a2d124a493ca4b17617e0d5f24f100",
     "serving": "8726760dc3e9a99909bf77782e5c681e",
-    "straggler_clone": "2f6ed43a2fe2b85f9da790e8fccfc4c3",
+    "straggler_clone": "21750854584f1ccad4ccc8c307ad9c98",
 }
 
 

@@ -3,6 +3,16 @@
 import pytest
 
 from repro.api import ExperimentSpec, PRESETS, run_experiment
+from repro.serve import experiment
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_keyspace():
+    """500 keys under 4,000 arrivals a second: a contended smoke run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "NUM_KEYS", 500)
+        patch.setattr(experiment, "RATE_PER_S", 4_000.0)
+        yield
 
 
 def make_spec(**overrides):
@@ -12,7 +22,6 @@ def make_spec(**overrides):
         seed=11,
         duration_s=0.25,
         jobs=1,
-        params={"num_keys": 500, "rate_per_s": 4_000.0},
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -34,8 +43,6 @@ class TestServingKind:
 
     def test_elastic_resize_during_run(self):
         params = {
-            "num_keys": 500,
-            "rate_per_s": 4_000.0,
             "initial_nodes": 3,
             "resizes": ((100_000.0, "add", 3),),
         }

@@ -19,7 +19,7 @@ import pytest
 
 from repro.serve.core import ServeConfig, ServeCore
 from repro.serve.journal import JournalWriter, read_journal
-from repro.serve.replayer import replay_journal, verify_journal
+from repro.serve.replayer import verify_journal
 
 CONFIG = ServeConfig(
     num_keys=400,
@@ -58,7 +58,7 @@ def recorded(tmp_path_factory):
 class TestInProcessReplay:
     def test_replay_reproduces_fingerprint_and_digest(self, recorded):
         path, report = recorded
-        replayed = replay_journal(path)
+        replayed = verify_journal(path).replayed
         assert replayed.fingerprint == report.fingerprint
         assert replayed.digest == report.digest
         assert replayed.commits == report.commits
@@ -73,7 +73,7 @@ class TestInProcessReplay:
         path, report = recorded
         assert report.extras["resizes"] == 1
         assert report.extras["active_nodes"] == [0, 1, 2, 3]
-        replayed = replay_journal(path)
+        replayed = verify_journal(path).replayed
         assert replayed.extras["resizes"] == 1
         assert replayed.extras["active_nodes"] == [0, 1, 2, 3]
 
@@ -100,17 +100,16 @@ class TestInProcessReplay:
         assert json.loads(lines[-1])["kind"] == "footer"
         crashed = tmp_path / "crashed.jsonl"
         crashed.write_text("\n".join(lines[:-1]) + "\n")
-        replayed = replay_journal(str(crashed))
-        assert replayed.fingerprint == report.fingerprint
         outcome = verify_journal(str(crashed))
+        assert outcome.replayed.fingerprint == report.fingerprint
         assert not outcome.ok
         assert any("footer" in m for m in outcome.mismatches)
 
 
 REPLAY_SNIPPET = """
 import json, sys
-from repro.serve.replayer import replay_journal
-replayed = replay_journal(sys.argv[1])
+from repro.serve.replayer import verify_journal
+replayed = verify_journal(sys.argv[1]).replayed
 print(json.dumps({
     "fingerprint": replayed.fingerprint,
     "digest": replayed.digest,

@@ -11,9 +11,19 @@ setter"):
 * ``"required"`` — a field without a default, which every constructor
   call must pass, so it is an input rather than a knob.
 
-A field added without an entry, or an entry left behind by a deleted
-field, fails by name.  A value no caller varies is a module constant
-beside the code that reads it, not a field.
+A pass-through is not a setter: a file whose every ``Class(field=...)``
+keyword reads ``params.get("x")`` only forwards whatever sets ``x``, so
+the entry must name the setter of ``x`` instead.
+
+The experiment kinds' ``spec.params`` keys (``KINDS[k].valid_params``)
+and the keys ``params["replication"]`` accepts (``REPLICATION_KEYS``)
+are knobs too: :data:`PARAMS` names, for each, a file outside the kind
+workers' own module that passes it as a dict key (presets in
+``src/repro/api.py`` count).
+
+A field or key added without an entry, or an entry left behind by a
+deleted one, fails by name.  A value no caller varies is a module
+constant beside the code that reads it, not a knob.
 """
 
 from __future__ import annotations
@@ -24,9 +34,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.figures import KINDS, REPLICATION_KEYS
+
 ROOT = Path(__file__).resolve().parents[1]
 SUFFIXES = ("Config", "Spec", "Policy")
 SETTER_DIRS = ("src/", "benchmarks/", "perfbench/")
+#: The kind workers, which read every :data:`PARAMS` key.
+WORKERS = "src/repro/bench/figures.py"
 
 SURFACE = {
     # repro.api
@@ -75,10 +89,8 @@ SURFACE = {
     "ReplicationConfig.key_hi": "required",
     "ReplicationConfig.range_records": "src/repro/bench/figures.py",
     "ReplicationConfig.provision_interval": "src/repro/bench/figures.py",
-    "ReplicationConfig.max_ranges_per_cycle": "src/repro/bench/figures.py",
     "ReplicationConfig.clone": "src/repro/bench/figures.py",
     "ReplicationConfig.fanout": "src/repro/bench/figures.py",
-    "ReplicationConfig.side_store_budget": "src/repro/bench/figures.py",
     # repro.serve
     "AdmissionConfig.max_per_tick": "src/repro/serve/driver.py",
     "AdmissionConfig.max_inflight": "src/repro/serve/driver.py",
@@ -107,8 +119,6 @@ SURFACE = {
     "GoogleTraceConfig.tick_s": "src/repro/bench/presets.py",
     "GoogleTraceConfig.spikes_per_machine": "src/repro/bench/presets.py",
     "GoogleTraceConfig.shifts_per_machine": "src/repro/bench/presets.py",
-    "HotRangeConfig.num_keys": "src/repro/bench/figures.py",
-    "HotRangeConfig.hot_records": "src/repro/bench/figures.py",
     "HotRangeConfig.warm_until_us": "src/repro/bench/figures.py",
     "MultiTenantConfig.num_nodes": "src/repro/bench/figures.py",
     "MultiTenantConfig.tenants_per_node": "perfbench/worker.py",
@@ -127,6 +137,27 @@ SURFACE = {
     "YCSBConfig.rw_ratio": "src/repro/api.py",
     "YCSBConfig.zipf_theta": "src/repro/bench/figures.py",
     "YCSBConfig.global_cycle_us": "src/repro/bench/figures.py",
+}
+
+PARAMS = {
+    # KINDS[kind].valid_params
+    "google.rate_scale": "src/repro/bench/__main__.py --rate-scale",
+    "google.schism_periods": "src/repro/api.py",
+    "google.ycsb_overrides": "benchmarks/test_fig09_txn_length.py",
+    "tpcc.hot_fraction": "src/repro/bench/__main__.py --hot",
+    "tpcc_sweep.hot_fractions": "benchmarks/test_fig11_tpcc.py",
+    "multitenant.config": "perfbench/worker.py",
+    "multitenant.partitioner_factory":
+        "benchmarks/test_fig13_initial_partitioning.py",
+    "forecast_robustness.error_levels": "src/repro/api.py",
+    "forecast_robustness.forecaster": "src/repro/api.py",
+    "replication.replication": "src/repro/api.py",
+    "replication.schism_periods": "src/repro/api.py",
+    "replication.ycsb_overrides": "src/repro/api.py",
+    "serving.initial_nodes": "src/repro/api.py",
+    "serving.resizes": "src/repro/api.py",
+    # REPLICATION_KEYS: the replication kind's params["replication"]
+    "replication[provision_interval]": "src/repro/api.py",
 }
 
 
@@ -164,7 +195,59 @@ def _surface() -> dict[str, tuple[str, bool]]:
     return fields
 
 
+def _tree(path: str) -> ast.AST:
+    return ast.parse((ROOT / path).read_text(encoding="utf-8"))
+
+
+def _get_key(node: ast.AST) -> str | None:
+    """``"x"`` when ``node`` is a ``params.get("x", ...)`` call."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and getattr(node.func.value, "id", None) == "params"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ):
+        return node.args[0].value
+    return None
+
+
+def _params() -> set[str]:
+    names = {
+        f"{kind}.{param}"
+        for kind, spec in KINDS.items()
+        for param in spec.valid_params
+    }
+    return names | {f"replication[{key}]" for key in REPLICATION_KEYS}
+
+
+def _key(param: str) -> str:
+    """The params key a :data:`PARAMS` name stands for."""
+    return param.partition("[")[2].rstrip("]") or param.split(".")[1]
+
+
+def _class_keywords(path: str, cls: str, field: str) -> list[ast.expr]:
+    """The values ``path`` passes as ``field=`` to ``cls(...)``."""
+    values = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call) and cls in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            values += [kw.value for kw in node.keywords if kw.arg == field]
+    return values
+
+
+def _dict_keys(path: str) -> set[str]:
+    return {
+        key.value
+        for node in ast.walk(_tree(path)) if isinstance(node, ast.Dict)
+        for key in node.keys if isinstance(key, ast.Constant)
+    }
+
+
 FIELDS = _surface()
+PARAM_NAMES = _params()
 
 
 def test_every_field_is_in_the_table():
@@ -175,19 +258,48 @@ def test_every_field_is_in_the_table():
     assert sorted(set(SURFACE) - set(FIELDS)) == [], "stale table entries"
 
 
+def test_every_param_is_in_the_table():
+    assert sorted(PARAM_NAMES - set(PARAMS)) == [], (
+        "new params need a setter outside tests/ and examples/, "
+        "or should be constants"
+    )
+    assert sorted(set(PARAMS) - PARAM_NAMES) == [], "stale table entries"
+
+
+def _check_setter(setter: str, defined_in: str, word: str) -> str:
+    """Assert ``setter`` is a file (or flag) that can set ``word``."""
+    path, _, flag = setter.partition(" ")
+    assert path.startswith(SETTER_DIRS), setter
+    assert path != defined_in, f"{word}: the defining file is no setter"
+    text = (ROOT / path).read_text(encoding="utf-8")
+    assert re.search(rf"\b{word}\b", text), f"{path} never mentions {word}"
+    if flag:
+        assert path.endswith("__main__.py"), setter
+        assert f'"{flag}"' in text, f"{path} has no {flag} flag"
+    return path
+
+
 @pytest.mark.parametrize("name", sorted(SURFACE))
 def test_setter_sets_the_field(name):
     defined_in, has_default = FIELDS[name]
     setter = SURFACE[name]
-    field = name.split(".")[1]
+    cls, field = name.split(".")
     if setter == "required":
         assert not has_default, f"{name} has a default; name its setter"
         return
-    path, _, flag = setter.partition(" ")
-    assert path.startswith(SETTER_DIRS), setter
-    assert path != defined_in, f"{name}: the defining file is no setter"
-    text = (ROOT / path).read_text(encoding="utf-8")
-    assert re.search(rf"\b{field}\b", text), f"{path} never mentions {field}"
-    if flag:
-        assert path.endswith("__main__.py"), setter
-        assert f'"{flag}"' in text, f"{path} has no {flag} flag"
+    path = _check_setter(setter, defined_in, field)
+    values = _class_keywords(path, cls, field)
+    forwarded = sorted({_get_key(value) for value in values} - {None})
+    assert not values or any(
+        _get_key(value) is None for value in values
+    ), (
+        f"{name}: {path} only passes params.get({forwarded}) through; "
+        "name that key's setter instead"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_setter_sets_the_param(name):
+    key = _key(name)
+    path = _check_setter(PARAMS[name], WORKERS, key)
+    assert key in _dict_keys(path), f"{path} never passes {key!r}"
