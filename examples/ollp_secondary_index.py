@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro import Cluster, ClusterConfig, PrescientRouter, Transaction
 from repro import make_uniform_ranges
-from repro.engine import OLLP, DependentTxnSpec
+from repro.engine.ollp import OLLP, DependentTxnSpec
 
 NUM_KEYS = 3_000
 DIRECTORY = 42          # the record whose value picks the target shard

@@ -15,16 +15,15 @@ Run:  python examples/replication_failover.py
 from __future__ import annotations
 
 from repro.common.rng import DeterministicRNG
-from repro.faults import (
+from repro.faults.chaos import (
     ChaosConfig,
-    FailoverFault,
-    FaultPlan,
     make_cluster_builder,
     make_schedule,
     run_chaos_trial,
     run_reference,
     verify_trial,
 )
+from repro.faults.plan import FailoverFault, FaultPlan
 
 
 def main() -> None:

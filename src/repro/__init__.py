@@ -27,37 +27,34 @@ Subpackages:
 * :mod:`repro.bench`     — the experiment harness behind every figure
 """
 
-from repro.common import (
-    Batch,
+from repro.common.config import (
     ClusterConfig,
     CostModel,
-    DeterministicRNG,
     EngineConfig,
     FusionConfig,
     RoutingConfig,
-    Transaction,
-    TxnKind,
 )
-from repro.core import (
-    ClusterView,
-    FusionTable,
-    HybridMigrationPlanner,
-    PrescientRouter,
-    Router,
-    RoutingPlan,
-    TxnPlan,
-)
-from repro.engine import (
-    Cluster,
-    DurableState,
+from repro.common.rng import DeterministicRNG
+from repro.common.types import Batch, Transaction, TxnKind
+from repro.core.fusion_table import FusionTable
+from repro.core.plan import RoutingPlan, TxnPlan
+from repro.core.prescient import PrescientRouter
+from repro.core.provisioning import HybridMigrationPlanner
+from repro.core.router import ClusterView, Router
+from repro.engine.cluster import Cluster
+from repro.engine.migration import (
     MigrationController,
     MigrationSession,
     MigrationState,
+)
+from repro.engine.recovery import (
+    DurableState,
     recover_from_crash,
     replay_command_log,
 )
-from repro.faults import FaultInjector, FaultPlan
-from repro.storage import (
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.storage.partitioning import (
     HashPartitioner,
     RangePartitioner,
     make_uniform_ranges,

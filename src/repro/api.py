@@ -59,7 +59,7 @@ class ExperimentSpec:
     default"; ``duration_s`` is in *unscaled* simulated seconds — the
     ``REPRO_BENCH_SCALE`` factor is applied when the runs are built.
 
-    ``trace`` attaches one :class:`repro.obs.Tracer` to the runs; traced
+    ``trace`` attaches one :class:`repro.obs.tracer.Tracer` to the runs; traced
     experiments must be serial (``jobs`` unset or 1) because a live
     tracer cannot cross process boundaries.
     """

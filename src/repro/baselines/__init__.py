@@ -16,22 +16,3 @@ and executes on the same deterministic engine as Hermes:
 * :class:`SquallExecutor` — reactive chunked live migration.
 * :func:`schism_partition` — offline co-access graph partitioning.
 """
-
-from repro.baselines.calvin import CalvinRouter
-from repro.baselines.clay import ClayController, ClayRouter
-from repro.baselines.gstore import GStoreRouter
-from repro.baselines.leap import LeapRouter
-from repro.baselines.schism import schism_partition
-from repro.baselines.squall import SquallExecutor
-from repro.baselines.tpart import TPartRouter
-
-__all__ = [
-    "CalvinRouter",
-    "ClayController",
-    "ClayRouter",
-    "GStoreRouter",
-    "LeapRouter",
-    "SquallExecutor",
-    "TPartRouter",
-    "schism_partition",
-]

@@ -19,13 +19,14 @@ particular time") — Schism has no incremental mode.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import Transaction
 from repro.storage.partitioning import RangePartitioner
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_coaccess_graph(
@@ -34,8 +35,12 @@ def build_coaccess_graph(
     """Range-granular co-access graph of a transaction trace.
 
     Vertex weight = number of accesses to the range; edge weight = number
-    of transactions co-accessing the two ranges.
+    of transactions co-accessing the two ranges.  ``networkx`` is
+    imported here, not at module level: Schism is an offline baseline,
+    and a process that only routes never pays for the import.
     """
+    import networkx as nx
+
     if range_records < 1:
         raise ConfigurationError("range_records must be >= 1")
     graph = nx.Graph()

@@ -10,21 +10,3 @@ series and aggregates the paper plots.
 
 :mod:`repro.bench.reporting` renders paper-style comparison tables.
 """
-
-from repro.bench.harness import (
-    ExperimentResult,
-    run_google_ycsb,
-    run_workload,
-)
-from repro.bench.reporting import format_series, format_table
-from repro.bench.specs import StrategySpec, make_strategy
-
-__all__ = [
-    "ExperimentResult",
-    "StrategySpec",
-    "format_series",
-    "format_table",
-    "make_strategy",
-    "run_google_ycsb",
-    "run_workload",
-]

@@ -53,27 +53,20 @@ from repro.core.provisioning import (
 )
 from repro.engine.cluster import Cluster
 from repro.engine.migration import MigrationController
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultyForecaster,
-    ForecastFault,
-    StragglerFault,
-)
-from repro.forecast import (
+from repro.faults.forecast import FaultyForecaster
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, ForecastFault, StragglerFault
+from repro.forecast.coordinator import FallbackCoordinator
+from repro.forecast.detector import MispredictDetector
+from repro.forecast.forecasters import (
     EWMAForecaster,
-    FallbackCoordinator,
-    ForecastRouter,
     MarkovForecaster,
-    MispredictDetector,
     OracleForecaster,
     SeasonalNaiveForecaster,
 )
-from repro.replication import (
-    ReplicationConfig,
-    ReplicationCoordinator,
-    ReplicationRouter,
-)
+from repro.forecast.router import ForecastRouter
+from repro.replication.coordinator import ReplicationCoordinator
+from repro.replication.router import ReplicationConfig, ReplicationRouter
 from repro.storage.partitioning import Partitioner, make_uniform_ranges
 from repro.workloads import hotrange
 from repro.workloads.google_trace import SyntheticGoogleTrace

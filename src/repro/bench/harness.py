@@ -18,9 +18,8 @@ returns exactly what the serial loop would have.
 from __future__ import annotations
 
 import sys
-
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.bench.presets import GOOGLE_RATE_SCALE, bench_trace_config
 from repro.bench.specs import StrategySpec
@@ -31,8 +30,10 @@ from repro.obs.tracer import Tracer
 from repro.sim.stats import TimeSeries
 from repro.storage.partitioning import Partitioner, make_uniform_ranges
 from repro.workloads.base import ClosedLoopDriver, OpenLoopDriver
-from repro.workloads.google_trace import SyntheticGoogleTrace
-from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
+
+if TYPE_CHECKING:
+    from repro.workloads.google_trace import SyntheticGoogleTrace
+    from repro.workloads.ycsb import YCSBConfig
 
 
 @dataclass(slots=True)
@@ -100,7 +101,7 @@ def run_workload(
     runs after construction (used to schedule scale-out events etc.).
 
     ``trace`` opts the run into structured tracing: the
-    :class:`~repro.obs.Tracer` is threaded through the whole engine
+    :class:`~repro.obs.tracer.Tracer` is threaded through the whole engine
     stack (sequencer, scheduler, locks, executors, migration, faults)
     and handed back in ``extras["tracer"]``.  ``None`` — the default —
     keeps every instrumentation site on its zero-cost disabled branch.
@@ -235,7 +236,15 @@ def run_google_ycsb(
     (Schism trains offline on a period of the very trace the run
     replays) and defaults to uniform ranges.  ``warmup_us`` /
     ``stats_window_us`` of ``None`` scale with the run length.
+
+    The trace and YCSB modules (and numpy behind them) are imported
+    here, so a process that imports the harness for anything else, the
+    serving benchmark reading :func:`peak_rss_mb` for one, never loads
+    them.
     """
+    from repro.workloads.google_trace import SyntheticGoogleTrace
+    from repro.workloads.ycsb import GoogleYCSBWorkload
+
     num_nodes = ycsb_config.num_partitions
     google_trace = SyntheticGoogleTrace(
         bench_trace_config(num_nodes, duration_us / 1e6),
@@ -276,8 +285,10 @@ def peak_rss_mb() -> float:
 
     Process-wide and monotonic (``ru_maxrss`` never decreases), so read
     it as "the run fit in this much memory", not as a per-run delta.
-    Wall-clock-free and OS-reported — deterministic enough for the
-    BENCH artifact's memory trend, excluded from digests and goldens.
+    On Linux it also survives ``fork`` + ``execve``: a process started
+    by ``subprocess`` reads max(its launcher's peak at the fork, its
+    own).  Wall-clock-free and OS-reported — deterministic enough for
+    the BENCH artifact's memory trend, excluded from digests and goldens.
     """
     try:
         import resource

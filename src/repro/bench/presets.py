@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.config import (
     ClusterConfig,
     CostModel,
     EngineConfig,
 )
-from repro.workloads.google_trace import GoogleTraceConfig
+
+if TYPE_CHECKING:
+    from repro.workloads.google_trace import GoogleTraceConfig
 
 #: Per-operation costs that put the simulated nodes in the paper's regime.
 BENCH_COSTS = CostModel(
@@ -84,8 +87,11 @@ def bench_trace_config(
     """A Google-style trace sized for a short benchmark window.
 
     Spike/shift counts scale with the window so short runs keep the same
-    *density* of episodic events as the paper's 2160 s emulation.
+    *density* of episodic events as the paper's 2160 s emulation.  The
+    trace module (numpy) is imported only when a trace is sized.
     """
+    from repro.workloads.google_trace import GoogleTraceConfig
+
     per_minute = duration_s / 60.0
     return GoogleTraceConfig(
         num_machines=num_machines,

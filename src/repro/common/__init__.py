@@ -5,60 +5,3 @@ transactions, node identifiers, configuration dataclasses, deterministic
 random-number helpers, and the exception hierarchy.  Nothing in here knows
 about simulation, routing, or storage — it is the bottom layer.
 """
-
-from repro.common.config import (
-    ClusterConfig,
-    CostModel,
-    EngineConfig,
-    FusionConfig,
-    RetryPolicy,
-    RoutingConfig,
-)
-from repro.common.errors import (
-    ConfigurationError,
-    FaultInjectionError,
-    MigrationError,
-    ReproError,
-    RoutingError,
-    SimulationError,
-    StorageError,
-    TimeoutExceeded,
-    TransactionAborted,
-)
-from repro.common.rng import DeterministicRNG, derive_seed
-from repro.common.types import (
-    Batch,
-    ExecutionProfile,
-    Key,
-    NodeId,
-    Transaction,
-    TxnId,
-    TxnKind,
-)
-
-__all__ = [
-    "Batch",
-    "ClusterConfig",
-    "ConfigurationError",
-    "CostModel",
-    "DeterministicRNG",
-    "EngineConfig",
-    "ExecutionProfile",
-    "FaultInjectionError",
-    "FusionConfig",
-    "Key",
-    "MigrationError",
-    "NodeId",
-    "ReproError",
-    "RetryPolicy",
-    "RoutingConfig",
-    "RoutingError",
-    "SimulationError",
-    "StorageError",
-    "TimeoutExceeded",
-    "Transaction",
-    "TransactionAborted",
-    "TxnId",
-    "TxnKind",
-    "derive_seed",
-]

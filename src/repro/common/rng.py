@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(root_seed: int, *names: object) -> int:
@@ -41,9 +43,20 @@ class DeterministicRNG:
     def __init__(self, root_seed: int, *path: object) -> None:
         self._root_seed = root_seed
         self._path = tuple(path)
-        seed = derive_seed(root_seed, *path)
-        self.py = random.Random(seed)
-        self.np = np.random.default_rng(seed)
+        self.py = random.Random(derive_seed(root_seed, *path))
+
+    @cached_property
+    def np(self) -> "np.random.Generator":
+        """The numpy stream, built on first use from the same seed.
+
+        Most streams only ever draw scalars, so numpy is imported, and
+        the generator seeded, the first time a component asks for it;
+        the seed does not depend on when that happens.
+        """
+        import numpy as np
+
+        seed = derive_seed(self._root_seed, *self._path)
+        return np.random.default_rng(seed)
 
     def fork(self, *names: object) -> "DeterministicRNG":
         """Create an independent child stream identified by ``names``."""

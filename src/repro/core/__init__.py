@@ -6,22 +6,3 @@ This package defines the routing abstraction every strategy implements
 :class:`FusionTable`, the :class:`PrescientRouter` (Algorithm 1), and the
 dynamic-provisioning planner of Section 3.3.
 """
-
-from repro.core.fusion_table import FusionTable
-from repro.core.plan import Migration, RoutingPlan, TxnPlan
-from repro.core.prescient import PrescientRouter
-from repro.core.provisioning import HybridMigrationPlanner, TopologyChange
-from repro.core.router import ClusterView, OwnershipView, Router
-
-__all__ = [
-    "ClusterView",
-    "FusionTable",
-    "HybridMigrationPlanner",
-    "Migration",
-    "OwnershipView",
-    "PrescientRouter",
-    "Router",
-    "RoutingPlan",
-    "TopologyChange",
-    "TxnPlan",
-]

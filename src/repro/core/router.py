@@ -121,7 +121,7 @@ class OwnershipView:
         #: :meth:`version_token` that footprint caches key on.
         self._mutations = 0
         #: Replica sets layered over primary placement, attached by a
-        #: :class:`repro.replication.ReplicationRouter` (a
+        #: :class:`repro.replication.router.ReplicationRouter` (a
         #: :class:`repro.replication.directory.ReplicaDirectory`).
         #: Deliberately *outside* :meth:`version_token`: replicas never
         #: change which node owns a key, so footprints cached by the

@@ -10,38 +10,3 @@ transaction phases (local reads → remote-read collection → logic → writes
 
 The top-level entry point is :class:`Cluster`.
 """
-
-from repro.engine.cluster import Cluster
-from repro.engine.locks import LockManager, LockMode
-from repro.engine.migration import (
-    MigrationController,
-    MigrationSession,
-    MigrationState,
-)
-from repro.engine.node import Node, WorkerPool
-from repro.engine.ollp import OLLP, DependentTxnSpec
-from repro.engine.recovery import (
-    DurableState,
-    promote_replica,
-    recover_from_crash,
-    replay_command_log,
-)
-from repro.engine.sequencer import Sequencer
-
-__all__ = [
-    "Cluster",
-    "DurableState",
-    "LockManager",
-    "LockMode",
-    "DependentTxnSpec",
-    "MigrationController",
-    "MigrationSession",
-    "MigrationState",
-    "Node",
-    "OLLP",
-    "Sequencer",
-    "WorkerPool",
-    "promote_replica",
-    "recover_from_crash",
-    "replay_command_log",
-]

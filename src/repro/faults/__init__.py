@@ -23,51 +23,3 @@ prescient router plans against while a :class:`ForecastFault` window is
 active, so chaos campaigns can exercise mispredict detection and the
 reactive fallback path.
 """
-
-from repro.faults.chaos import (
-    ChaosConfig,
-    ChaosRunResult,
-    make_cluster_builder,
-    make_schedule,
-    run_chaos_trial,
-    run_migration_trial,
-    run_reference,
-    verify_trial,
-)
-from repro.faults.forecast import FaultyForecaster
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    FORECAST_FAULT_KINDS,
-    CrashFault,
-    FailoverFault,
-    FaultPlan,
-    ForecastFault,
-    JitterFault,
-    LinkLossFault,
-    PartitionFault,
-    ReplicaOutageFault,
-    StragglerFault,
-)
-
-__all__ = [
-    "FORECAST_FAULT_KINDS",
-    "ChaosConfig",
-    "ChaosRunResult",
-    "CrashFault",
-    "FailoverFault",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultyForecaster",
-    "ForecastFault",
-    "JitterFault",
-    "LinkLossFault",
-    "PartitionFault",
-    "ReplicaOutageFault",
-    "StragglerFault",
-    "make_cluster_builder",
-    "make_schedule",
-    "run_chaos_trial",
-    "run_migration_trial",
-    "run_reference",
-    "verify_trial",
-]

@@ -50,7 +50,7 @@ from repro.common.config import ClusterConfig
 from repro.common.errors import FaultInjectionError
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Batch, Transaction, TxnId, TxnKind
-from repro.core import PrescientRouter
+from repro.core.prescient import PrescientRouter
 from repro.core.provisioning import ChunkMigration, ColdMigrationPlan
 from repro.engine.cluster import Cluster
 from repro.engine.migration import MigrationController, MigrationState

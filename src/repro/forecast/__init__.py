@@ -9,28 +9,3 @@ gracefully — prescient planning on a good forecast, Clay-style reactive
 routing past the mispredict threshold, cancelling in-flight prescient
 migrations through the migration-session state machine on the way down.
 """
-
-from repro.forecast.coordinator import FallbackCoordinator
-from repro.forecast.detector import MispredictDetector
-from repro.forecast.forecasters import (
-    EWMAForecaster,
-    Forecaster,
-    MarkovForecaster,
-    OracleForecaster,
-    SeasonalNaiveForecaster,
-    predicted_txn,
-)
-from repro.forecast.router import ForecastRouter, forecast_error
-
-__all__ = [
-    "EWMAForecaster",
-    "FallbackCoordinator",
-    "ForecastRouter",
-    "Forecaster",
-    "MarkovForecaster",
-    "MispredictDetector",
-    "OracleForecaster",
-    "SeasonalNaiveForecaster",
-    "forecast_error",
-    "predicted_txn",
-]

@@ -1,9 +1,9 @@
 """Observability: structured tracing, metrics registry, trace analysis.
 
-Stable public surface — import metric/trace types from here, not from
-the submodules::
+:mod:`repro.obs.tracer` records, :mod:`repro.obs.registry` counts and
+:mod:`repro.obs.analyze` reads a recorded trace back::
 
-    from repro.obs import Tracer, MetricsRegistry
+    from repro.obs.tracer import Tracer
 
     tracer = Tracer(preset="fig07", seed=1)
     result = run_workload(..., trace=tracer)
@@ -13,51 +13,3 @@ the submodules::
 ``python -m repro.obs record --preset fig07`` records and summarizes a
 traced run from the command line; see :mod:`repro.obs.__main__`.
 """
-
-from repro.obs.analyze import (
-    WaitChain,
-    event_counts,
-    forecast_health,
-    format_forecast_health,
-    format_node_load,
-    format_ollp_exhaustion,
-    format_stage_flame,
-    format_wait_chains,
-    lock_wait_chains,
-    node_load_series,
-    ollp_exhaustion,
-    seq_txn_map,
-    stage_totals,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-    MetricsRegistry,
-)
-from repro.obs.tracer import CATEGORIES, Tracer, read_jsonl
-
-__all__ = [
-    "CATEGORIES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Instrument",
-    "MetricsRegistry",
-    "Tracer",
-    "WaitChain",
-    "event_counts",
-    "forecast_health",
-    "format_forecast_health",
-    "format_node_load",
-    "format_ollp_exhaustion",
-    "format_stage_flame",
-    "format_wait_chains",
-    "lock_wait_chains",
-    "node_load_series",
-    "ollp_exhaustion",
-    "read_jsonl",
-    "seq_txn_map",
-    "stage_totals",
-]

@@ -11,7 +11,7 @@ Usage::
     python -m repro.obs report fig07_seed1_hermes.trace.jsonl --top 15
 
 ``record`` runs the named :data:`repro.api.PRESETS` experiment with a
-:class:`~repro.obs.Tracer` attached (one strategy per recording — pass
+:class:`~repro.obs.tracer.Tracer` attached (one strategy per recording — pass
 ``--strategy`` to pick; default is the preset's last, the Hermes-style
 headline), writes the deterministic JSONL trace, optionally a Chrome
 ``trace_event`` export for Perfetto, and prints the report: top

@@ -12,8 +12,3 @@ when a metric regresses beyond a tolerance (the CI perf-smoke job).
 All scenarios are deterministic in their *simulated* behavior; only the
 wall-clock measurements vary between machines.
 """
-
-from repro.perf.measure import BenchResult, measure
-from repro.perf.scenarios import SCENARIOS, run_scenario
-
-__all__ = ["BenchResult", "measure", "SCENARIOS", "run_scenario"]

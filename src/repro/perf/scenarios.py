@@ -513,7 +513,7 @@ def replica_reads(scale: float) -> int:
     planning).  Work unit: one routed transaction.
     """
     from repro.forecast.forecasters import OracleForecaster
-    from repro.replication import ReplicationConfig, ReplicationRouter
+    from repro.replication.router import ReplicationConfig, ReplicationRouter
 
     num_nodes = 8
     num_keys = 20_000

@@ -18,16 +18,3 @@ still bit-for-bit deterministic (DESIGN.md §16):
   running installs through the migration session machinery and
   stamping validity at commit.
 """
-
-from repro.replication.coordinator import ReplicationCoordinator
-from repro.replication.directory import ReplicaDirectory
-from repro.replication.provision import ReplicaProvisioner
-from repro.replication.router import ReplicationConfig, ReplicationRouter
-
-__all__ = [
-    "ReplicaDirectory",
-    "ReplicaProvisioner",
-    "ReplicationConfig",
-    "ReplicationCoordinator",
-    "ReplicationRouter",
-]

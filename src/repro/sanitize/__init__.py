@@ -29,30 +29,3 @@ fires; ``tests/sanitize/`` wires all three layers into the test suite.
 Beside them, :mod:`repro.sanitize.reach` runs every entry point under
 ``cProfile`` and fails on functions none of them enters.
 """
-
-from __future__ import annotations
-
-from repro.sanitize.digest import StreamDigest, capture_digests
-from repro.sanitize.lint import LintFinding, Rule, RULES, lint_paths, lint_source
-from repro.sanitize.replay import (
-    DivergenceReport,
-    ReplayReport,
-    RunDigest,
-    dual_replay,
-    run_digest,
-)
-
-__all__ = [
-    "DivergenceReport",
-    "LintFinding",
-    "ReplayReport",
-    "Rule",
-    "RULES",
-    "RunDigest",
-    "StreamDigest",
-    "capture_digests",
-    "dual_replay",
-    "lint_paths",
-    "lint_source",
-    "run_digest",
-]

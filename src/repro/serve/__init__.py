@@ -24,22 +24,14 @@ giving up replayability:
   add/remove-node scenario knobs; ``python -m repro.serve replay``
   verifies a journal against its recorded footer.
 
-See DESIGN.md §17 for the architecture and the journal format.
+See DESIGN.md §17 for the architecture and the journal format.  The
+package re-exports the four names ``perfbench/`` imports from it, all
+of them serving modules; everything else is imported from the module
+that defines it.
 """
 
-from repro.serve.admission import AdmissionConfig, AdmissionController
-from repro.serve.core import ServeConfig, ServeCore, ServeReport
-from repro.serve.journal import Journal, JournalWriter, read_journal
+from repro.serve.core import ServeConfig, ServeCore
+from repro.serve.journal import JournalWriter
 from repro.serve.replayer import verify_journal
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "Journal",
-    "JournalWriter",
-    "ServeConfig",
-    "ServeCore",
-    "ServeReport",
-    "read_journal",
-    "verify_journal",
-]
+__all__ = ["JournalWriter", "ServeConfig", "ServeCore", "verify_journal"]

@@ -9,18 +9,3 @@ The kernel is deliberately small — a binary heap of timestamped callbacks
 with a FIFO tiebreaker — because determinism is the whole point: given the
 same inputs, every run produces the same interleaving.
 """
-
-from repro.sim.kernel import Delay, Kernel, Process, SimEvent
-from repro.sim.network import Network
-from repro.sim.stats import LatencyBreakdown, TimeSeries, WindowedRate
-
-__all__ = [
-    "Delay",
-    "Kernel",
-    "LatencyBreakdown",
-    "Network",
-    "Process",
-    "SimEvent",
-    "TimeSeries",
-    "WindowedRate",
-]

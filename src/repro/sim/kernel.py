@@ -311,7 +311,7 @@ class Kernel:
         """The current simulated time, in microseconds.
 
         The observability layer's clock source: a bound
-        :class:`repro.obs.Tracer` stamps every span and event through
+        :class:`repro.obs.tracer.Tracer` stamps every span and event through
         this hook, so traces share the exact timeline the engine ran on.
         Reading the clock never perturbs the event queues.
         """

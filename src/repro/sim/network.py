@@ -53,7 +53,7 @@ class Network:
         self.reliable_in_flight = 0
 
     # ------------------------------------------------------------------
-    # Fault-rule management (driven by repro.faults.FaultInjector)
+    # Fault-rule management (driven by repro.faults.injector.FaultInjector)
     # ------------------------------------------------------------------
 
     def block_links(self, pairs: list[tuple[NodeId, NodeId]]) -> None:

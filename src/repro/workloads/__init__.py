@@ -13,31 +13,3 @@
 * :mod:`repro.workloads.base` — open-loop and closed-loop client
   drivers.
 """
-
-from repro.workloads.base import (
-    ClosedLoopDriver,
-    OpenLoopDriver,
-    WorkloadGenerator,
-)
-from repro.workloads.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
-from repro.workloads.multitenant import MultiTenantConfig, MultiTenantWorkload
-from repro.workloads.tpcc import TPCCConfig, TPCCWorkload, tpcc_partitioner
-from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
-from repro.workloads.zipf import MovingTwoSidedZipf, ZipfSampler
-
-__all__ = [
-    "ClosedLoopDriver",
-    "GoogleTraceConfig",
-    "GoogleYCSBWorkload",
-    "MovingTwoSidedZipf",
-    "MultiTenantConfig",
-    "MultiTenantWorkload",
-    "OpenLoopDriver",
-    "SyntheticGoogleTrace",
-    "TPCCConfig",
-    "TPCCWorkload",
-    "WorkloadGenerator",
-    "YCSBConfig",
-    "ZipfSampler",
-    "tpcc_partitioner",
-]

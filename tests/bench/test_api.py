@@ -10,7 +10,7 @@ from repro.api import (
     run_experiment,
 )
 from repro.bench import figures
-from repro.obs import Tracer
+from repro.obs.tracer import Tracer
 
 
 class TestSpecValidation:

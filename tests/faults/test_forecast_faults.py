@@ -8,14 +8,11 @@ from repro.common.rng import DeterministicRNG
 from repro.common.types import Batch, Transaction
 from repro.baselines.calvin import CalvinRouter
 from repro.engine.cluster import Cluster
-from repro.faults import (
-    FORECAST_FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultyForecaster,
-    ForecastFault,
-)
-from repro.forecast import ForecastRouter, OracleForecaster
+from repro.faults.forecast import FaultyForecaster
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FORECAST_FAULT_KINDS, FaultPlan, ForecastFault
+from repro.forecast.forecasters import OracleForecaster
+from repro.forecast.router import ForecastRouter
 from repro.storage.partitioning import make_uniform_ranges
 
 NUM_KEYS = 400

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.forecast import MispredictDetector
+from repro.forecast.detector import MispredictDetector
 
 
 def make(**kw):

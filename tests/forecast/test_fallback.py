@@ -13,12 +13,11 @@ from repro.common.rng import DeterministicRNG
 from repro.common.types import Transaction
 from repro.core.provisioning import ChunkMigration, ColdMigrationPlan
 from repro.engine.cluster import Cluster
-from repro.faults import FaultyForecaster, ForecastFault
-from repro.forecast import (
-    FallbackCoordinator,
-    ForecastRouter,
-    OracleForecaster,
-)
+from repro.faults.forecast import FaultyForecaster
+from repro.faults.plan import ForecastFault
+from repro.forecast.coordinator import FallbackCoordinator
+from repro.forecast.forecasters import OracleForecaster
+from repro.forecast.router import ForecastRouter
 from repro.obs.tracer import Tracer
 from repro.storage.partitioning import make_uniform_ranges
 

@@ -2,7 +2,7 @@
 
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Batch, Transaction, TxnKind
-from repro.forecast import (
+from repro.forecast.forecasters import (
     EWMAForecaster,
     MarkovForecaster,
     OracleForecaster,

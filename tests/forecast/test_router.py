@@ -5,13 +5,9 @@ from repro.common.types import Batch, Transaction, TxnKind
 from repro.core.prescient import PrescientRouter
 from repro.core.router import ClusterView, OwnershipView
 from repro.engine.cluster import Cluster
-from repro.forecast import (
-    ForecastRouter,
-    MispredictDetector,
-    OracleForecaster,
-    forecast_error,
-    predicted_txn,
-)
+from repro.forecast.detector import MispredictDetector
+from repro.forecast.forecasters import OracleForecaster, predicted_txn
+from repro.forecast.router import ForecastRouter, forecast_error
 from repro.forecast.forecasters import Forecaster
 from repro.storage.partitioning import make_uniform_ranges
 

@@ -66,9 +66,9 @@ GOLDEN_CHAOS_APPLIED = 150
 def mini_run(name: str, trace=None):
     """One short deterministic run of a strategy preset.
 
-    ``trace`` attaches a :class:`repro.obs.Tracer`; the trace-determinism
-    tests reuse this run (same config, same goldens) to prove tracing
-    never perturbs the simulation.
+    ``trace`` attaches a :class:`repro.obs.tracer.Tracer`; the
+    trace-determinism tests reuse this run (same config, same goldens)
+    to prove tracing never perturbs the simulation.
     """
     spec = make_strategy(
         name,

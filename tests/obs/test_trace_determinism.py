@@ -15,7 +15,7 @@ Two properties the observability layer promises:
 
 from __future__ import annotations
 
-from repro.obs import Tracer
+from repro.obs.tracer import Tracer
 from tests.integration.test_fastpath_determinism import GOLDEN, SEED, mini_run
 
 

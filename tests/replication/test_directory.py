@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.replication import ReplicaDirectory
+from repro.replication.directory import ReplicaDirectory
 
 ACTIVE = [0, 1, 2, 3]
 

@@ -12,13 +12,10 @@ from repro.common.config import ClusterConfig, EngineConfig
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Transaction
 from repro.engine.cluster import Cluster
-from repro.forecast import OracleForecaster
+from repro.forecast.forecasters import OracleForecaster
 from repro.obs.tracer import Tracer
-from repro.replication import (
-    ReplicationConfig,
-    ReplicationCoordinator,
-    ReplicationRouter,
-)
+from repro.replication.coordinator import ReplicationCoordinator
+from repro.replication.router import ReplicationConfig, ReplicationRouter
 from repro.storage.partitioning import make_uniform_ranges
 
 NUM_KEYS = 400

@@ -11,7 +11,9 @@ from repro.core.router import (
     build_chunk_migration_plan,
     build_replica_install_plan,
 )
-from repro.replication import ReplicaDirectory, ReplicaProvisioner, provision
+from repro.replication import provision
+from repro.replication.directory import ReplicaDirectory
+from repro.replication.provision import ReplicaProvisioner
 from repro.storage.partitioning import make_uniform_ranges
 
 NUM_KEYS = 400

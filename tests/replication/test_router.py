@@ -8,7 +8,7 @@ from repro.core.plan import TxnPlan
 from repro.core.prescient import PrescientRouter
 from repro.core.router import ClusterView, OwnershipView
 from repro.forecast.forecasters import OracleForecaster
-from repro.replication import ReplicationConfig, ReplicationRouter
+from repro.replication.router import ReplicationConfig, ReplicationRouter
 from repro.storage.partitioning import make_uniform_ranges
 
 NUM_KEYS = 400

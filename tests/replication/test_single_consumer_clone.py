@@ -14,15 +14,12 @@ from repro.common.rng import DeterministicRNG
 from repro.common.types import Batch, Transaction
 from repro.core.router import ClusterView, OwnershipView
 from repro.engine.cluster import Cluster
-from repro.forecast import OracleForecaster
-from repro.replication import (
-    ReplicaDirectory,
-    ReplicaProvisioner,
-    ReplicationConfig,
-    ReplicationCoordinator,
-    ReplicationRouter,
-    provision,
-)
+from repro.forecast.forecasters import OracleForecaster
+from repro.replication import provision
+from repro.replication.coordinator import ReplicationCoordinator
+from repro.replication.directory import ReplicaDirectory
+from repro.replication.provision import ReplicaProvisioner
+from repro.replication.router import ReplicationConfig, ReplicationRouter
 from repro.storage.partitioning import make_uniform_ranges
 
 NUM_KEYS = 400

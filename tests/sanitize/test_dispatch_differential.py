@@ -3,10 +3,10 @@
 The scheduler drains each routed batch through one loop whose only
 per-transaction branch is ``if tracer is not None``.  For any random
 workload, seed, and mid-batch fault injection, a run with a
-:class:`~repro.obs.Tracer` attached and a run without one must produce
-the *identical kernel event digest* — every event's time and sequence
-number plus the dispatch and lock-grant notes — not just the same
-final state.  A matching digest proves the traced branch (and every
+:class:`~repro.obs.tracer.Tracer` attached and a run without one must
+produce the *identical kernel event digest* — every event's time and
+sequence number plus the dispatch and lock-grant notes — not just the
+same final state.  A matching digest proves the traced branch (and every
 tracer site below it in the lock manager and the runtimes) changed only
 what is recorded, never what runs.
 
@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig
 from repro.common.rng import DeterministicRNG
-from repro.core import PrescientRouter
+from repro.core.prescient import PrescientRouter
 from repro.engine.cluster import Cluster
 from repro.faults.chaos import MAX_TIME_US, ChaosConfig, make_schedule
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.obs import Tracer
+from repro.obs.tracer import Tracer
 from repro.sanitize.digest import capture_digests
 from repro.storage.partitioning import make_uniform_ranges
 

@@ -3,9 +3,11 @@
 Every backticked repository path (``src/…``, ``tests/…``,
 ``benchmarks/…``, ``examples/…``, optionally with ``::Name`` parts) and
 every backticked ``repro.x.y`` name in the user-facing documents must
-resolve: the path exists (a glob matches at least one file) and each
-``::`` part names a class or function defined in it; the dotted name
-imports as a module or resolves as an attribute of one.  Every
+resolve: the path exists (a glob matches at least one file, from the
+repository root or from the document's own directory) and each ``::``
+part names a class or function defined in it; the dotted name imports
+as a module, resolves as an attribute of one, or is one of perfbench's
+layer names (``repro.other``).  Every
 backticked bare identifier (``name`` or ``name()``) must occur as a word
 somewhere in the code trees, unless :data:`HISTORICAL` lists it.  A
 rename that forgets the docs fails here instead of in a reader's shell.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import glob
 import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,7 @@ DOCUMENTS = (
     "DESIGN.md",
     "EXPERIMENTS.md",
     ".claude/skills/verify/SKILL.md",
+    "perfbench/README.md",
 )
 
 _FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
@@ -39,6 +43,9 @@ _PATH = re.compile(
     r"(?<![\w./-])((?:src|tests|benchmarks|examples)/[\w./*-]*(?:::\w+)*)"
 )
 _NAME = re.compile(r"(?<![\w./-])(repro(?:\.\w+)+)")
+_IMPORT = re.compile(
+    r"^[ >]*from (repro(?:\.\w+)*) import (\([^)]*\)|[^\n]*)", re.M
+)
 _IDENT = re.compile(r"([A-Za-z_]\w*)(?:\(\))?")
 _ITEM_CITATION = re.compile(r"ROADMAP\s+item")
 
@@ -51,6 +58,10 @@ CODE_TREES = (
 #: Backticked identifiers of code that is gone, kept on purpose where
 #: DESIGN tells what replaced it.
 HISTORICAL = frozenset({"dispatch_mode", "ScheduleStream", "run_sharded"})
+#: perfbench's layer names: ``repro.other`` is a layer, not a module.
+LAYERS = frozenset(
+    runpy.run_path(str(ROOT / "perfbench" / "layers.py"))["LAYERS"]
+)
 
 
 def _spans(document: str) -> list[tuple[int, str, bool]]:
@@ -72,19 +83,29 @@ def _spans(document: str) -> list[tuple[int, str, bool]]:
 
 
 def _references() -> list[tuple[str, int, str]]:
-    """``(document, line, reference)`` for every checked reference."""
+    """``(document, line, reference)`` for every checked reference: the
+    paths and names in code spans, and ``module.name`` for every name a
+    ``from repro… import`` line anywhere in a document imports."""
     found = []
     for document in DOCUMENTS:
         for line, body, _fenced in _spans(document):
             for pattern in (_PATH, _NAME):
                 for match in pattern.finditer(body):
                     found.append((document, line, match.group(1)))
+        text = (ROOT / document).read_text(encoding="utf-8")
+        for match in _IMPORT.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            for name in re.findall(r"\w+", match.group(2)):
+                found.append((document, line, f"{match.group(1)}.{name}"))
     return found
 
 
-def _path_problem(reference: str) -> str | None:
+def _path_problem(reference: str, directory: Path = ROOT) -> str | None:
+    """What is wrong with a path reference, read from the repository root
+    or from ``directory`` (the citing document's own); ``None`` if
+    nothing."""
     path, *parts = reference.split("::")
-    matches = glob.glob(str(ROOT / path))
+    matches = glob.glob(str(ROOT / path)) or glob.glob(str(directory / path))
     if not matches:
         return "no such path"
     if parts:
@@ -96,6 +117,8 @@ def _path_problem(reference: str) -> str | None:
 
 
 def _name_problem(reference: str) -> str | None:
+    if reference in LAYERS:
+        return None
     parts = reference.split(".")
     for cut in range(len(parts), 0, -1):
         try:
@@ -151,8 +174,10 @@ def test_scan_finds_references():
 def test_every_reference_resolves():
     stale = []
     for document, line, reference in REFERENCES:
-        check = _path_problem if "/" in reference else _name_problem
-        problem = check(reference)
+        if "/" in reference:
+            problem = _path_problem(reference, (ROOT / document).parent)
+        else:
+            problem = _name_problem(reference)
         if problem is not None:
             stale.append(f"{document}:{line} `{reference}`: {problem}")
     assert stale == [], "\n".join(stale)
@@ -201,14 +226,21 @@ def test_path_check_has_teeth(reference, resolves):
     assert (_path_problem(reference) is None) is resolves
 
 
+def test_a_path_may_be_relative_to_its_document():
+    assert _path_problem("tests/test_smoke.py") == "no such path"
+    assert _path_problem("tests/test_smoke.py", ROOT / "perfbench") is None
+
+
 @pytest.mark.parametrize(
     "reference, resolves",
     [
         ("repro.faults.chaos", True),
         ("repro.faults.chaos.verify_trial", True),
-        ("repro.faults.FaultPlan.random", True),
+        ("repro.faults.plan.FaultPlan.random", True),
         ("repro.faults.chaos.no_such_name", False),
         ("repro.no_such_module", False),
+        ("repro.other", True),
+        ("repro.no_such_layer", False),
     ],
 )
 def test_name_check_has_teeth(reference, resolves):
