@@ -36,13 +36,14 @@ shape (how many transactions, how many keys each) but never its keys.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Batch, Key, Transaction, TxnKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Forecaster",
@@ -183,6 +184,8 @@ class _HeatTable:
         self._dirty = True
 
     def _rebuild(self) -> None:
+        import numpy as np
+
         items = sorted(self._heat.items(), key=lambda item: repr(item[0]))
         self._keys = [key for key, _heat in items]
         weights = np.array([heat for _key, heat in items], dtype=float)
@@ -190,7 +193,7 @@ class _HeatTable:
         if total <= 0.0:
             weights = np.ones(len(items), dtype=float)
             total = float(len(items))
-        self._cum = np.cumsum(weights / total)
+        self._cum = (weights / total).cumsum()
         self._dirty = False
 
     def sample(self, count: int, rng: DeterministicRNG) -> list[Key]:
@@ -207,7 +210,7 @@ class _HeatTable:
         for u in draws:
             if len(picked) >= count:
                 break
-            key = keys[int(np.searchsorted(cum, u, side="left"))]
+            key = keys[int(cum.searchsorted(u, side="left"))]
             picked.setdefault(key, None)
         if len(picked) < count:
             for key in keys:
@@ -286,6 +289,8 @@ class MarkovForecaster(_LearnedForecaster):
     ) -> None:
         if num_partitions < 1:
             raise ConfigurationError("num_partitions must be positive")
+        import numpy as np
+
         super().__init__(rng)
         self.num_partitions = num_partitions
         self.partition_of = partition_of
@@ -301,6 +306,8 @@ class MarkovForecaster(_LearnedForecaster):
         return self._prev_weights is not None
 
     def _partition_weights(self, batch: Batch) -> np.ndarray | None:
+        import numpy as np
+
         counts = np.zeros(self.num_partitions)
         for txn in batch:
             if txn.is_system():
@@ -329,11 +336,11 @@ class MarkovForecaster(_LearnedForecaster):
         weights = self._predicted
         if weights is None:
             return txn.ordered_keys
-        cum = np.cumsum(weights)
+        cum = weights.cumsum()
         keys: list[Key] = []
         draws = rng.np.random(txn.size)
         for u in draws:
-            part = int(np.searchsorted(cum, u, side="left"))
+            part = int(cum.searchsorted(u, side="left"))
             part = min(part, self.num_partitions - 1)
             table = self._tables[part]
             got = table.sample(1, rng)
@@ -347,7 +354,7 @@ class MarkovForecaster(_LearnedForecaster):
             return
         if self._prev_weights is not None:
             # Soft transition counts: mass moving from partition i to j.
-            self._transitions += np.outer(self._prev_weights, weights)
+            self._transitions += self._prev_weights[:, None] * weights
         self._prev_weights = weights
         for txn in batch:
             if txn.is_system():

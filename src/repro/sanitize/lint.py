@@ -479,7 +479,7 @@ class _Linter(ast.NodeVisitor):
             self._flag(
                 node, "ND103",
                 f"{dotted}() draws from numpy's global RNG; use "
-                "DeterministicRNG.numpy",
+                "DeterministicRNG.np",
             )
             return
         if last in ("Random", "default_rng") and not node.args and not (

@@ -21,11 +21,13 @@ transaction) and the total load curve (the offered rate envelope).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Figure 1's calibration: the shape of every machine's series, as the
@@ -80,6 +82,8 @@ class SyntheticGoogleTrace:
     """Per-machine load series with spikes and provisioning shifts."""
 
     def __init__(self, config: GoogleTraceConfig, rng: DeterministicRNG):
+        import numpy as np
+
         self.config = config
         self._rng = rng.fork("google-trace")
         self.loads = self._generate()
@@ -90,6 +94,8 @@ class SyntheticGoogleTrace:
         self._cum_weights = np.cumsum(self.weights, axis=0)
 
     def _generate(self) -> np.ndarray:
+        import numpy as np
+
         cfg = self.config
         ticks = cfg.num_ticks
         loads = np.zeros((cfg.num_machines, ticks))
@@ -151,4 +157,4 @@ class SyntheticGoogleTrace:
     def sample_machine(self, now_us: float, u: float) -> int:
         """Inverse-CDF draw of a machine given uniform ``u`` in [0,1)."""
         column = self._cum_weights[:, self.tick_of(now_us)]
-        return int(np.searchsorted(column, u, side="left"))
+        return int(column.searchsorted(u, side="left"))

@@ -11,37 +11,42 @@ Two shapes cover every workload in the paper:
   world in 24 hours" global distribution for distributed transactions
   (Section 5.2.2).
 
-CDFs are precomputed with numpy and shared across samplers through a
+CDFs are precomputed once and shared across samplers through a
 module-level cache, so creating one sampler per partition is cheap.
+Below :data:`LAZY_CDF_THRESHOLD` ranks the CDF is a plain list built
+with libm ``pow`` and a left-to-right running sum, so simulator and
+serving processes never import numpy.  Million-key keyspaces use
+:class:`_LazyZipfCdf`, which imports numpy when it is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache, partial
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 
-
-@lru_cache(maxsize=64)
-def _zipf_cdf(n: int, theta: float) -> np.ndarray:
-    """Cumulative distribution of Zipf(θ) over ranks 1..n."""
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = ranks ** (-theta)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    return cdf
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @lru_cache(maxsize=64)
 def _zipf_cdf_list(n: int, theta: float) -> list[float]:
-    """The same CDF as a plain list: ``bisect`` on a list beats a scalar
-    ``np.searchsorted`` call by an order of magnitude, and ``tolist`` is
-    exact, so the sampled sequence is bit-identical."""
-    return _zipf_cdf(n, theta).tolist()
+    """Cumulative distribution of Zipf(θ) over ranks 1..n, as a list.
+
+    Weights come from libm ``pow`` and are summed strictly left to
+    right, then divided by the total: the same operations, in the same
+    order, as numpy's ``cumsum(arange(1, n + 1) ** -θ) / total``.  The
+    two agree exactly wherever numpy's ``power`` is libm's; numpy's
+    AVX-512 ``power`` can be 1 ulp off libm on single weights, so on
+    such hosts the entries may differ by an ulp or two.
+    """
+    sums = list(accumulate(float(rank) ** -theta for rank in range(1, n + 1)))
+    total = sums[-1]
+    return [partial_sum / total for partial_sum in sums]
 
 
 #: Keyspaces at or above this size use the block-lazy CDF; below it the
@@ -61,13 +66,18 @@ class _LazyZipfCdf:
     blocks.  A draw bisects the boundary list to pick a block, then
     bisects inside the (re)materialized block.
 
-    Bit-identical to the materialized path by construction: block
+    Bit-identical to numpy's full-array CDF,
+    ``cumsum(arange(1, n + 1) ** -θ) / total``, by construction: block
     partial sums are computed with ``np.cumsum`` seeded by the previous
     block's carry *prepended to the array*, so every float addition
     happens in exactly the order of one full ``np.cumsum``; the
     normalizing division by the same total is elementwise and exact.
     Since every compared value is identical, every ``bisect`` lands on
-    the identical rank.
+    the identical rank.  That full-array CDF is :func:`_zipf_cdf_list`'s
+    wherever numpy's ``power`` is libm's, and within an ulp or two of it
+    on AVX-512 hosts.  This path stays on numpy: only million-key
+    keyspaces reach it, where a vectorized block costs a fraction of a
+    Python loop.
     """
 
     __slots__ = ("n", "theta", "total", "_raw_bounds", "_bounds", "_blocks")
@@ -93,6 +103,8 @@ class _LazyZipfCdf:
         the carry reproduces the exact additions (and roundings) the
         full-array ``np.cumsum`` would have performed over this span.
         """
+        import numpy as np
+
         ranks = np.arange(lo + 1, hi + 1, dtype=np.float64)
         weights = ranks ** (-self.theta)
         if carry:
@@ -143,7 +155,7 @@ class ZipfSampler:
         self._random = rng.py.random
         if n >= LAZY_CDF_THRESHOLD:
             # Million-key mode: block-lazy CDF, draw-identical to the
-            # materialized list (see _LazyZipfCdf).  The instance-level
+            # full-array numpy CDF (see _LazyZipfCdf).  The instance-level
             # closure shadows ``sample`` so the small-n hot path below
             # stays branch-free and byte-identical.
             self._cdf_list = None

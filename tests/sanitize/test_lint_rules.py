@@ -1,10 +1,12 @@
 """The nondeterminism lint: every rule proven on the corpus, the
 suppression syntax round-tripped, and the shipped tree held clean."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.common.rng import DeterministicRNG
 from repro.sanitize.corpus import BAD, CLEAN
 from repro.sanitize.lint import RULES, lint_paths, lint_source
 from repro.sanitize.__main__ import main as sanitize_main
@@ -44,6 +46,14 @@ class TestRuleCorpus:
 
     def test_every_rule_has_bad_coverage(self):
         assert set(BAD) == set(RULES)
+
+    def test_numpy_global_hint_names_an_existing_accessor(self):
+        (snippet,) = [s for s in BAD["ND103"] if s.name == "numpy-global"]
+        (finding,) = lint_source(snippet.source, path=snippet.name)
+        named = re.findall(r"DeterministicRNG\.(\w+)", finding.message)
+        assert named, finding.message
+        for attribute in named:
+            assert hasattr(DeterministicRNG, attribute), finding.message
 
 
 class TestSuppression:

@@ -3,9 +3,10 @@ imports").
 
 Sub-package ``__init__`` files re-export nothing, and third-party
 imports sit where they are used, so the serving process never loads
-numpy, networkx or the offline half of the repository, and no timed
-call pays for a first import.  Both checks run in a fresh interpreter:
-the test process itself has imported everything long before.
+numpy, networkx or the offline half of the repository, the simulator
+never loads numpy, and no timed call pays for a first import.  Every
+check runs in a fresh interpreter: the test process itself has imported
+everything long before.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,7 +59,7 @@ LOADED = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 #: Imports the worker's modules, then runs what its timed calls run —
 #: a short Hermes and a short Calvin multi-tenant slice, a served tick,
 #: ``finish()`` and ``verify_journal`` — and prints every module that
-#: was first imported on the way.
+#: was first imported on the way, and every module loaded at the end.
 TIMED_CALLS = WORKER_IMPORTS + """\
 import json, os, sys, tempfile
 
@@ -77,11 +80,14 @@ with tempfile.TemporaryDirectory() as scratch:
     report = core.finish()
     verified = verify_journal(path)
 assert report.commits == 2 and verified.ok, (report, verified)
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps({
+    "first_imported": sorted(set(sys.modules) - before),
+    "loaded": sorted(sys.modules),
+}))
 """
 
 
-def _run(source: str) -> list[str]:
+def _run(source: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
@@ -106,15 +112,29 @@ def test_server_imports_only_the_serving_stack():
     assert _matching(loaded, NOT_SERVED) == []
 
 
+@pytest.fixture(scope="module")
+def timed_calls() -> dict[str, list[str]]:
+    return _run(TIMED_CALLS)
+
+
 def test_experiment_layer_defers_networkx():
     # Schism is a strategy of the experiment layer, but networkx is only
-    # imported when a Schism partition is built.
+    # imported when a Schism partition is built; numpy only when a
+    # Google trace is drawn, a forecaster learns or a million-key Zipf
+    # CDF is built.
     loaded = _run(
         "import repro.api, repro.workloads.multitenant\n" + LOADED
     )
     assert "repro.bench.figures" in loaded
-    assert _matching(loaded, ("networkx",)) == []
+    assert _matching(loaded, ("networkx", "numpy")) == []
 
 
-def test_no_module_is_first_imported_inside_a_timed_call():
-    assert _run(TIMED_CALLS) == []
+def test_no_module_is_first_imported_inside_a_timed_call(timed_calls):
+    assert timed_calls["first_imported"] == []
+
+
+def test_simulator_and_replay_rounds_never_load_numpy(timed_calls):
+    # The Zipf samplers build their CDFs in pure Python, so no timed
+    # call of the worker, nor anything it imports, needs numpy.
+    assert "repro.workloads.zipf" in timed_calls["loaded"]
+    assert _matching(timed_calls["loaded"], ("numpy",)) == []

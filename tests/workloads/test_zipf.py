@@ -1,10 +1,67 @@
 """Unit + statistical tests for the Zipf samplers."""
 
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from bisect import bisect_left
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
-from repro.workloads.zipf import MovingTwoSidedZipf, ZipfSampler
+from repro.workloads.zipf import (
+    _LAZY_BLOCK,
+    MovingTwoSidedZipf,
+    ZipfSampler,
+    _LazyZipfCdf,
+    _zipf_cdf_list,
+)
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: (n, θ) of every materialized CDF the presets build: the multi-tenant
+#: tenants (2,500 and 10,000 records at θ 0.9), the Google-YCSB
+#: partitions (5,000 records at θ 0.7 and 0.8) and its moving global
+#: hot spot (40,000 keys at θ 0.8).
+PRESET_CDFS = ((2_500, 0.9), (10_000, 0.9), (5_000, 0.7), (5_000, 0.8),
+               (40_000, 0.8))
+
+#: numpy with its AVX-512 kernels switched off, where its ``power`` is
+#: libm's (names a host lacks are ignored, so elsewhere this is a no-op).
+LIBM_POWER_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+#: How far the pure-Python CDF may sit from numpy's when numpy uses its
+#: AVX-512 ``power`` (1 ulp off libm on some weights, and a running sum
+#: carries the difference on): at most 2 ulps measured with numpy 2.4.
+AVX512_ULPS = 4
+
+#: Prints, per (n, θ) in ``argv[1]``, how many entries of numpy's
+#: full-array CDF differ from ``_zipf_cdf_list``.
+COMPARE_WITH_NUMPY = """\
+import json, sys
+import numpy as np
+from repro.workloads.zipf import _zipf_cdf_list
+mismatches = []
+for n, theta in json.loads(sys.argv[1]):
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** (-theta))
+    cdf /= cdf[-1]
+    ours = _zipf_cdf_list(n, theta)
+    assert len(ours) == n
+    mismatches.append(sum(a != b for a, b in zip(cdf.tolist(), ours)))
+print(json.dumps(mismatches))
+"""
+
+
+def _numpy_cdf(n: int, theta: float) -> list[float]:
+    import numpy as np
+
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** (-theta))
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 @pytest.fixture
@@ -48,6 +105,40 @@ class TestZipfSampler:
             ZipfSampler(0, 0.9, rng)
         with pytest.raises(ConfigurationError):
             ZipfSampler(10, -1.0, rng)
+
+
+class TestCdfNumerics:
+    def test_list_cdf_is_numpys_where_power_is_libm(self):
+        env = dict(os.environ, **LIBM_POWER_ENV)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", COMPARE_WITH_NUMPY, json.dumps(PRESET_CDFS)],
+            capture_output=True, text=True, env=env, check=True, cwd=ROOT,
+        )
+        assert json.loads(out.stdout) == [0] * len(PRESET_CDFS)
+
+    @pytest.mark.parametrize("n,theta", PRESET_CDFS)
+    def test_list_cdf_is_within_ulps_of_numpys(self, n, theta):
+        ours = _zipf_cdf_list(n, theta)
+        assert ours[-1] == 1.0
+        for rank, (a, b) in enumerate(zip(ours, _numpy_cdf(n, theta))):
+            assert abs(a - b) <= AVX512_ULPS * math.ulp(b), (rank, a, b)
+
+    def test_lazy_cdf_locates_as_numpys_full_cdf(self):
+        n, theta = 3 * _LAZY_BLOCK + 7, 0.8
+        full = _numpy_cdf(n, theta)
+        lazy = _LazyZipfCdf(n, theta)
+        points = [0.0, 1.0]
+        for end in (_LAZY_BLOCK, 2 * _LAZY_BLOCK, 3 * _LAZY_BLOCK, n):
+            for edge in (full[end - 1], full[min(end, n - 1)]):
+                points += [edge, math.nextafter(edge, 0.0),
+                           math.nextafter(edge, 2.0)]
+        draws = random.Random(7)
+        points += [draws.random() for _ in range(10_000)]
+        for u in points:
+            assert lazy.locate(u) == bisect_left(full, u), u
 
 
 class TestMovingTwoSidedZipf:
