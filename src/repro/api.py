@@ -75,10 +75,10 @@ class ExperimentSpec:
     trace: "Tracer | None" = None
     scale: str | None = None
     """Named :data:`repro.bench.presets.SCALE_PROFILES` entry.  Widens
-    the cluster (50-100 nodes), sizes the keyspace (2M-20M keys), and
-    switches the per-node store to the array backend; kind params and
-    ``duration_s`` still override the profile's defaults.  Supported by
-    the ``google``, ``multitenant`` and ``forecast_robustness`` kinds."""
+    the cluster (50-100 nodes) and sizes the keyspace (2M-20M keys);
+    kind params and ``duration_s`` still override the profile's
+    defaults.  Supported by the ``google``, ``multitenant`` and
+    ``forecast_robustness`` kinds."""
 
     params: dict = field(default_factory=dict)
 
@@ -237,9 +237,9 @@ PRESETS: dict[str, Callable[[], ExperimentSpec]] = {
         strategies=("calvin", "tpart", "leap", "clay", "hermes"),
     ),
     # Multi-tenant rotating hot spot at million-key scale: 2M keys over
-    # 50 nodes on array-backed stores (the DESIGN §15 scale smoke; see
-    # SCALE_PROFILES["2m"]).  Two strategies keep the nightly job's
-    # wall-clock bounded while still exercising prescient vs baseline.
+    # 50 nodes (the DESIGN §15 scale smoke; see SCALE_PROFILES["2m"]).
+    # Two strategies keep the nightly job's wall-clock bounded while
+    # still exercising prescient vs baseline.
     "fig12_scale": lambda: ExperimentSpec(
         kind="multitenant",
         strategies=("calvin", "hermes"),

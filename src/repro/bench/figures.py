@@ -157,14 +157,13 @@ def _google_setup(
     """
     profile = scale_profile(spec)
     if profile is None:
-        num_nodes, num_keys, seconds, backend = (
+        num_nodes, num_keys, seconds = (
             GOOGLE_BENCH["num_nodes"], GOOGLE_BENCH["num_keys"],
-            GOOGLE_BENCH["duration_s"], "dict",
+            GOOGLE_BENCH["duration_s"],
         )
     else:
-        num_nodes, num_keys, seconds, backend = (
-            profile.num_nodes, profile.num_keys,
-            profile.duration_s, profile.store_backend,
+        num_nodes, num_keys, seconds = (
+            profile.num_nodes, profile.num_keys, profile.duration_s,
         )
     duration_us = _duration_us(spec, seconds)
     overrides = dict(ycsb_overrides or {})
@@ -175,7 +174,7 @@ def _google_setup(
     )
     return (
         ycsb_config,
-        bench_cluster_config(num_nodes, store_backend=backend),
+        bench_cluster_config(num_nodes),
         duration_us,
     )
 
@@ -836,10 +835,7 @@ def run_multitenant(
     )
     return run_workload(
         strategy,
-        cluster_config=bench_cluster_config(
-            wl_config.num_nodes,
-            store_backend=profile.store_backend if profile else "dict",
-        ),
+        cluster_config=bench_cluster_config(wl_config.num_nodes),
         partitioner_factory=lambda: partitioner_factory(wl_config),
         workload_factory=lambda rng: MultiTenantWorkload(wl_config, rng),
         duration_us=duration_us,

@@ -190,7 +190,7 @@ def run_workload(
     if keep_cluster:
         extras["cluster"] = cluster
         extras["attached"] = attached
-    return ExperimentResult(
+    result = ExperimentResult(
         strategy=spec.name,
         commits=metrics.commits,
         duration_us=end,
@@ -208,6 +208,9 @@ def run_workload(
         latency_p99_us=pcts[0.99],
         extras=extras,
     )
+    if not keep_cluster:
+        cluster.close()
+    return result
 
 
 def run_google_ycsb(

@@ -69,15 +69,10 @@ def bench_jobs() -> int | None:
     return value if value > 1 else None
 
 
-def bench_cluster_config(
-    num_nodes: int, store_backend: str = "dict"
-) -> ClusterConfig:
+def bench_cluster_config(num_nodes: int) -> ClusterConfig:
     """The calibrated cluster configuration for a benchmark."""
     return ClusterConfig(
-        num_nodes=num_nodes,
-        engine=BENCH_ENGINE,
-        costs=BENCH_COSTS,
-        store_backend=store_backend,
+        num_nodes=num_nodes, engine=BENCH_ENGINE, costs=BENCH_COSTS
     )
 
 
@@ -122,20 +117,18 @@ GOOGLE_BENCH = {
 
 @dataclass(frozen=True, slots=True)
 class ScaleProfile:
-    """One point on the scale axis: keyspace, cluster width, backend.
+    """One point on the scale axis: keyspace and cluster width.
 
     ``num_keys`` is the *total* keyspace the runner sizes the workload
-    to; ``store_backend`` selects the per-node record store (the array
-    backend is what makes millions of resident records affordable —
-    see :mod:`repro.storage.store`).  ``clients``/``duration_s`` are
-    defaults tuned so the profile completes on CI hardware; specs can
-    still override both.
+    to; the columnar record store is what makes millions of resident
+    records affordable (see :mod:`repro.storage.store`).
+    ``clients``/``duration_s`` are defaults tuned so the profile
+    completes on CI hardware; specs can still override both.
     """
 
     name: str
     num_keys: int
     num_nodes: int
-    store_backend: str = "array"
     clients: int = 2_000
     duration_s: float = 2.0
 

@@ -190,19 +190,6 @@ class ClusterConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
     costs: CostModel = field(default_factory=CostModel)
 
-    store_backend: str = "dict"
-    """Per-node record-store backend (:data:`repro.storage.store.
-    STORE_BACKENDS`): ``"dict"`` keeps one ``Record`` object per key,
-    ``"array"`` packs contiguous ranges into array slabs for the
-    million-key scale-out mode."""
-
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ConfigurationError("num_nodes must be >= 1")
-        # Validated by name here (the registry lives in repro.storage,
-        # which this module must not import) and resolved by the node.
-        if self.store_backend not in ("dict", "array"):
-            raise ConfigurationError(
-                f"unknown store_backend {self.store_backend!r} "
-                "(expected 'dict' or 'array')"
-            )

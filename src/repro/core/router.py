@@ -97,7 +97,7 @@ class OwnershipView:
     #: speed-up — entries past the cap are computed but not stored — so
     #: the cap changes memory, never results.  At the preset scales the
     #: whole keyspace fits; at 2M-20M keys an unbounded memo would cost
-    #: more resident memory than the array-backed stores it routes for.
+    #: more resident memory than the columnar stores it routes for.
     HOME_MEMO_LIMIT = 1 << 18
 
     def __init__(

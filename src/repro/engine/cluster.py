@@ -98,6 +98,9 @@ class Cluster:
         self._router_stats_fn = getattr(router, "stats_snapshot", None)
         self._router_stat_gauges: dict[str, object] | None = None
         self._commit_callbacks: dict[int, list[Callable]] = {}
+        #: Distributed runtimes still waiting on their own events, by
+        #: lock seq (see :meth:`close`).
+        self._running: dict[int, TxnRuntime] = {}
         self.epochs_delivered = 0
         self.commit_listeners: list[Callable[[TxnRuntime], None]] = []
         self._reorder_buffer: dict[int, Batch] = {}
@@ -115,7 +118,7 @@ class Cluster:
         RangePartitioner`) takes a bulk path: one ``store.load_range``
         call per (segment ∩ keys) span — a 2M-key load is ~num_nodes
         calls instead of 2M memoized ``home`` lookups, whose memo dict
-        alone would dwarf an array-backed store.  Anything else falls
+        alone would dwarf the columnar store.  Anything else falls
         back to the per-key loop, which also pre-warms the static-home
         cache the routers hit.  ``record_bytes`` tags every loaded
         record's payload size (memory accounting only).
@@ -302,7 +305,8 @@ class Cluster:
 
         The digest takes one note per batch and the tracer one
         ``txn_dispatched`` per transaction; with neither attached the
-        loop touches only metrics, the lock manager and the runtimes.
+        loop touches only metrics, the lock manager, the runtimes and
+        the set of distributed ones still running.
         """
         digest = self.kernel.digest
         if digest is not None:
@@ -319,6 +323,7 @@ class Cluster:
         note_dispatch = self.metrics.note_dispatch
         enqueue = self.lock_manager.enqueue
         finished = self._runtime_finished
+        running = self._running
         for txn_plan in plan:
             seq += 1
             txn = txn_plan.txn
@@ -341,6 +346,7 @@ class Cluster:
                 for key, mode in runtime.lock_requests():
                     enqueue(seq, key, mode, granted)
             else:
+                running[seq] = runtime
                 for key, mode in runtime.lock_requests():
                     enqueue(seq, key, mode, partial(granted, key))
             runtime.start()
@@ -353,6 +359,11 @@ class Cluster:
             callback(runtime)
         for listener in self.commit_listeners:
             listener(runtime)
+
+    def runtime_settled(self, runtime: TxnRuntime) -> None:
+        """A distributed runtime waits on none of its own events any
+        more: it has finished and launched its evictions, if any."""
+        del self._running[runtime.seq]
 
     # ------------------------------------------------------------------
     # Running and inspection
@@ -402,14 +413,26 @@ class Cluster:
         While the cluster lives, the kernel heap holds the sequencer's
         next batch cut (kernel → sequencer → ``_on_batch`` → cluster →
         kernel), and the sequencer holds ``_on_batch`` as its delivery
-        hook.  Dropping the pending events and the hook leaves the
-        cluster acyclic, so reference counting frees it as soon as its
-        owner lets go instead of at the next full collection, which the
-        kernel's dispatch loops hold off (see :mod:`repro.sim.kernel`).
-        Inspection (fingerprints, metrics, placement) still works.
+        hook.  A run stopped without draining also leaves its in-flight
+        transactions behind, which a closed cluster can never finish:
+        their commit callbacks (callback → closed-loop driver →
+        cluster), waiting lock requests and queued worker bursts lead
+        back to the cluster, and a distributed runtime's own events wait
+        on itself.  Dropping all of these leaves the cluster acyclic, so
+        reference counting frees it as soon as its owner lets go instead
+        of at the next full collection, which the kernel's dispatch
+        loops hold off (see :mod:`repro.sim.kernel`).  Inspection
+        (fingerprints, metrics, placement) still works.
         """
         self.kernel.clear()
         self.sequencer.deliver = None
+        self._commit_callbacks.clear()
+        self.lock_manager.clear()
+        for node in self.nodes:
+            node.workers.clear()
+        for runtime in self._running.values():
+            runtime.abandon()
+        self._running.clear()
 
     def state_fingerprint(self) -> int:
         """Order-independent hash of all record versions and values."""

@@ -448,19 +448,19 @@ class TxnRuntime:
                 cluster.nodes[loc].records_migrated_out += len(migrating)
             for key in keys:
                 if key not in migrating_keys:
-                    values[key] = store.read(key).value
+                    values[key] = store.read_value(key)
         else:
             replica_here = self._replica_at.get(loc)
             installs = self.plan.replica_installs
             if replica_here is None and installs is None:
-                read = store.read
-                values = {key: read(key).value for key in keys}
+                read = store.read_value
+                values = {key: read(key) for key in keys}
                 records = []
             else:
                 # Replica-served keys come from the node's side-store;
                 # install keys ship *copies* (the primary keeps its
                 # record — contrast the migration detach above).
-                read = store.read
+                read_value = store.read_value
                 replicas = cluster.nodes[loc].replicas
                 values = {}
                 records = []
@@ -468,11 +468,11 @@ class TxnRuntime:
                     if replica_here is not None and key in replica_here:
                         values[key] = replicas.read(key).value
                     elif installs is not None and key in installs:
-                        record = read(key).copy()
+                        record = store.read(key).copy()
                         records.append(record)
                         values[key] = record.value
                     else:
-                        values[key] = read(key).value
+                        values[key] = read_value(key)
 
         masters = self.plan.masters
         if len(masters) > 1 or masters[0] != loc:
@@ -721,7 +721,7 @@ class TxnRuntime:
                 )
             if key in remote:
                 return remote[key]
-            return store.read(key).value
+            return store.read_value(key)
 
         return value_of
 
@@ -745,6 +745,15 @@ class TxnRuntime:
         self._start_writebacks()
         self._start_evictions()
         self.on_finished(self)
+
+    def abandon(self) -> None:
+        """Drop the lock-group and data-ready events a closed cluster
+        will never fire: their waiters lead back here (see
+        ``Cluster.close``)."""
+        self._groups = {}
+        self._data_ready = {}
+        self._all_groups = []
+        self._sole_group = self._evict_group = None
 
     def _start_writebacks(self) -> None:
         if not self.plan.writebacks:
@@ -805,9 +814,11 @@ class TxnRuntime:
 
     def _start_evictions(self) -> None:
         if not self.plan.evictions:
+            self.cluster.runtime_settled(self)
             return
 
         def launch(_value=None) -> None:
+            self.cluster.runtime_settled(self)
             by_route: dict[tuple[NodeId, NodeId], list] = {}
             for move in self.plan.evictions:
                 by_route.setdefault((move.src, move.dst), []).append(move)
@@ -1068,7 +1079,7 @@ class LocalTxnRuntime:
         node = cluster.nodes[master]
         replica = self._replica
         if replica:
-            read = node.store.read
+            read = node.store.read_value
             replica_read = node.replicas.read
             for key in keys:
                 if key in replica:
@@ -1076,7 +1087,7 @@ class LocalTxnRuntime:
                 else:
                     read(key)
         else:
-            read = node.store.read
+            read = node.store.read_value
             for key in keys:
                 read(key)
         # Data-ready: the master's own serve is its only input.  The

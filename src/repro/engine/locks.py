@@ -213,6 +213,15 @@ class LockManager:
                 )
         request.on_granted()
 
+    def clear(self) -> None:
+        """Drop every queue, granted and waiting, without granting.
+
+        Only for a cluster that will never run again
+        (:meth:`repro.engine.cluster.Cluster.close`): a waiting request's
+        grant callback leads back to its transaction and the cluster.
+        """
+        self._queues.clear()
+
     # -- introspection (tests, invariant checks) ---------------------------
 
     def holders(self, key: Key) -> list[tuple[int, LockMode]]:

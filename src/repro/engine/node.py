@@ -19,7 +19,7 @@ from repro.common.errors import SimulationError
 from repro.common.types import NodeId
 from repro.sim.kernel import Kernel
 from repro.sim.stats import WindowedRate
-from repro.storage.store import ReplicaStore, make_store
+from repro.storage.store import RecordStore, ReplicaStore
 from repro.storage.wal import UndoLog
 
 
@@ -110,6 +110,11 @@ class WorkerPool:
         else:
             self._busy_workers -= 1
 
+    def clear(self) -> None:
+        """Drop queued bursts unrun (a closed cluster's, like the lock
+        manager's :meth:`~repro.engine.locks.LockManager.clear`)."""
+        self._tasks.clear()
+
     def queued(self) -> int:
         """Tasks waiting for a worker (diagnostics)."""
         return len(self._tasks)
@@ -128,7 +133,7 @@ class Node:
         self.kernel = kernel
         self.node_id = node_id
         self.config = config
-        self.store = make_store(config.store_backend, node_id)
+        self.store = RecordStore(node_id)
         # Read-replica side-store: populated only by sequenced install
         # transactions, never hashed into state fingerprints.
         self.replicas = ReplicaStore(node_id)

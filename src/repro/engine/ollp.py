@@ -84,12 +84,12 @@ class OLLP:
         owner = self.cluster.ownership.owner(key)
         store = self.cluster.nodes[owner].store
         if key in store:
-            return store.read(key).value
+            return store.read_value(key)
         # The record is mid-migration: fall back to scanning (simulation
         # shortcut for "retry the recon read shortly after").
         for node in self.cluster.nodes:
             if key in node.store:
-                return node.store.read(key).value
+                return node.store.read_value(key)
         raise SimulationError(f"recon read of unknown key {key!r}")
 
     # -- submission ----------------------------------------------------------

@@ -22,6 +22,7 @@ via ``cluster.metrics.registry``.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable
 
 #: label key → value pairs, canonicalized to a sorted tuple for identity.
@@ -70,7 +71,8 @@ class Gauge:
 class Histogram:
     """A distribution: keeps every observation for exact percentiles.
 
-    Observations are stored (floats are cheap and runs are bounded), so
+    Observations are stored as C doubles in an ``array('d')`` (8 bytes
+    each, against 32 for a boxed float in a list; runs are bounded), so
     percentiles are exact nearest-rank sample points — deterministic, no
     interpolation, directly comparable across runs.
     """
@@ -82,7 +84,7 @@ class Histogram:
     def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
-        self.values: list[float] = []
+        self.values = array("d")
         self.sum = 0.0
 
     def observe(self, value: float) -> None:

@@ -426,9 +426,7 @@ def scale_sim(scale: float) -> int:
         rotation_interval_us=500_000.0 * profile.num_nodes,
     )
     cluster = Cluster(
-        bench_cluster_config(
-            profile.num_nodes, store_backend=profile.store_backend
-        ),
+        bench_cluster_config(profile.num_nodes),
         PrescientRouter(),
         perfect_partitioner(wl_config),
         overlay=FusionTable(FusionConfig(capacity=2_000)),
@@ -475,9 +473,7 @@ def scale_sim_20m(scale: float) -> int:
         rotation_interval_us=500_000.0 * profile.num_nodes,
     )
     cluster = Cluster(
-        bench_cluster_config(
-            profile.num_nodes, store_backend=profile.store_backend
-        ),
+        bench_cluster_config(profile.num_nodes),
         PrescientRouter(),
         perfect_partitioner(wl_config),
         overlay=FusionTable(FusionConfig(capacity=2_000)),

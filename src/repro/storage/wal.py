@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.common.errors import StorageError
 from repro.common.types import Batch, TxnId
-from repro.storage.store import Record, StoreBackend
+from repro.storage.store import Record, RecordStore
 
 
 class UndoLog:
@@ -34,7 +34,7 @@ class UndoLog:
     def save(self, txn_id: TxnId, pre_image: Record) -> None:
         self._entries.setdefault(txn_id, []).append(pre_image)
 
-    def rollback(self, txn_id: TxnId, store: StoreBackend) -> int:
+    def rollback(self, txn_id: TxnId, store: RecordStore) -> int:
         """Undo all of ``txn_id``'s writes on ``store``; returns count."""
         entries = self._entries.pop(txn_id, [])
         for pre_image in reversed(entries):

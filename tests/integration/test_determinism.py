@@ -31,17 +31,16 @@ WL_CONFIG = MultiTenantConfig(
 )
 
 
-def run_once(make_router, overlay_factory=None, seed=11, store_backend="dict"):
+def run_once(make_router, overlay_factory=None, seed=11, keys=None):
     config = ClusterConfig(
         num_nodes=3,
         engine=EngineConfig(epoch_us=5_000.0, workers_per_node=2),
-        store_backend=store_backend,
     )
     overlay = overlay_factory() if overlay_factory else None
     cluster = Cluster(
         config, make_router(), perfect_partitioner(WL_CONFIG), overlay=overlay
     )
-    cluster.load_data(range(WL_CONFIG.num_keys))
+    cluster.load_data(range(WL_CONFIG.num_keys) if keys is None else keys)
     workload = MultiTenantWorkload(WL_CONFIG, DeterministicRNG(seed))
     driver = ClosedLoopDriver(
         cluster, workload, num_clients=30, stop_us=2_000_000
@@ -84,25 +83,21 @@ def test_records_conserved(name, router, overlay):
 
 @pytest.mark.parametrize("name,router,overlay", STRATEGIES)
 def test_store_backend_is_invisible(name, router, overlay):
-    """The scale-out guarantee at small scale: swapping the per-node
-    store from per-record dicts to array slabs must not move a single
-    observable — commits, record values, or physical placement."""
-    a = run_once(router, overlay, store_backend="dict")
-    b = run_once(router, overlay, store_backend="array")
+    """Where the store keeps a record must not move a single observable.
+
+    A ``range`` loads each node's keys as columnar slabs; the same keys
+    as a list load one by one into the spill dict of ``Record`` objects.
+    Commits, record values, physical placement and evictions match."""
+    a = run_once(router, overlay)
+    b = run_once(router, overlay, keys=list(range(WL_CONFIG.num_keys)))
+    assert all(
+        node.store.spill_size() == len(node.store) for node in b.nodes
+    )
     assert a.metrics.commits == b.metrics.commits
     assert a.state_fingerprint() == b.state_fingerprint()
     assert a.placement_snapshot() == b.placement_snapshot()
     assert a.metrics.remote_reads == b.metrics.remote_reads
     assert a.metrics.evictions == b.metrics.evictions
-
-
-def test_array_backend_two_runs_identical():
-    """Array-backed runs are self-deterministic, not just dict-equal."""
-    a = run_once(PrescientRouter, STRATEGIES[-1][2], store_backend="array")
-    b = run_once(PrescientRouter, STRATEGIES[-1][2], store_backend="array")
-    assert a.metrics.commits == b.metrics.commits
-    assert a.state_fingerprint() == b.state_fingerprint()
-    assert a.placement_snapshot() == b.placement_snapshot()
 
 
 def test_different_seeds_differ():

@@ -27,18 +27,18 @@ from repro.sanitize.replay import (
 #: must leave every one unchanged, while engine work that changes what
 #: the model computes re-records them deliberately.
 PRESET_RESULT_DIGESTS = {
-    "fig02": "f403abd98fff55d7719fb15efe892bd1",
-    "fig06a": "97482dda474ada7f565f0ba57db890cd",
-    "fig06b": "cba2270e3c24c33e92c59fe8dd6a28c3",
-    "fig07": "af3cbdfe0d77facf141098bd91d8816e",
+    "fig02": "fdb022d6eecd3eadc0ebe0dc8d5ed8c3",
+    "fig06a": "4dfc9663fd5ba9b5415bbd8bc6cebd9f",
+    "fig06b": "294f4479e2fd7ef47d04897546b8a698",
+    "fig07": "133aef6a3c46973fb81d3ae975354e60",
     "fig11": "f8fb90722529a13a5afb6fc9ba4a0862",
-    "fig12": "1a1604987bbbe060c64b4dd7c6e5a7d2",
+    "fig12": "1d7d5b25ce08383e2219b9eecbc1574d",
     "fig12_scale": "b619a4f17a4e9f904294a596f9ff8f45",
-    "fig14": "dee299e894d50c23d4daeb8757e39b95",
-    "replication": "503fbb0bef7c4b5d91d36a23fa3be647",
-    "robustness": "07a2d124a493ca4b17617e0d5f24f100",
+    "fig14": "beffcea65890b6c2ebc164aae088f6da",
+    "replication": "654e88dfe08b701d875faf86113a22f5",
+    "robustness": "25ae723c663e923af31e4c15ad8cc222",
     "serving": "8726760dc3e9a99909bf77782e5c681e",
-    "straggler_clone": "21750854584f1ccad4ccc8c307ad9c98",
+    "straggler_clone": "91acafd2d1c9373f1532f793d9820211",
 }
 
 

@@ -9,8 +9,9 @@ for the length of a run; these tests turn that into a named failure.
 Each leg runs once to warm up (a code path's first use builds classes
 and caches that are cyclic by nature), then again with the collector
 off.  A collection must then find nothing, while the simulated cluster
-is still alive and, for the serving core, once the finished core (and
-the replay inside ``verify_journal``) has been dropped.
+is still alive and, for a closed cluster and the serving core, once
+the finished run (and the replay inside ``verify_journal``) has been
+dropped.
 """
 
 import gc
@@ -118,6 +119,31 @@ class TestAcyclicWhileAlive:
     def test_serve_journal_with_resize(self, cyclic_garbage, tmp_path):
         path = str(tmp_path / "serve.jsonl")
         assert cyclic_garbage(lambda: record_serve(path)) == 0
+
+
+class TestClosedClusterFreesItself:
+    """A run stopped without draining leaves in-flight commit callbacks,
+    each leading back to the cluster through its closed-loop driver;
+    ``Cluster.close`` must drop them, and the harness closes every
+    cluster it does not hand back."""
+
+    @pytest.mark.parametrize("strategy", ["hermes", "calvin"])
+    def test_closed_and_dropped(self, cyclic_garbage, strategy):
+        def close_and_drop():
+            (result,) = multitenant(strategy)
+            result.extras["cluster"].close()
+
+        assert cyclic_garbage(close_and_drop) == 0
+
+    @pytest.mark.parametrize("strategy", ["hermes", "calvin"])
+    def test_not_kept(self, cyclic_garbage, strategy):
+        def run_unkept():
+            run_experiment(ExperimentSpec(
+                kind="multitenant", strategies=(strategy,), duration_s=0.2,
+                seed=3, params={"config": TENANTS},
+            ))
+
+        assert cyclic_garbage(run_unkept) == 0
 
 
 class TestFinishedServeCoreFreesItself:

@@ -76,7 +76,6 @@ SURFACE = {
     "ClusterConfig.num_nodes": "src/repro/bench/presets.py",
     "ClusterConfig.engine": "src/repro/bench/presets.py",
     "ClusterConfig.costs": "src/repro/bench/presets.py",
-    "ClusterConfig.store_backend": "src/repro/bench/presets.py",
     # repro.engine.ollp
     "DependentTxnSpec.dependency_keys": "required",
     "DependentTxnSpec.compute": "required",
