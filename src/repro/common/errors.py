@@ -32,8 +32,8 @@ class SimulationError(ReproError):
 class StorageError(ReproError):
     """A storage-level invariant was violated.
 
-    Examples: reading a key from a node that does not own it, or applying
-    an undo record to the wrong version.
+    Examples: reading a key from a node that does not own it, or
+    installing a migrated record on a node that already holds it.
     """
 
 

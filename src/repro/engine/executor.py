@@ -11,7 +11,9 @@ generalized so one engine executes every strategy's plans:
    leave the source store at this moment and travel inside the message.
 3. Each master waits for its local reads plus every remote message, then
    a worker runs the transaction logic, installs migrated-in records,
-   and applies local writes (with undo logging).  The coordinator master
+   and applies local writes.  A transaction's fate (a user abort, or an
+   OLLP validation failure) is settled before its first write, so an
+   abort writes nothing and needs no undo.  The coordinator master
    commits the transaction.
 4. Post-commit, the coordinator pushes write-backs (G-Store/T-Part
    returning records home) and fusion-table evictions (records going
@@ -31,11 +33,11 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.config import RetryPolicy
-from repro.common.types import Key, NodeId, TxnKind
+from repro.common.types import Key, NodeId, Transaction, TxnKind
 from repro.core.plan import TxnPlan
 from repro.engine.locks import LockMode
 from repro.sim.kernel import SimEvent
-from repro.storage.store import Record
+from repro.storage.store import Record, RecordStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.cluster import Cluster
@@ -68,6 +70,26 @@ _NO_MOVES: dict = {}
 
 def _item_repr_key(item) -> str:
     return repr(item[0])
+
+
+def _apply_writes(
+    store: RecordStore, txn: Transaction, local_writes: frozenset[Key]
+) -> None:
+    """Apply a committing transaction's writes at one master.
+
+    ``ordered_keys`` is already repr-sorted and writes are a subset of
+    the footprint, so filtering it preserves the deterministic write
+    order without re-sorting.
+    """
+    write = store.write
+    txn_id = txn.txn_id
+    if len(local_writes) == 1:
+        (key,) = local_writes  # sanitize: ok(one element, one order)
+        write(key, txn_id)
+        return
+    for key in txn.ordered_keys:
+        if key in local_writes:
+            write(key, txn_id)
 
 
 class _LockGroup:
@@ -609,6 +631,7 @@ class TxnRuntime:
             + costs.migration_apply_us * len(incoming)
         )
         if txn.aborts:
+            # The paper's undo pass, charged though nothing is written.
             apply_cpu += costs.local_access_us * len(local_writes)
 
         cluster.nodes[master].workers.submit(
@@ -662,25 +685,8 @@ class TxnRuntime:
             if not txn.validator(self._make_value_reader(master)):
                 self.will_abort = True
 
-        if local_writes:
-            # ``ordered_keys`` is already repr-sorted and writes are a
-            # subset of the footprint, so filtering it preserves the
-            # deterministic write order without re-sorting.
-            write = node.store.write
-            save = node.undo_log.save
-            txn_id = txn.txn_id
-            if len(local_writes) == 1:
-                ordered_writes = local_writes
-            else:
-                ordered_writes = [
-                    k for k in txn.ordered_keys if k in local_writes
-                ]
-            for key in ordered_writes:
-                save(txn_id, write(key, txn_id))
-        if self.will_abort:
-            node.undo_log.rollback(txn.txn_id, node.store)
-        else:
-            node.undo_log.forget(txn.txn_id)
+        if local_writes and not self.will_abort:
+            _apply_writes(node.store, txn, local_writes)
 
         if master == self.coordinator:
             self._coord_logic_cpu = logic_cpu
@@ -758,59 +764,13 @@ class TxnRuntime:
     def _start_writebacks(self) -> None:
         if not self.plan.writebacks:
             return
-        cluster = self.cluster
         by_dst: dict[NodeId, list] = {}
         for move in self.plan.writebacks:
             by_dst.setdefault(move.dst, []).append(move)
-        record_bytes = self.txn.profile.record_bytes
         for dst, moves in sorted(by_dst.items()):
-            records = [
-                cluster.nodes[self.coordinator].store.evict(move.key)
-                for move in moves
-            ]
-            cluster.nodes[self.coordinator].records_migrated_out += len(moves)
-            payload = CONTROL_BYTES + record_bytes * len(moves)
-            cluster.network.send_reliable(
-                self.coordinator,
-                dst,
-                payload,
-                self._make_writeback_install(dst, records),
-                RETRY_POLICY,
-                describe=f"writeback txn {self.txn.txn_id}",
+            self._ship(
+                self.coordinator, dst, moves, _STAGE_WRITEBACK, "writeback"
             )
-            cluster.metrics.writebacks_total.inc(len(moves))
-            tracer = cluster.tracer
-            if tracer is not None:
-                tracer.data_move(
-                    "writeback_send", self.txn.txn_id,
-                    self.coordinator, dst, len(moves),
-                )
-
-    def _make_writeback_install(self, dst: NodeId, records: list[Record]):
-        def arrived() -> None:
-            cluster = self.cluster
-            cpu = cluster.config.costs.migration_apply_us * len(records)
-
-            def installed() -> None:
-                node = cluster.nodes[dst]
-                for record in records:
-                    node.store.install(record)
-                node.records_migrated_in += len(records)
-                tracer = cluster.tracer
-                if tracer is not None:
-                    tracer.data_move(
-                        "writeback_install", self.txn.txn_id,
-                        dst, dst, len(records),
-                    )
-                self._release_stage_keys(
-                    dst,
-                    frozenset(r.key for r in records),
-                    _STAGE_WRITEBACK,
-                )
-
-            cluster.nodes[dst].workers.submit(cpu, installed)
-
-        return arrived
 
     def _start_evictions(self) -> None:
         if not self.plan.evictions:
@@ -818,66 +778,71 @@ class TxnRuntime:
             return
 
         def launch(_value=None) -> None:
-            self.cluster.runtime_settled(self)
+            cluster = self.cluster
+            cluster.runtime_settled(self)
             by_route: dict[tuple[NodeId, NodeId], list] = {}
             for move in self.plan.evictions:
                 by_route.setdefault((move.src, move.dst), []).append(move)
+            # Each route first reads its records at the source.
+            access_us = cluster.config.costs.local_access_us
             for (src, dst), moves in sorted(by_route.items()):
-                self._send_eviction(src, dst, moves)
+                cluster.nodes[src].workers.submit(
+                    access_us * len(moves),
+                    partial(
+                        self._ship, src, dst, moves, _STAGE_EVICT, "eviction"
+                    ),
+                )
 
         assert self._evict_group is not None
         self._evict_group.event.add_waiter(launch)
 
-    def _send_eviction(self, src: NodeId, dst: NodeId, moves: list) -> None:
+    def _ship(
+        self, src: NodeId, dst: NodeId, moves: list, stage: int, label: str
+    ) -> None:
+        """Move ``moves``' records from ``src`` to ``dst``: evict them,
+        send them reliably, install them in one burst at ``dst``, then
+        release their keys at ``stage``.  ``label`` ("writeback" or
+        "eviction") names the message and the trace events."""
         cluster = self.cluster
-        costs = cluster.config.costs
-        record_bytes = self.txn.profile.record_bytes
+        txn_id = self.txn.txn_id
+        source = cluster.nodes[src]
+        records = [source.store.evict(move.key) for move in moves]
+        source.records_migrated_out += len(records)
+        node = cluster.nodes[dst]
 
-        def read_done() -> None:
-            records = [cluster.nodes[src].store.evict(m.key) for m in moves]
-            cluster.nodes[src].records_migrated_out += len(moves)
-            payload = CONTROL_BYTES + record_bytes * len(moves)
-
-            def arrived() -> None:
-                cpu = costs.migration_apply_us * len(records)
-
-                def installed() -> None:
-                    node = cluster.nodes[dst]
-                    for record in records:
-                        node.store.install(record)
-                    node.records_migrated_in += len(records)
-                    tracer = cluster.tracer
-                    if tracer is not None:
-                        tracer.data_move(
-                            "eviction_install", self.txn.txn_id,
-                            dst, dst, len(records),
-                        )
-                    self._release_stage_keys(
-                        dst,
-                        frozenset(r.key for r in records),
-                        _STAGE_EVICT,
-                    )
-
-                cluster.nodes[dst].workers.submit(cpu, installed)
-
-            cluster.network.send_reliable(
-                src,
-                dst,
-                payload,
-                arrived,
-                RETRY_POLICY,
-                describe=f"eviction txn {self.txn.txn_id}",
-            )
-            cluster.metrics.evictions_total.inc(len(moves))
+        def installed() -> None:
+            install = node.store.install
+            for record in records:
+                install(record)
+            node.records_migrated_in += len(records)
             tracer = cluster.tracer
             if tracer is not None:
                 tracer.data_move(
-                    "eviction_send", self.txn.txn_id, src, dst, len(moves)
+                    f"{label}_install", txn_id, dst, dst, len(records)
                 )
+            self._release_stage_keys(
+                dst, frozenset(r.key for r in records), stage
+            )
 
-        cluster.nodes[src].workers.submit(
-            costs.local_access_us * len(moves), read_done
+        cluster.network.send_reliable(
+            src,
+            dst,
+            CONTROL_BYTES + self.txn.profile.record_bytes * len(records),
+            partial(
+                node.workers.submit,
+                cluster.config.costs.migration_apply_us * len(records),
+                installed,
+            ),
+            RETRY_POLICY,
+            describe=f"{label} txn {txn_id}",
         )
+        if stage == _STAGE_WRITEBACK:
+            cluster.metrics.writebacks_total.inc(len(records))
+        else:
+            cluster.metrics.evictions_total.inc(len(records))
+        tracer = cluster.tracer
+        if tracer is not None:
+            tracer.data_move(f"{label}_send", txn_id, src, dst, len(records))
 
     # ------------------------------------------------------------------
     # Lock release
@@ -1078,6 +1043,7 @@ class LocalTxnRuntime:
         self._coord_serve_cpu += cpu
         node = cluster.nodes[master]
         replica = self._replica
+        # Keep these reads: they check placement, and dataflow writes need the values.
         if replica:
             read = node.store.read_value
             replica_read = node.replicas.read
@@ -1143,6 +1109,7 @@ class LocalTxnRuntime:
         )
         apply_cpu = costs.local_access_us * num_writes
         if txn.aborts:
+            # The paper's undo pass, charged though nothing is written.
             apply_cpu += costs.local_access_us * num_writes
         cluster.nodes[self.coordinator].workers.submit(
             logic_cpu + apply_cpu,
@@ -1165,22 +1132,8 @@ class LocalTxnRuntime:
                 txn.txn_id, master, t_exec_start, logic_cpu, apply_cpu, 0
             )
         local_writes = self.plan.writes_at.get(master)
-        txn_id = txn.txn_id
-        if local_writes:
-            write = node.store.write
-            save = node.undo_log.save
-            if len(local_writes) == 1:
-                ordered_writes = local_writes
-            else:
-                ordered_writes = [
-                    k for k in txn.ordered_keys if k in local_writes
-                ]
-            for key in ordered_writes:
-                save(txn_id, write(key, txn_id))
-        if self.will_abort:
-            node.undo_log.rollback(txn_id, node.store)
-        else:
-            node.undo_log.forget(txn_id)
+        if local_writes and not self.will_abort:
+            _apply_writes(node.store, txn, local_writes)
         self._coord_logic_cpu = logic_cpu
         self._coord_apply_cpu = apply_cpu
         self._commit(node)

@@ -20,7 +20,6 @@ from repro.common.types import NodeId
 from repro.sim.kernel import Kernel
 from repro.sim.stats import WindowedRate
 from repro.storage.store import RecordStore, ReplicaStore
-from repro.storage.wal import UndoLog
 
 
 class _Task:
@@ -121,7 +120,7 @@ class WorkerPool:
 
 
 class Node:
-    """One simulated server: store + workers + undo log + counters."""
+    """One simulated server: store, replica side-store, workers, counters."""
 
     def __init__(
         self,
@@ -137,7 +136,6 @@ class Node:
         # Read-replica side-store: populated only by sequenced install
         # transactions, never hashed into state fingerprints.
         self.replicas = ReplicaStore(node_id)
-        self.undo_log = UndoLog()
         self.workers = WorkerPool(
             kernel,
             node_id,

@@ -8,6 +8,7 @@ record lives before any fusion or migration — is described by a
 the fusion table (or a baseline's migration state) on top of the static
 map.
 
-Durability pieces (:class:`UndoLog`, :class:`CommandLog`) model Section 4.3 of the paper: user aborts roll back
-via undo records, and recovery replays the command log deterministically.
+The :class:`CommandLog` models Section 4.3 of the paper: recovery
+replays it deterministically.  No undo log is needed: a transaction's
+abort is settled before its first write, so an abort writes nothing.
 """

@@ -19,10 +19,10 @@ in from another node's range live as :class:`Record` objects in a spill
 dict, and that displacement is bounded by the overlay (fusion-table
 capacity), not by the keyspace.
 
-The store speaks :class:`Record` at its edges: ``write`` returns a
-by-value pre-image for the undo log, and ``evict``/``install`` move
-records during migration.  The hot read, :meth:`RecordStore.read_value`,
-builds no object for a slab-resident key.
+The store speaks :class:`Record` at its edges: ``evict``/``install``
+move records during migration.  The hot paths,
+:meth:`RecordStore.read_value` and :meth:`RecordStore.write`, build no
+object for a slab-resident key.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ class RecordStore:
     rather than fabricate data.
 
     ``read`` returns a transient :class:`Record` for a slab key; callers
-    never mutate it — all mutation goes through ``write`` / ``restore``
-    / ``evict`` / ``install``.  Iteration (``keys()`` /
+    never mutate it — all mutation goes through ``write`` / ``evict`` /
+    ``install``.  Iteration (``keys()`` /
     ``iter_records()``) walks the slabs in key order, then the spill
     dict in insertion order.
     """
@@ -230,14 +230,13 @@ class RecordStore:
             slab.sizes[offset],
         )
 
-    def write(self, key: Key, txn_id: TxnId) -> Record:
-        """Apply a write by ``txn_id``; returns the pre-image by value."""
+    def write(self, key: Key, txn_id: TxnId) -> None:
+        """Apply a write by ``txn_id``: bump the version, mix the value."""
         record = self._spill.get(key)
         if record is not None:
-            pre_image = record.copy()
             record.version += 1
             record.value = _mix(record.value, txn_id)
-            return pre_image
+            return
         if isinstance(key, int) and self._slabs:
             index = bisect_right(self._slab_los, key) - 1
             if index >= 0:
@@ -245,28 +244,10 @@ class RecordStore:
                 offset = key - slab.lo
                 if key < slab.hi and offset not in slab.holes:
                     versions, values = slab.versions, slab.values
-                    version = versions[offset]
-                    value = values[offset]
-                    versions[offset] = version + 1
-                    values[offset] = _mix(value, txn_id)
-                    return Record(key, version, value, slab.sizes[offset])
+                    versions[offset] += 1
+                    values[offset] = _mix(values[offset], txn_id)
+                    return
         raise StorageError(f"node {self.node_id} does not hold key {key!r}")
-
-    def restore(self, pre_image: Record) -> None:
-        """Undo a write by restoring the saved pre-image."""
-        key = pre_image.key
-        record = self._spill.get(key)
-        if record is not None:
-            record.version = pre_image.version
-            record.value = pre_image.value
-            return
-        slab = self._covering_slab(key)
-        if slab is None or (offset := key - slab.lo) in slab.holes:
-            raise StorageError(
-                f"cannot restore {key!r}: not on node {self.node_id}"
-            )
-        slab.versions[offset] = pre_image.version
-        slab.values[offset] = pre_image.value
 
     def evict(self, key: Key) -> Record:
         """Remove and return a record (the sending side of a migration)."""
@@ -361,8 +342,8 @@ class ReplicaStore:
     """A node's replica *side-store* (adaptive read replication).
 
     Holds read-only copies of records whose primary lives elsewhere.
-    Deliberately not a :class:`RecordStore`: replicas never see writes,
-    undo, or migration eviction — only sequenced installs and lock-free
+    Deliberately not a :class:`RecordStore`: replicas never see writes
+    or migration eviction — only sequenced installs and lock-free
     reads.  Keeping the type separate
     means :func:`state_fingerprint` (which walks primary stores) cannot
     accidentally hash replica copies, so enabling replication leaves

@@ -1,14 +1,17 @@
-"""Durability structures: undo log and command log.
+"""Durability structure: the command log.
 
-Section 4.3 of the paper: each node keeps an UNDO log for in-flight
-writes and a command log of totally ordered transaction requests;
-recovery deterministically replays the command log (including the
-prescient routing and data fusion, which are pure functions of the
-ordered input).  The paper also restores a checkpoint first, to shorten
-the replay; the simulator always replays the whole log, which reaches
-the identical state.
+Section 4.3 of the paper: each node keeps a command log of totally
+ordered transaction requests; recovery deterministically replays it
+(including the prescient routing and data fusion, which are pure
+functions of the ordered input).  The paper also restores a checkpoint
+first, to shorten the replay; the simulator always replays the whole
+log, which reaches the identical state.
 
-In the simulator the logs are in-memory lists — what matters for the
+The paper's UNDO log for in-flight writes has no counterpart here: the
+engine settles a transaction's fate before its first write, so an abort
+writes nothing and there is nothing to undo.
+
+In the simulator the log is an in-memory list — what matters for the
 reproduction is the *replay semantics*, which :mod:`repro.engine.recovery`
 exercises end to end.
 """
@@ -16,38 +19,7 @@ exercises end to end.
 from __future__ import annotations
 
 from repro.common.errors import StorageError
-from repro.common.types import Batch, TxnId
-from repro.storage.store import Record, RecordStore
-
-
-class UndoLog:
-    """Per-node undo records grouped by transaction.
-
-    ``save`` is called before each write with the record's pre-image;
-    ``rollback`` restores them in reverse order; ``forget`` drops the
-    entries at commit.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[TxnId, list[Record]] = {}
-
-    def save(self, txn_id: TxnId, pre_image: Record) -> None:
-        self._entries.setdefault(txn_id, []).append(pre_image)
-
-    def rollback(self, txn_id: TxnId, store: RecordStore) -> int:
-        """Undo all of ``txn_id``'s writes on ``store``; returns count."""
-        entries = self._entries.pop(txn_id, [])
-        for pre_image in reversed(entries):
-            store.restore(pre_image)
-        return len(entries)
-
-    def forget(self, txn_id: TxnId) -> None:
-        """Discard undo entries after a commit."""
-        self._entries.pop(txn_id, None)
-
-    def pending(self) -> int:
-        """Number of transactions with live undo entries."""
-        return len(self._entries)
+from repro.common.types import Batch
 
 
 class CommandLog:

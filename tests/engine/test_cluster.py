@@ -9,7 +9,10 @@ from repro.baselines.calvin import CalvinRouter
 from repro.baselines.gstore import GStoreRouter
 from repro.baselines.leap import LeapRouter
 from repro.engine.cluster import Cluster
+from repro.engine.executor import LocalTxnRuntime, TxnRuntime
+from repro.engine.ollp import OLLP
 from repro.storage.partitioning import make_uniform_ranges
+from tests.engine.test_ollp import INDEX_KEY, indexed_update_spec
 
 NUM_KEYS = 300
 
@@ -152,6 +155,91 @@ class TestAborts:
         ok = Transaction.read_write(2, [5], [5])
         run_txns(cluster, [bad, ok])
         assert cluster.nodes[0].store.read(5).version == 1
+
+    # An abort is settled before the first write, so it never writes:
+    # every node's ``store.write`` must see only committing writers.
+
+    @staticmethod
+    def spy_writes(cluster):
+        """Wrap every node's ``store.write``; returns the writer ids seen."""
+        writers = []
+        for node in cluster.nodes:
+            def write(key, txn_id, _write=node.store.write):
+                writers.append(txn_id)
+                return _write(key, txn_id)
+
+            node.store.write = write
+        return writers
+
+    @staticmethod
+    def submit_all(cluster, txns):
+        """Submit and drain; returns each finished runtime by txn id."""
+        runtimes = {}
+        for txn in txns:
+            cluster.submit(
+                txn, on_commit=lambda r: runtimes.__setitem__(r.txn.txn_id, r)
+            )
+        cluster.run_until_quiescent(30_000_000)
+        assert cluster.inflight == 0
+        return runtimes
+
+    def test_local_abort_never_writes(self):
+        cluster = build()
+        writers = self.spy_writes(cluster)
+        bad = Transaction(
+            txn_id=1, read_set=frozenset([5]), write_set=frozenset([5]),
+            aborts=True,
+        )
+        ok = Transaction.read_write(2, [5], [5])
+        runtimes = self.submit_all(cluster, [bad, ok])
+        assert type(runtimes[1]) is LocalTxnRuntime
+        assert runtimes[1].aborted
+        assert writers == [2]
+
+    def test_distributed_abort_never_writes(self):
+        cluster = build()
+        writers = self.spy_writes(cluster)
+        bad = Transaction(
+            txn_id=1, read_set=frozenset([5, 150]),
+            write_set=frozenset([5, 150]), aborts=True,
+        )
+        ok = Transaction.read_write(2, [5, 150], [5, 150])
+        runtimes = self.submit_all(cluster, [bad, ok])
+        assert type(runtimes[1]) is TxnRuntime
+        assert len(runtimes[1].plan.masters) == 2
+        assert runtimes[1].aborted
+        assert writers == [2, 2]
+
+    def test_ollp_validation_abort_never_writes(self):
+        cluster = build()
+        writers = self.spy_writes(cluster)
+        aborted = []
+        submit = cluster.submit
+
+        def note_aborts(txn, on_commit=None):
+            def finished(runtime):
+                if runtime.aborted:
+                    aborted.append(runtime.txn.txn_id)
+                if on_commit is not None:
+                    on_commit(runtime)
+
+            submit(txn, on_commit=finished)
+
+        cluster.submit = note_aborts
+        ollp = OLLP(cluster)
+        # The index writer precedes the dependent transaction in the
+        # total order, so the first attempt's prediction goes stale.
+        cluster.submit(
+            Transaction.read_write(
+                cluster.next_txn_id(), reads=[INDEX_KEY], writes=[INDEX_KEY]
+            )
+        )
+        ollp.submit(indexed_update_spec())
+        cluster.run_until_quiescent(60_000_000)
+        assert ollp.completed == 1 and ollp.restarts >= 1
+        assert aborted
+        assert set(aborted).isdisjoint(writers)
+        assert len(set(writers)) == 2  # the index writer and the retry
 
 
 class TestLatencyAccounting:

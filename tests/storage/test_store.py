@@ -6,7 +6,7 @@ columnar store every run uses, and ``dict`` is :class:`DictModel`, a
 plain ``key -> (version, value, size)`` map in this file that serves as
 the reference model.  Holding the model to the same cases is what lets
 the stateful test below trust it as an oracle: random load / write /
-restore / evict / install sequences must leave the store and the model
+evict / install sequences must leave the store and the model
 indistinguishable at every step.  Layout behaviour (slabs, holes,
 spill) and the per-record footprint are pinned separately.
 """
@@ -70,11 +70,6 @@ class DictModel:
     def write(self, key, txn_id):
         pre = self.read(key)
         self.rows[key] = (pre.version + 1, _mix(pre.value, txn_id), pre.size)
-        return pre
-
-    def restore(self, pre_image):
-        size = self.read(pre_image.key).size
-        self.rows[pre_image.key] = (pre_image.version, pre_image.value, size)
 
     def evict(self, key):
         record = self.read(key)
@@ -168,8 +163,8 @@ class TestBasics:
 class TestWrites:
     def test_write_bumps_version_and_value(self, store):
         before = store.read(1).value
-        pre = store.write(1, txn_id=7)
-        assert pre.version == 0
+        assert store.read(1).version == 0
+        store.write(1, txn_id=7)
         record = store.read(1)
         assert record.version == 1
         assert record.value != before
@@ -182,19 +177,6 @@ class TestWrites:
         a.write(1, txn_id=10)
         b.write(1, txn_id=20)
         assert a.read(1).value != b.read(1).value
-
-    def test_restore_undoes_write(self, store):
-        pre = store.write(2, txn_id=5)
-        store.restore(pre)
-        record = store.read(2)
-        assert record.version == 0
-        assert record.value == pre.value
-
-    def test_pre_image_is_by_value(self, store):
-        pre = store.write(2, txn_id=5)
-        stash = (pre.version, pre.value)
-        store.write(2, txn_id=6)
-        assert (pre.version, pre.value) == stash
 
 
 class TestMigrationPrimitives:
@@ -353,8 +335,7 @@ class TestArrayLayout:
     def test_write_mutates_columns_in_place(self):
         s = RecordStore(0)
         s.load_range(0, 8)
-        pre = s.write(5, txn_id=2)
-        assert pre.version == 0
+        s.write(5, txn_id=2)
         assert s.read(5).version == 1
         assert s.spill_size() == 0
 
@@ -408,7 +389,6 @@ class StoreAgainstModel(RuleBasedStateMachine):
         self.store = RecordStore(0)
         self.model = DictModel(0)
         self.loaded_blocks = set()
-        self.pre_images = []
         self.evicted = []
 
     def both(self, method, *args):
@@ -438,16 +418,7 @@ class StoreAgainstModel(RuleBasedStateMachine):
 
     @rule(key=KEYS, txn_id=st.integers(0, 10_000))
     def write(self, key, txn_id):
-        got, want = self.both("write", key, txn_id)
-        if got is not StorageError:
-            assert got == want
-            self.pre_images.append(got)
-
-    @precondition(lambda self: self.pre_images)
-    @rule(data=st.data())
-    def restore(self, data):
-        pre = data.draw(st.sampled_from(self.pre_images))
-        self.both("restore", pre)
+        self.both("write", key, txn_id)
 
     @rule(key=KEYS)
     def evict(self, key):

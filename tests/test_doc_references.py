@@ -9,8 +9,11 @@ part names a class or function defined in it; the dotted name imports
 as a module, resolves as an attribute of one, or is one of perfbench's
 layer names (``repro.other``).  Every
 backticked bare identifier (``name`` or ``name()``) must occur as a word
-somewhere in the code trees, unless :data:`HISTORICAL` lists it.  A
-rename that forgets the docs fails here instead of in a reader's shell.
+somewhere in the code trees, unless :data:`HISTORICAL` lists it, and
+every backticked ``Class.member`` whose class is defined under ``src/``
+must name a member that class (or a base class defined there) defines
+or assigns.  A rename or deletion that forgets the docs fails here
+instead of in a reader's shell.
 
 Nothing cites a ROADMAP open item by number: the items are renumbered at
 every re-anchor, so such a citation silently comes to point at the wrong
@@ -19,6 +22,7 @@ item.  Cite the DESIGN section instead.
 
 from __future__ import annotations
 
+import ast
 import glob
 import importlib
 import re
@@ -47,6 +51,7 @@ _IMPORT = re.compile(
     r"^[ >]*from (repro(?:\.\w+)*) import (\([^)]*\)|[^\n]*)", re.M
 )
 _IDENT = re.compile(r"([A-Za-z_]\w*)(?:\(\))?")
+_MEMBER = re.compile(r"([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(\))?")
 _ITEM_CITATION = re.compile(r"ROADMAP\s+item")
 
 #: Trees scanned for item citations, beside the documents.
@@ -159,6 +164,79 @@ def _code_words() -> set[str]:
     return words
 
 
+def _class_members() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """``(members, bases)`` of every class defined under ``src/``, by
+    class name: the names its body defines or assigns (methods, class
+    attributes, fields) plus every ``self.x`` it assigns, and the names
+    of its bases.  Same-named classes pool their members."""
+    members: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = members.setdefault(cls.name, set())
+            bases.setdefault(cls.name, set()).update(
+                base.id for base in cls.bases if isinstance(base, ast.Name)
+            )
+            for item in cls.body:
+                if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    names.add(item.name)
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Name) and node in cls.body:
+                            names.add(leaf.id)
+                        elif (
+                            isinstance(leaf, ast.Attribute)
+                            and isinstance(leaf.value, ast.Name)
+                            and leaf.value.id == "self"
+                        ):
+                            names.add(leaf.attr)
+    return members, bases
+
+
+MEMBERS, BASES = _class_members()
+
+
+def _member_problem(cls: str, member: str) -> str | None:
+    """What is wrong with a ``Class.member`` reference to a class defined
+    under ``src/``; ``None`` if nothing (or if no such class is there)."""
+    if cls not in MEMBERS:
+        return None
+    seen: set[str] = set()
+    todo = [cls]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in MEMBERS:
+            continue
+        seen.add(name)
+        if member in MEMBERS[name]:
+            return None
+        todo.extend(sorted(BASES[name]))
+    return f"{cls} defines no {member}"
+
+
+def _members() -> list[tuple[str, int, str, str]]:
+    """``(document, line, class, member)`` for every inline
+    ``Class.member`` span."""
+    return [
+        (document, line, *match.groups())
+        for document in DOCUMENTS
+        for line, body, fenced in _spans(document)
+        if not fenced and (match := _MEMBER.fullmatch(body))
+    ]
+
+
 REFERENCES = _references()
 
 
@@ -194,6 +272,18 @@ def test_every_identifier_occurs_in_the_code():
     # The allowlist only shrinks: a historical name back in the code
     # is no longer history.
     assert sorted(HISTORICAL & words) == []
+
+
+def test_every_member_is_defined_on_its_class():
+    spans = _members()
+    # Guards the scanner: a regex that matched nothing would pass.
+    assert sum(cls in MEMBERS for _doc, _line, cls, _member in spans) >= 20
+    missing = [
+        f"{document}:{line} `{cls}.{member}`: {problem}"
+        for document, line, cls, member in spans
+        if (problem := _member_problem(cls, member)) is not None
+    ]
+    assert missing == [], "\n".join(missing)
 
 
 def test_no_roadmap_item_citations():
@@ -245,3 +335,20 @@ def test_a_path_may_be_relative_to_its_document():
 )
 def test_name_check_has_teeth(reference, resolves):
     assert (_name_problem(reference) is None) is resolves
+
+
+@pytest.mark.parametrize(
+    "cls, member, resolves",
+    [
+        ("RecordStore", "write", True),
+        ("RecordStore", "restore", False),
+        ("Node", "store", True),
+        ("Node", "undo_log", False),
+        ("ExperimentSpec", "warmup_us", True),
+        ("CrashFault", "at_us", True),
+        ("FailoverFault", "at_us", True),
+        ("NoSuchClass", "anything", True),
+    ],
+)
+def test_member_check_has_teeth(cls, member, resolves):
+    assert (_member_problem(cls, member) is None) is resolves
