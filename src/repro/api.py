@@ -10,13 +10,13 @@
     ))
 
 Every cross-cutting knob lives on the spec exactly once (``seed``,
-``duration_s``, ``warmup_us``, ``window_us``, ``jobs``,
-``keep_cluster``, ``trace``, ``scale``); kind-specific knobs go in
-``params``.  :func:`run_experiment` validates the spec, fans it out
-into one task per strategy (per strategy × sweep point for the sweep
-kinds) and regroups the results; what a kind *does* with a task lives
-in :mod:`repro.bench.figures`, which reads the spec itself — imports
-run one way, ``repro.api`` → kind workers → ``harness``.
+``duration_s``, ``jobs``, ``keep_cluster``, ``trace``, ``scale``);
+kind-specific knobs go in ``params``, and each kind sets its own
+warm-up and stats window.  :func:`run_experiment` validates the spec,
+fans it out into one task per strategy (per strategy × sweep point for
+the sweep kinds) and regroups the results; what a kind *does* with a
+task lives in :mod:`repro.bench.figures`, which reads the spec itself
+— imports run one way, ``repro.api`` → kind workers → ``harness``.
 
 ``PRESETS`` names ready-made specs for the paper's figures; the
 observability CLI (``python -m repro.obs``) records traced runs through
@@ -55,8 +55,7 @@ class ExperimentSpec:
     ``"straggler_clone"`` (request cloning under a straggler) and
     ``"serving"`` (journaled online serving, replay-verified).
     ``strategies`` are strategy names (scale-out: variant names), one
-    run each.  ``warmup_us``/``window_us`` of ``None`` mean "the kind's
-    default"; ``duration_s`` is in *unscaled* simulated seconds — the
+    run each.  ``duration_s`` is in *unscaled* simulated seconds — the
     ``REPRO_BENCH_SCALE`` factor is applied when the runs are built.
 
     ``trace`` attaches one :class:`repro.obs.tracer.Tracer` to the runs; traced
@@ -68,8 +67,6 @@ class ExperimentSpec:
     strategies: tuple[str, ...] = ()
     seed: int = 7
     duration_s: float | None = None
-    warmup_us: float | None = None
-    window_us: float | None = None
     jobs: int | None = None
     keep_cluster: bool = False
     trace: "Tracer | None" = None

@@ -13,8 +13,8 @@ A kind's keyword-only parameters *are* its ``spec.params`` keys: the
 signature is what reads them, :data:`KINDS` derives the valid-key set
 from it, and a key whose value is ``None`` is left at the signature's
 default.  The cross-cutting knobs (``seed``, ``duration_s``,
-``warmup_us``, ``window_us``, ``keep_cluster``, ``trace``, ``scale``)
-are read off the spec itself.
+``keep_cluster``, ``trace``, ``scale``) are read off the spec itself;
+each kind sets its own warm-up and stats window.
 
 Every run rebuilds its trace, strategy and workload from the spec's
 seed inside the worker — which is why a parallel sweep returns
@@ -89,11 +89,6 @@ from repro.workloads.ycsb import RECORD_BYTES, GoogleYCSBWorkload, YCSBConfig
 # ----------------------------------------------------------------------
 # Reading the spec's cross-cutting knobs
 # ----------------------------------------------------------------------
-
-
-def _or(value, default):
-    """``default`` when ``value`` is None (0 and empty stay explicit)."""
-    return default if value is None else value
 
 
 def _duration_us(spec, default_s: float) -> float:
@@ -216,8 +211,6 @@ def _run_google_row(
         cluster_config=cluster_config,
         duration_us=duration_us,
         rate_scale=rate_scale,
-        warmup_us=spec.warmup_us,
-        stats_window_us=spec.window_us,
         partitioner_factory=partitioner,
         before_run=before_run,
         **_run_knobs(spec),
@@ -658,7 +651,7 @@ def run_straggler_clone(spec, name: str) -> ExperimentResult:
         drain=True,
         mode="open",
         rate_per_s=STRAGGLER_RATE_PER_S,
-        stats_window_us=_or(spec.window_us, duration_us / 16),
+        stats_window_us=duration_us / 16,
         before_run=before_run,
         # Both variants must replay the *same* arrival stream or the
         # fingerprint-parity check is vacuous.
@@ -721,11 +714,11 @@ def run_tpcc(
         partitioner_factory=lambda: tpcc_partitioner(tpcc_config),
         workload_factory=lambda rng: TPCCWorkload(tpcc_config, rng),
         duration_us=duration_us,
-        warmup_us=_or(spec.warmup_us, min(1_000_000.0, duration_us / 5)),
+        warmup_us=min(1_000_000.0, duration_us / 5),
         drain=False,
         mode="closed",
         clients=TPCC_CLIENTS,
-        stats_window_us=_or(spec.window_us, 1_000_000.0),
+        stats_window_us=1_000_000.0,
         **_run_knobs(spec),
     )
 
@@ -839,11 +832,11 @@ def run_multitenant(
         partitioner_factory=lambda: partitioner_factory(wl_config),
         workload_factory=lambda rng: MultiTenantWorkload(wl_config, rng),
         duration_us=duration_us,
-        warmup_us=_or(spec.warmup_us, min(1_000_000.0, duration_us / 10)),
+        warmup_us=min(1_000_000.0, duration_us / 10),
         drain=False,
         mode="closed",
         clients=profile.clients if profile else MULTITENANT_CLIENTS,
-        stats_window_us=_or(spec.window_us, 500_000.0),
+        stats_window_us=500_000.0,
         **_run_knobs(spec),
     )
 
@@ -920,13 +913,13 @@ def run_scaleout(spec, variant: str) -> ExperimentResult:
         partitioner_factory=lambda: perfect_partitioner(wl_config),
         workload_factory=lambda rng: MultiTenantWorkload(wl_config, rng),
         duration_us=_duration_us(spec, 16.0),
-        warmup_us=_or(spec.warmup_us, min(1_000_000.0, event_us / 2)),
+        warmup_us=min(1_000_000.0, event_us / 2),
         drain=False,
         mode="closed",
         clients=SCALEOUT_CLIENTS,
         active_nodes=[0, 1, 2],
         before_run=before_run,
-        stats_window_us=_or(spec.window_us, 500_000.0),
+        stats_window_us=500_000.0,
         **_run_knobs(spec),
     )
     result.extras["event_us"] = event_us
@@ -1024,11 +1017,8 @@ KINDS: dict[str, Kind] = {
     ),
     "replication": Kind(run_replication),
     # ServeCore owns its cluster and its arrival-tick accounting: there
-    # is no tracer hook, no warm-up phase and no stats window to set.
-    "serving": Kind(
-        run_serving,
-        unsupported=("trace", "keep_cluster", "warmup_us", "window_us"),
-    ),
+    # is no tracer hook to attach and no cluster to keep.
+    "serving": Kind(run_serving, unsupported=("trace", "keep_cluster")),
     "straggler_clone": Kind(run_straggler_clone),
 }
 

@@ -145,11 +145,6 @@ class TxnRuntime:
         kernel = cluster.kernel
         self.coordinator = plan.coordinator
         txn = self.txn
-        # Event/process names exist for trace readability; with no tracer
-        # bound nothing ever reads them, so the f-string per event is
-        # skipped (the single biggest allocation in TxnRuntime setup).
-        named = cluster.tracer is not None
-        txn_id = txn.txn_id
 
         # -- classify keys: lock mode and release stage ---------------------
         write_set = txn.write_set
@@ -236,10 +231,7 @@ class TxnRuntime:
             self._replica_at = _NO_MOVES
             for loc, keys in plan.reads_from.items():
                 if keys:
-                    group = _LockGroup(
-                        keys,
-                        kernel.event(f"locks:{txn_id}@{loc}" if named else ""),
-                    )
+                    group = _LockGroup(keys, kernel.event())
                     self._groups[loc] = group
                     all_groups.append(group)
         else:
@@ -265,19 +257,13 @@ class TxnRuntime:
                 )
                 locked = keys - lockfree_here if lockfree_here else keys
                 if locked:
-                    group = _LockGroup(
-                        locked,
-                        kernel.event(f"locks:{txn_id}@{loc}" if named else ""),
-                    )
+                    group = _LockGroup(locked, kernel.event())
                     self._groups[loc] = group
                     all_groups.append(group)
         self._evict_group: _LockGroup | None = None
         if plan.evictions:
             eviction_keys = frozenset(m.key for m in plan.evictions)
-            self._evict_group = _LockGroup(
-                eviction_keys,
-                kernel.event(f"evlocks:{txn_id}" if named else ""),
-            )
+            self._evict_group = _LockGroup(eviction_keys, kernel.event())
             all_groups.append(self._evict_group)
         self._all_groups = all_groups
         # Fast path: when one group covers *every* locked key, grants
@@ -305,11 +291,7 @@ class TxnRuntime:
             expected = set(reads_from)
             expected.discard(master)
             self._expected_from = {master: expected}
-            self._data_ready = {
-                master: kernel.event(
-                    f"data:{txn_id}@{master}" if named else ""
-                )
-            }
+            self._data_ready = {master: kernel.event()}
             self._inbox = {master: []}
             self._received_from = {master: set()}
             self._values = {master: {}}
@@ -317,10 +299,7 @@ class TxnRuntime:
             self._expected_from = {
                 m: {loc for loc in reads_from if loc != m} for m in masters
             }
-            self._data_ready = {
-                m: kernel.event(f"data:{txn_id}@{m}" if named else "")
-                for m in masters
-            }
+            self._data_ready = {m: kernel.event() for m in masters}
             self._inbox = {m: [] for m in masters}
             self._received_from = {m: set() for m in masters}
             self._values = {m: {} for m in masters}
@@ -385,20 +364,20 @@ class TxnRuntime:
                     group.event.trigger()
 
     # ------------------------------------------------------------------
-    # Launch: one process per serve location and per master
+    # Launch: one chain per serve location and per master
     # ------------------------------------------------------------------
 
     def start(self) -> None:
         """Launch the per-location serve parts and per-master parts.
 
-        The parts run as callback chains rather than generator
-        processes.  Each chain hop mirrors the event structure of the
-        generator version exactly — the entry ``call_soon`` stands in
-        for the Process-start step, and worker completions re-defer
-        through ``call_soon`` just as the old done-event trigger did —
-        so the run-queue interleaving (and hence every golden) is
-        unchanged while the Process/SimEvent/generator machinery
-        disappears from the per-transaction cost.
+        Each part is a callback chain.  Its hops are deliberate: the
+        entry goes through ``call_soon``, a gate parks on a
+        :class:`SimEvent` whose trigger wakes it through ``call_soon``,
+        and a worker completion re-enters through ``call_soon`` too.
+        Every hop takes a run-queue slot, and those slots fix the order
+        in which same-time events of different transactions interleave:
+        the order the golden fingerprints and kernel digests pin.
+        Folding a hop away changes that order.
         """
         call_soon = self.cluster.kernel.call_soon
         serve_keys = self._serve_keys
@@ -421,7 +400,7 @@ class TxnRuntime:
         else:
             group.event.add_waiter(partial(self._serve_locked, loc))
 
-    def _serve_locked(self, loc: NodeId, _value: object = None) -> None:
+    def _serve_locked(self, loc: NodeId) -> None:
         cluster = self.cluster
         kernel = cluster.kernel
         group = self._groups.get(loc)
@@ -490,7 +469,7 @@ class TxnRuntime:
                     if replica_here is not None and key in replica_here:
                         values[key] = replicas.read(key).value
                     elif installs is not None and key in installs:
-                        record = store.read(key).copy()
+                        record = store.read(key)
                         records.append(record)
                         values[key] = record.value
                     else:
@@ -602,7 +581,7 @@ class TxnRuntime:
         else:
             self._master_locked(master)
 
-    def _master_locked(self, master: NodeId, _value: object = None) -> None:
+    def _master_locked(self, master: NodeId) -> None:
         if master == self.coordinator and self.t_locks is None:
             group = self._groups.get(master)
             self.t_locks = (
@@ -613,7 +592,7 @@ class TxnRuntime:
             partial(self._master_data, master)
         )
 
-    def _master_data(self, master: NodeId, _value: object = None) -> None:
+    def _master_data(self, master: NodeId) -> None:
         cluster = self.cluster
         kernel = cluster.kernel
         costs = cluster.config.costs
@@ -777,7 +756,7 @@ class TxnRuntime:
             self.cluster.runtime_settled(self)
             return
 
-        def launch(_value=None) -> None:
+        def launch() -> None:
             cluster = self.cluster
             cluster.runtime_settled(self)
             by_route: dict[tuple[NodeId, NodeId], list] = {}

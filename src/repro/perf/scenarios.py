@@ -13,6 +13,7 @@ makes the numbers comparable across kernel/router rewrites.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.common.config import (
@@ -29,7 +30,7 @@ from repro.core.router import ClusterView, OwnershipView
 from repro.baselines.calvin import CalvinRouter
 from repro.engine.cluster import Cluster
 from repro.engine.executor import RETRY_POLICY
-from repro.sim.kernel import Delay, Kernel
+from repro.sim.kernel import Kernel, TimerHandle
 from repro.sim.network import Network
 from repro.storage.partitioning import make_uniform_ranges
 from repro.workloads.base import ClosedLoopDriver
@@ -63,8 +64,8 @@ def calibration(scale: float) -> int:
 def kernel_dispatch(scale: float) -> int:
     """Zero-delay callback chains with a resident far-future timer pool.
 
-    Models the dominant kernel traffic of a cluster run: every process
-    step and event trigger is a ``call_soon``, while thousands of retry
+    Models the dominant kernel traffic of a cluster run: every chain
+    hop and event trigger is a ``call_soon``, while thousands of retry
     and window timers sit in the heap.  Work unit: one dispatched
     callback.
     """
@@ -91,61 +92,16 @@ def kernel_timers(scale: float) -> int:
 
     Every ``send_reliable`` leaves a timeout timer that is logically dead
     the moment the message delivers; this scenario schedules ``n`` timers
-    and cancels every other one (on kernels without cancellable handles
-    the dead timers simply fire into a no-op, which is exactly the old
-    cost being measured).  Work unit: one timer resolved.
+    and cancels every other one.  Work unit: one timer resolved.
     """
     kernel = Kernel()
     n = max(2, int(150_000 * scale))
     for i in range(n):
         handle = kernel.call_later(float((i * 7919) % 10_000 + 1), _noop)
-        if i % 2 and handle is not None and hasattr(handle, "cancel"):
+        if i % 2:
             handle.cancel()
     kernel.run()
     return n
-
-
-def kernel_e2e(scale: float) -> int:
-    """End-to-end kernel microbench: processes, events, hops, timeouts.
-
-    One hundred generator processes each run rounds of the canonical
-    simulated request pattern: arm a long timeout (the ``send_reliable``
-    retry timer), submit a request that crosses the simulated "wire"
-    (one short timer) and then traverses an eight-stage zero-delay
-    hand-off chain — the sequencer → router → lock → executor → reply
-    hops a transaction makes through the engine, each a ``call_soon`` —
-    before triggering the client's event; then disarm the timeout and
-    pay think time.  The zero-delay:timer mix (~3:1) matches what
-    instrumented cluster runs produce, where ``call_soon`` dominates.
-    Work unit: one completed round, identical logical work on any
-    kernel (on kernels without cancellable handles the timeouts simply
-    stay queued and fire into no-ops — exactly the old cost).
-    """
-    kernel = Kernel()
-    n_procs = 100
-    n_rounds = max(1, int(1_250 * scale))
-    pipeline_hops = 8
-
-    def hop(remaining: int, event: "object", value: int) -> None:
-        if remaining == 0:
-            event.trigger(value)
-        else:
-            kernel.call_soon(hop, remaining - 1, event, value)
-
-    def client(_pid: int):
-        for round_no in range(n_rounds):
-            event = kernel.event()
-            timeout = kernel.call_later(10_000.0, _noop)
-            kernel.call_later(5.0, hop, pipeline_hops, event, round_no)
-            yield event
-            if timeout is not None and hasattr(timeout, "cancel"):
-                timeout.cancel()
-            yield Delay(1.0)
-
-    for pid in range(n_procs):
-        kernel.process(client(pid), name=f"perf-client-{pid}")
-    kernel.run()
-    return n_procs * n_rounds
 
 
 class _GuardedComponent:
@@ -156,6 +112,72 @@ class _GuardedComponent:
 
     def __init__(self, tracer=None) -> None:
         self.tracer = tracer
+
+
+def _request_rounds(
+    kernel: Kernel, scale: float, component: _GuardedComponent | None = None
+) -> int:
+    """Run one hundred clients through rounds of a simulated request.
+
+    Each client is a callback chain.  A round arms a long timeout (the
+    ``send_reliable`` retry timer), submits a request that crosses the
+    simulated "wire" (one short timer) and then traverses an
+    eight-stage zero-delay hand-off chain — the sequencer → router →
+    lock → executor → reply hops a transaction makes through the
+    engine, each a ``call_soon`` — before triggering the client's
+    event; the client then disarms the timeout and pays think time
+    before its next round.  A round dispatches eleven kernel events.
+
+    With a ``component``, each round also carries the engine's
+    disabled-tracer guard sites (see :func:`tracer_overhead`).  Returns
+    the number of completed rounds.
+    """
+    n_procs = 100
+    n_rounds = max(1, int(1_250 * scale))
+    pipeline_hops = 8
+
+    def hop(remaining: int, event) -> None:
+        if remaining == 0:
+            event.trigger()
+        else:
+            kernel.call_soon(hop, remaining - 1, event)
+
+    def start_round(round_no: int) -> None:
+        if round_no == n_rounds:
+            return
+        # Per-activation hoist + dispatch guard (the scheduler's).  One
+        # round corresponds to one engine method activation, which
+        # hoists self.tracer once and branches per emission site on the
+        # hoisted local.
+        tracer = None if component is None else component.tracer
+        if tracer is not None:
+            tracer.txn_dispatched(round_no, round_no, "perf", 0, (), 1)
+        event = kernel.event()
+        timeout = kernel.call_later(10_000.0, _noop)
+        kernel.call_later(5.0, hop, pipeline_hops, event)
+        event.add_waiter(partial(replied, round_no, timeout, tracer))
+
+    def replied(round_no: int, timeout: TimerHandle, tracer) -> None:
+        timeout.cancel()
+        # Commit guard (the runtime's commit emission site).
+        if tracer is not None:
+            tracer.commit(round_no, 0, False)
+        kernel.call_later_unhandled(1.0, start_round, round_no + 1)
+
+    for _pid in range(n_procs):
+        kernel.call_soon(start_round, 0)
+    kernel.run()
+    return n_procs * n_rounds
+
+
+def kernel_e2e(scale: float) -> int:
+    """End-to-end kernel microbench: chains, events, hops, timeouts.
+
+    :func:`_request_rounds` on a bare kernel.  The zero-delay:timer mix
+    (~3:1) matches what instrumented cluster runs produce, where
+    ``call_soon`` dominates.  Work unit: one completed round.
+    """
+    return _request_rounds(Kernel(), scale)
 
 
 def tracer_overhead(scale: float) -> int:
@@ -171,49 +193,13 @@ def tracer_overhead(scale: float) -> int:
     with the tracer disabled (``None``) — exactly what benchmarks and
     tests run.  The guard placement mirrors the engine's discipline:
     one ``self.tracer`` read per method activation and a ``None`` check
-    per *transaction stage* (dispatch, stage completion, commit) — the
-    kernel's dispatch loops themselves are hook-free by design, so no
-    guard runs per kernel event.  The ``--compare`` gate holds this
-    score to within 3 % of the same run's ``kernel_e2e`` score,
-    bounding what observability costs when it is off.  Work unit: one
-    completed round.
+    per *transaction stage* (dispatch, commit) — the kernel's dispatch
+    loop itself is hook-free by design, so no guard runs per kernel
+    event.  The ``--compare`` gate holds this score to within 3 % of
+    the same run's ``kernel_e2e`` score, bounding what observability
+    costs when it is off.  Work unit: one completed round.
     """
-    kernel = Kernel()
-    component = _GuardedComponent(tracer=None)
-    n_procs = 100
-    n_rounds = max(1, int(1_250 * scale))
-    pipeline_hops = 8
-
-    def hop(remaining: int, event: "object", value: int) -> None:
-        if remaining == 0:
-            event.trigger(value)
-        else:
-            kernel.call_soon(hop, remaining - 1, event, value)
-
-    def client(_pid: int):
-        for round_no in range(n_rounds):
-            # Per-activation hoist + dispatch guard (the scheduler's).
-            # One round (~a dozen kernel events) corresponds to one
-            # engine method activation, which hoists self.tracer once
-            # and branches per emission site on the hoisted local.
-            tracer = component.tracer
-            if tracer is not None:
-                tracer.txn_dispatched(round_no, round_no, "perf", 0, (), 1)
-            event = kernel.event()
-            timeout = kernel.call_later(10_000.0, _noop)
-            kernel.call_later(5.0, hop, pipeline_hops, event, round_no)
-            yield event
-            if timeout is not None and hasattr(timeout, "cancel"):
-                timeout.cancel()
-            # Commit guard (the runtime's commit emission site).
-            if tracer is not None:
-                tracer.commit(round_no, 0, False)
-            yield Delay(1.0)
-
-    for pid in range(n_procs):
-        kernel.process(client(pid), name=f"perf-client-{pid}")
-    kernel.run()
-    return n_procs * n_rounds
+    return _request_rounds(Kernel(), scale, _GuardedComponent(tracer=None))
 
 
 def digest_overhead(scale: float) -> int:
@@ -232,30 +218,7 @@ def digest_overhead(scale: float) -> int:
 
     kernel = Kernel()
     kernel.attach_digest(StreamDigest())
-    n_procs = 100
-    n_rounds = max(1, int(1_250 * scale))
-    pipeline_hops = 8
-
-    def hop(remaining: int, event: "object", value: int) -> None:
-        if remaining == 0:
-            event.trigger(value)
-        else:
-            kernel.call_soon(hop, remaining - 1, event, value)
-
-    def client(_pid: int):
-        for round_no in range(n_rounds):
-            event = kernel.event()
-            timeout = kernel.call_later(10_000.0, _noop)
-            kernel.call_later(5.0, hop, pipeline_hops, event, round_no)
-            yield event
-            if timeout is not None and hasattr(timeout, "cancel"):
-                timeout.cancel()
-            yield Delay(1.0)
-
-    for pid in range(n_procs):
-        kernel.process(client(pid), name=f"perf-client-{pid}")
-    kernel.run()
-    return n_procs * n_rounds
+    return _request_rounds(kernel, scale)
 
 
 def network_send(scale: float) -> int:

@@ -77,8 +77,6 @@ def spec_payload(spec: ExperimentSpec) -> dict:
         "strategies": list(spec.strategies),
         "seed": spec.seed,
         "duration_s": spec.duration_s,
-        "warmup_us": spec.warmup_us,
-        "window_us": spec.window_us,
         "scale": spec.scale,
         "params": spec.params,
     }
@@ -102,8 +100,6 @@ def spec_from_payload(payload: dict) -> ExperimentSpec:
         strategies=tuple(payload["strategies"]),
         seed=payload["seed"],
         duration_s=payload.get("duration_s"),
-        warmup_us=payload.get("warmup_us"),
-        window_us=payload.get("window_us"),
         scale=payload.get("scale"),
         params=params,
     )

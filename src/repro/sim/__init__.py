@@ -1,11 +1,13 @@
 """Discrete-event simulation substrate.
 
-The engine in :mod:`repro.engine` is written as cooperating *processes*
-(Python generators) running on a deterministic event :class:`Kernel`.
-Processes yield :class:`Delay` objects to consume simulated time and
-:class:`SimEvent` objects to wait for messages, locks, or remote data.
+The engine in :mod:`repro.engine` is written as chains of callbacks
+running on a deterministic event :class:`Kernel`: each step schedules
+the next with ``call_soon`` (now) or a timer (after simulated time has
+passed), and a chain that must wait for messages, locks, or remote data
+parks on a one-shot :class:`SimEvent`.
 
-The kernel is deliberately small — a binary heap of timestamped callbacks
-with a FIFO tiebreaker — because determinism is the whole point: given the
-same inputs, every run produces the same interleaving.
+The kernel is deliberately small — a FIFO run-queue and a binary heap of
+timestamped callbacks, both ordered by one ``(time, sequence)`` key —
+because determinism is the whole point: given the same inputs, every run
+produces the same interleaving.
 """

@@ -1,21 +1,27 @@
-"""The discrete-event kernel: clock, event heap, and processes.
+"""The discrete-event kernel: clock, event queues, and one-shot events.
 
 Design notes
 ------------
 * Events fire in ``(time, sequence)`` order.  The sequence number makes
   simultaneous events fire in scheduling order, which keeps the whole
   simulation deterministic without relying on heap implementation details.
-* A :class:`Process` wraps a generator.  The generator yields:
-    - ``Delay(dt)``      — resume after ``dt`` simulated microseconds,
-    - ``SimEvent``       — resume when the event is triggered; the
-      triggered value is sent back into the generator.
-  Returning from the generator completes the process's ``done`` event.
-* There is no pre-emption; a process runs until its next yield.  All
-  CPU-time accounting is therefore explicit ``Delay`` yields.
+* Everything the kernel runs is a callback: ``call_soon`` (now, after
+  what is pending), ``call_later`` / ``call_at`` (a cancellable timer)
+  and ``call_later_unhandled`` (a timer nobody cancels).  A simulated
+  activity is a chain of such callbacks, each scheduling the next.
+* A :class:`SimEvent` is a one-shot gate a chain parks on: triggering it
+  schedules every waiter through ``call_soon``.  It carries no value;
+  whatever a waiter needs it reads from the object it belongs to.
+* There is no pre-emption; a callback runs to completion.  All CPU-time
+  accounting is therefore explicit timers (the engine's worker pools).
+* One dispatch loop serves both entry points: ``run_until(t)`` fires
+  everything due by ``t`` and then moves the clock to ``t``; ``run()``
+  fires everything, with no bound, and leaves the clock at the last
+  event.
 
 Fast path
 ---------
-Zero-delay callbacks (``call_soon``) — every process step and event
+Zero-delay callbacks (``call_soon``) — every chain hop and event
 trigger — dominate kernel traffic, so they bypass
 the timer heap entirely: they go onto a FIFO run-queue (a deque) and pop
 in O(1) instead of paying an O(log n) heap sift against thousands of
@@ -48,8 +54,9 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
 from collections import deque
-from typing import Any, Callable, Generator
+from typing import Any, Callable
 
 from repro.common.errors import SimulationError
 
@@ -113,91 +120,40 @@ class TimerHandle:
         return f"TimerHandle({state})"
 
 
-class Delay:
-    """Yielded by a process to consume ``dt`` of simulated time."""
-
-    __slots__ = ("dt",)
-
-    def __init__(self, dt: float) -> None:
-        if dt < 0:
-            raise SimulationError(f"cannot delay by negative time {dt}")
-        self.dt = dt
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Delay({self.dt})"
-
-
 class SimEvent:
-    """A one-shot event processes can wait on.
+    """A one-shot event callback chains can park on.
 
-    ``trigger(value)`` wakes every waiter and stores the value; waiting on
-    an already-triggered event resumes immediately with the stored value.
+    ``trigger()`` schedules every waiter through ``call_soon``, in
+    registration order; a waiter added after the trigger is scheduled
+    at once.  Waiters are called with no arguments.
     """
 
-    __slots__ = ("kernel", "_waiters", "triggered", "value", "name")
+    __slots__ = ("kernel", "_waiters", "triggered")
 
-    def __init__(self, kernel: "Kernel", name: str = "") -> None:
+    def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        self.name = name
-        self._waiters: list[Callable[[Any], None]] = []
+        self._waiters: list[Callable[[], None]] = []
         self.triggered = False
-        self.value: Any = None
 
-    def trigger(self, value: Any = None) -> None:
+    def trigger(self) -> None:
         """Fire the event, waking all waiters at the current time."""
         if self.triggered:
-            raise SimulationError(f"event {self.name!r} triggered twice")
+            raise SimulationError("event triggered twice")
         self.triggered = True
-        self.value = value
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
-            self.kernel.call_soon(waiter, value)
+            self.kernel.call_soon(waiter)
 
-    def add_waiter(self, callback: Callable[[Any], None]) -> None:
-        """Register a callback; fires immediately if already triggered."""
+    def add_waiter(self, callback: Callable[[], None]) -> None:
+        """Register a callback; scheduled at once if already triggered."""
         if self.triggered:
-            self.kernel.call_soon(callback, self.value)
+            self.kernel.call_soon(callback)
         else:
             self._waiters.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
-        return f"SimEvent({self.name!r}, {state})"
-
-
-class Process:
-    """A generator-based simulated process."""
-
-    __slots__ = ("kernel", "gen", "done", "name")
-
-    def __init__(
-        self,
-        kernel: "Kernel",
-        gen: Generator[Any, Any, Any],
-        name: str = "",
-    ) -> None:
-        self.kernel = kernel
-        self.gen = gen
-        self.name = name
-        self.done = SimEvent(kernel, name=("done:" + name) if name else "")
-        kernel.call_soon(self._step, None)
-
-    def _step(self, value: Any) -> None:
-        try:
-            yielded = self.gen.send(value)
-        except StopIteration as stop:
-            self.done.trigger(stop.value)
-            return
-        # Checked most-frequent first: executor processes mostly wait on
-        # events; explicit Delay yields are rarer.
-        if isinstance(yielded, SimEvent):
-            yielded.add_waiter(self._step)
-        elif isinstance(yielded, Delay):
-            self.kernel.call_later_unhandled(yielded.dt, self._step, None)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported {yielded!r}"
-            )
+        return f"SimEvent({state})"
 
 
 class Kernel:
@@ -231,7 +187,7 @@ class Kernel:
         self._running = False
         self.events_processed = 0
         #: optional event-stream digest (see :mod:`repro.sanitize.digest`).
-        #: ``None`` keeps the dispatch loops on a single local ``None``
+        #: ``None`` keeps the dispatch loop on a single local ``None``
         #: check per event.
         self._digest: Any = (
             _digest_factory() if _digest_factory is not None else None
@@ -260,12 +216,13 @@ class Kernel:
     def call_later_unhandled(self, dt: float, fn: Callable, *args: Any) -> None:
         """``call_later`` without the cancellation handle.
 
-        For timers that are never cancelled — process ``Delay`` resumes,
-        network transfer deliveries — this skips the
-        :class:`TimerHandle` allocation.  The heap entry is a 4-tuple
-        ``(when, seq, fn, args)`` next to the 3-tuple handle entries;
-        comparisons still resolve at the unique sequence number, and the
-        dispatch loop tells the shapes apart by length.
+        For timers that are never cancelled — network transfer
+        deliveries, worker completions, a driver's next arrival — this
+        skips the :class:`TimerHandle` allocation.  The heap entry is a
+        4-tuple ``(when, seq, fn, args)`` next to the 3-tuple handle
+        entries; comparisons still resolve at the unique sequence
+        number, and the dispatch loop tells the two shapes apart by
+        length.
         """
         if dt < 0:
             raise SimulationError(f"cannot schedule {dt} in the past")
@@ -281,9 +238,9 @@ class Kernel:
         """
         return self.call_later(max(0.0, t - self.now), fn, *args)
 
-    def event(self, name: str = "") -> SimEvent:
+    def event(self) -> SimEvent:
         """Create a fresh one-shot event bound to this kernel."""
-        return SimEvent(self, name=name)
+        return SimEvent(self)
 
     @property
     def digest(self) -> Any:
@@ -302,8 +259,8 @@ class Kernel:
         """Attach an event-stream digest to this kernel.
 
         Takes effect for events dispatched by the *next* ``run`` /
-        ``run_until`` call (the loops hoist the digest reference once per
-        call, like their other hot locals).
+        ``run_until`` call (the loop hoists the digest reference once per
+        call, like its other hot locals).
         """
         self._digest = digest
 
@@ -317,16 +274,12 @@ class Kernel:
         """
         return self.now
 
-    def process(self, gen: Generator, name: str = "") -> Process:
-        """Start a generator as a simulated process."""
-        return Process(self, gen, name=name)
-
     # -- internals -----------------------------------------------------------
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify the survivors.
 
-        Rebuilds strictly in place: the dispatch loops hold a local
+        Rebuilds strictly in place: the dispatch loop holds a local
         alias to the heap list, and cancellation (hence compaction) can
         fire mid-dispatch.
         """
@@ -339,20 +292,30 @@ class Kernel:
 
     # -- execution -----------------------------------------------------------
     #
-    # Both loops below are the hottest code in the simulator, hence the
-    # local aliasing and inlined pops.  Full-tuple ``runq[0] < heap[0]``
+    # ``_dispatch`` is the hottest code in the simulator, hence the local
+    # aliasing and inlined pops.  Full-tuple ``runq[0] < heap[0]``
     # comparison is safe: sequence numbers are unique across both
     # queues, so it resolves at slot 1 and never reaches the
     # uncomparable callback/handle slot.  Heap entries come in two
     # shapes — ``(when, seq, handle)`` from ``call_later`` and
-    # ``(when, seq, fn, (None,))`` from ``_delay`` — told apart by
-    # length.  With a digest attached an event costs two C-level list
-    # appends (``fold``), or a ``tap`` call when the digest records
-    # lines, and the digest hashes what is pending every 1024 events and
-    # when the loop exits (see :class:`repro.sanitize.digest.StreamDigest`).
+    # ``(when, seq, fn, args)`` from ``call_later_unhandled`` — told
+    # apart by length.  With a digest attached an event costs two
+    # C-level list appends (``fold``), or a ``tap`` call when the digest
+    # records lines, and the digest hashes what is pending every 1024
+    # events and when the loop exits (see
+    # :class:`repro.sanitize.digest.StreamDigest`).
 
     def run_until(self, t_end: float) -> None:
         """Advance simulated time to ``t_end``, firing all due events."""
+        self._dispatch(t_end)
+        self.now = max(self.now, t_end)
+
+    def run(self) -> None:
+        """Run until no events remain; the clock stays at the last one."""
+        self._dispatch(math.inf)
+
+    def _dispatch(self, t_end: float) -> None:
+        """Fire every event due at or before ``t_end`` in key order."""
         if self._running:
             raise SimulationError("kernel is already running")
         self._running = True
@@ -400,58 +363,6 @@ class Kernel:
                     if not processed & block_mask:
                         digest.fold_block()
                 fn(*args)
-            self.now = max(self.now, t_end)
-        finally:
-            if collector_on:
-                gc.enable()
-            self.events_processed += processed
-            self._running = False
-            if digest is not None:
-                digest.fold_block()
-
-    def run(self) -> None:
-        """Run until no events remain."""
-        if self._running:
-            raise SimulationError("kernel is already running")
-        self._running = True
-        runq, heap = self._runq, self._heap
-        popleft = runq.popleft
-        heappop = heapq.heappop
-        digest = self._digest
-        fold = None if digest is None or digest.record else digest.fold
-        block_mask = self._DIGEST_BLOCK_MASK
-        processed = 0
-        collector_on = gc.isenabled()
-        gc.disable()
-        try:
-            while True:
-                if runq and (not heap or runq[0] < heap[0]):
-                    when, seq, fn, args = popleft()
-                elif heap:
-                    entry = heappop(heap)
-                    when = entry[0]
-                    seq = entry[1]
-                    if len(entry) == 4:
-                        fn, args = entry[2], entry[3]
-                    else:
-                        handle = entry[2]
-                        if handle.cancelled:
-                            self._dead -= 1
-                            continue
-                        fn, args = handle.fn, handle.args
-                else:
-                    break
-                self.now = when
-                processed += 1
-                if digest is not None:
-                    if fold is not None:
-                        fold(when)
-                        fold(seq)
-                    else:
-                        digest.tap(when, seq, fn, args)
-                    if not processed & block_mask:
-                        digest.fold_block()
-                fn(*args)
         finally:
             if collector_on:
                 gc.enable()
@@ -468,7 +379,7 @@ class Kernel:
         """Drop every pending event without running it.
 
         A queued entry holds a client of the kernel (a timer handle, a
-        process step, the sequencer's next cut) and that client holds
+        chain hop, the sequencer's next cut) and that client holds
         the kernel, so a kernel with anything pending sits in reference
         cycles.  Clearing the queues is what lets a finished owner be
         freed by reference counting (see

@@ -216,10 +216,10 @@ class RecordStore:
         raise StorageError(f"node {self.node_id} does not hold key {key!r}")
 
     def read(self, key: Key) -> Record:
-        """The whole record (transient for a slab key — do not mutate)."""
+        """A copy of the whole record; later writes leave it as it was."""
         record = self._spill.get(key)
         if record is not None:
-            return record
+            return record.copy()
         slab = self._covering_slab(key)
         if slab is None or (offset := key - slab.lo) in slab.holes:
             raise StorageError(

@@ -22,7 +22,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Transaction
 from repro.engine.cluster import Cluster
-from repro.sim.kernel import Delay
 
 
 class WorkloadGenerator(Protocol):
@@ -64,25 +63,29 @@ class OpenLoopDriver:
 
     def start(self) -> None:
         """Begin generating arrivals."""
-        self.cluster.kernel.process(self._run(), name="open-loop-driver")
+        self.cluster.kernel.call_soon(self._next)
 
-    def _run(self):
+    def _next(self) -> None:
+        """Draw the gap to the next arrival, or pause while the rate is 0."""
         kernel = self.cluster.kernel
-        while kernel.now < self.stop_us:
-            rate = self._rate_fn(kernel.now)
-            if rate <= 0:
-                # Idle period: re-check after a short pause.
-                yield Delay(10_000.0)
-                continue
-            gap_us = self._rng.expovariate(rate / 1e6)
-            yield Delay(gap_us)
-            if kernel.now >= self.stop_us:
-                break
-            txn = self.workload.make_txn(
-                self.cluster.next_txn_id(), kernel.now
-            )
-            self.cluster.submit(txn)
-            self.submitted += 1
+        if kernel.now >= self.stop_us:
+            return
+        rate = self._rate_fn(kernel.now)
+        if rate <= 0:
+            # Idle period: re-check after a short pause.
+            kernel.call_later_unhandled(10_000.0, self._next)
+            return
+        gap_us = self._rng.expovariate(rate / 1e6)
+        kernel.call_later_unhandled(gap_us, self._arrive)
+
+    def _arrive(self) -> None:
+        kernel = self.cluster.kernel
+        if kernel.now >= self.stop_us:
+            return
+        txn = self.workload.make_txn(self.cluster.next_txn_id(), kernel.now)
+        self.cluster.submit(txn)
+        self.submitted += 1
+        self._next()
 
 
 class ClosedLoopDriver:

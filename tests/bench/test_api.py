@@ -78,12 +78,25 @@ class TestSpecValidation:
                            "support keep_cluster="):
             run_experiment(spec)
 
+    def test_serving_rejects_keep_cluster(self):
+        spec = ExperimentSpec(kind="serving", strategies=("calvin",),
+                              keep_cluster=True)
+        with pytest.raises(ValueError, match="'serving' does not "
+                           "support keep_cluster="):
+            run_experiment(spec)
+
     @pytest.mark.parametrize("field", ["warmup_us", "window_us"])
     def test_serving_rejects_warmup_and_window(self, field):
+        # Serving has no warm-up phase and no stats window: the knob is
+        # neither a spec field nor a serving param, so either spelling
+        # fails loudly instead of being silently ignored.
+        with pytest.raises(TypeError, match=field):
+            ExperimentSpec(kind="serving", strategies=("calvin",),
+                           **{field: 1_000.0})
         spec = ExperimentSpec(kind="serving", strategies=("calvin",),
-                              **{field: 1_000.0})
-        with pytest.raises(ValueError, match="'serving' does not "
-                           f"support {field}="):
+                              params={field: 1_000.0})
+        with pytest.raises(TypeError, match="unknown params for kind "
+                           f"'serving': \\['{field}'\\]"):
             run_experiment(spec)
 
     def test_valid_params_are_the_workers_keywords(self):

@@ -48,7 +48,7 @@ class TestFleetEquivalence:
     def test_multitenant_parallel_matches_serial(self):
         spec = ExperimentSpec(
             kind="multitenant", strategies=("calvin", "hermes"),
-            duration_s=0.4, window_us=100_000.0,
+            duration_s=0.4,
             params={"config": TINY},
         )
         serial = run_experiment(spec)

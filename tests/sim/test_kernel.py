@@ -5,7 +5,8 @@ import gc
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.kernel import Delay, Kernel
+from repro.sanitize.digest import StreamDigest
+from repro.sim.kernel import Kernel
 
 
 class TestScheduling:
@@ -52,21 +53,23 @@ class TestScheduling:
 class TestSimEvent:
     def test_waiters_wake_on_trigger(self):
         kernel = Kernel()
-        event = kernel.event("e")
+        event = kernel.event()
         got = []
-        event.add_waiter(got.append)
-        kernel.call_later(5, event.trigger, 123)
+        event.add_waiter(lambda: got.append(("a", kernel.now)))
+        event.add_waiter(lambda: got.append(("b", kernel.now)))
+        kernel.call_later(5, event.trigger)
         kernel.run()
-        assert got == [123]
+        assert got == [("a", 5), ("b", 5)]
 
-    def test_late_waiter_gets_value_immediately(self):
+    def test_late_waiter_is_scheduled_at_once(self):
         kernel = Kernel()
         event = kernel.event()
-        event.trigger("v")
+        event.trigger()
         got = []
-        event.add_waiter(got.append)
+        event.add_waiter(lambda: got.append(kernel.now))
+        assert got == [] and kernel.pending() == 1
         kernel.run()
-        assert got == ["v"]
+        assert got == [0]
 
     def test_double_trigger_rejected(self):
         kernel = Kernel()
@@ -76,72 +79,61 @@ class TestSimEvent:
             event.trigger()
 
 
-class TestProcess:
-    def test_delay_advances_time(self):
-        kernel = Kernel()
-        log = []
+def _mixed_schedule(kernel: Kernel, fired: list) -> None:
+    """call_soon chains, handled and unhandled timers, a cancelled timer."""
 
-        def proc():
-            log.append(kernel.now)
-            yield Delay(100)
-            log.append(kernel.now)
+    def chain(tag, depth):
+        fired.append((tag, kernel.now))
+        if depth:
+            kernel.call_soon(chain, tag, depth - 1)
+            kernel.call_later_unhandled(3.0, fired.append, (tag, "raw"))
 
-        kernel.process(proc())
-        kernel.run()
-        assert log == [0, 100]
+    kernel.call_soon(chain, "soon", 3)
+    kernel.call_later(10, chain, "timer", 2)
+    kernel.call_later(15, fired.append, "dead").cancel()
+    kernel.call_later_unhandled(20, chain, "unhandled", 1)
+    kernel.call_at(40, fired.append, "last")
 
-    def test_event_wait_receives_value(self):
-        kernel = Kernel()
-        event = kernel.event()
-        got = []
 
-        def proc():
-            value = yield event
-            got.append(value)
+class TestOneLoop:
+    """``run`` and ``run_until`` are one dispatch loop."""
 
-        kernel.process(proc())
-        kernel.call_later(10, event.trigger, "hello")
-        kernel.run()
-        assert got == ["hello"]
+    @pytest.mark.parametrize("record", [False, True])
+    def test_run_and_run_until_give_one_stream(self, record):
+        legs = {}
+        for leg in ("run", "run_until"):
+            kernel = Kernel()
+            digest = StreamDigest(record=record)
+            kernel.attach_digest(digest)
+            fired = []
+            _mixed_schedule(kernel, fired)
+            if leg == "run":
+                kernel.run()
+            else:
+                kernel.run_until(1_000)
+            legs[leg] = (kernel, digest, fired)
+        (k_run, d_run, f_run), (k_until, d_until, f_until) = (
+            legs["run"], legs["run_until"]
+        )
+        assert "dead" not in f_run and f_run[-1] == "last"
+        assert f_run == f_until
+        assert d_run.hexdigest() == d_until.hexdigest()
+        assert d_run.lines == d_until.lines
+        assert k_run.events_processed == k_until.events_processed == 16
+        assert (k_run.now, k_until.now) == (40, 1_000)
 
-    def test_done_event_carries_return_value(self):
-        kernel = Kernel()
-
-        def proc():
-            yield Delay(1)
-            return 42
-
-        process = kernel.process(proc())
-        kernel.run()
-        assert process.done.triggered
-        assert process.done.value == 42
-
-    def test_unsupported_yield_raises(self):
-        kernel = Kernel()
-
-        def proc():
-            yield "nonsense"
-
-        kernel.process(proc())
-        with pytest.raises(SimulationError):
-            kernel.run()
-
-    def test_nested_processes(self):
-        kernel = Kernel()
-        log = []
-
-        def child():
-            yield Delay(5)
-            return "done"
-
-        def parent():
-            proc = kernel.process(child(), name="child")
-            value = yield proc.done
-            log.append((kernel.now, value))
-
-        kernel.process(parent())
-        kernel.run()
-        assert log == [(5, "done")]
+    def test_run_until_inside_the_stream_resumes_it(self):
+        # Stopping part-way and resuming gives the same stream again.
+        whole, split = Kernel(), Kernel()
+        for kernel in (whole, split):
+            kernel.attach_digest(StreamDigest())
+            _mixed_schedule(kernel, [])
+        whole.run()
+        split.run_until(12)
+        assert split.now == 12 and split.pending() > 0
+        split.run()
+        assert split.events_processed == whole.events_processed
+        assert split.digest.hexdigest() == whole.digest.hexdigest()
 
 
 class TestFastPath:
@@ -298,7 +290,7 @@ def collector_state():
 @pytest.mark.usefixtures("collector_state")
 @pytest.mark.parametrize("leg", ["run", "run_until"])
 class TestCollectorPause:
-    """The dispatch loops pause automatic collection and restore it."""
+    """The dispatch loop pauses automatic collection and restores it."""
 
     def test_off_inside_callbacks_and_back_on_after(self, leg):
         gc.enable()

@@ -170,6 +170,19 @@ class TestWrites:
         assert record.value != before
         assert store.read_value(1) == record.value
 
+    @pytest.mark.parametrize("spilled", [False, True], ids=["slab", "spill"])
+    def test_held_read_survives_a_write(self, spilled):
+        s = RecordStore(0)
+        if spilled:
+            s.load(7, size=16)
+        else:
+            s.load_range(0, 10, size=16)
+        assert s.spill_size() == int(spilled)
+        held = s.read(7)
+        s.write(7, txn_id=3)
+        assert (held.version, held.value, held.size) == (0, 0, 16)
+        assert s.read(7).version == 1
+
     def test_writes_by_different_txns_differ(self, backend):
         a, b = make_store(backend, 0), make_store(backend, 1)
         a.load(1)

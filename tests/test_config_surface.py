@@ -12,7 +12,9 @@ setter"):
   call must pass, so it is an input rather than a knob.
 
 A pass-through is not a setter: a file whose every ``Class(field=...)``
-keyword reads ``params.get("x")`` only forwards whatever sets ``x``, so
+keyword reads key ``"x"`` out of a dict — ``params.get("x")``, or a
+round trip such as ``payload.get("x")`` / ``payload["x"]`` rebuilding
+an object from its JSON form — only forwards whatever sets ``x``, so
 the entry must name the setter of ``x`` instead.
 
 The experiment kinds' ``spec.params`` keys (``KINDS[k].valid_params``)
@@ -48,8 +50,6 @@ SURFACE = {
     "ExperimentSpec.strategies": "src/repro/bench/__main__.py",
     "ExperimentSpec.seed": "perfbench/worker.py",
     "ExperimentSpec.duration_s": "src/repro/bench/__main__.py --duration",
-    "ExperimentSpec.warmup_us": "src/repro/sanitize/replay.py",
-    "ExperimentSpec.window_us": "src/repro/sanitize/replay.py",
     "ExperimentSpec.jobs": "src/repro/bench/__main__.py --jobs",
     "ExperimentSpec.keep_cluster": "perfbench/worker.py",
     "ExperimentSpec.trace": "src/repro/obs/__main__.py",
@@ -199,16 +199,23 @@ def _tree(path: str) -> ast.AST:
 
 
 def _get_key(node: ast.AST) -> str | None:
-    """``"x"`` when ``node`` is a ``params.get("x", ...)`` call."""
+    """``"x"`` when ``node`` reads key ``"x"`` out of a named dict:
+    ``params.get("x", ...)``, ``payload.get("x")`` or ``payload["x"]``."""
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "get"
-        and getattr(node.func.value, "id", None) == "params"
+        and isinstance(node.func.value, ast.Name)
         and node.args
         and isinstance(node.args[0], ast.Constant)
     ):
         return node.args[0].value
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and isinstance(node.slice, ast.Constant)
+    ):
+        return node.slice.value
     return None
 
 
@@ -292,7 +299,7 @@ def test_setter_sets_the_field(name):
     assert not values or any(
         _get_key(value) is None for value in values
     ), (
-        f"{name}: {path} only passes params.get({forwarded}) through; "
+        f"{name}: {path} only forwards dict key(s) {forwarded}; "
         "name that key's setter instead"
     )
 
@@ -302,3 +309,19 @@ def test_setter_sets_the_param(name):
     key = _key(name)
     path = _check_setter(PARAMS[name], WORKERS, key)
     assert key in _dict_keys(path), f"{path} never passes {key!r}"
+
+
+@pytest.mark.parametrize(
+    "source, key",
+    [
+        ('params.get("hot_fraction", 0.0)', "hot_fraction"),
+        ('payload.get("window_us")', "window_us"),
+        ('payload["seed"]', "seed"),
+        ("1_000.0", None),
+        ("args.window_us", None),
+    ],
+)
+def test_dict_reads_are_pass_throughs(source, key):
+    # A spec rebuilt from its JSON payload sets nothing: the payload
+    # only carries what the original spec's setter put there.
+    assert _get_key(ast.parse(source, mode="eval").body) == key

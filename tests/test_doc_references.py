@@ -344,7 +344,7 @@ def test_name_check_has_teeth(reference, resolves):
         ("RecordStore", "restore", False),
         ("Node", "store", True),
         ("Node", "undo_log", False),
-        ("ExperimentSpec", "warmup_us", True),
+        ("ExperimentSpec", "warmup_us", False),
         ("CrashFault", "at_us", True),
         ("FailoverFault", "at_us", True),
         ("NoSuchClass", "anything", True),
