@@ -1,11 +1,5 @@
-"""Shared helpers for the figure benchmarks.
-
-Every benchmark runs its experiment exactly once under pytest-benchmark
-(``rounds=1``): the interesting output is the *simulated* comparison the
-paper plots, not the harness's wall time.  Results are printed in
-paper-style tables and also appended to ``results/`` as CSV for external
-plotting.
-"""
+"""Shared helpers for the benchmarks: the ``results/`` directory and the
+claims table printed at the end of a session."""
 
 from __future__ import annotations
 
@@ -16,23 +10,22 @@ import pytest
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
-@pytest.fixture
-def run_bench(benchmark):
-    """Run ``fn`` once under pytest-benchmark and return its result."""
-
-    def runner(fn):
-        holder = {}
-
-        def wrapper():
-            holder["value"] = fn()
-
-        benchmark.pedantic(wrapper, rounds=1, iterations=1)
-        return holder["value"]
-
-    return runner
-
-
-@pytest.fixture
+@pytest.fixture(scope="session")
 def results_dir():
     os.makedirs(RESULTS_DIR, exist_ok=True)
     return RESULTS_DIR
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print every claim row ``test_claims.py`` judged, in table order."""
+    rows = sorted(
+        value
+        for reports in terminalreporter.stats.values()
+        for report in reports if getattr(report, "when", None) == "call"
+        for name, value in report.user_properties
+        if name == "claim"
+    )
+    if rows:
+        terminalreporter.section("paper claims")
+        for _, line in rows:
+            terminalreporter.write_line(line)

@@ -51,7 +51,7 @@ def _fault_mix(plan: FaultPlan) -> str:
     return ",".join(f"{k}x{v}" for k, v in sorted(counts.items()))
 
 
-def test_chaos_determinism_campaign(run_bench, results_dir):
+def test_chaos_determinism_campaign(results_dir):
     def experiment():
         schedule = make_schedule(CFG, seed=2021)
         build = make_cluster_builder(CFG)
@@ -75,7 +75,7 @@ def test_chaos_determinism_campaign(run_bench, results_dir):
             trials.append((plan, trial, verify_trial(trial, reference)))
         return reference, trials
 
-    reference, trials = run_bench(experiment)
+    reference, trials = experiment()
 
     print("\nChaos campaign — deterministic recovery under random faults")
     print(f"  workload: Google-YCSB, {CFG.num_txns} txns, "

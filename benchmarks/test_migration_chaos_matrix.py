@@ -34,7 +34,7 @@ TIMINGS = (
 )
 
 
-def test_migration_chaos_matrix(run_bench, results_dir):
+def test_migration_chaos_matrix(results_dir):
     def experiment():
         cells = []
         for seed in SEEDS:
@@ -61,7 +61,7 @@ def test_migration_chaos_matrix(run_bench, results_dir):
         }
         return cells, digests
 
-    cells, digests = run_bench(experiment)
+    cells, digests = experiment()
 
     print("\nMid-migration chaos matrix")
     print(f"  {'seed':>5} {'event_us':>9} {'scenario':<16} "

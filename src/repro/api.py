@@ -36,6 +36,7 @@ from repro.bench.figures import (
     scale_profile,
 )
 from repro.bench.harness import parallel_map
+from repro.bench.specs import ONLINE_STRATEGIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -199,8 +200,6 @@ def _reject_unknown(what: str, given: set[str], known: frozenset[str]) -> None:
 # Figure presets (what `python -m repro.obs record --preset ...` uses)
 # ----------------------------------------------------------------------
 
-_ONLINE = ("calvin", "gstore", "tpart", "leap", "hermes")
-
 PRESETS: dict[str, Callable[[], ExperimentSpec]] = {
     # Look-back motivation: systems that plan from history.
     "fig02": lambda: ExperimentSpec(
@@ -215,7 +214,8 @@ PRESETS: dict[str, Callable[[], ExperimentSpec]] = {
         }},
     ),
     # Hermes vs. on-line approaches.
-    "fig06b": lambda: ExperimentSpec(kind="google", strategies=_ONLINE),
+    "fig06b": lambda: ExperimentSpec(
+        kind="google", strategies=ONLINE_STRATEGIES),
     # Latency breakdown companion run.
     "fig07": lambda: ExperimentSpec(
         kind="google",

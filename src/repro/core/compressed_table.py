@@ -9,10 +9,10 @@ al. [34] — trades space for decode CPU on a read-hot structure.
 This module implements that alternative so the trade-off is measurable
 rather than rhetorical: a :class:`CompressedLookupTable` freezes a dense
 key→partition assignment into a Huffman-coded bitstream with a block
-index for random access.  ``benchmarks/test_abl_lookup_compression.py``
-reproduces the compression-factor range and shows the decode cost the
-paper worries about (every lookup decodes up to a block of symbols,
-where the fusion table is one hash probe).
+index for random access.  The ``abl-lookup-*`` rows of
+``benchmarks/claims.py`` reproduce the compression-factor range and the
+decode cost the paper worries about (every lookup decodes up to a block
+of symbols, where the fusion table is one hash probe).
 """
 
 from __future__ import annotations

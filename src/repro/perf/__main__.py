@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -55,7 +56,11 @@ TRACER_OVERHEAD_LIMIT = 0.03
 #: These two scenarios are measured interleaved (round-robin) whenever
 #: both run: the gate compares their *ratio*, which back-to-back
 #: measurements would contaminate with window-to-window CPU jitter.
+#: The gated ratio is the median over :data:`PAIRED_ROUNDS` rounds of
+#: the two scores within one round: a ratio of two best-of floors
+#: pairs samples from different noise windows.
 PAIRED = ("kernel_e2e", "tracer_overhead")
+PAIRED_ROUNDS = 16
 
 
 def run_suite(
@@ -66,15 +71,19 @@ def run_suite(
     if not profile and all(name in names for name in PAIRED):
         paired = measure_interleaved(
             {n: (lambda n=n: SCENARIOS[n](scale)) for n in PAIRED},
-            repeats=max(repeats, 4),
+            repeats=max(repeats, PAIRED_ROUNDS),
         )
+        kernel, guarded = (paired[n].rates for n in PAIRED)
+        paired["tracer_overhead"].extras = {"round_ratio_median": round(
+            statistics.median(g / k for k, g in zip(kernel, guarded)), 4
+        )}
     for name in names:
         result = paired.get(name) or measure(
             name, lambda n=name: SCENARIOS[n](scale),
             repeats=repeats, profile=profile,
         )
         if name in SCENARIO_EXTRAS:
-            result.extras = dict(SCENARIO_EXTRAS[name])
+            result.extras.update(SCENARIO_EXTRAS[name])
         results[name] = result
         print(
             f"  {name:<16} {result.events:>10} units  "
@@ -184,18 +193,18 @@ def parse_tolerance_overrides(specs: list[str]) -> dict[str, float]:
 
 
 def check_tracer_overhead(current: dict[str, dict]) -> list[str]:
-    """The disabled-tracer bound: ``tracer_overhead`` within 3 % of the
-    same run's ``kernel_e2e``.  No-op unless both scenarios ran."""
-    kernel = current.get("kernel_e2e", {}).get("events_per_s", 0.0)
-    guarded = current.get("tracer_overhead", {}).get("events_per_s", 0.0)
-    if not kernel or not guarded:
+    """The disabled-tracer bound: the median per-round ratio of
+    ``tracer_overhead`` to ``kernel_e2e`` within 3 % of 1.  No-op unless
+    both scenarios ran interleaved."""
+    extras = current.get("tracer_overhead", {}).get("extras", {})
+    ratio = extras.get("round_ratio_median")
+    if ratio is None:
         return []
-    floor = kernel * (1.0 - TRACER_OVERHEAD_LIMIT)
-    if guarded < floor:
+    if ratio < 1.0 - TRACER_OVERHEAD_LIMIT:
         return [
-            f"tracer_overhead: disabled-tracer score {guarded:,.0f} ev/s "
-            f"is more than {TRACER_OVERHEAD_LIMIT:.0%} below this run's "
-            f"kernel_e2e ({kernel:,.0f} ev/s)"
+            f"tracer_overhead: disabled-tracer score is {1 - ratio:.1%} "
+            "below kernel_e2e's in the median interleaved round "
+            f"(limit {TRACER_OVERHEAD_LIMIT:.0%})"
         ]
     return []
 

@@ -27,6 +27,8 @@ class BenchResult:
     repeats: int
     profile_top: str = ""
     extras: dict = field(default_factory=dict)
+    #: events/s of every round, in order (interleaved measurements only).
+    rates: list[float] = field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {
@@ -95,14 +97,13 @@ def measure_interleaved(
     noise windows (CI runners see multi-percent CPU jitter on a
     seconds timescale), which makes ratios between their scores
     unreliable.  Interleaving runs every scenario once per round, so
-    all best-of floors sample the same windows — used for the
-    tracer-overhead bound, where the quantity of interest is the ratio
-    between two nearly identical workloads.
+    round ``i`` of every scenario samples the same window: each result's
+    ``rates`` lists its events/s per round, for per-round ratios.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    best: dict[str, tuple[float, int]] = {
-        name: (float("inf"), 0) for name in scenarios
+    rounds: dict[str, list[tuple[float, int]]] = {
+        name: [] for name in scenarios
     }
     for _ in range(repeats):
         for name, scenario in scenarios.items():
@@ -111,16 +112,16 @@ def measure_interleaved(
             wall = time.perf_counter() - t0  # sanitize: ok(bench harness measures real wall time)
             if events <= 0:
                 raise ValueError(f"scenario {name!r} reported {events} events")
-            best_wall, best_events = best[name]
-            if wall / events < best_wall / max(1, best_events):
-                best[name] = (wall, events)
-    return {
-        name: BenchResult(
+            rounds[name].append((wall, events))
+    results = {}
+    for name, samples in rounds.items():
+        wall, events = min(samples, key=lambda s: s[0] / s[1])
+        results[name] = BenchResult(
             name=name,
             events=events,
             wall_s=wall,
             events_per_s=events / wall if wall > 0 else 0.0,
             repeats=repeats,
+            rates=[e / w if w > 0 else 0.0 for w, e in samples],
         )
-        for name, (wall, events) in best.items()
-    }
+    return results

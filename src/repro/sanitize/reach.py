@@ -4,7 +4,7 @@ point ever enter?
 The dynamic twin of :mod:`repro.sanitize.lint`.  ``python -m
 repro.sanitize reach`` runs every leg in :data:`LEGS` (the presets, the
 ``python -m repro.*`` commands the workflows run, ``perfbench``, the
-figure benchmarks and the examples) with a throwaway ``sitecustomize``
+benchmarks and the examples) with a throwaway ``sitecustomize``
 that starts :mod:`cProfile` in *every* interpreter a leg starts and dumps
 its stats at exit, so hash-seed children, perfbench rounds and serve
 subprocesses count too.  It then lists every ``def`` under ``src/repro``
@@ -22,7 +22,7 @@ matches any line from its first decorator to the ``def`` itself.
 Legs run one at a time: a ``multiprocessing`` worker leaves through
 ``os._exit`` and never dumps its profile.  Three legs are reported but
 not gated: ``repro.perf --compare`` (profiling slows the timed scenarios
-past their tolerance), the figure benchmarks (a few shape assertions do
+past their tolerance), the benchmarks (a few of the paper's claims do
 not hold at the leg's reduced scale) and the gate judging the legs
 before it (its verdict cannot count its own profile).
 """
@@ -160,8 +160,8 @@ LEGS: tuple[Leg, ...] = (
         "--json {tmp}/bench_out.json --label reach", gated=False),
     Leg("perf-trend", "python -m repro.perf --trend BENCH_sim.json"),
     Leg("perfbench", "python perfbench/run.py --quick"),
-    Leg("benchmarks", "python -m pytest benchmarks -q -p no:cacheprovider "
-        "--benchmark-disable", "0.02", group="benchmarks", gated=False),
+    Leg("benchmarks", "python -m pytest benchmarks -q -p no:cacheprovider",
+        "0.02", group="benchmarks", gated=False),
     *(
         Leg(f"example-{name}", f"python examples/{name}.py",
             group="examples")

@@ -11,6 +11,7 @@ from repro.api import (
 )
 from repro.bench import figures
 from repro.obs.tracer import Tracer
+from repro.sanitize.replay import canonical_payload, payload_digest
 
 
 class TestSpecValidation:
@@ -163,3 +164,21 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_spec("fig99")
+
+    @pytest.mark.parametrize("strategy, presets", [
+        ("calvin", ("fig02", "fig06a", "fig06b")),
+        ("hermes", ("fig06a", "fig06b")),
+    ])
+    def test_row_ignores_the_rest_of_its_spec(self, monkeypatch, strategy,
+                                              presets):
+        # The claims table makes a row shared by several figures once:
+        # a row's result must not depend on its spec's other strategies
+        # or on params that name other rows (fig06a's Schism periods).
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
+        digests = {
+            name: payload_digest(canonical_payload(
+                figures.run_task((preset_spec(name), strategy))
+            ))
+            for name in presets
+        }
+        assert len(set(digests.values())) == 1, digests

@@ -8,13 +8,14 @@ from repro.perf import scenarios
 from repro.perf.__main__ import (
     GATED,
     HEAVY,
+    check_tracer_overhead,
     compare,
     main,
     normalized,
     parse_tolerance_overrides,
     trend,
 )
-from repro.perf.measure import measure
+from repro.perf.measure import measure, measure_interleaved
 
 
 class TestMeasure:
@@ -40,6 +41,18 @@ class TestMeasure:
     def test_profile_attaches_stats(self):
         result = measure("x", lambda: 10, repeats=1, profile=True)
         assert "cumulative" in result.profile_top
+
+    def test_interleaved_keeps_every_round(self):
+        order = []
+        results = measure_interleaved(
+            {"a": lambda: order.append("a") or 10,
+             "b": lambda: order.append("b") or 20},
+            repeats=3,
+        )
+        assert order == ["a", "b"] * 3
+        for result in results.values():
+            assert len(result.rates) == 3
+            assert result.events_per_s == max(result.rates)
 
 
 class TestScenarios:
@@ -115,6 +128,17 @@ class TestCompare:
             current, base, tolerance=0.30, per_scenario={"routing": 0.50}
         )
         assert len(problems) == 1 and "end_to_end" in problems[0]
+
+    @pytest.mark.parametrize("ratio, failures", [
+        (0.985, 0), (0.97, 0), (0.96, 1), (None, 0),
+    ])
+    def test_tracer_gate_reads_the_median_round_ratio(self, ratio, failures):
+        extras = {} if ratio is None else {"round_ratio_median": ratio}
+        current = {"kernel_e2e": {"events_per_s": 100.0},
+                   "tracer_overhead": {"events_per_s": 50.0,
+                                       "extras": extras}}
+        # The best-of scores (a 50 % gap here) no longer decide.
+        assert len(check_tracer_overhead(current)) == failures
 
     def test_parse_tolerance_overrides(self):
         overrides = parse_tolerance_overrides(

@@ -67,7 +67,7 @@ SURFACE = {
     "RoutingConfig.reorder": "src/repro/bench/specs.py",
     "RoutingConfig.balance": "src/repro/bench/figures.py",
     "FusionConfig.capacity": "src/repro/bench/figures.py",
-    "FusionConfig.eviction": "benchmarks/test_abl_fusion_table.py",
+    "FusionConfig.eviction": "benchmarks/claims.py",
     "EngineConfig.workers_per_node": "src/repro/bench/presets.py",
     "EngineConfig.epoch_us": "src/repro/bench/presets.py",
     "EngineConfig.max_batch_size": "src/repro/bench/presets.py",
@@ -131,8 +131,8 @@ SURFACE = {
     "TPCCConfig.hot_fraction": "src/repro/bench/__main__.py --hot",
     "YCSBConfig.num_keys": "src/repro/bench/figures.py",
     "YCSBConfig.num_partitions": "src/repro/bench/figures.py",
-    "YCSBConfig.txn_len_mean": "benchmarks/test_fig09_txn_length.py",
-    "YCSBConfig.txn_len_std": "benchmarks/test_fig09_txn_length.py",
+    "YCSBConfig.txn_len_mean": "benchmarks/claims.py",
+    "YCSBConfig.txn_len_std": "benchmarks/claims.py",
     "YCSBConfig.rw_ratio": "src/repro/api.py",
     "YCSBConfig.zipf_theta": "src/repro/bench/figures.py",
     "YCSBConfig.global_cycle_us": "src/repro/bench/figures.py",
@@ -142,12 +142,11 @@ PARAMS = {
     # KINDS[kind].valid_params
     "google.rate_scale": "src/repro/bench/__main__.py --rate-scale",
     "google.schism_periods": "src/repro/api.py",
-    "google.ycsb_overrides": "benchmarks/test_fig09_txn_length.py",
+    "google.ycsb_overrides": "benchmarks/claims.py",
     "tpcc.hot_fraction": "src/repro/bench/__main__.py --hot",
-    "tpcc_sweep.hot_fractions": "benchmarks/test_fig11_tpcc.py",
+    "tpcc_sweep.hot_fractions": "benchmarks/claims.py",
     "multitenant.config": "perfbench/worker.py",
-    "multitenant.partitioner_factory":
-        "benchmarks/test_fig13_initial_partitioning.py",
+    "multitenant.partitioner_factory": "benchmarks/claims.py",
     "forecast_robustness.error_levels": "src/repro/api.py",
     "forecast_robustness.forecaster": "src/repro/api.py",
     "replication.replication": "src/repro/api.py",
