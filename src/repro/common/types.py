@@ -60,7 +60,7 @@ class ExecutionProfile:
 DEFAULT_PROFILE = ExecutionProfile()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class Transaction:
     """One totally ordered transaction request.
 
@@ -74,6 +74,14 @@ class Transaction:
     active-node set for ``TOPOLOGY`` markers, and the (src, dst) pair for
     ``MIGRATION`` chunks.  Equality is identity — two distinct requests
     are distinct transactions even with identical footprints.
+
+    Immutable by contract: no layer assigns a field after construction
+    (routers reorder transactions, never edit them).  The class is not
+    ``frozen`` because a frozen dataclass pays one ``object.__setattr__``
+    per field on every construction, and one is built per request.  The
+    two derived views every engine layer reads per transaction —
+    ``full_set`` and ``ordered_keys`` — are computed once, here, as plain
+    fields.
     """
 
     txn_id: TxnId
@@ -91,48 +99,27 @@ class Transaction:
     Returning False deterministically aborts the transaction (its
     footprint prediction went stale), and the OLLP coordinator restarts
     it with a fresh reconnaissance (Section 2.1)."""
+    full_set: frozenset[Key] = field(init=False, repr=False)
+    """Every key the transaction locks (reads ∪ writes)."""
+    ordered_keys: tuple[Key, ...] = field(init=False, repr=False)
+    """``full_set`` in a deterministic, hash-salt-independent order.
 
-    # Lazily computed caches for the two derived views every engine layer
-    # hits per transaction (routing, lock classification, execution).
-    # Both derive purely from the frozen read/write sets, so memoizing
-    # them on the instance is invisible to any observer.
-    _full_cache: frozenset = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _ordered_cache: tuple = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    Iterating a ``frozenset`` of str-bearing keys (e.g. TPC-C's
+    composite tuples) follows the per-process ``PYTHONHASHSEED`` salt,
+    so any consumer whose *sequence* of operations feeds scheduling —
+    routing loops, lock classification, reads-from grouping — must
+    iterate this instead."""
 
     def __post_init__(self) -> None:
-        if self.kind is TxnKind.READ_ONLY and self.write_set:
+        reads = self.read_set
+        writes = self.write_set
+        if self.kind is TxnKind.READ_ONLY and writes:
             raise ValueError(
                 f"transaction {self.txn_id} is READ_ONLY but has a write-set"
             )
-
-    @property
-    def full_set(self) -> frozenset[Key]:
-        """Every key the transaction locks (reads ∪ writes)."""
-        cached = self._full_cache
-        if cached is None:
-            cached = self.read_set | self.write_set
-            object.__setattr__(self, "_full_cache", cached)
-        return cached
-
-    @property
-    def ordered_keys(self) -> tuple[Key, ...]:
-        """``full_set`` in a deterministic, hash-salt-independent order.
-
-        Iterating a ``frozenset`` of str-bearing keys (e.g. TPC-C's
-        composite tuples) follows the per-process ``PYTHONHASHSEED``
-        salt, so any consumer whose *sequence* of operations feeds
-        scheduling — routing loops, lock classification, reads-from
-        grouping — must iterate this instead.
-        """
-        cached = self._ordered_cache
-        if cached is None:
-            cached = tuple(sorted(self.full_set, key=repr))
-            object.__setattr__(self, "_ordered_cache", cached)
-        return cached
+        full = reads if writes is reads or not writes else reads | writes
+        self.full_set = full
+        self.ordered_keys = tuple(sorted(full, key=repr))
 
     @property
     def size(self) -> int:

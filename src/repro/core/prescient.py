@@ -309,12 +309,18 @@ class PrescientRouter(Router):
             at = bisect.bisect_right(positions, position)
             return at if at < len(positions) else None
 
-        def edges_for(pos: int, txn: Transaction, candidate: NodeId) -> int:
-            """Remote edges if the txn at B′ pos is routed to candidate."""
-            edges = 0
+        def edge_hits(
+            pos: int, txn: Transaction
+        ) -> tuple[int, dict[NodeId, int]]:
+            """``(total, hits)`` for the txn at B′ pos: routed to node
+            ``c`` it has ``total - hits.get(c, 0)`` remote edges.  One
+            scan of the footprint and of each written key's later
+            readers scores every candidate at once."""
+            hits: dict[NodeId, int] = {}
+            total = len(txn.full_set)
             for key in txn.full_set:
-                if owner_before(key, pos) != candidate:
-                    edges += 1
+                owner = owner_before(key, pos)
+                hits[owner] = hits.get(owner, 0) + 1
             for key in txn.write_set:
                 stop = next_writer_slot(key, pos)
                 stop_pos = writer_pos[key][stop] if stop is not None else b
@@ -322,15 +328,19 @@ class PrescientRouter(Router):
                     reader_pos = position_of[reader_index]
                     if pos < reader_pos < stop_pos:
                         reader_master = order[reader_pos][1]
-                        if reader_master != candidate:
-                            edges += 1
-            return edges
+                        hits[reader_master] = hits.get(reader_master, 0) + 1
+                        total += 1
+            return total, hits
 
         overloaded = {node for node, load in loads.items() if load > theta}
         underloaded = {node for node, load in loads.items() if load < theta}
         delta = 1
         while overloaded and underloaded and delta <= MAX_DELTA:
             moved_any = False
+            # The smallest extra edge count this pass refuses: a pass that
+            # moves nothing leaves every score as it was, so the next pass
+            # that can move anything runs at exactly this delta.
+            least_refused = MAX_DELTA + 1
             for pos in range(b - 1, -1, -1):
                 index, master = order[pos]
                 if master not in overloaded:
@@ -338,11 +348,14 @@ class PrescientRouter(Router):
                 txn = txns[index]
                 if txn.kind is TxnKind.TOPOLOGY:
                     continue
-                current_edges = edges_for(pos, txn, master)
+                total, hits = edge_hits(pos, txn)
+                current_edges = total - hits.get(master, 0)
                 best: tuple[int, NodeId] | None = None
                 for candidate in sorted(underloaded):
-                    candidate_edges = edges_for(pos, txn, candidate)
-                    if candidate_edges - current_edges > delta:
+                    candidate_edges = total - hits.get(candidate, 0)
+                    extra = candidate_edges - current_edges
+                    if extra > delta:
+                        least_refused = min(least_refused, extra)
                         continue
                     if best is None or candidate_edges < best[0]:
                         best = (candidate_edges, candidate)
@@ -368,7 +381,7 @@ class PrescientRouter(Router):
                 if not overloaded:
                     return
             if not moved_any:
-                delta += 1
+                delta = least_refused
 
     # ------------------------------------------------------------------
     # Final authoritative pass: build plans and commit fusion updates

@@ -469,10 +469,32 @@ def build_multi_master_plan(
     owns.  Read-only transactions execute at the majority read owner.
     No data moves permanently.  ``owners`` — a precomputed footprint
     aligned with ``txn.ordered_keys`` — skips the ownership pass.
+
+    When one active node owns the whole footprint (every transaction
+    under a converged static partitioning), the plan is that node alone,
+    built in one step; the general case would derive the same master,
+    serve group and write group key by key.
     """
-    keys = txn.ordered_keys
     if owners is None:
-        owners = view.ownership.owners_bulk(keys)
+        owners = view.ownership.owners_bulk(txn.ordered_keys)
+    if owners:
+        owner = owners[0]
+        if owners.count(owner) == len(owners) and owner in view.active_nodes:
+            write_set = txn.write_set
+            return TxnPlan(
+                txn=txn,
+                masters=(owner,),
+                reads_from={owner: txn.full_set},
+                writes_at={owner: write_set} if write_set else {},
+            )
+    return _multi_master_plan_by_key(txn, view, owners)
+
+
+def _multi_master_plan_by_key(
+    txn: Transaction, view: ClusterView, owners: Sequence[NodeId]
+) -> TxnPlan:
+    """:func:`build_multi_master_plan`'s general case, key by key."""
+    keys = txn.ordered_keys
     owner_of = dict(zip(keys, owners))
     write_set = txn.write_set
 

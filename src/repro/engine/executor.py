@@ -37,6 +37,7 @@ from repro.common.types import Key, NodeId, Transaction, TxnKind
 from repro.core.plan import TxnPlan
 from repro.engine.locks import LockMode
 from repro.sim.kernel import SimEvent
+from repro.sim.stats import LATENCY_STAGES
 from repro.storage.store import Record, RecordStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -843,8 +844,10 @@ class TxnRuntime:
     # Latency breakdown (Figure 7 buckets)
     # ------------------------------------------------------------------
 
-    def latency_stages(self) -> dict[str, float]:
-        """Additive per-stage latency at the coordinator, in microseconds."""
+    def stage_times(self) -> tuple[float, float, float, float, float]:
+        """Additive per-stage latency at the coordinator, in microseconds,
+        in :data:`~repro.sim.stats.LATENCY_STAGES` order; every stage is
+        clamped at zero."""
         t0 = self.t_sequenced
         t1 = self.t_dispatched
         t2 = self.t_locks if self.t_locks is not None else t1
@@ -852,15 +855,18 @@ class TxnRuntime:
         t4 = self.t_data if self.t_data is not None else t3
         t6 = self.t_commit if self.t_commit is not None else t4
         exec_span = max(0.0, t6 - t4)
-        logic_and_queue = max(0.0, exec_span - self._coord_apply_cpu)
-        return {
-            "scheduling": max(0.0, t1 - t0),
-            "lock_wait": max(0.0, t2 - t1),
-            "local_storage": max(0.0, t3 - t2)
-            + min(self._coord_apply_cpu, exec_span),
-            "remote_wait": max(0.0, t4 - t3),
-            "other": logic_and_queue,
-        }
+        apply_cpu = self._coord_apply_cpu
+        return (
+            max(0.0, t1 - t0),
+            max(0.0, t2 - t1),
+            max(0.0, t3 - t2) + min(apply_cpu, exec_span),
+            max(0.0, t4 - t3),
+            max(0.0, exec_span - apply_cpu),
+        )
+
+    def latency_stages(self) -> dict[str, float]:
+        """:meth:`stage_times` keyed by stage name (the tracer's form)."""
+        return dict(zip(LATENCY_STAGES, self.stage_times()))
 
     def total_latency(self) -> float:
         """Client-perceived latency: arrival to commit."""
@@ -1149,6 +1155,7 @@ class LocalTxnRuntime:
         self.on_finished(self)
 
     # Same timestamps, same buckets — reuse the generic implementation.
+    stage_times = TxnRuntime.stage_times
     latency_stages = TxnRuntime.latency_stages
     total_latency = TxnRuntime.total_latency
 

@@ -138,7 +138,7 @@ class ClusterMetrics:
         self.commit_rate.record(now)
         if now >= self.warmup_until:
             self.commits_total.inc()
-            self.latency.record(runtime.latency_stages())
+            self.latency.add(*runtime.stage_times())
             self._latency_hist.observe(runtime.total_latency())
 
     # -- aggregates ------------------------------------------------------

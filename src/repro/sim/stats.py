@@ -85,14 +85,23 @@ class LatencyBreakdown:
     )
     count: int = 0
 
-    def record(self, stage_times: dict[str, float]) -> None:
-        """Add one transaction's per-stage times (missing stages are 0)."""
-        for stage, value in stage_times.items():
-            if stage not in self.sums:
-                raise KeyError(f"unknown latency stage {stage!r}")
-            if value < 0:
-                raise ValueError(f"negative latency for stage {stage!r}")
-            self.sums[stage] += value
+    def add(
+        self,
+        scheduling: float,
+        lock_wait: float,
+        local_storage: float,
+        remote_wait: float,
+        other: float,
+    ) -> None:
+        """Add one commit's five stage times, in :data:`LATENCY_STAGES`
+        order, without building a dict.  Every value must be
+        non-negative; the engine clamps each stage where it computes it."""
+        sums = self.sums
+        sums["scheduling"] += scheduling
+        sums["lock_wait"] += lock_wait
+        sums["local_storage"] += local_storage
+        sums["remote_wait"] += remote_wait
+        sums["other"] += other
         self.count += 1
 
     def averages(self) -> dict[str, float]:

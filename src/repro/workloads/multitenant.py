@@ -109,10 +109,12 @@ class MultiTenantWorkload:
         self._profile = ExecutionProfile(record_bytes=RECORD_BYTES)
         # ``make_txn`` runs once per client request, so the tenant pick is
         # hot; bind the underlying ``random.Random`` draws to skip the
-        # wrapper frames (the draw sequence is untouched).
+        # wrapper frames.  ``_randbelow(n)`` is the draw ``randint(0,
+        # n - 1)`` makes after its argument checks, so the sequence is
+        # the same.
         py = self._rng.py
         self._random = py.random
-        self._randint = py.randint
+        self._randbelow = py._randbelow
 
     def hot_node_at(self, now_us: float) -> int:
         """Which node's tenants are hot at this time."""
@@ -129,8 +131,8 @@ class MultiTenantWorkload:
                 return cfg.fixed_hot_tenant
             hot = self.hot_node_at(now_us)
             tenants = cfg.tenants_of_node(hot)
-            return tenants[self._randint(0, len(tenants) - 1)]
-        return self._randint(0, cfg.num_tenants - 1)
+            return tenants[self._randbelow(len(tenants))]
+        return self._randbelow(cfg.num_tenants)
 
     def make_txn(self, txn_id: int, now_us: float) -> Transaction:
         cfg = self.config

@@ -1,14 +1,21 @@
 """Unit tests for OwnershipView, ClusterView, and plan-builder helpers."""
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.baselines.calvin import CalvinRouter
+from repro.common.config import ClusterConfig
 from repro.common.errors import RoutingError
 from repro.common.types import Batch, Transaction, TxnKind
+from repro.core.plan import TxnPlan
 from repro.core.provisioning import ChunkMigration
 from repro.core.router import (
     ClusterView,
     DictOverlay,
     OwnershipView,
+    _multi_master_plan_by_key,
     build_chunk_migration_plan,
     build_multi_master_plan,
     build_single_master_plan,
@@ -17,6 +24,8 @@ from repro.core.router import (
     majority_owner,
     split_system_txns,
 )
+from repro.engine.cluster import Cluster
+from repro.engine.executor import LocalTxnRuntime, TxnRuntime, make_runtime
 from repro.storage.partitioning import make_uniform_ranges
 
 
@@ -122,6 +131,59 @@ class TestMultiMasterBuilder:
         view = make_view()
         plan = build_multi_master_plan(Transaction.read_only(1, [5, 150]), view)
         assert len(plan.masters) == 1
+
+
+class TestAllLocalPlan:
+    """A footprint one active node owns is planned in one step; the plan
+    must equal, field by field, the one the key-by-key case builds."""
+
+    @staticmethod
+    def draw(rng, txn_id):
+        """Keys from one node's range or from two; read-write, read-only
+        or with a blind write."""
+        node = rng.randrange(3)
+        keys = rng.sample(range(node * 100, node * 100 + 100), rng.randint(2, 4))
+        if rng.random() < 0.5:
+            keys[-1] = (node + 1 + rng.randrange(2)) % 3 * 100 + rng.randrange(100)
+        shape = rng.choice(("rw", "ro", "blind"))
+        if shape == "ro":
+            return Transaction.read_only(txn_id, keys)
+        if shape == "blind":
+            return rw(txn_id, keys[1:], keys[:1])
+        return rw(txn_id, keys, rng.sample(keys, rng.randint(1, len(keys))))
+
+    @pytest.mark.parametrize("active", [(0, 1, 2), (0, 1)])
+    def test_early_plan_equals_general_plan(self, active):
+        view = make_view()
+        view.set_active(active)
+        cluster = Cluster(
+            ClusterConfig(num_nodes=3), CalvinRouter(), make_uniform_ranges(300, 3)
+        )
+        rng = random.Random(7)
+        seen = set()
+        for txn_id in range(200):
+            txn = self.draw(rng, txn_id)
+            owners = view.ownership.owners_bulk(txn.ordered_keys)
+            plan = build_multi_master_plan(txn, view, owners)
+            general = _multi_master_plan_by_key(txn, view, owners)
+            for field in dataclasses.fields(TxnPlan):
+                assert getattr(plan, field.name) == getattr(
+                    general, field.name
+                ), (txn, field.name)
+            one_owner = len(set(owners)) == 1
+            owner_active = owners[0] in active
+            runtime = make_runtime(cluster, plan, 1, 0.0, 0.0, lambda r: None)
+            if one_owner and (owner_active or txn.write_set):
+                assert type(runtime) is LocalTxnRuntime, txn
+            else:
+                assert type(runtime) is TxnRuntime, txn
+            seen.add((one_owner, owner_active, bool(txn.write_set)))
+        # Every case was drawn: one owner or several, active or not,
+        # writing or read-only (node 2 is inactive in the second run).
+        expected = {(one, True, w) for one in (True, False) for w in (True, False)}
+        if len(active) < 3:
+            expected |= {(True, False, True), (True, False, False)}
+        assert expected <= seen
 
 
 class TestSystemPlans:

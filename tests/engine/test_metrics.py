@@ -10,8 +10,8 @@ class FakeRuntime:
         self.t_commit = t_commit
         self._arrival = arrival
 
-    def latency_stages(self):
-        return {"scheduling": 10.0, "lock_wait": 5.0}
+    def stage_times(self):
+        return (10.0, 5.0, 0.0, 0.0, 0.0)
 
     def total_latency(self):
         return self.t_commit - self._arrival

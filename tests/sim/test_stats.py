@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.sim.stats import LatencyBreakdown, TimeSeries, WindowedRate
+from repro.sim.stats import (
+    LATENCY_STAGES,
+    LatencyBreakdown,
+    TimeSeries,
+    WindowedRate,
+)
 
 
 class TestTimeSeries:
@@ -40,10 +45,17 @@ class TestWindowedRate:
 
 
 class TestLatencyBreakdown:
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(KeyError):
-            LatencyBreakdown().record({"mystery": 1.0})
+    def test_add_sums_each_stage_in_order(self):
+        breakdown = LatencyBreakdown()
+        breakdown.add(10.0, 5.0, 2.0, 0.0, 1.0)
+        breakdown.add(30.0, 1.0, 4.0, 6.0, 3.0)
+        assert breakdown.count == 2
+        assert breakdown.averages() == {
+            "scheduling": 20.0, "lock_wait": 3.0, "local_storage": 3.0,
+            "remote_wait": 3.0, "other": 2.0,
+        }
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyBreakdown().record({"scheduling": -1.0})
+    def test_empty_averages_are_zero(self):
+        assert LatencyBreakdown().averages() == dict.fromkeys(
+            LATENCY_STAGES, 0.0
+        )
