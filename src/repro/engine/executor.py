@@ -112,8 +112,7 @@ class TxnRuntime:
         "cluster", "plan", "txn", "seq", "t_sequenced", "t_dispatched",
         "on_finished", "committed", "aborted", "will_abort", "coordinator",
         "t_locks", "t_serve_done", "t_data", "t_commit",
-        "_coord_serve_cpu", "_coord_apply_cpu", "_coord_logic_cpu",
-        "_data_ready", "_inbox", "_values",
+        "_coord_apply_cpu", "_data_ready", "_inbox", "_values",
         "_expected_from", "_received_from", "_migrated_by_src",
         "_release_stage", "_lock_mode", "_lock_order_sorted",
         "_all_groups", "_sole_group", "_evict_group", "_groups",
@@ -323,9 +322,7 @@ class TxnRuntime:
         self.t_serve_done: float | None = None
         self.t_data: float | None = None
         self.t_commit: float | None = None
-        self._coord_serve_cpu = 0.0
         self._coord_apply_cpu = 0.0
-        self._coord_logic_cpu = 0.0
 
     # ------------------------------------------------------------------
     # Lock plumbing (called by the cluster's scheduler)
@@ -371,8 +368,9 @@ class TxnRuntime:
     def start(self) -> None:
         """Launch the per-location serve parts and per-master parts.
 
-        Each part is a callback chain.  Its hops are deliberate: the
-        entry goes through ``call_soon``, a gate parks on a
+        Each part is a callback chain, and this is the engine's only
+        chain with deliberate hops (:class:`LocalTxnRuntime` folds its
+        own): the entry goes through ``call_soon``, a gate parks on a
         :class:`SimEvent` whose trigger wakes it through ``call_soon``,
         and a worker completion re-enters through ``call_soon`` too.
         Every hop takes a run-queue slot, and those slots fix the order
@@ -415,13 +413,11 @@ class TxnRuntime:
         cluster.nodes[loc].workers.submit(
             cpu,
             partial(
-                kernel.call_soon, self._serve_executed, loc, cpu, kernel.now
+                kernel.call_soon, self._serve_executed, loc, kernel.now
             ),
         )
 
-    def _serve_executed(
-        self, loc: NodeId, cpu: float, t_serve_start: float
-    ) -> None:
+    def _serve_executed(self, loc: NodeId, t_serve_start: float) -> None:
         cluster = self.cluster
         kernel = cluster.kernel
         txn = self.txn
@@ -432,7 +428,6 @@ class TxnRuntime:
         self._serve_done[loc] = kernel.now
         if loc == self.coordinator:
             self.t_serve_done = kernel.now
-            self._coord_serve_cpu += cpu
 
         store = cluster.nodes[loc].store
         moves = self._migrated_by_src.get(loc)
@@ -669,7 +664,6 @@ class TxnRuntime:
             _apply_writes(node.store, txn, local_writes)
 
         if master == self.coordinator:
-            self._coord_logic_cpu = logic_cpu
             self._coord_apply_cpu = apply_cpu
             self._commit()
 
@@ -881,12 +875,15 @@ class LocalTxnRuntime:
     Eligible plans (see :func:`make_runtime`) have exactly one master,
     read only at that master, and carry no migrations, writebacks,
     evictions, or OLLP validator — the dominant plan shape under every
-    routing strategy once placement converges.  The chain below replays
-    :class:`TxnRuntime`'s callback structure hop for hop (the same
-    ``call_soon``/timer count in the same order), so kernel
-    interleavings — and hence the integration goldens — are unchanged;
-    what it sheds is the SimEvent, lock-group, and per-master dict
-    machinery that only distributed plans need.
+    routing strategy once placement converges.  The chain has no hop of
+    its own: once every lock is granted it submits the serve burst, the
+    serve burst's completion submits the master burst, and the master
+    burst's completion commits.  Locks granted at dispatch let
+    :meth:`start` submit the serve burst at once; otherwise the last
+    grant does it through one ``call_soon`` (it runs inside a release,
+    which a grant callback must not re-enter).  So a transaction costs
+    two worker timers plus at most one run-queue slot, against
+    :class:`TxnRuntime`'s seven zero-delay hops for the same plan.
     """
 
     local_fast = True
@@ -896,9 +893,7 @@ class LocalTxnRuntime:
         "on_finished", "committed", "aborted", "will_abort",
         "coordinator", "_keys", "_replica",
         "t_locks", "t_serve_done", "t_data", "t_commit",
-        "_coord_serve_cpu", "_coord_apply_cpu", "_coord_logic_cpu",
-        "_ungranted", "_granted_at", "_serve_parked", "_master_parked",
-        "_master_waiting", "_data_arrived",
+        "_coord_apply_cpu", "_ungranted",
     )
 
     def __init__(
@@ -933,23 +928,17 @@ class LocalTxnRuntime:
             else None
         )
         self._replica = replica or None
-        self._ungranted = len(txn.ordered_keys) - (
+        # One count per lock, plus one that ``start`` holds: grants made
+        # while the scheduler enqueues (before ``start``) can never be
+        # the last one.
+        self._ungranted = len(txn.ordered_keys) + 1 - (
             len(replica) if replica else 0
         )
-        # Overwritten by the last grant when any lock exists; the
-        # lock-free case reports zero lock wait from dispatch time.
-        self._granted_at = t_dispatched
-        self._serve_parked = False
-        self._master_parked = False
-        self._master_waiting = False
-        self._data_arrived = False
         self.t_locks: float | None = None
         self.t_serve_done: float | None = None
         self.t_data: float | None = None
         self.t_commit: float | None = None
-        self._coord_serve_cpu = 0.0
         self._coord_apply_cpu = 0.0
-        self._coord_logic_cpu = 0.0
 
     # -- lock plumbing --------------------------------------------------
 
@@ -976,56 +965,35 @@ class LocalTxnRuntime:
         self._ungranted -= 1
         if self._ungranted == 0:
             kernel = self.cluster.kernel
-            self._granted_at = kernel.now
-            # Waiters wake in registration order (serve, then master),
-            # matching the generic runtime's SimEvent trigger.
-            if self._serve_parked:
-                kernel.call_soon(self._serve_body)
-            if self._master_parked:
-                kernel.call_soon(self._master_locked)
+            self.t_locks = kernel.now
+            kernel.call_soon(self._serve)
 
     # -- the chain ------------------------------------------------------
 
     def start(self) -> None:
-        call_soon = self.cluster.kernel.call_soon
-        call_soon(self._serve_entry)
-        call_soon(self._master_entry)
-
-    def _serve_entry(self) -> None:
-        # Mirrors add_waiter on the lock-group event: already granted →
-        # one more hop through the run queue; otherwise park.
+        """Serve now if dispatch granted every lock (or none was needed)."""
+        self._ungranted -= 1
         if self._ungranted == 0:
-            self.cluster.kernel.call_soon(self._serve_body)
-        else:
-            self._serve_parked = True
+            self.t_locks = self.t_dispatched
+            self._serve()
 
-    def _master_entry(self) -> None:
-        if self._ungranted == 0:
-            self.cluster.kernel.call_soon(self._master_locked)
-        else:
-            self._master_parked = True
-
-    def _serve_body(self) -> None:
+    def _serve(self) -> None:
         cluster = self.cluster
-        kernel = cluster.kernel
-        if self.t_locks is None:
-            self.t_locks = self._granted_at
         cpu = cluster.config.costs.local_access_us * len(self._keys)
         cluster.nodes[self.coordinator].workers.submit(
-            cpu,
-            partial(kernel.call_soon, self._serve_executed, cpu, kernel.now),
+            cpu, partial(self._serve_executed, cluster.kernel.now)
         )
 
-    def _serve_executed(self, cpu: float, t_serve_start: float) -> None:
+    def _serve_executed(self, t_serve_start: float) -> None:
         cluster = self.cluster
-        kernel = cluster.kernel
+        now = cluster.kernel.now
         master = self.coordinator
+        txn = self.txn
         keys = self._keys
         tracer = cluster.tracer
         if tracer is not None:
-            tracer.serve(self.txn.txn_id, master, t_serve_start, len(keys))
-        self.t_serve_done = kernel.now
-        self._coord_serve_cpu += cpu
+            tracer.serve(txn.txn_id, master, t_serve_start, len(keys))
+        self.t_serve_done = now
         node = cluster.nodes[master]
         replica = self._replica
         # Keep these reads: they check placement, and dataflow writes need the values.
@@ -1041,53 +1009,11 @@ class LocalTxnRuntime:
             read = node.store.read_value
             for key in keys:
                 read(key)
-        # Data-ready: the master's own serve is its only input.  The
-        # master part always parks first (its entry hop runs before the
-        # serve burst timer can fire), but mirror the triggered-event
-        # path anyway.
-        if self._master_waiting:
-            kernel.call_soon(self._master_data)
-        else:
-            self._data_arrived = True
-        # Release read-stage keys, in the same repr-sorted order the
-        # generic runtime uses (``ordered_keys`` is already sorted).
-        # Replica-served keys were never locked, so there is nothing to
-        # release for them.
-        ws = self.txn.write_set
-        release = cluster.lock_manager.release
-        seq = self.seq
-        if replica:
-            if ws:
-                for key in self.txn.ordered_keys:
-                    if key not in ws and key not in replica:
-                        release(seq, key)
-            else:
-                for key in self.txn.ordered_keys:
-                    if key not in replica:
-                        release(seq, key)
-        elif ws:
-            for key in self.txn.ordered_keys:
-                if key not in ws:
-                    release(seq, key)
-        else:
-            for key in self.txn.ordered_keys:
-                release(seq, key)
-
-    def _master_locked(self) -> None:
-        if self.t_locks is None:
-            self.t_locks = self._granted_at
-        if self._data_arrived:
-            self.cluster.kernel.call_soon(self._master_data)
-        else:
-            self._master_waiting = True
-
-    def _master_data(self) -> None:
-        cluster = self.cluster
-        kernel = cluster.kernel
+        # The master's own serve is its only input: its data is ready,
+        # so the master burst goes in now.
+        self.t_data = now
         costs = cluster.config.costs
-        self.t_data = kernel.now
-        txn = self.txn
-        local_writes = self.plan.writes_at.get(self.coordinator)
+        local_writes = self.plan.writes_at.get(master)
         num_writes = len(local_writes) if local_writes else 0
         logic_cpu = (
             costs.logic_us_per_record * txn.size * txn.profile.logic_factor
@@ -1096,13 +1022,33 @@ class LocalTxnRuntime:
         if txn.aborts:
             # The paper's undo pass, charged though nothing is written.
             apply_cpu += costs.local_access_us * num_writes
-        cluster.nodes[self.coordinator].workers.submit(
+        node.workers.submit(
             logic_cpu + apply_cpu,
-            partial(
-                kernel.call_soon, self._master_executed,
-                logic_cpu, apply_cpu, kernel.now,
-            ),
+            partial(self._master_executed, logic_cpu, apply_cpu, now),
         )
+        # Release read-stage keys, in the same repr-sorted order the
+        # generic runtime uses (``ordered_keys`` is already sorted).
+        # Replica-served keys were never locked, so there is nothing to
+        # release for them.
+        ws = txn.write_set
+        release = cluster.lock_manager.release
+        seq = self.seq
+        if replica:
+            if ws:
+                for key in txn.ordered_keys:
+                    if key not in ws and key not in replica:
+                        release(seq, key)
+            else:
+                for key in txn.ordered_keys:
+                    if key not in replica:
+                        release(seq, key)
+        elif ws:
+            for key in txn.ordered_keys:
+                if key not in ws:
+                    release(seq, key)
+        else:
+            for key in txn.ordered_keys:
+                release(seq, key)
 
     def _master_executed(
         self, logic_cpu: float, apply_cpu: float, t_exec_start: float
@@ -1119,7 +1065,6 @@ class LocalTxnRuntime:
         local_writes = self.plan.writes_at.get(master)
         if local_writes and not self.will_abort:
             _apply_writes(node.store, txn, local_writes)
-        self._coord_logic_cpu = logic_cpu
         self._coord_apply_cpu = apply_cpu
         self._commit(node)
         # Commit-stage releases are exactly the write set (eligibility
@@ -1178,7 +1123,9 @@ def make_runtime(
     ``LocalTxnRuntime`` stays a separate class by measurement: sending
     every plan through ``TxnRuntime`` costs the all-local
     ``sim_tenant_calvin`` perfbench workload 40–46 % of its txn/s
-    (DESIGN §14).
+    (DESIGN §14).  The two are not interchangeable in the event stream
+    either: the local runtime runs a plan with two worker timers and at
+    most one run-queue hop, the generic one with seven hops more.
     """
     txn = plan.txn
     masters = plan.masters
