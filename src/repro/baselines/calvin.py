@@ -15,7 +15,6 @@ from repro.common.types import Batch
 from repro.core.plan import RoutingPlan
 from repro.core.router import (
     ClusterView,
-    FootprintCache,
     Router,
     build_chunk_migration_plan,
     build_multi_master_plan,
@@ -31,11 +30,9 @@ class CalvinRouter(Router):
     def route_batch(self, batch: Batch, view: ClusterView) -> RoutingPlan:
         user_txns, plans, migration_txns = split_system_txns(batch, view)
         plan = RoutingPlan(epoch=batch.epoch, plans=plans)
-        footprints = FootprintCache(view.ownership)
+        # Each footprint is resolved exactly once, so no FootprintCache.
         for txn in user_txns:
-            plan.plans.append(
-                build_multi_master_plan(txn, view, footprints.owners(txn))
-            )
+            plan.plans.append(build_multi_master_plan(txn, view))
         for txn in migration_txns:
             plan.plans.append(build_chunk_migration_plan(txn, view))
         return plan
