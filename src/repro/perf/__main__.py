@@ -63,13 +63,6 @@ PAIRED = ("kernel_e2e", "tracer_overhead")
 PAIRED_ROUNDS = 16
 
 
-def _timed(names: tuple[str, ...], scale: float, repeats: int) -> dict:
-    return measure_interleaved(
-        {n: (lambda n=n: SCENARIOS[n](scale)) for n in names},
-        repeats=repeats,
-    )
-
-
 def _round_ratio(result: BenchResult, base: BenchResult) -> float:
     """Median over rounds of ``result``'s rate over ``base``'s."""
     return round(statistics.median(
@@ -82,9 +75,8 @@ def run_suite(
 ) -> dict[str, BenchResult]:
     """Measure ``names``.  When the calibration loop runs too, each gated
     bench runs round-robin beside it, and its normalized score is the
-    median per-round ratio (``extras["calib_ratio_median"]``): a slow
-    spell of the host then slows both sides of a ratio alike, where one
-    calibration run per suite would divide every bench by one spell."""
+    median per-round ratio (``extras["calib_ratio_median"]``), so a slow
+    spell of the host slows both sides of the ratio alike."""
     results: dict[str, BenchResult] = {}
     timed: dict[str, BenchResult] = {}
     calib = ("calibration",) if "calibration" in names else ()
@@ -98,7 +90,10 @@ def run_suite(
             groups.append(PAIRED)
         for group in groups:
             rounds = max(repeats, PAIRED_ROUNDS) if group == PAIRED else repeats
-            measured = _timed(calib + group, scale, rounds)
+            measured = measure_interleaved(
+                {n: (lambda n=n: SCENARIOS[n](scale)) for n in calib + group},
+                repeats=rounds,
+            )
             for name in group:
                 if calib:
                     measured[name].extras["calib_ratio_median"] = (
