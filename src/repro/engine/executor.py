@@ -368,15 +368,15 @@ class TxnRuntime:
     def start(self) -> None:
         """Launch the per-location serve parts and per-master parts.
 
-        Each part is a callback chain, and this is the engine's only
-        chain with deliberate hops (:class:`LocalTxnRuntime` folds its
-        own): the entry goes through ``call_soon``, a gate parks on a
-        :class:`SimEvent` whose trigger wakes it through ``call_soon``,
-        and a worker completion re-enters through ``call_soon`` too.
-        Every hop takes a run-queue slot, and those slots fix the order
-        in which same-time events of different transactions interleave:
-        the order the golden fingerprints and kernel digests pin.
-        Folding a hop away changes that order.
+        Each part is a callback chain: the entry goes through
+        ``call_soon``, a gate parks on a :class:`SimEvent` whose trigger
+        wakes it through ``call_soon``, and a worker completion re-enters
+        through ``call_soon`` too.  Every hop takes a run-queue slot, and
+        those slots fix the order in which same-time events of different
+        transactions interleave: the order the golden fingerprints pin.
+        Folding a hop away changes that order; :class:`LocalTxnRuntime`
+        keeps these hops and only skips the queue, through
+        ``Kernel.call_now``, when a hop would run next anyway.
         """
         call_soon = self.cluster.kernel.call_soon
         serve_keys = self._serve_keys
@@ -875,15 +875,17 @@ class LocalTxnRuntime:
     Eligible plans (see :func:`make_runtime`) have exactly one master,
     read only at that master, and carry no migrations, writebacks,
     evictions, or OLLP validator — the dominant plan shape under every
-    routing strategy once placement converges.  The chain has no hop of
-    its own: once every lock is granted it submits the serve burst, the
-    serve burst's completion submits the master burst, and the master
-    burst's completion commits.  Locks granted at dispatch let
-    :meth:`start` submit the serve burst at once; otherwise the last
-    grant does it through one ``call_soon`` (it runs inside a release,
-    which a grant callback must not re-enter).  So a transaction costs
-    two worker timers plus at most one run-queue slot, against
-    :class:`TxnRuntime`'s seven zero-delay hops for the same plan.
+    routing strategy once placement converges.  The chain takes
+    :class:`TxnRuntime`'s hops for the same plan, in the same order: an
+    entry hop, a hop from the last grant to the serve burst, and hops
+    from each burst's completion (the serve completion hops on to the
+    master burst).  The generic master part's own entry and lock hops
+    are left out: they only park, so no other event sees them.  Every
+    hop goes through ``Kernel.call_now``, which runs it unqueued when it
+    would be the next event anyway, so the event order, and with it
+    every golden and fingerprint, is the generic chain's.  An all-local
+    transaction thus costs its two worker timers plus only the hops that
+    another event at the same instant really follows.
     """
 
     local_fast = True
@@ -928,9 +930,9 @@ class LocalTxnRuntime:
             else None
         )
         self._replica = replica or None
-        # One count per lock, plus one that ``start`` holds: grants made
-        # while the scheduler enqueues (before ``start``) can never be
-        # the last one.
+        # One count per lock, plus one that ``start``'s entry hop gives
+        # up: grants made while the scheduler enqueues can never be the
+        # last one.
         self._ungranted = len(txn.ordered_keys) + 1 - (
             len(replica) if replica else 0
         )
@@ -961,39 +963,35 @@ class LocalTxnRuntime:
 
     def on_lock_granted(self) -> None:
         """Keyless grant counter: with a single lock group covering the
-        whole footprint, only the count matters."""
+        whole footprint, only the count matters.  The last unit (a grant
+        or the entry hop's) hops to the serve burst."""
         self._ungranted -= 1
         if self._ungranted == 0:
-            kernel = self.cluster.kernel
-            self.t_locks = kernel.now
-            kernel.call_soon(self._serve)
+            self.cluster.kernel.call_now(self._serve)
 
     # -- the chain ------------------------------------------------------
 
     def start(self) -> None:
-        """Serve now if dispatch granted every lock (or none was needed)."""
-        self._ungranted -= 1
-        if self._ungranted == 0:
-            self.t_locks = self.t_dispatched
-            self._serve()
+        """Take the entry hop; it gives up ``start``'s grant unit."""
+        self.cluster.kernel.call_now(self.on_lock_granted)
 
     def _serve(self) -> None:
         cluster = self.cluster
+        kernel = cluster.kernel
+        self.t_locks = kernel.now
         cpu = cluster.config.costs.local_access_us * len(self._keys)
         cluster.nodes[self.coordinator].workers.submit(
-            cpu, partial(self._serve_executed, cluster.kernel.now)
+            cpu, partial(kernel.call_now, self._serve_executed, kernel.now)
         )
 
     def _serve_executed(self, t_serve_start: float) -> None:
         cluster = self.cluster
-        now = cluster.kernel.now
         master = self.coordinator
-        txn = self.txn
         keys = self._keys
         tracer = cluster.tracer
         if tracer is not None:
-            tracer.serve(txn.txn_id, master, t_serve_start, len(keys))
-        self.t_serve_done = now
+            tracer.serve(self.txn.txn_id, master, t_serve_start, len(keys))
+        self.t_serve_done = cluster.kernel.now
         node = cluster.nodes[master]
         replica = self._replica
         # Keep these reads: they check placement, and dataflow writes need the values.
@@ -1009,27 +1007,13 @@ class LocalTxnRuntime:
             read = node.store.read_value
             for key in keys:
                 read(key)
-        # The master's own serve is its only input: its data is ready,
-        # so the master burst goes in now.
-        self.t_data = now
-        costs = cluster.config.costs
-        local_writes = self.plan.writes_at.get(master)
-        num_writes = len(local_writes) if local_writes else 0
-        logic_cpu = (
-            costs.logic_us_per_record * txn.size * txn.profile.logic_factor
-        )
-        apply_cpu = costs.local_access_us * num_writes
-        if txn.aborts:
-            # The paper's undo pass, charged though nothing is written.
-            apply_cpu += costs.local_access_us * num_writes
-        node.workers.submit(
-            logic_cpu + apply_cpu,
-            partial(self._master_executed, logic_cpu, apply_cpu, now),
-        )
+        # The master's own serve is its only input: its data is ready.
+        cluster.kernel.call_now(self._master_data)
         # Release read-stage keys, in the same repr-sorted order the
         # generic runtime uses (``ordered_keys`` is already sorted).
         # Replica-served keys were never locked, so there is nothing to
         # release for them.
+        txn = self.txn
         ws = txn.write_set
         release = cluster.lock_manager.release
         seq = self.seq
@@ -1049,6 +1033,29 @@ class LocalTxnRuntime:
         else:
             for key in txn.ordered_keys:
                 release(seq, key)
+
+    def _master_data(self) -> None:
+        cluster = self.cluster
+        kernel = cluster.kernel
+        costs = cluster.config.costs
+        self.t_data = kernel.now
+        txn = self.txn
+        local_writes = self.plan.writes_at.get(self.coordinator)
+        num_writes = len(local_writes) if local_writes else 0
+        logic_cpu = (
+            costs.logic_us_per_record * txn.size * txn.profile.logic_factor
+        )
+        apply_cpu = costs.local_access_us * num_writes
+        if txn.aborts:
+            # The paper's undo pass, charged though nothing is written.
+            apply_cpu += costs.local_access_us * num_writes
+        cluster.nodes[self.coordinator].workers.submit(
+            logic_cpu + apply_cpu,
+            partial(
+                kernel.call_now, self._master_executed,
+                logic_cpu, apply_cpu, kernel.now,
+            ),
+        )
 
     def _master_executed(
         self, logic_cpu: float, apply_cpu: float, t_exec_start: float
@@ -1123,9 +1130,9 @@ def make_runtime(
     ``LocalTxnRuntime`` stays a separate class by measurement: sending
     every plan through ``TxnRuntime`` costs the all-local
     ``sim_tenant_calvin`` perfbench workload 40–46 % of its txn/s
-    (DESIGN §14).  The two are not interchangeable in the event stream
-    either: the local runtime runs a plan with two worker timers and at
-    most one run-queue hop, the generic one with seven hops more.
+    (DESIGN §14).  Either runtime gives an eligible plan the same event
+    order: the local one takes the generic chain's hops, through
+    ``Kernel.call_now``.
     """
     txn = plan.txn
     masters = plan.masters

@@ -32,6 +32,16 @@ and an ever-increasing sequence number), and the dispatch loop always
 pops whichever structure holds the smaller key — exactly the order the
 single-heap kernel produced.
 
+``call_now`` is ``call_soon`` for a hop that would be the very next
+event: the run-queue is empty and no timer is due at the current time,
+so nothing scheduled before it can run first, and anything scheduled
+after it sorts after it.  Such a hop skips both queues: it goes on a
+short ``_next`` list that the dispatch loop drains right after the
+current callback returns.  It takes no sequence number and is not
+counted in ``events_processed`` or folded into a digest, but it runs
+exactly where the queued hop would have run, so every other event keeps
+its order.  A hop that is not next is queued like ``call_soon``.
+
 ``call_later`` returns a :class:`TimerHandle`; ``cancel()`` marks the
 entry dead and it is skipped (and its callback reference dropped) when
 it reaches the top of the heap, so retry timeouts and fault windows no
@@ -182,6 +192,8 @@ class Kernel:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, TimerHandle]] = []
         self._runq: deque[tuple[float, int, Callable, tuple]] = deque()
+        #: ``call_now`` hops that run right after the current callback.
+        self._next: deque[tuple[Callable, tuple]] = deque()
         self._seq = 0
         self._dead = 0
         self._running = False
@@ -212,6 +224,18 @@ class Kernel:
         """Run ``fn(*args)`` at the current time, after pending events."""
         self._seq += 1
         self._runq.append((self.now, self._seq, fn, args))
+
+    def call_now(self, fn: Callable, *args: Any) -> None:
+        """Run ``fn(*args)`` where ``call_soon`` would, unqueued if it
+        would be the next event (see the module notes)."""
+        heap = self._heap
+        if self._running and not self._runq and (
+            not heap or heap[0][0] > self.now
+        ):
+            self._next.append((fn, args))
+        else:
+            self._seq += 1
+            self._runq.append((self.now, self._seq, fn, args))
 
     def call_later_unhandled(self, dt: float, fn: Callable, *args: Any) -> None:
         """``call_later`` without the cancellation handle.
@@ -321,6 +345,8 @@ class Kernel:
         self._running = True
         runq, heap = self._runq, self._heap
         popleft = runq.popleft
+        upnext = self._next
+        pop_next = upnext.popleft
         heappop = heapq.heappop
         digest = self._digest
         fold = None if digest is None or digest.record else digest.fold
@@ -363,6 +389,9 @@ class Kernel:
                     if not processed & block_mask:
                         digest.fold_block()
                 fn(*args)
+                while upnext:
+                    fn, args = pop_next()
+                    fn(*args)
         finally:
             if collector_on:
                 gc.enable()
@@ -373,7 +402,9 @@ class Kernel:
 
     def pending(self) -> int:
         """Number of live events still queued (cancelled timers excluded)."""
-        return len(self._runq) + len(self._heap) - self._dead
+        return (
+            len(self._runq) + len(self._next) + len(self._heap) - self._dead
+        )
 
     def clear(self) -> None:
         """Drop every pending event without running it.
@@ -386,5 +417,6 @@ class Kernel:
         :meth:`repro.engine.cluster.Cluster.close`).
         """
         self._runq.clear()
+        self._next.clear()
         self._heap.clear()
         self._dead = 0

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
 import gc
+import random
 
 import pytest
 
@@ -267,6 +268,95 @@ class TestFastPath:
         assert kernel.pending() == 0
         kernel.run()
         assert fired == []
+
+
+class TestCallNow:
+    """``call_now`` runs a hop where ``call_soon`` would, unqueued when
+    it would be the next event."""
+
+    def test_next_hop_is_not_an_event(self):
+        kernel = Kernel()
+        fired = []
+
+        def first():
+            kernel.call_now(fired.append, "now")
+            fired.append("first")
+
+        kernel.call_later(1, first)
+        kernel.run()
+        assert fired == ["first", "now"]
+        assert kernel.events_processed == 1
+
+    def test_queues_behind_pending_work(self):
+        kernel = Kernel()
+        fired = []
+
+        def first():
+            kernel.call_soon(fired.append, "soon")
+            kernel.call_now(fired.append, "now")
+
+        def timer_due_now():
+            kernel.call_later(0, fired.append, "timer")
+            kernel.call_now(fired.append, "behind timer")
+
+        kernel.call_later(1, first)
+        kernel.call_later(2, timer_due_now)
+        kernel.run()
+        assert fired == ["soon", "now", "timer", "behind timer"]
+        assert kernel.events_processed == 6
+
+    def test_outside_the_loop_it_queues(self):
+        kernel = Kernel()
+        fired = []
+        kernel.call_now(fired.append, "now")
+        assert fired == [] and kernel.pending() == 1
+        kernel.run()
+        assert fired == ["now"]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_order_as_call_soon(self, seed):
+        """Random callback trees: every ``call_now`` swapped for
+        ``call_soon`` fires the same labels in the same order."""
+        rng = random.Random(seed)
+        tree = {}
+        pending = [0]
+        while pending and len(tree) < 300:
+            node = pending.pop(rng.randrange(len(pending)))
+            actions = []
+            for _ in range(rng.randrange(4)):
+                child = len(tree) + len(pending) + 1
+                actions.append((
+                    rng.choice(("soon", "now", "now", "later")),
+                    rng.choice((0, 0, 1, 3)), child,
+                ))
+                pending.append(child)
+            tree[node] = actions
+        for node in pending:
+            tree[node] = []
+
+        def fired_order(use_now):
+            kernel = Kernel()
+            fired = []
+
+            def visit(node):
+                fired.append(node)
+                for how, dt, child in tree[node]:
+                    if how == "later":
+                        kernel.call_later_unhandled(dt, visit, child)
+                    elif how == "now" and use_now:
+                        kernel.call_now(visit, child)
+                    else:
+                        kernel.call_soon(visit, child)
+
+            kernel.call_later(0, visit, 0)
+            kernel.run()
+            return fired, kernel.events_processed
+
+        hopped, hopped_events = fired_order(True)
+        queued, queued_events = fired_order(False)
+        assert hopped == queued
+        assert len(queued) == len(tree)
+        assert hopped_events <= queued_events
 
 
 def run_leg(kernel, leg):
