@@ -55,6 +55,15 @@ class TestLatencyBreakdown:
             "remote_wait": 3.0, "other": 2.0,
         }
 
+    def test_add_takes_the_tracer_stage_order(self):
+        """``add`` names its positions itself; the tracer labels the same
+        tuple with ``zip(LATENCY_STAGES, ...)``.  Reordering one without
+        the other fails here."""
+        values = (1.0, 2.0, 4.0, 8.0, 16.0)
+        breakdown = LatencyBreakdown()
+        breakdown.add(*values)
+        assert breakdown.sums == dict(zip(LATENCY_STAGES, values))
+
     def test_empty_averages_are_zero(self):
         assert LatencyBreakdown().averages() == dict.fromkeys(
             LATENCY_STAGES, 0.0

@@ -1,5 +1,7 @@
 """Unit tests for the multi-tenant workload and its initial layouts."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -112,3 +114,15 @@ class TestValidation:
                                    records_per_tenant=10)
         with pytest.raises(ConfigurationError, match="needs >= 2 nodes"):
             skewed_partitioner(config)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1_000])
+def test_tenant_draw_is_randints(n):
+    """The generator draws tenants with ``random.Random._randbelow(n)``,
+    which is the draw ``randint(0, n - 1)`` makes in CPython: an
+    interpreter that changes that would move every multitenant run, so
+    it fails here first."""
+    below, randint = random.Random(11), random.Random(11)
+    assert [below._randbelow(n) for _ in range(500)] == [
+        randint.randint(0, n - 1) for _ in range(500)
+    ]
