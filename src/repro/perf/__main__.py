@@ -63,49 +63,22 @@ PAIRED = ("kernel_e2e", "tracer_overhead")
 PAIRED_ROUNDS = 16
 
 
-def _round_ratio(result: BenchResult, base: BenchResult) -> float:
-    """Median over rounds of ``result``'s rate over ``base``'s."""
-    return round(statistics.median(
-        r / b for r, b in zip(result.rates, base.rates)
-    ), 4)
-
-
 def run_suite(
     names: list[str], scale: float, repeats: int, profile: bool
 ) -> dict[str, BenchResult]:
-    """Measure ``names``.  When the calibration loop runs too, each gated
-    bench runs round-robin beside it, and its normalized score is the
-    median per-round ratio (``extras["calib_ratio_median"]``), so a slow
-    spell of the host slows both sides of the ratio alike."""
     results: dict[str, BenchResult] = {}
-    timed: dict[str, BenchResult] = {}
-    calib = ("calibration",) if "calibration" in names else ()
-    if not profile:
-        paired = all(name in names for name in PAIRED)
-        groups = [
-            (name,) for name in names
-            if calib and name in GATED and not (paired and name in PAIRED)
-        ]
-        if paired:
-            groups.append(PAIRED)
-        for group in groups:
-            rounds = max(repeats, PAIRED_ROUNDS) if group == PAIRED else repeats
-            measured = measure_interleaved(
-                {n: (lambda n=n: SCENARIOS[n](scale)) for n in calib + group},
-                repeats=rounds,
-            )
-            for name in group:
-                if calib:
-                    measured[name].extras["calib_ratio_median"] = (
-                        _round_ratio(measured[name], measured["calibration"])
-                    )
-                timed[name] = measured[name]
-        if paired:
-            timed[PAIRED[1]].extras["round_ratio_median"] = _round_ratio(
-                timed[PAIRED[1]], timed[PAIRED[0]]
-            )
+    paired: dict[str, BenchResult] = {}
+    if not profile and all(name in names for name in PAIRED):
+        paired = measure_interleaved(
+            {n: (lambda n=n: SCENARIOS[n](scale)) for n in PAIRED},
+            repeats=max(repeats, PAIRED_ROUNDS),
+        )
+        kernel, guarded = (paired[n].rates for n in PAIRED)
+        paired["tracer_overhead"].extras = {"round_ratio_median": round(
+            statistics.median(g / k for k, g in zip(kernel, guarded)), 4
+        )}
     for name in names:
-        result = timed.get(name) or measure(
+        result = paired.get(name) or measure(
             name, lambda n=name: SCENARIOS[n](scale),
             repeats=repeats, profile=profile,
         )
@@ -122,17 +95,12 @@ def run_suite(
 
 
 def normalized(results: dict[str, dict]) -> dict[str, float]:
-    """Each bench's score relative to the calibration loop: its median
-    per-round ratio when it ran beside the loop, else its events/s over
-    the run's calibration events/s (entries recorded before the
-    interleaving carry no ratio)."""
+    """events/s per bench divided by the run's calibration events/s."""
     calib = results.get("calibration", {}).get("events_per_s", 0.0)
     if not calib:
         return {}
     return {
-        name: data.get("extras", {}).get(
-            "calib_ratio_median", data["events_per_s"] / calib
-        )
+        name: data["events_per_s"] / calib
         for name, data in results.items()
         if name != "calibration"
     }

@@ -5,20 +5,17 @@ import json
 import pytest
 
 from repro.perf import scenarios
-from repro.perf import __main__ as perf_main
 from repro.perf.__main__ import (
     GATED,
     HEAVY,
-    PAIRED,
     check_tracer_overhead,
     compare,
     main,
     normalized,
     parse_tolerance_overrides,
-    run_suite,
     trend,
 )
-from repro.perf.measure import BenchResult, measure, measure_interleaved
+from repro.perf.measure import measure, measure_interleaved
 
 
 class TestMeasure:
@@ -97,11 +94,6 @@ class TestCompare:
     def test_normalized_divides_by_calibration(self):
         norm = normalized(entry(calibration=200.0, routing=50.0)["benches"])
         assert norm == {"routing": 0.25}
-
-    def test_normalized_prefers_the_median_round_ratio(self):
-        benches = entry(calibration=200.0, routing=50.0)["benches"]
-        benches["routing"]["extras"] = {"calib_ratio_median": 0.3}
-        assert normalized(benches) == {"routing": 0.3}
 
     def test_gate_passes_within_tolerance(self):
         base = entry(calibration=100.0, routing=50.0)
@@ -182,29 +174,6 @@ class TestTrend:
         del history[1]["benches"]["routing"]
         out = trend(history)  # must not raise on the hole
         assert "routing" in out
-
-
-class TestRunSuite:
-    def test_gated_benches_run_beside_calibration(self, monkeypatch):
-        # Host speed halves every other round; each round's ratio holds.
-        rates = {"calibration": 100.0, "routing": 20.0,
-                 "kernel_e2e": 10.0, "tracer_overhead": 10.0}
-
-        def fake_interleaved(scenarios, repeats):
-            out = {}
-            for name in scenarios:
-                per_round = [rates[name] / (1 + i % 2) for i in range(repeats)]
-                out[name] = BenchResult(name, 1, 1.0, max(per_round),
-                                        repeats, rates=per_round)
-            return out
-
-        monkeypatch.setattr(perf_main, "measure_interleaved", fake_interleaved)
-        results = run_suite(
-            ["calibration", "routing", *PAIRED], 0.01, 2, False
-        )
-        assert results["routing"].extras["calib_ratio_median"] == 0.2
-        assert results["kernel_e2e"].extras["calib_ratio_median"] == 0.1
-        assert results["tracer_overhead"].extras["round_ratio_median"] == 1.0
 
 
 class TestCli:
