@@ -18,9 +18,9 @@ by default, and every instrumentation site is guarded::
     if tracer is not None:
         tracer.commit(txn_id, node, aborted, stages)
 
-so a disabled tracer costs one local load and an identity check — the
-bound the ``tracer_overhead`` perf scenario enforces (< 3 % on
-``kernel_e2e``).
+so a disabled tracer costs one local load and an identity check.  Every
+perfbench ``sim_tenant_*`` run has the tracer off, so that cost is
+inside its measured txn/s.
 
 Output formats
 --------------

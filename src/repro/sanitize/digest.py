@@ -45,8 +45,9 @@ built while :func:`capture_digests` is active auto-attaches a fresh
 digest (and the context collects them in kernel-creation order, which is
 deterministic); ``Kernel.attach_digest`` opts a single kernel in
 manually.  Detached — the default — the kernel dispatch loop pays one
-local ``None`` check per event, bounded by the ``digest_overhead`` perf
-scenario.
+local ``None`` check per event.  Attached, its cost shows on the
+perfbench serve workloads, which always digest: ``sanitize.digest``'s
+layer share under ``--trace 1`` (and ``serve_replay``'s ``cost_frac``).
 """
 
 from __future__ import annotations

@@ -20,11 +20,10 @@ on Python 3.11 and the ``def`` line on later versions, so a ``def``
 matches any line from its first decorator to the ``def`` itself.
 
 Legs run one at a time: a ``multiprocessing`` worker leaves through
-``os._exit`` and never dumps its profile.  Three legs are reported but
-not gated: ``repro.perf --compare`` (profiling slows the timed scenarios
-past their tolerance), the benchmarks (a few of the paper's claims do
-not hold at the leg's reduced scale) and the gate judging the legs
-before it (its verdict cannot count its own profile).
+``os._exit`` and never dumps its profile.  Two legs are reported but
+not gated: the benchmarks (a few of the paper's claims do not hold at
+the leg's reduced scale) and the gate judging the legs before it (its
+verdict cannot count its own profile).
 """
 
 from __future__ import annotations
@@ -129,6 +128,10 @@ LEGS: tuple[Leg, ...] = (
         "('hermes',), scale='2m', duration_s=0.2))\n"
     )),
     Leg("bench-list", "python -m repro.bench list"),
+    # The bench CLI's Figure 7 table (``--latency``), cut short: at 0.1
+    # both strategies commit within the 0.3 s run.
+    Leg("bench-latency", "python -m repro.bench google calvin hermes "
+        "--duration 0.3 --latency", "0.1"),
     # The audit needs a drained cluster; below 0.3 the overloaded fig11
     # run does not drain within the audit's horizon.
     Leg("obs-record", "python -m repro.obs record --preset fig11 --out "
@@ -137,6 +140,9 @@ LEGS: tuple[Leg, ...] = (
     Leg("obs-report",
         "python -m repro.obs report {tmp}/fig11.jsonl --audit-placement",
         "0.3"),
+    # A traced migration: at 0.1 hermes-cold-5's session ends in the run.
+    Leg("obs-record-migration", "python -m repro.obs record --preset fig14 "
+        "--out {tmp}/fig14.jsonl", "0.1"),
     Leg("sanitize-lint", "python -m repro.sanitize lint src/repro"),
     Leg("sanitize-rules", "python -m repro.sanitize rules"),
     Leg("sanitize-replay",
@@ -154,11 +160,6 @@ LEGS: tuple[Leg, ...] = (
     # The human-readable report (the CI job asks for --json).
     Leg("serve-loadgen-text", "python -m repro.serve loadgen --duration 2 "
         "--rate 200 --connections 1 --keys 2000"),
-    Leg("perf-quick", "python -m repro.perf --quick --compare BENCH_sim.json "
-        "--tolerance 0.30 --tolerance-for routing=0.35 --tolerance-for "
-        "replica_reads=0.40 --tolerance-for end_to_end=0.40 "
-        "--json {tmp}/bench_out.json --label reach", gated=False),
-    Leg("perf-trend", "python -m repro.perf --trend BENCH_sim.json"),
     Leg("perfbench", "python perfbench/run.py --quick"),
     Leg("benchmarks", "python -m pytest benchmarks -q -p no:cacheprovider",
         "0.02", group="benchmarks", gated=False),
