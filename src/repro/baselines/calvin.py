@@ -30,8 +30,6 @@ class CalvinRouter(Router):
     def route_batch(self, batch: Batch, view: ClusterView) -> RoutingPlan:
         user_txns, plans, migration_txns = split_system_txns(batch, view)
         plan = RoutingPlan(epoch=batch.epoch, plans=plans)
-        # One footprint lookup per transaction: a FootprintCache would
-        # only add a token check and a dict insert.
         for txn in user_txns:
             plan.plans.append(build_multi_master_plan(txn, view))
         for txn in migration_txns:

@@ -19,7 +19,6 @@ from repro.common.types import Batch
 from repro.core.plan import RoutingPlan
 from repro.core.router import (
     ClusterView,
-    FootprintCache,
     Router,
     build_chunk_migration_plan,
     build_single_master_plan,
@@ -40,9 +39,9 @@ class GStoreRouter(Router):
         # Groups disband at commit (``update_view=False``), so ownership
         # never changes mid-batch and one footprint pass per transaction
         # serves both the majority vote and the plan build.
-        footprints = FootprintCache(view.ownership)
+        owners_bulk = view.ownership.owners_bulk
         for txn in user_txns:
-            owners = footprints.owners(txn)
+            owners = owners_bulk(txn.ordered_keys)
             counts = count_by_owner(txn, view, owners=owners)
             master = majority_owner(txn, view, counts)
             plan.plans.append(

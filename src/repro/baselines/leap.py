@@ -19,7 +19,6 @@ from repro.core.plan import RoutingPlan
 from repro.core.router import (
     ClusterView,
     DictOverlay,
-    FootprintCache,
     Router,
     build_chunk_migration_plan,
     build_single_master_plan,
@@ -42,12 +41,12 @@ class LeapRouter(Router):
     def route_batch(self, batch: Batch, view: ClusterView) -> RoutingPlan:
         user_txns, plans, migration_txns = split_system_txns(batch, view)
         plan = RoutingPlan(epoch=batch.epoch, plans=plans)
-        # One footprint resolution feeds both the majority vote and the
-        # plan build; LEAP's own migrations bump the ownership version,
-        # so a txn never sees a stale tuple.
-        footprints = FootprintCache(view.ownership)
+        # One footprint resolution per transaction feeds both the
+        # majority vote and the plan build.  It is resolved after the
+        # previous transaction's migrations, so it is never stale.
+        owners_bulk = view.ownership.owners_bulk
         for txn in user_txns:
-            owners = footprints.owners(txn)
+            owners = owners_bulk(txn.ordered_keys)
             counts = count_by_owner(txn, view, owners=owners)
             master = majority_owner(txn, view, counts)
             plan.plans.append(

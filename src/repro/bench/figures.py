@@ -554,9 +554,7 @@ def run_replication(
     migration_records = sum(
         node.records_migrated_in for node in cluster.nodes
     )
-    replication_records = sum(
-        node.records_replicated_in for node in cluster.nodes
-    )
+    replication_records = cluster.metrics.replica_installs
     result.extras["migration_records"] = migration_records
     result.extras["migration_bytes"] = migration_records * RECORD_BYTES
     result.extras["replication_records"] = replication_records

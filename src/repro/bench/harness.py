@@ -132,7 +132,6 @@ def run_workload(
         stats_window_us=stats_window_us,
         tracer=trace,
     )
-    cluster.metrics.registry.common_labels["strategy"] = spec.name
     workload = workload_factory(rng.fork("workload"))
 
     if keys is None:

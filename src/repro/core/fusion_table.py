@@ -41,11 +41,6 @@ class FusionTable:
     :class:`OwnershipView` enforces that invariant via ``record_move``.
     """
 
-    #: Lookups mutate state (LRU recency refresh, hit/miss counters), so
-    #: footprint caches must not replay owner tuples over this overlay —
-    #: a served-from-cache lookup would change eviction order.
-    pure_reads = False
-
     def __init__(self, config: FusionConfig | None = None) -> None:
         self.config = config if config is not None else FusionConfig()
         self._entries: OrderedDict[Key, NodeId] = OrderedDict()

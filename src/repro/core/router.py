@@ -48,11 +48,6 @@ class DictOverlay:
     table's capacity bound fixes.)
     """
 
-    #: Lookups have no side effects, so cached owner tuples stay valid
-    #: until a mutation bumps the ownership version (contrast the fusion
-    #: table, whose ``get`` refreshes LRU recency).
-    pure_reads = True
-
     def __init__(self) -> None:
         self._map: dict[Key, NodeId] = {}
 
@@ -116,31 +111,6 @@ class OwnershipView:
         self._home_version = getattr(static, "version", 0)
         #: ownership changes registered over the run (observability).
         self.moves_recorded = 0
-        #: bumped on every overlay mutation routed through this view;
-        #: together with the static partitioner's version it forms the
-        #: :meth:`version_token` that footprint caches key on.
-        self._mutations = 0
-        #: Replica sets layered over primary placement, attached by a
-        #: :class:`repro.replication.router.ReplicationRouter` (a
-        #: :class:`repro.replication.directory.ReplicaDirectory`).
-        #: Deliberately *outside* :meth:`version_token`: replicas never
-        #: change which node owns a key, so footprints cached by the
-        #: PR 7 footprint cache stay valid across installs, retires,
-        #: and invalidations.
-        self.replicas = None
-
-    def version_token(self) -> tuple[int, int]:
-        """Opaque token identifying the current placement state.
-
-        Changes whenever record placement can have changed: any overlay
-        mutation registered through this view (:meth:`record_move`,
-        :meth:`forget_overlay` — including fusion-table evictions, which
-        happen inside ``record_move``'s ``put``) or a static
-        re-partition (the partitioner's own ``version`` counter, bumped
-        by ``reassign``).  Owner tuples cached under an older token must
-        be discarded.
-        """
-        return (self._mutations, getattr(self.static, "version", 0))
 
     def _homes(self) -> dict[Key, NodeId]:
         """The home cache, invalidated if the partitioner changed."""
@@ -207,66 +177,10 @@ class OwnershipView:
         records only.  Returns any evictions the overlay performed.
         """
         self.moves_recorded += 1
-        self._mutations += 1
         if self.home(key) == dst:
             self.overlay.remove(key)
             return []
         return self.overlay.put(key, dst)
-
-    def forget_overlay(self, key: Key) -> None:
-        """Drop ``key``'s overlay entry (it reverts to its static home).
-
-        The version-bumping spelling of ``overlay.remove`` — callers
-        that clean up overlay entries directly must use this so cached
-        footprints are invalidated.
-        """
-        self._mutations += 1
-        self.overlay.remove(key)
-
-
-class FootprintCache:
-    """Per-transaction owner tuples, invalidated by placement version.
-
-    A transaction's *routing footprint* is the tuple of current owners
-    of its ``ordered_keys``.  Routers resolve it several times per
-    transaction (majority vote, then plan construction) and planners may
-    resolve it once more; this cache computes it once per
-    :meth:`OwnershipView.version_token` and replays the tuple until a
-    migration, overlay cleanup, or static re-partition bumps the token.
-
-    The cache only engages over pure-read overlays
-    (``overlay.pure_reads``): the fusion table's lookups refresh LRU
-    recency, so serving owners from a cache would change eviction order
-    — there the cache degrades to a plain ``owners_bulk`` pass-through.
-
-    Intended lifetime is one ``route_batch`` call: transaction ids are
-    unique, so a longer-lived cache over a mutation-free view would only
-    accumulate dead entries.
-    """
-
-    __slots__ = ("_view", "_active", "_token", "_map")
-
-    def __init__(self, view: OwnershipView) -> None:
-        self._view = view
-        self._active = getattr(view.overlay, "pure_reads", False)
-        self._token = view.version_token()
-        self._map: dict[int, tuple[NodeId, ...]] = {}
-
-    def owners(self, txn: Transaction) -> tuple[NodeId, ...]:
-        """Current owner of each of ``txn.ordered_keys``, in order."""
-        view = self._view
-        if not self._active:
-            return tuple(view.owners_bulk(txn.ordered_keys))
-        token = view.version_token()
-        if token != self._token:
-            self._map.clear()
-            self._token = token
-        footprint = self._map.get(txn.txn_id)
-        if footprint is None:
-            footprint = self._map[txn.txn_id] = tuple(
-                view.owners_bulk(txn.ordered_keys)
-            )
-        return footprint
 
 
 class ClusterView:
@@ -577,7 +491,7 @@ def build_chunk_migration_plan(txn: Transaction, view: ClusterView) -> TxnPlan:
         # onto ``dst`` into redundant home entries; drop them so the
         # overlay keeps only genuinely displaced records.  (Moved keys
         # get the same cleanup through ``record_move`` below.)
-        forget = view.ownership.forget_overlay
+        forget = view.ownership.overlay.remove
         for key, owner in zip(chunk_keys, owners):
             if owner == chunk.dst and key not in moved_set:
                 forget(key)

@@ -92,16 +92,10 @@ class Cluster:
         self._next_txn_id = 0
         self._unfinished = 0
         self._scheduler_free_at = 0.0
-        # Router planning counters surface as registry gauges, refreshed
-        # per batch (satellite of the forecast work: back-to-back runs
-        # read per-run values, not a reused router's stale totals).
-        self._router_stats_fn = getattr(router, "stats_snapshot", None)
-        self._router_stat_gauges: dict[str, object] | None = None
         self._commit_callbacks: dict[int, list[Callable]] = {}
         #: Distributed runtimes still waiting on their own events, by
         #: lock seq (see :meth:`close`).
         self._running: dict[int, TxnRuntime] = {}
-        self.epochs_delivered = 0
         self.commit_listeners: list[Callable[[TxnRuntime], None]] = []
         self._reorder_buffer: dict[int, Batch] = {}
         self._next_expected_epoch: int | None = None
@@ -188,8 +182,7 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def _on_batch(self, batch: Batch) -> None:
-        self.epochs_delivered += 1
-        self.metrics.batches_total.inc()
+        self.metrics.batches += 1
         if self.command_log is not None:
             self.command_log.append(batch)
         t_sequenced = self.kernel.now
@@ -213,9 +206,6 @@ class Cluster:
         digest = self.kernel.digest
         if digest is not None:
             digest.note("sched.route", batch.epoch, len(batch))
-        router_stats_fn = self._router_stats_fn
-        if router_stats_fn is not None:
-            self._sample_router_stats(router_stats_fn())
         tracer = self.tracer
         if tracer is not None:
             tracer.route_batch(batch.epoch, len(batch), start, routing_cost)
@@ -233,27 +223,6 @@ class Cluster:
                     batch.epoch, node_id,
                     **self.nodes[node_id].load_snapshot(),
                 )
-
-    def _sample_router_stats(self, stats: dict) -> None:
-        """Mirror the router's planning counters into registry gauges.
-
-        Instruments are named ``router_<stat>`` and created once on the
-        first batch; the per-batch cost is a dict walk and a float
-        store per stat.
-        """
-        gauges = self._router_stat_gauges
-        if gauges is None:
-            gauge = self.metrics.registry.gauge
-            gauges = self._router_stat_gauges = {
-                name: gauge(f"router_{name}") for name in stats
-            }
-        for name, value in stats.items():
-            instrument = gauges.get(name)
-            if instrument is None:
-                instrument = gauges[name] = self.metrics.registry.gauge(
-                    f"router_{name}"
-                )
-            instrument.set(value)
 
     def inject_batch(self, batch: Batch) -> None:
         """Feed a pre-ordered batch directly (replay path, bypassing the
@@ -276,9 +245,9 @@ class Cluster:
         self._unfinished += len(batch)
         if self._next_expected_epoch is None:
             # Lazy anchor: valid whenever delivered epochs are the
-            # contiguous prefix 1..epochs_delivered (fresh clusters,
+            # contiguous prefix 1..metrics.batches (fresh clusters,
             # replicas fed from epoch 1).
-            self._next_expected_epoch = self.epochs_delivered + 1
+            self._next_expected_epoch = self.metrics.batches + 1
         if batch.epoch in self._reorder_buffer:
             raise SimulationError(
                 f"duplicate injection of epoch {batch.epoch}"
@@ -449,30 +418,19 @@ class Cluster:
         return sum(len(node.store) for node in self.nodes)
 
     def store_usage(self) -> dict[str, float]:
-        """Per-node store occupancy, published as registry gauges.
+        """Cluster-wide store occupancy: the rollup the harness ships in
+        :class:`~repro.bench.harness.ExperimentResult` extras.
 
-        Refreshes ``store_records`` / ``store_records_peak`` /
-        ``store_memory_bytes`` / ``store_data_bytes`` gauges (labelled
-        per node) and returns the cluster-wide rollup the harness ships
-        in :class:`~repro.bench.harness.ExperimentResult` extras.  Pure
-        observability: reads store accounting, mutates nothing.
+        Pure observability: reads store accounting, mutates nothing.
         """
-        gauge = self.metrics.registry.gauge
         total_records = 0
         total_memory = 0
         total_data = 0
         peak_records = 0
         for node in self.nodes:
             store = node.store
-            label = str(node.node_id)
-            records = len(store)
-            memory = store.memory_bytes()
-            gauge("store_records", node=label).set(records)
-            gauge("store_records_peak", node=label).set(store.records_peak)
-            gauge("store_memory_bytes", node=label).set(memory)
-            gauge("store_data_bytes", node=label).set(store.data_bytes())
-            total_records += records
-            total_memory += memory
+            total_records += len(store)
+            total_memory += store.memory_bytes()
             total_data += store.data_bytes()
             peak_records = max(peak_records, store.records_peak)
         return {

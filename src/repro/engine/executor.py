@@ -490,7 +490,7 @@ class TxnRuntime:
                     RETRY_POLICY,
                     describe=f"remote read txn {txn.txn_id}",
                 )
-                metrics.remote_reads_total.inc(len(keys))
+                metrics.remote_reads += len(keys)
                 if tracer is not None:
                     tracer.remote_read(
                         txn.txn_id, loc, master, len(keys), payload
@@ -643,8 +643,7 @@ class TxnRuntime:
                 install = node.replicas.install
                 for record in incoming:
                     install(record)
-                node.records_replicated_in += len(incoming)
-                cluster.metrics.replica_installs_total.inc(len(incoming))
+                cluster.metrics.replica_installs += len(incoming)
             else:
                 install = node.store.install
                 for record in incoming:
@@ -710,7 +709,7 @@ class TxnRuntime:
         self.t_commit = cluster.kernel.now
         if self.will_abort:
             self.aborted = True
-            cluster.metrics.aborts_total.inc()
+            cluster.metrics.aborts += 1
         else:
             self.committed = True
             cluster.nodes[self.coordinator].commits += 1
@@ -811,9 +810,9 @@ class TxnRuntime:
             describe=f"{label} txn {txn_id}",
         )
         if stage == _STAGE_WRITEBACK:
-            cluster.metrics.writebacks_total.inc(len(records))
+            cluster.metrics.writebacks += len(records)
         else:
-            cluster.metrics.evictions_total.inc(len(records))
+            cluster.metrics.evictions += len(records)
         tracer = cluster.tracer
         if tracer is not None:
             tracer.data_move(f"{label}_send", txn_id, src, dst, len(records))
@@ -1093,7 +1092,7 @@ class LocalTxnRuntime:
         self.t_commit = cluster.kernel.now
         if self.will_abort:
             self.aborted = True
-            cluster.metrics.aborts_total.inc()
+            cluster.metrics.aborts += 1
         else:
             self.committed = True
             node.commits += 1

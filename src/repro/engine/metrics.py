@@ -6,14 +6,11 @@ latency breakdowns (Figure 7), remote-read / migration / write-back
 counters, and — via the nodes' worker pools and the network — CPU and
 network usage (Figure 8).
 
-The scalar state lives in a typed
-:class:`~repro.obs.registry.MetricsRegistry` (``self.registry``): run
-counters are registry :class:`~repro.obs.registry.Counter` instruments
-(``metrics.remote_reads_total``, ...), which writers ``inc`` directly,
-and client latencies a :class:`~repro.obs.registry.Histogram`.  Each
-counter has a read-only int accessor (``metrics.remote_reads``), and
-``registry.snapshot()`` exposes the same numbers uniformly (with labels)
-to reporting and tracing code.
+Run counters are plain int attributes (``metrics.remote_reads``, ...)
+that their one writer bumps in place with ``+=``.  Post-warm-up client
+latencies sit in an ``array('d')`` (8 bytes each, against 32 for a
+boxed float in a list) with a running sum kept in observe order, so the
+mean and the nearest-rank percentiles are exact and deterministic.
 
 Accessor naming: time-valued accessors carry a ``_us`` suffix
 (``mean_latency_us``, ``latency_percentiles_us``, ...).  The unsuffixed
@@ -23,65 +20,38 @@ convention and have been removed.
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import TYPE_CHECKING
 
-from repro.obs.registry import Counter, Histogram, MetricsRegistry
 from repro.sim.stats import LatencyBreakdown, TimeSeries, WindowedRate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.executor import TxnRuntime
 
 
-def _counter_facade(attr: str) -> property:
-    """A read-only int view of one registry counter."""
-
-    def fget(self: "ClusterMetrics") -> int:
-        counter: Counter = getattr(self, attr)
-        return int(counter.value)
-
-    return property(fget)
-
-
 class ClusterMetrics:
     """Counters and series for one simulation run."""
 
-    def __init__(
-        self, window_us: float, registry: MetricsRegistry | None = None
-    ) -> None:
-        self.window_us = window_us
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, window_us: float) -> None:
         self.commit_rate = WindowedRate("commits", window_us)
         self.latency = LatencyBreakdown()
         self.warmup_until = 0.0
-        reg = self.registry
-        self.commits_total = reg.counter("txn_commits_total")
-        self.aborts_total = reg.counter("txn_aborts_total")
-        self.remote_reads_total = reg.counter("remote_reads_total")
-        self.writebacks_total = reg.counter("writebacks_total")
-        self.evictions_total = reg.counter("evictions_total")
-        self.batches_total = reg.counter("batches_total")
-        self.user_txns_total = reg.counter("user_txns_dispatched_total")
-        self.distributed_txns_total = reg.counter("distributed_txns_total")
-        self.ollp_exhausted_total = reg.counter("ollp_exhausted_total")
-        self.replica_reads_total = reg.counter("replica_reads_total")
-        self.cloned_reads_total = reg.counter("cloned_reads_total")
-        self.replica_installs_total = reg.counter("replica_installs_total")
-        self._latency_hist: Histogram = reg.histogram("txn_latency_us")
-
-    # -- read-only views of the registry counters ----------------------
-
-    commits = _counter_facade("commits_total")
-    aborts = _counter_facade("aborts_total")
-    remote_reads = _counter_facade("remote_reads_total")
-    writebacks = _counter_facade("writebacks_total")
-    evictions = _counter_facade("evictions_total")
-    batches = _counter_facade("batches_total")
-    user_txns = _counter_facade("user_txns_total")
-    distributed_txns = _counter_facade("distributed_txns_total")
-    ollp_exhausted = _counter_facade("ollp_exhausted_total")
-    replica_reads = _counter_facade("replica_reads_total")
-    cloned_reads = _counter_facade("cloned_reads_total")
-    replica_installs = _counter_facade("replica_installs_total")
+        self.commits = 0
+        self.aborts = 0
+        self.remote_reads = 0
+        self.writebacks = 0
+        self.evictions = 0
+        self.batches = 0
+        self.user_txns = 0
+        self.distributed_txns = 0
+        self.ollp_exhausted = 0
+        self.replica_reads = 0
+        self.cloned_reads = 0
+        self.replica_installs = 0
+        #: Client latency of every post-warm-up commit, in observe order.
+        self._latencies = array("d")
+        self._latency_sum = 0.0
 
     # -- recording ------------------------------------------------------
 
@@ -96,17 +66,13 @@ class ClusterMetrics:
         multi-master ones (every executing owner); post-commit
         background movement (writebacks, evictions) does not count.
         """
-        self.user_txns_total.inc()
+        self.user_txns += 1
         replica = plan.replica_reads
         if replica is not None:
-            self.replica_reads_total.inc(
-                sum(len(keys) for keys in replica.values())
-            )
+            self.replica_reads += sum(len(keys) for keys in replica.values())
         cloned = plan.cloned_reads
         if cloned is not None:
-            self.cloned_reads_total.inc(
-                sum(len(keys) for keys in cloned.values())
-            )
+            self.cloned_reads += sum(len(keys) for keys in cloned.values())
         masters = plan.masters
         if len(masters) == 1:
             # Single-master short-circuit: local iff reads and writes
@@ -120,16 +86,12 @@ class ClusterMetrics:
             ):
                 return
         if len(plan.execution_nodes()) > 1:
-            self.distributed_txns_total.inc()
+            self.distributed_txns += 1
 
     def distributed_txn_ratio(self) -> float:
         """Fraction of dispatched user transactions touching > 1 node."""
-        total = self.user_txns_total.value
-        return self.distributed_txns_total.value / total if total else 0.0
-
-    def note_ollp_exhausted(self) -> None:
-        """Record one OLLP transaction that ran out of restarts."""
-        self.ollp_exhausted_total.inc()
+        total = self.user_txns
+        return self.distributed_txns / total if total else 0.0
 
     def note_commit(self, runtime: "TxnRuntime") -> None:
         """Record one committed user transaction."""
@@ -137,15 +99,19 @@ class ClusterMetrics:
         assert now is not None
         self.commit_rate.record(now)
         if now >= self.warmup_until:
-            self.commits_total.inc()
+            self.commits += 1
             self.latency.add(*runtime.stage_times())
-            self._latency_hist.observe(runtime.total_latency())
+            latency = runtime.total_latency()
+            self._latencies.append(latency)
+            self._latency_sum += latency
 
     # -- aggregates ------------------------------------------------------
 
     def mean_latency_us(self) -> float:
         """Mean client-perceived latency over post-warm-up commits."""
-        return self._latency_hist.mean()
+        if not self._latencies:
+            return 0.0
+        return self._latency_sum / len(self._latencies)
 
     def throughput_series(self, until: float) -> TimeSeries:
         """Committed transactions per window (the paper's y-axis)."""
@@ -174,4 +140,11 @@ class ClusterMetrics:
         keyed by the floats passed in.  Every value is 0.0 before any
         commit is recorded.
         """
-        return self._latency_hist.percentiles(quantiles)
+        for q in quantiles:
+            if not 0 < q <= 1:
+                raise ValueError("quantile must be in (0, 1]")
+        ordered = sorted(self._latencies)
+        n = len(ordered)
+        if n == 0:
+            return {q: 0.0 for q in quantiles}
+        return {q: ordered[max(0, math.ceil(q * n) - 1)] for q in quantiles}

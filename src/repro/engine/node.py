@@ -145,7 +145,6 @@ class Node:
         self.commits = 0
         self.records_migrated_in = 0
         self.records_migrated_out = 0
-        self.records_replicated_in = 0
 
     def load_snapshot(self) -> dict[str, float]:
         """Point-in-time load numbers, sampled per batch when tracing."""

@@ -67,9 +67,6 @@ class OLLP:
         self.recon_reads = 0
         self.restarts = 0
         self.completed = 0
-        #: specs that exhausted their restart budget (deterministic
-        #: outcome, not an exception — see :meth:`submit`).
-        self.failed = 0
 
     # -- reconnaissance ----------------------------------------------------
 
@@ -109,10 +106,10 @@ class OLLP:
         therefore must not raise: the exhaustion callback runs *inside*
         kernel dispatch (mid-commit of the final aborted attempt), and an
         exception there unwinds the event loop and corrupts engine state.
-        Instead the :attr:`failed` counter increments, an
-        ``ollp_exhausted`` trace instant is emitted, and ``on_fail(spec,
-        runtime)`` — if given — is invoked with the final aborted
-        runtime.
+        Instead the cluster's ``metrics.ollp_exhausted`` counter
+        increments, an ``ollp_exhausted`` trace instant is emitted, and
+        ``on_fail(spec, runtime)`` — if given — is invoked with the final
+        aborted runtime.
         """
         predicted = spec.resolve(self._peek)
         reads, writes = predicted
@@ -132,8 +129,7 @@ class OLLP:
         def finished(runtime) -> None:
             if runtime.aborted:
                 if _attempt >= self.max_restarts:
-                    self.failed += 1
-                    self.cluster.metrics.note_ollp_exhausted()
+                    self.cluster.metrics.ollp_exhausted += 1
                     tracer = self.cluster.tracer
                     if tracer is not None:
                         tracer.instant(

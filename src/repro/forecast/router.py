@@ -118,7 +118,6 @@ class ForecastRouter(Router):
         #: Bound by the FallbackCoordinator (strategy attach hook).
         self.tracer = None
         self.on_engage = None
-        self.on_recover = None
         self._engaged_at_us: float | None = None
         self._reset_counters()
 
@@ -334,5 +333,3 @@ class ForecastRouter(Router):
                 )
                 tracer.forecast_transition("fallback_recovered", epoch=epoch)
             self._engaged_at_us = None
-            if self.on_recover is not None:
-                self.on_recover(epoch)

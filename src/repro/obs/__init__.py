@@ -1,7 +1,9 @@
-"""Observability: structured tracing, metrics registry, trace analysis.
+"""Observability: structured tracing and trace analysis.
 
-:mod:`repro.obs.tracer` records, :mod:`repro.obs.registry` counts and
-:mod:`repro.obs.analyze` reads a recorded trace back::
+:mod:`repro.obs.tracer` records and :mod:`repro.obs.analyze` reads a
+recorded trace back.  Run totals are not kept here: they are plain
+counters on :class:`~repro.engine.metrics.ClusterMetrics`.  Recording a
+run::
 
     from repro.obs.tracer import Tracer
 

@@ -36,7 +36,7 @@ __all__ = ["ReplicationCoordinator"]
 
 
 class ReplicationCoordinator:
-    """Binds a ReplicationRouter to a cluster's trace/metrics/sessions."""
+    """Binds a ReplicationRouter to a cluster's trace and sessions."""
 
     def __init__(
         self, cluster: "Cluster", router: ReplicationRouter
@@ -51,12 +51,6 @@ class ReplicationCoordinator:
         router.tracer = cluster.tracer
         router.on_provision = self._on_provision
         router.controller_busy = self._busy
-        registry = cluster.metrics.registry
-        self._cycles = registry.counter("replica_provision_cycles_total")
-        self._chunks = registry.counter("replica_install_chunks_total")
-        self._range_installs = registry.counter(
-            "replica_range_installs_total"
-        )
 
     # ------------------------------------------------------------------
     # Router callbacks
@@ -68,8 +62,6 @@ class ReplicationCoordinator:
     def _on_provision(
         self, chunks: list[ChunkMigration], epoch: int
     ) -> None:
-        self._cycles.inc()
-        self._chunks.inc(len(chunks))
         plan = ColdMigrationPlan(chunks=tuple(chunks))
         tracer = self.cluster.tracer
         if tracer is not None:
@@ -98,7 +90,6 @@ class ReplicationCoordinator:
         if epoch is None:
             return  # orphaned pre-crash chunk replayed without a route
         router.directory.install(range_id, chunk.dst, epoch)
-        self._range_installs.inc()
         tracer = self.cluster.tracer
         if tracer is not None:
             tracer.replication(
@@ -108,14 +99,3 @@ class ReplicationCoordinator:
                 epoch=epoch,
                 keys=len(chunk.keys),
             )
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def replication_bytes(self) -> int:
-        """Wire bytes spent installing replicas (session accounting)."""
-        return self.controller.bytes_on_wire
-
-    def replication_records(self) -> int:
-        return self.controller.records_moved

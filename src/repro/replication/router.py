@@ -175,9 +175,6 @@ class ReplicationRouter(Router):
 
     def route_batch(self, batch: Batch, view: ClusterView) -> RoutingPlan:
         directory = self.directory
-        ownership = view.ownership
-        if ownership.replicas is not directory:
-            ownership.replicas = directory
         epoch = batch.epoch
         self.epochs_total += 1
 

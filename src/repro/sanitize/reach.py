@@ -109,8 +109,8 @@ LEGS: tuple[Leg, ...] = (
         "    run_experiment(preset_spec('robustness').with_overrides(params="
         "{'error_levels': (0.0, 0.9), 'forecaster': forecaster}))\n"
     ), "0.01"),
-    # ci.yml's forecast-robustness and replication-smoke jobs replay these
-    # at 0.05, where the mispredict fallback engages and replicas serve.
+    # ci.yml's sanitize job replays these at 0.05, where the mispredict
+    # fallback engages and replicas serve.
     Leg("presets-ci-scale", _python(
         _RUN + "run_experiment(preset_spec('robustness'))\n"
         "run_experiment(preset_spec('replication'))\n"

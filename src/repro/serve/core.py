@@ -255,7 +255,7 @@ class ServeCore:
             fingerprint=fingerprint,
             digest=digest_hex,
             extras={
-                "epochs_delivered": cluster.epochs_delivered,
+                "epochs_delivered": cluster.metrics.batches,
                 "resizes": self.elastic.resizes,
                 "active_nodes": list(cluster.view.active_nodes),
             },

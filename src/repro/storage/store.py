@@ -354,13 +354,12 @@ class ReplicaStore:
     invalidation) and raises :class:`StorageError`.
     """
 
-    __slots__ = ("node_id", "records", "records_peak", "installs_total")
+    __slots__ = ("node_id", "records", "records_peak")
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.records: dict[Key, Record] = {}
         self.records_peak = 0
-        self.installs_total = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -379,7 +378,6 @@ class ReplicaStore:
     def install(self, record: Record) -> None:
         """Insert or refresh a replica copy (sequenced install txns only)."""
         self.records[record.key] = record
-        self.installs_total += 1
         if len(self.records) > self.records_peak:
             self.records_peak = len(self.records)
 

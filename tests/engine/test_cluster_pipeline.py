@@ -53,7 +53,7 @@ class TestSerialScheduler:
         # 30 txns over 5-txn batches = 6 batches; at 6 ms of serial
         # routing each, only ~3 batches' worth can dispatch by 20 ms.
         cluster.run_until(20_000.0)
-        assert cluster.epochs_delivered >= 3
+        assert cluster.metrics.batches >= 3
         dispatched = cluster._next_seq
         assert dispatched < 30, "dispatch should trail sequencing"
         cluster.run_until_quiescent(10_000_000)

@@ -164,9 +164,12 @@ class TestInstallPlanBuilder:
 
     def test_ownership_view_untouched(self):
         view = make_view()
-        before = view.ownership.version_token()
+        ownership = view.ownership
+        moves = ownership.moves_recorded
+        overlay = ownership.overlay.snapshot()
         build_replica_install_plan(install_txn(), view)
-        assert view.ownership.version_token() == before
+        assert ownership.moves_recorded == moves
+        assert ownership.overlay.snapshot() == overlay
 
     def test_rejects_non_copy_chunks(self):
         chunk = ChunkMigration(src=2, dst=0, keys=tuple(range(250, 300)))

@@ -230,13 +230,6 @@ class TestRouteBatch:
         reads = [p for p in plan if p.replica_reads is not None]
         assert len(reads) == 1
 
-    def test_attaches_directory_to_ownership_view(self):
-        router = make_router()
-        view = make_view()
-        assert view.ownership.replicas is None
-        router.route_batch(Batch(epoch=0, txns=[]), view)
-        assert view.ownership.replicas is router.directory
-
     def test_empty_directory_routes_identically_to_prescient(self):
         # Replication off (nothing provisioned): the wrapper must be a
         # byte-transparent shell around plain Hermes.
