@@ -36,7 +36,6 @@ from repro.common.config import RetryPolicy
 from repro.common.types import Key, NodeId, Transaction, TxnKind
 from repro.core.plan import TxnPlan
 from repro.engine.locks import LockMode
-from repro.sim.kernel import SimEvent
 from repro.sim.stats import LATENCY_STAGES
 from repro.storage.store import Record, RecordStore
 
@@ -59,14 +58,11 @@ _STAGE_COMMIT = 1
 _STAGE_WRITEBACK = 2
 _STAGE_EVICT = 3
 
-# Hoisted enum members: LockMode.X in the classification loop is an
-# attribute walk per key, and the loop runs once per transaction.
+# Hoisted enum members: ``LockMode.X`` is an attribute walk per lock.
 _S = LockMode.S
 _X = LockMode.X
-
-#: Shared empty migration index for the (dominant) migration-free case.
-#: Read-only — every consumer goes through ``.get``.
-_NO_MOVES: dict = {}
+#: Lock mode by release stage: only a key released at its serve is shared.
+_MODE_AT = (_S, _X, _X, _X)
 
 
 def _item_repr_key(item) -> str:
@@ -94,29 +90,92 @@ def _apply_writes(
 
 
 class _LockGroup:
-    """All lock requests a particular node-part waits on."""
+    """The lock requests one part of a transaction waits on.
 
-    __slots__ = ("keys", "remaining", "event", "granted_at")
+    Until the last of them is granted the group holds the hops parked on
+    it, as ``(fn, arg)`` pairs; opening it wakes them in registration
+    order, each through ``Kernel.call_now``, and a hop parked on an open
+    group takes its hop at once.  ``granted_at`` is ``None`` while the
+    group is closed.
+    """
 
-    def __init__(self, keys: frozenset[Key], event: SimEvent) -> None:
+    __slots__ = ("keys", "remaining", "granted_at", "parked")
+
+    def __init__(self, keys: frozenset[Key]) -> None:
         self.keys = keys
         self.remaining = len(keys)
-        self.event = event
         self.granted_at: float | None = None
+        self.parked: list | None = []
+
+
+class _Serve(_LockGroup):
+    """One serve location: the keys it reads and ships, and its lock
+    group, whose ``keys`` are the locked ones (none for a pure
+    replica/clone serve, which parks on nothing)."""
+
+    __slots__ = ("loc", "serve_keys", "moves", "replica")
+
+    def __init__(
+        self, loc: NodeId, serve_keys: frozenset[Key], locked: frozenset[Key]
+    ) -> None:
+        _LockGroup.__init__(self, locked)
+        self.loc = loc
+        self.serve_keys = serve_keys
+        #: Migrations leaving from here (their records are read here).
+        self.moves: list | None = None
+        #: Keys served from the replica side-store (replica or clone reads).
+        self.replica: frozenset[Key] | None = None
+
+
+class _Master:
+    """One master's inputs and its data-ready state.
+
+    ``awaiting`` lists the serve locations whose data has not arrived
+    (the master's own serve included); a second delivery from a location
+    is dropped.  The master is ready when nothing is awaited or, for a
+    cloned plan, once every footprint key has a value (``missing``).
+    Only the master's own chain parks on readiness, so ``parked`` is a
+    flag rather than a list of hops.
+    """
+
+    __slots__ = (
+        "node", "group", "awaiting", "inbox", "values", "missing", "parked"
+    )
+
+    def __init__(
+        self, node: NodeId, group: _Serve | None, awaiting: list[NodeId]
+    ) -> None:
+        self.node = node
+        self.group = group
+        self.awaiting = awaiting
+        self.inbox: list[Record] | tuple = ()
+        #: Shipped read values, kept only for an OLLP validator.
+        self.values: dict[Key, int] | None = None
+        self.missing: set[Key] | None = None
+        self.parked = False
+
+    def ready(self) -> bool:
+        missing = self.missing
+        if missing is not None:
+            return not missing
+        return not self.awaiting
 
 
 class TxnRuntime:
-    """Drives one transaction's plan through the simulated cluster."""
+    """Drives one transaction's plan through the simulated cluster.
+
+    Per-transaction state is built for the plan's shape: one
+    :class:`_Serve` per serve location, one :class:`_Master` per master,
+    a lock group for the evictions only if there are any, and one
+    release-stage map from which the lock modes follow.
+    """
 
     __slots__ = (
         "cluster", "plan", "txn", "seq", "t_sequenced", "t_dispatched",
         "on_finished", "committed", "aborted", "will_abort", "coordinator",
         "t_locks", "t_serve_done", "t_data", "t_commit",
-        "_coord_apply_cpu", "_data_ready", "_inbox", "_values",
-        "_expected_from", "_received_from", "_migrated_by_src",
-        "_release_stage", "_lock_mode", "_lock_order_sorted",
-        "_all_groups", "_sole_group", "_evict_group", "_groups",
-        "_serve_done", "_serve_keys", "_replica_at", "_missing_keys",
+        "_coord_apply_cpu", "_release_stage", "_lock_order_sorted",
+        "_all_groups", "_sole_group", "_evict_group", "_serves", "_masters",
     )
 
     #: Grant callbacks take the granted key (see ``on_lock_granted``);
@@ -134,21 +193,32 @@ class TxnRuntime:
     ) -> None:
         self.cluster = cluster
         self.plan = plan
-        self.txn = plan.txn
+        txn = plan.txn
+        self.txn = txn
         self.seq = seq
         self.t_sequenced = t_sequenced
         self.t_dispatched = t_dispatched
         self.on_finished = on_finished
         self.committed = False
         self.aborted = False
-
-        kernel = cluster.kernel
+        self.will_abort = txn.aborts
         self.coordinator = plan.coordinator
-        txn = self.txn
 
-        # -- classify keys: lock mode and release stage ---------------------
+        # -- classify keys: release stage (the lock mode follows) -----------
+        # Written and migrated keys release at commit, the rest at their
+        # serve.  Setting a present key keeps its place, so the map stays
+        # in ``ordered_keys`` (repr-sorted) order.
         write_set = txn.write_set
         ordered_keys = txn.ordered_keys
+        migrations = plan.migrations
+        if len(write_set) == len(ordered_keys):
+            release_stage = dict.fromkeys(ordered_keys, _STAGE_COMMIT)
+        else:
+            release_stage = dict.fromkeys(ordered_keys, _STAGE_READ)
+            for key in write_set:
+                release_stage[key] = _STAGE_COMMIT
+        for move in migrations:
+            release_stage[move.key] = _STAGE_COMMIT
         replica_reads = plan.replica_reads
         if replica_reads is not None:
             # Replica-served keys take no locks at all: the replication
@@ -156,166 +226,125 @@ class TxnRuntime:
             # sequenced between a replica's install and this read, so the
             # side-store value is already the serializable one (the whole
             # point — replica reads skip the lock queue *and* the wait).
-            lockfree: set[Key] = set()
             for keys in replica_reads.values():
-                lockfree.update(keys)
-            migrated_keys = (
-                {m.key for m in plan.migrations} if plan.migrations else ()
-            )
-            release_stage: dict[Key, int] = {}
-            lock_mode: dict[Key, LockMode] = {}
-            for key in ordered_keys:
-                if key in lockfree:
-                    continue
-                if key in write_set or key in migrated_keys:
-                    lock_mode[key] = _X
-                    release_stage[key] = _STAGE_COMMIT
-                else:
-                    lock_mode[key] = _S
-                    release_stage[key] = _STAGE_READ
-        elif plan.migrations:
-            migrated_keys = {m.key for m in plan.migrations}
-            release_stage: dict[Key, int] = {}
-            lock_mode: dict[Key, LockMode] = {}
-            for key in ordered_keys:
-                if key in write_set or key in migrated_keys:
-                    lock_mode[key] = _X
-                    release_stage[key] = _STAGE_COMMIT
-                else:
-                    lock_mode[key] = _S
-                    release_stage[key] = _STAGE_READ
-        elif len(write_set) == len(ordered_keys):
-            # Write-everything transactions (and, symmetrically,
-            # read-only ones below) classify in one C-level pass.
-            lock_mode = dict.fromkeys(ordered_keys, _X)
-            release_stage = dict.fromkeys(ordered_keys, _STAGE_COMMIT)
-        elif not write_set:
-            lock_mode = dict.fromkeys(ordered_keys, _S)
-            release_stage = dict.fromkeys(ordered_keys, _STAGE_READ)
-        else:
-            release_stage = {}
-            lock_mode = {}
-            for key in ordered_keys:
-                if key in write_set:
-                    lock_mode[key] = _X
-                    release_stage[key] = _STAGE_COMMIT
-                else:
-                    lock_mode[key] = _S
-                    release_stage[key] = _STAGE_READ
-        self._release_stage = release_stage
-        self._lock_mode = lock_mode
-        # ``lock_mode`` insertion follows ``ordered_keys`` (repr-sorted);
-        # only a writeback/eviction key from *outside* the footprint can
-        # break that order and force ``lock_requests`` to re-sort.
+                for key in keys:
+                    release_stage.pop(key, None)
+        # Only a writeback/eviction key from *outside* the footprint can
+        # break the repr order and force ``lock_requests`` to re-sort.
         in_order = True
         for move in plan.writebacks:
-            key = move.key
-            if key not in lock_mode:
+            if move.key not in release_stage:
                 in_order = False
-            lock_mode[key] = _X
-            release_stage[key] = _STAGE_WRITEBACK
+            release_stage[move.key] = _STAGE_WRITEBACK
         for move in plan.evictions:
-            key = move.key
-            if key not in lock_mode:
+            if move.key not in release_stage:
                 in_order = False
-            lock_mode[key] = _X
-            release_stage[key] = _STAGE_EVICT
+            release_stage[move.key] = _STAGE_EVICT
+        self._release_stage = release_stage
         self._lock_order_sorted = in_order
 
-        # -- lock groups per serve location ---------------------------------
-        self._groups: dict[NodeId, _LockGroup] = {}
-        all_groups: list[_LockGroup] = []
+        # -- serve locations and their lock groups ----------------------------
+        reads_from = plan.reads_from
         cloned_reads = plan.cloned_reads
+        serves: list[_Serve] = []
+        groups: list[_LockGroup] = []
         if replica_reads is None and cloned_reads is None:
-            self._serve_keys = plan.reads_from
-            self._replica_at = _NO_MOVES
-            for loc, keys in plan.reads_from.items():
+            for loc, keys in reads_from.items():
                 if keys:
-                    group = _LockGroup(keys, kernel.event())
-                    self._groups[loc] = group
-                    all_groups.append(group)
+                    serve = _Serve(loc, keys, keys)
+                    serves.append(serve)
+                    groups.append(serve)
         else:
             # Serve keys per location = plan reads plus any clones; the
             # lock group at a location covers only its *locked* keys.  A
             # location left without locked keys (pure replica/clone
-            # serve) gets no group and serves straight from dispatch.
+            # serve) has no group and serves straight from dispatch.
             replica_at: dict[NodeId, frozenset[Key]] = (
                 dict(replica_reads) if replica_reads else {}
             )
-            serve_keys: dict[NodeId, frozenset[Key]] = dict(plan.reads_from)
+            serve_keys: dict[NodeId, frozenset[Key]] = dict(reads_from)
             if cloned_reads:
                 for loc, extra in cloned_reads.items():
                     base = replica_at.get(loc)
                     replica_at[loc] = extra if base is None else (base | extra)
                     held = serve_keys.get(loc)
                     serve_keys[loc] = extra if held is None else (held | extra)
-            self._replica_at = replica_at
-            self._serve_keys = serve_keys
-            for loc, keys in plan.reads_from.items():
+            for loc, keys in serve_keys.items():
+                if not keys:
+                    continue
+                primary = reads_from.get(loc)
                 lockfree_here = (
                     replica_reads.get(loc) if replica_reads else None
                 )
-                locked = keys - lockfree_here if lockfree_here else keys
+                if not primary:
+                    locked = frozenset()
+                elif lockfree_here:
+                    locked = primary - lockfree_here
+                else:
+                    locked = primary
+                serve = _Serve(loc, keys, locked)
+                serve.replica = replica_at.get(loc)
+                serves.append(serve)
                 if locked:
-                    group = _LockGroup(locked, kernel.event())
-                    self._groups[loc] = group
-                    all_groups.append(group)
-        self._evict_group: _LockGroup | None = None
+                    groups.append(serve)
+        for move in migrations:
+            for serve in serves:
+                if serve.loc == move.src:
+                    if serve.moves is None:
+                        serve.moves = [move]
+                    else:
+                        serve.moves.append(move)
+                    break
+        self._serves = serves
         if plan.evictions:
-            eviction_keys = frozenset(m.key for m in plan.evictions)
-            self._evict_group = _LockGroup(eviction_keys, kernel.event())
-            all_groups.append(self._evict_group)
-        self._all_groups = all_groups
+            evict_group = _LockGroup(
+                frozenset(m.key for m in plan.evictions)
+            )
+            groups.append(evict_group)
+            self._evict_group: _LockGroup | None = evict_group
+        else:
+            self._evict_group = None
+        self._all_groups = groups
         # Fast path: when one group covers *every* locked key, grants
         # skip the per-group membership scan entirely.  (Group keys are
-        # always a subset of ``lock_mode``, so equal sizes ⇒ coverage.)
+        # always a subset of the locked keys, so equal sizes ⇒ coverage.)
         self._sole_group = (
-            all_groups[0]
-            if len(all_groups) == 1
-            and len(all_groups[0].keys) == len(lock_mode)
+            groups[0]
+            if len(groups) == 1 and len(groups[0].keys) == len(release_stage)
             else None
         )
 
-        # -- data-ready events per master ------------------------------------
-        if plan.migrations:
-            by_src: dict[NodeId, list] = {}
-            for move in plan.migrations:
-                by_src.setdefault(move.src, []).append(move)
-            self._migrated_by_src = by_src
-        else:
-            self._migrated_by_src = _NO_MOVES
-        masters = plan.masters
-        reads_from = plan.reads_from
-        if len(masters) == 1:
-            master = masters[0]
-            expected = set(reads_from)
-            expected.discard(master)
-            self._expected_from = {master: expected}
-            self._data_ready = {master: kernel.event()}
-            self._inbox = {master: []}
-            self._received_from = {master: set()}
-            self._values = {master: {}}
-        else:
-            self._expected_from = {
-                m: {loc for loc in reads_from if loc != m} for m in masters
-            }
-            self._data_ready = {m: kernel.event() for m in masters}
-            self._inbox = {m: [] for m in masters}
-            self._received_from = {m: set() for m in masters}
-            self._values = {m: {} for m in masters}
+        # -- one part per master ------------------------------------------
+        masters: list[_Master] = []
+        for node in plan.masters:
+            here = None
+            for serve in serves:
+                if serve.loc == node:
+                    here = serve
+                    break
+            if cloned_reads is None:
+                # Every location the plan reads from reports, the
+                # master's own only if it reads anything there.
+                awaiting = list(reads_from)
+                if node in reads_from and not reads_from[node]:
+                    awaiting.remove(node)
+            else:
+                awaiting = [serve.loc for serve in serves]
+            masters.append(_Master(
+                node, here if here is not None and here.keys else None,
+                awaiting,
+            ))
+        if txn.validator is not None:
+            for part in masters:
+                part.values = {}
         if cloned_reads is not None:
             # Request cloning: readiness switches from "every expected
             # serve location reported" to "every footprint key has a
             # value" — the master proceeds on the first copy of each key
             # and late clones merely top up idempotent state.
-            full_set = txn.full_set
-            self._missing_keys: dict[NodeId, set[Key]] | None = {
-                m: set(full_set) for m in masters
-            }
-        else:
-            self._missing_keys = None
-        self._serve_done: dict[NodeId, float] = {}
-        self.will_abort = txn.aborts
+            for part in masters:
+                part.missing = set(txn.full_set)
+        self._masters = masters
 
         # -- latency probe timestamps at the coordinator ---------------------
         self.t_locks: float | None = None
@@ -331,14 +360,16 @@ class TxnRuntime:
     def lock_requests(self) -> list[tuple[Key, LockMode]]:
         """Every (key, mode) this transaction must enqueue, deduplicated.
 
-        Insertion order already follows the repr-sort for footprint keys;
-        re-sort only when an out-of-footprint writeback/eviction key broke
-        it (see ``__init__``).
+        A key released at its serve is read-locked; every other stage
+        (commit, writeback, eviction) needs an exclusive lock.  Insertion
+        order already follows the repr-sort for footprint keys; re-sort
+        only when an out-of-footprint writeback/eviction key broke it
+        (see ``__init__``).
         """
-        items = list(self._lock_mode.items())
-        if self._lock_order_sorted:
-            return items
-        items.sort(key=_item_repr_key)
+        stages = self._release_stage
+        items = list(zip(stages, map(_MODE_AT.__getitem__, stages.values())))
+        if not self._lock_order_sorted:
+            items.sort(key=_item_repr_key)
         return items
 
     def on_lock_granted(self, key: Key) -> None:
@@ -351,15 +382,28 @@ class TxnRuntime:
         if sole is not None:
             sole.remaining -= 1
             if sole.remaining == 0:
-                sole.granted_at = self.cluster.kernel.now
-                sole.event.trigger()
+                self._open(sole)
             return
         for group in self._all_groups:
             if key in group.keys:
                 group.remaining -= 1
                 if group.remaining == 0:
-                    group.granted_at = self.cluster.kernel.now
-                    group.event.trigger()
+                    self._open(group)
+
+    def _open(self, group: _LockGroup) -> None:
+        kernel = self.cluster.kernel
+        group.granted_at = kernel.now
+        parked = group.parked
+        group.parked = None
+        call_now = kernel.call_now
+        for fn, arg in parked:
+            call_now(fn, arg)
+
+    def _park(self, group: _LockGroup, fn: Callable, arg) -> None:
+        if group.granted_at is None:
+            group.parked.append((fn, arg))
+        else:
+            self.cluster.kernel.call_now(fn, arg)
 
     # ------------------------------------------------------------------
     # Launch: one chain per serve location and per master
@@ -368,97 +412,93 @@ class TxnRuntime:
     def start(self) -> None:
         """Launch the per-location serve parts and per-master parts.
 
-        Each part is a callback chain: the entry goes through
-        ``call_soon``, a gate parks on a :class:`SimEvent` whose trigger
-        wakes it through ``call_soon``, and a worker completion re-enters
-        through ``call_soon`` too.  Every hop takes a run-queue slot, and
-        those slots fix the order in which same-time events of different
-        transactions interleave: the order the golden fingerprints pin.
-        Folding a hop away changes that order; :class:`LocalTxnRuntime`
-        keeps these hops and only skips the queue, through
-        ``Kernel.call_now``, when a hop would run next anyway.
+        Each part is a callback chain of hops: its entry, the wake-up
+        when its lock group opens (or, for a master, when its data is
+        ready), and each worker completion.  Every hop goes through
+        ``Kernel.call_now``, which runs it unqueued when it would be
+        the next event anyway and queues it like ``call_soon``
+        otherwise, so the order in which same-time events of different
+        transactions interleave, the order the golden fingerprints pin,
+        is the one a queue slot per hop gives.  Folding a hop away (a
+        gate that has opened running its waiter inline) changes that
+        order.
         """
-        call_soon = self.cluster.kernel.call_soon
-        serve_keys = self._serve_keys
-        for loc in serve_keys:
-            if serve_keys[loc]:
-                call_soon(self._serve_entry, loc)
-        for master in self.plan.masters:
-            call_soon(self._master_entry, master)
+        call_now = self.cluster.kernel.call_now
+        for serve in self._serves:
+            call_now(self._serve_entry, serve)
+        for part in self._masters:
+            call_now(self._master_entry, part)
 
     # ------------------------------------------------------------------
     # Phase: serve local reads at one location
     # ------------------------------------------------------------------
 
-    def _serve_entry(self, loc: NodeId) -> None:
-        group = self._groups.get(loc)
-        if group is None:
+    def _serve_entry(self, serve: _Serve) -> None:
+        if serve.keys:
+            self._park(serve, self._serve_locked, serve)
+        else:
             # Pure replica/clone serve location: nothing to lock, serve
             # immediately (mirrors the lock-free master-entry path).
-            self._serve_locked(loc)
-        else:
-            group.event.add_waiter(partial(self._serve_locked, loc))
+            self._serve_locked(serve)
 
-    def _serve_locked(self, loc: NodeId) -> None:
+    def _serve_locked(self, serve: _Serve) -> None:
         cluster = self.cluster
         kernel = cluster.kernel
-        group = self._groups.get(loc)
-        if loc == self.coordinator and self.t_locks is None:
+        if serve.loc == self.coordinator and self.t_locks is None:
             self.t_locks = (
-                group.granted_at if group is not None else self.t_dispatched
+                serve.granted_at if serve.keys else self.t_dispatched
             )
-        cpu = cluster.config.costs.local_access_us * len(
-            self._serve_keys[loc]
-        )
-        cluster.nodes[loc].workers.submit(
+        cpu = cluster.config.costs.local_access_us * len(serve.serve_keys)
+        cluster.nodes[serve.loc].workers.submit(
             cpu,
-            partial(
-                kernel.call_soon, self._serve_executed, loc, kernel.now
-            ),
+            partial(kernel.call_now, self._serve_executed, serve, kernel.now),
         )
 
-    def _serve_executed(self, loc: NodeId, t_serve_start: float) -> None:
+    def _serve_executed(self, serve: _Serve, t_serve_start: float) -> None:
         cluster = self.cluster
-        kernel = cluster.kernel
         txn = self.txn
-        keys = self._serve_keys[loc]
+        loc = serve.loc
+        keys = serve.serve_keys
         tracer = cluster.tracer
         if tracer is not None:
             tracer.serve(txn.txn_id, loc, t_serve_start, len(keys))
-        self._serve_done[loc] = kernel.now
         if loc == self.coordinator:
-            self.t_serve_done = kernel.now
+            self.t_serve_done = cluster.kernel.now
 
-        store = cluster.nodes[loc].store
-        moves = self._migrated_by_src.get(loc)
-        if moves:
-            # Physically detach records that migrate away from here.
+        node = cluster.nodes[loc]
+        store = node.store
+        moves = serve.moves
+        if moves is not None:
+            # Physically detach records that migrate away from here.  A
+            # migration's record is read where it leaves from, so the
+            # other served keys only need a look-up if some stay.
             values: dict[Key, int] = {}
-            records: list[Record] = []
-            migrating = [move for move in moves if move.src == loc]
-            migrating_keys = {move.key for move in migrating}
-            for move in migrating:
-                record = store.evict(move.key)
+            records: list[Record] | tuple = []
+            evict = store.evict
+            for move in moves:
+                record = evict(move.key)
                 values[move.key] = record.value
                 records.append(record)
-            if migrating:
-                cluster.nodes[loc].records_migrated_out += len(migrating)
-            for key in keys:
-                if key not in migrating_keys:
-                    values[key] = store.read_value(key)
+            node.records_migrated_out += len(moves)
+            if len(moves) < len(keys):
+                migrating_keys = {move.key for move in moves}
+                read = store.read_value
+                for key in keys:
+                    if key not in migrating_keys:
+                        values[key] = read(key)
         else:
-            replica_here = self._replica_at.get(loc)
+            replica_here = serve.replica
             installs = self.plan.replica_installs
             if replica_here is None and installs is None:
                 read = store.read_value
                 values = {key: read(key) for key in keys}
-                records = []
+                records = ()
             else:
                 # Replica-served keys come from the node's side-store;
                 # install keys ship *copies* (the primary keeps its
                 # record — contrast the migration detach above).
                 read_value = store.read_value
-                replicas = cluster.nodes[loc].replicas
+                replicas = node.replicas
                 values = {}
                 records = []
                 for key in keys:
@@ -471,163 +511,128 @@ class TxnRuntime:
                     else:
                         values[key] = read_value(key)
 
-        masters = self.plan.masters
-        if len(masters) > 1 or masters[0] != loc:
-            record_bytes = txn.profile.record_bytes
-            payload = CONTROL_BYTES + record_bytes * len(keys)
-            send_reliable = cluster.network.send_reliable
-            metrics = cluster.metrics
-            coordinator = self.coordinator
-            for master in masters:
-                if master == loc:
-                    continue
-                shipped = records if master == coordinator else []
-                send_reliable(
-                    loc,
-                    master,
-                    payload,
-                    self._make_delivery(master, loc, shipped, values),
-                    RETRY_POLICY,
-                    describe=f"remote read txn {txn.txn_id}",
-                )
-                metrics.remote_reads += len(keys)
-                if tracer is not None:
-                    tracer.remote_read(
-                        txn.txn_id, loc, master, len(keys), payload
-                    )
+        own = None
+        for part in self._masters:
+            master = part.node
+            if master == loc:
+                own = part
+                continue
+            payload = CONTROL_BYTES + txn.profile.record_bytes * len(keys)
+            cluster.network.send_reliable(
+                loc,
+                master,
+                payload,
+                partial(
+                    self._note_data, part, loc,
+                    records if master == self.coordinator else (), values,
+                ),
+                RETRY_POLICY,
+                describe=f"remote read txn {txn.txn_id}",
+            )
+            cluster.metrics.remote_reads += len(keys)
+            if tracer is not None:
+                tracer.remote_read(txn.txn_id, loc, master, len(keys), payload)
 
         # The master's own serve completion also feeds its data-ready gate.
-        if loc in self.plan.masters:
-            self._note_data(loc, loc, records, values)
+        if own is not None:
+            self._note_data(own, loc, records, values)
 
         # Only *locked* keys release here — replica/clone serves hold no
         # locks, and a clone of a primary-served key must not release the
         # lock its primary serve still owns.
-        group = self._groups.get(loc)
-        if group is not None:
-            self._release_stage_keys(loc, group.keys, _STAGE_READ)
-
-    def _make_delivery(
-        self,
-        master: NodeId,
-        loc: NodeId,
-        records: list[Record],
-        values: dict[Key, int],
-    ):
-        def deliver() -> None:
-            self._note_data(master, loc, records, values)
-
-        return deliver
+        if serve.keys:
+            self._release_stage_keys(serve.keys, _STAGE_READ)
 
     def _note_data(
         self,
-        master: NodeId,
+        part: _Master,
         loc: NodeId,
-        records: list[Record],
+        records: list[Record] | tuple,
         values: dict[Key, int],
     ) -> None:
         # Idempotent redelivery: the reliable channel already suppresses
         # duplicates, but a master must also tolerate a retransmitted
         # read message arriving through any path — installing the same
         # records twice would corrupt the store.
-        if loc in self._received_from[master]:
+        awaiting = part.awaiting
+        if loc not in awaiting:
             return
-        self._received_from[master].add(loc)
-        self._inbox[master].extend(records)
-        self._values[master].update(values)
-        expected = self._expected_from[master]
-        expected.discard(loc)
-        missing = self._missing_keys
-        if missing is not None:
-            hole = missing[master]
-            if hole:
-                hole.difference_update(values)
-        self._maybe_data_ready(master)
-
-    def _maybe_data_ready(self, master: NodeId) -> None:
-        missing = self._missing_keys
-        if missing is not None:
-            # Cloned plans gate on key coverage, not location coverage:
-            # the first arriving copy of the last missing key unblocks
-            # the master (later copies land in idempotent state).
-            if missing[master]:
-                return
-            event = self._data_ready[master]
-            if not event.triggered:
-                event.trigger()
-            return
-        needs_own = (
-            master in self.plan.reads_from
-            and bool(self.plan.reads_from[master])
-            and master not in self._serve_done
-        )
-        if not self._expected_from[master] and not needs_own:
-            event = self._data_ready[master]
-            if not event.triggered:
-                event.trigger()
+        awaiting.remove(loc)
+        if records:
+            part.inbox = [*part.inbox, *records]
+        if part.values is not None:
+            part.values.update(values)
+        missing = part.missing
+        if missing:
+            missing.difference_update(values)
+        if part.parked and part.ready():
+            part.parked = False
+            self.cluster.kernel.call_now(self._master_data, part)
 
     # ------------------------------------------------------------------
     # Phase: master execution (logic + writes + commit)
     # ------------------------------------------------------------------
 
-    def _master_entry(self, master: NodeId) -> None:
-        group = self._groups.get(master)
+    def _master_entry(self, part: _Master) -> None:
+        group = part.group
         if group is not None:
-            group.event.add_waiter(partial(self._master_locked, master))
+            self._park(group, self._master_locked, part)
         else:
-            self._master_locked(master)
+            self._master_locked(part)
 
-    def _master_locked(self, master: NodeId) -> None:
-        if master == self.coordinator and self.t_locks is None:
-            group = self._groups.get(master)
+    def _master_locked(self, part: _Master) -> None:
+        if part.node == self.coordinator and self.t_locks is None:
+            group = part.group
             self.t_locks = (
                 group.granted_at if group is not None else self.t_dispatched
             )
-        self._maybe_data_ready(master)
-        self._data_ready[master].add_waiter(
-            partial(self._master_data, master)
-        )
+        if part.ready():
+            self.cluster.kernel.call_now(self._master_data, part)
+        else:
+            part.parked = True
 
-    def _master_data(self, master: NodeId) -> None:
+    def _master_data(self, part: _Master) -> None:
         cluster = self.cluster
         kernel = cluster.kernel
         costs = cluster.config.costs
+        master = part.node
         if master == self.coordinator:
             self.t_data = kernel.now
 
         txn = self.txn
-        incoming = self._inbox[master]
-        local_writes = self.plan.writes_at.get(master, frozenset())
+        local_writes = self.plan.writes_at.get(master)
+        num_writes = len(local_writes) if local_writes else 0
         logic_cpu = (
             costs.logic_us_per_record * txn.size * txn.profile.logic_factor
         )
         apply_cpu = (
-            costs.local_access_us * len(local_writes)
-            + costs.migration_apply_us * len(incoming)
+            costs.local_access_us * num_writes
+            + costs.migration_apply_us * len(part.inbox)
         )
         if txn.aborts:
             # The paper's undo pass, charged though nothing is written.
-            apply_cpu += costs.local_access_us * len(local_writes)
+            apply_cpu += costs.local_access_us * num_writes
 
         cluster.nodes[master].workers.submit(
             logic_cpu + apply_cpu,
             partial(
-                kernel.call_soon, self._master_executed,
-                master, logic_cpu, apply_cpu, kernel.now,
+                kernel.call_now, self._master_executed,
+                part, logic_cpu, apply_cpu, kernel.now,
             ),
         )
 
     def _master_executed(
         self,
-        master: NodeId,
+        part: _Master,
         logic_cpu: float,
         apply_cpu: float,
         t_exec_start: float,
     ) -> None:
         cluster = self.cluster
         txn = self.txn
-        incoming = self._inbox[master]
-        local_writes = self.plan.writes_at.get(master, frozenset())
+        master = part.node
+        incoming = part.inbox
+        local_writes = self.plan.writes_at.get(master)
         node = cluster.nodes[master]
         tracer = cluster.tracer
         if tracer is not None:
@@ -656,7 +661,7 @@ class TxnRuntime:
         # transaction deterministically aborts (to be re-run by OLLP).
         # Every master evaluates the same locked values, so they agree.
         if txn.validator is not None and not self.will_abort:
-            if not txn.validator(self._make_value_reader(master)):
+            if not txn.validator(self._make_value_reader(part)):
                 self.will_abort = True
 
         if local_writes and not self.will_abort:
@@ -666,30 +671,26 @@ class TxnRuntime:
             self._coord_apply_cpu = apply_cpu
             self._commit()
 
-        release_keys = set(local_writes)
-        release_keys.update(r.key for r in incoming)
+        release_keys = set(local_writes) if local_writes else set()
+        if incoming:
+            release_keys.update(r.key for r in incoming)
         owned_here = self.plan.reads_from.get(master)
         if owned_here:
-            release_stage = self._release_stage
-            release_keys.update(
-                k
-                for k in owned_here
-                if release_stage.get(k) == _STAGE_COMMIT
-            )
-        self._release_stage_keys(master, release_keys, _STAGE_COMMIT)
+            release_keys.update(owned_here)
+        self._release_stage_keys(release_keys, _STAGE_COMMIT)
 
     # ------------------------------------------------------------------
     # Commit and post-commit work (coordinator only)
     # ------------------------------------------------------------------
 
-    def _make_value_reader(self, master: NodeId):
+    def _make_value_reader(self, part: _Master):
         """value_of(key) over the transaction's locked footprint at a
         master: local keys from the store, remote keys from the shipped
         read values.  Reading outside the footprint raises — OLLP
         validators may only depend on locked data, or determinism under
         replay would be lost."""
-        store = self.cluster.nodes[master].store
-        remote = self._values[master]
+        store = self.cluster.nodes[part.node].store
+        remote = part.values
         footprint = self.txn.full_set
 
         def value_of(key: Key) -> int:
@@ -722,16 +723,19 @@ class TxnRuntime:
                 stages=self.latency_stages() if self.committed else None,
             )
         self._start_writebacks()
-        self._start_evictions()
+        evict_group = self._evict_group
+        if evict_group is None:
+            cluster.runtime_settled(self)
+        else:
+            self._park(evict_group, self._launch_evictions, evict_group)
         self.on_finished(self)
 
     def abandon(self) -> None:
-        """Drop the lock-group and data-ready events a closed cluster
-        will never fire: their waiters lead back here (see
-        ``Cluster.close``)."""
-        self._groups = {}
-        self._data_ready = {}
-        self._all_groups = []
+        """Drop the hops a closed cluster will never wake: they lead back
+        here and to the master parts (see ``Cluster.close``)."""
+        for group in self._all_groups:
+            group.parked = None
+        self._serves = self._masters = self._all_groups = []
         self._sole_group = self._evict_group = None
 
     def _start_writebacks(self) -> None:
@@ -745,29 +749,20 @@ class TxnRuntime:
                 self.coordinator, dst, moves, _STAGE_WRITEBACK, "writeback"
             )
 
-    def _start_evictions(self) -> None:
-        if not self.plan.evictions:
-            self.cluster.runtime_settled(self)
-            return
-
-        def launch() -> None:
-            cluster = self.cluster
-            cluster.runtime_settled(self)
-            by_route: dict[tuple[NodeId, NodeId], list] = {}
-            for move in self.plan.evictions:
-                by_route.setdefault((move.src, move.dst), []).append(move)
-            # Each route first reads its records at the source.
-            access_us = cluster.config.costs.local_access_us
-            for (src, dst), moves in sorted(by_route.items()):
-                cluster.nodes[src].workers.submit(
-                    access_us * len(moves),
-                    partial(
-                        self._ship, src, dst, moves, _STAGE_EVICT, "eviction"
-                    ),
-                )
-
-        assert self._evict_group is not None
-        self._evict_group.event.add_waiter(launch)
+    def _launch_evictions(self, _group: _LockGroup) -> None:
+        """Once the eviction keys are locked, read each route's records
+        at the source and ship them."""
+        cluster = self.cluster
+        cluster.runtime_settled(self)
+        by_route: dict[tuple[NodeId, NodeId], list] = {}
+        for move in self.plan.evictions:
+            by_route.setdefault((move.src, move.dst), []).append(move)
+        access_us = cluster.config.costs.local_access_us
+        for (src, dst), moves in sorted(by_route.items()):
+            cluster.nodes[src].workers.submit(
+                access_us * len(moves),
+                partial(self._ship, src, dst, moves, _STAGE_EVICT, "eviction"),
+            )
 
     def _ship(
         self, src: NodeId, dst: NodeId, moves: list, stage: int, label: str
@@ -794,7 +789,7 @@ class TxnRuntime:
                     f"{label}_install", txn_id, dst, dst, len(records)
                 )
             self._release_stage_keys(
-                dst, frozenset(r.key for r in records), stage
+                frozenset(r.key for r in records), stage
             )
 
         cluster.network.send_reliable(
@@ -822,7 +817,7 @@ class TxnRuntime:
     # ------------------------------------------------------------------
 
     def _release_stage_keys(
-        self, node: NodeId, keys: frozenset[Key] | set[Key], stage: int
+        self, keys: frozenset[Key] | set[Key], stage: int
     ) -> None:
         release_stage = self._release_stage
         release = self.cluster.lock_manager.release
@@ -1128,10 +1123,10 @@ def make_runtime(
 
     ``LocalTxnRuntime`` stays a separate class by measurement: sending
     every plan through ``TxnRuntime`` costs the all-local
-    ``sim_tenant_calvin`` perfbench workload 40–46 % of its txn/s
-    (DESIGN §14).  Either runtime gives an eligible plan the same event
-    order: the local one takes the generic chain's hops, through
-    ``Kernel.call_now``.
+    ``sim_tenant_calvin`` perfbench workload about 28 % of its txn/s,
+    even with both runtimes' hops unqueued (DESIGN §14).  Either runtime
+    gives an eligible plan the same event order: both take the same
+    hops, through ``Kernel.call_now``.
     """
     txn = plan.txn
     masters = plan.masters

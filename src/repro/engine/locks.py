@@ -15,10 +15,11 @@ state.  Callers must enqueue requests in total order; the manager enforces
 this with a monotonic sequence check.
 
 Implementation note: each key keeps its *granted holders* (a dict, with a
-count of exclusive holders) separate from its FIFO *waiting* deque, so
-enqueue, grant, and release are all O(1) amortized — hot keys in skewed
-workloads build queues tens of thousands deep, and anything that rescans
-the queue per operation is quadratic in practice.
+count of exclusive holders) separate from its FIFO *waiting* deque
+(allocated when the first request has to wait), so enqueue, grant, and
+release are all O(1) amortized — hot keys in skewed workloads build
+queues tens of thousands deep, and anything that rescans the queue per
+operation is quadratic in practice.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class LockMode(enum.Enum):
 _XM = LockMode.X
 
 #: Cap on pooled (empty) key queues kept for reuse.  Uniform workloads
-#: churn one queue per key per transaction; reusing the dict/deque pair
-#: keeps the dominant lock path allocation-free.
+#: churn one queue per key per transaction; reusing the queue and its
+#: holders dict keeps the dominant (uncontended) lock path
+#: allocation-free.  A pooled queue drops its waiting deque.
 _POOL_MAX = 512
 
 
@@ -80,7 +82,9 @@ class _KeyQueue:
     def __init__(self) -> None:
         self.holders: dict[int, LockMode] = {}
         self.exclusive_holders = 0
-        self.waiting: deque[_Request] = deque()
+        #: Allocated at the first request that has to wait: most queues
+        #: never hold a waiter, and an empty deque costs 760 bytes.
+        self.waiting: deque[_Request] | None = None
         self.last_enqueued = -1
 
 
@@ -157,6 +161,8 @@ class LockManager:
                     blockers.append(queue.waiting[-1].seq)
                 request.blockers = blockers
                 request.holders_seen = len(holders)
+            if queue.waiting is None:
+                queue.waiting = deque()
             queue.waiting.append(request)
             self.waits_total += 1
 
@@ -182,6 +188,7 @@ class LockManager:
             pool = self._pool
             if len(pool) < _POOL_MAX:
                 queue.last_enqueued = -1
+                queue.waiting = None
                 pool.append(queue)
 
     @staticmethod
@@ -236,7 +243,8 @@ class LockManager:
         queue = self._queues.get(key)
         if queue is None:
             return 0
-        return len(queue.holders) + len(queue.waiting)
+        waiting = queue.waiting
+        return len(queue.holders) + (len(waiting) if waiting else 0)
 
     def outstanding(self) -> int:
         """Number of keys with any queued request (leak detector)."""

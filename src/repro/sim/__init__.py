@@ -2,9 +2,10 @@
 
 The engine in :mod:`repro.engine` is written as chains of callbacks
 running on a deterministic event :class:`Kernel`: each step schedules
-the next with ``call_soon`` (now) or a timer (after simulated time has
-passed), and a chain that must wait for messages, locks, or remote data
-parks on a one-shot :class:`SimEvent`.
+the next with ``call_soon`` or ``call_now`` (now) or a timer (after
+simulated time has passed).  A chain that must wait for locks or remote
+data parks its next hop on what it waits for, which schedules the hop
+when the wait ends; the kernel itself has no wait primitive.
 
 The kernel is deliberately small — a FIFO run-queue and a binary heap of
 timestamped callbacks, both ordered by one ``(time, sequence)`` key —

@@ -1,4 +1,4 @@
-"""The discrete-event kernel: clock, event queues, and one-shot events.
+"""The discrete-event kernel: a clock and its event queues.
 
 Design notes
 ------------
@@ -9,9 +9,10 @@ Design notes
   what is pending), ``call_later`` / ``call_at`` (a cancellable timer)
   and ``call_later_unhandled`` (a timer nobody cancels).  A simulated
   activity is a chain of such callbacks, each scheduling the next.
-* A :class:`SimEvent` is a one-shot gate a chain parks on: triggering it
-  schedules every waiter through ``call_soon``.  It carries no value;
-  whatever a waiter needs it reads from the object it belongs to.
+* The kernel has no wait primitive.  A chain that must wait (for locks,
+  for remote data) parks its next hop on the object it waits for, which
+  schedules the hop when the wait ends (see
+  :mod:`repro.engine.executor`).
 * There is no pre-emption; a callback runs to completion.  All CPU-time
   accounting is therefore explicit timers (the engine's worker pools).
 * One dispatch loop serves both entry points: ``run_until(t)`` fires
@@ -21,16 +22,16 @@ Design notes
 
 Fast path
 ---------
-Zero-delay callbacks (``call_soon``) — every chain hop and event
-trigger — dominate kernel traffic, so they bypass
-the timer heap entirely: they go onto a FIFO run-queue (a deque) and pop
-in O(1) instead of paying an O(log n) heap sift against thousands of
-pending timers.  Determinism is preserved bit for bit because both
-structures are ordered by the same global ``(time, sequence)`` key: the
-run-queue is naturally sorted (entries are stamped with the current time
-and an ever-increasing sequence number), and the dispatch loop always
-pops whichever structure holds the smaller key — exactly the order the
-single-heap kernel produced.
+Zero-delay callbacks (``call_soon``) — chain hops and wake-ups —
+dominate kernel traffic, so they bypass the timer heap entirely: they go
+onto a FIFO run-queue (a deque) and pop in O(1) instead of paying an
+O(log n) heap sift against thousands of pending timers.  Determinism is
+preserved bit for bit because both structures are ordered by the same
+global ``(time, sequence)`` key: the run-queue is naturally sorted
+(entries are stamped with the current time and an ever-increasing
+sequence number), and the dispatch loop always pops whichever structure
+holds the smaller key — exactly the order the single-heap kernel
+produced.
 
 ``call_now`` is ``call_soon`` for a hop that would be the very next
 event: the run-queue is empty and no timer is due at the current time,
@@ -130,42 +131,6 @@ class TimerHandle:
         return f"TimerHandle({state})"
 
 
-class SimEvent:
-    """A one-shot event callback chains can park on.
-
-    ``trigger()`` schedules every waiter through ``call_soon``, in
-    registration order; a waiter added after the trigger is scheduled
-    at once.  Waiters are called with no arguments.
-    """
-
-    __slots__ = ("kernel", "_waiters", "triggered")
-
-    def __init__(self, kernel: "Kernel") -> None:
-        self.kernel = kernel
-        self._waiters: list[Callable[[], None]] = []
-        self.triggered = False
-
-    def trigger(self) -> None:
-        """Fire the event, waking all waiters at the current time."""
-        if self.triggered:
-            raise SimulationError("event triggered twice")
-        self.triggered = True
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            self.kernel.call_soon(waiter)
-
-    def add_waiter(self, callback: Callable[[], None]) -> None:
-        """Register a callback; scheduled at once if already triggered."""
-        if self.triggered:
-            self.kernel.call_soon(callback)
-        else:
-            self._waiters.append(callback)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self.triggered else "pending"
-        return f"SimEvent({state})"
-
-
 class Kernel:
     """Deterministic event loop with a simulated clock in microseconds.
 
@@ -261,10 +226,6 @@ class Kernel:
         already open when a recovered cluster resumes).
         """
         return self.call_later(max(0.0, t - self.now), fn, *args)
-
-    def event(self) -> SimEvent:
-        """Create a fresh one-shot event bound to this kernel."""
-        return SimEvent(self)
 
     @property
     def digest(self) -> Any:

@@ -148,3 +148,53 @@ class TestNetworkAccounting:
         cluster.submit(Transaction.read_write(1, reads=[5, 6], writes=[5]))
         cluster.run_until_quiescent(30_000_000)
         assert cluster.network.total_bytes() == 0
+
+
+def gated_runtime():
+    """A runtime whose node-1 serve location locks keys 150 and 151."""
+    cluster = build()
+    txn = Transaction.read_write(1, reads=[5, 150, 151], writes=[150])
+    plan = TxnPlan(
+        txn=txn,
+        masters=(1,),
+        reads_from={0: frozenset([5]), 1: frozenset([150, 151])},
+        writes_at={1: frozenset([150])},
+    )
+    runtime = make_runtime(cluster, plan)
+    (group,) = [g for g in runtime._all_groups if g.keys == {150, 151}]
+    return cluster.kernel, runtime, group
+
+
+class TestLockGroupGates:
+    def test_parked_hops_wake_in_registration_order(self):
+        kernel, runtime, group = gated_runtime()
+        fired = []
+
+        def scenario():
+            runtime._park(group, fired.append, "first")
+            runtime._park(group, fired.append, "second")
+            runtime.on_lock_granted(150)
+            fired.append("one grant left")
+            runtime.on_lock_granted(151)
+            fired.append("opened")
+
+        kernel.call_soon(scenario)
+        kernel.run_until(1.0)
+        assert fired == ["one grant left", "opened", "first", "second"]
+        assert group.granted_at == 0.0
+
+    def test_hop_parked_on_an_open_group_takes_its_own_hop(self):
+        kernel, runtime, group = gated_runtime()
+        fired = []
+
+        def scenario():
+            runtime.on_lock_granted(150)
+            runtime.on_lock_granted(151)
+            kernel.call_soon(fired.append, "queued first")
+            runtime._park(group, fired.append, "late")
+            fired.append("inline")
+
+        kernel.call_soon(scenario)
+        kernel.run_until(1.0)
+        # Not run inline, and queued behind the event scheduled before it.
+        assert fired == ["inline", "queued first", "late"]

@@ -98,6 +98,21 @@ class TestIntrospection:
         assert manager.holders("k") == [(1, LockMode.S), (2, LockMode.S)]
         assert manager.queue_length("k") == 3
 
+    def test_queue_length_without_a_waiter(self):
+        # "k" reuses the pooled queue "j" left after its waiter drained,
+        # and "j" then gets a fresh one: neither holds a waiting deque.
+        manager = LockManager()
+        manager.enqueue(1, "j", LockMode.X, lambda: None)
+        manager.enqueue(2, "j", LockMode.X, lambda: None)
+        manager.release(1, "j")
+        manager.release(2, "j")
+        manager.enqueue(3, "k", LockMode.S, lambda: None)
+        manager.enqueue(4, "k", LockMode.S, lambda: None)
+        assert manager.queue_length("k") == 2
+        manager.enqueue(5, "j", LockMode.S, lambda: None)
+        assert manager.queue_length("j") == 1
+        assert manager.queue_length("absent") == 0
+
     def test_outstanding_drains_to_zero(self):
         manager = LockManager()
         manager.enqueue(1, "k", LockMode.X, lambda: None)

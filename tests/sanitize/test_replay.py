@@ -27,8 +27,8 @@ from repro.sanitize.replay import (
 #: must leave every one unchanged, while engine work that changes what
 #: the model computes re-records them deliberately.  ``serving``
 #: carries its kernel's event-stream digest in the payload, so it also
-#: moves when hops stop being queued events (last: ``Kernel.call_now``;
-#: every model field held).
+#: moves when hops stop being queued events (last: ``TxnRuntime``'s
+#: hops through ``Kernel.call_now``; every model field held).
 PRESET_RESULT_DIGESTS = {
     "fig02": "fdb022d6eecd3eadc0ebe0dc8d5ed8c3",
     "fig06a": "4dfc9663fd5ba9b5415bbd8bc6cebd9f",
@@ -40,7 +40,7 @@ PRESET_RESULT_DIGESTS = {
     "fig14": "beffcea65890b6c2ebc164aae088f6da",
     "replication": "654e88dfe08b701d875faf86113a22f5",
     "robustness": "25ae723c663e923af31e4c15ad8cc222",
-    "serving": "78dc891070351b66856fde5006726020",
+    "serving": "801557731078d363a6a0ebb67607e464",
     "straggler_clone": "91acafd2d1c9373f1532f793d9820211",
 }
 

@@ -51,35 +51,6 @@ class TestScheduling:
         assert seen == [42]
 
 
-class TestSimEvent:
-    def test_waiters_wake_on_trigger(self):
-        kernel = Kernel()
-        event = kernel.event()
-        got = []
-        event.add_waiter(lambda: got.append(("a", kernel.now)))
-        event.add_waiter(lambda: got.append(("b", kernel.now)))
-        kernel.call_later(5, event.trigger)
-        kernel.run()
-        assert got == [("a", 5), ("b", 5)]
-
-    def test_late_waiter_is_scheduled_at_once(self):
-        kernel = Kernel()
-        event = kernel.event()
-        event.trigger()
-        got = []
-        event.add_waiter(lambda: got.append(kernel.now))
-        assert got == [] and kernel.pending() == 1
-        kernel.run()
-        assert got == [0]
-
-    def test_double_trigger_rejected(self):
-        kernel = Kernel()
-        event = kernel.event()
-        event.trigger()
-        with pytest.raises(SimulationError):
-            event.trigger()
-
-
 def _mixed_schedule(kernel: Kernel, fired: list) -> None:
     """call_soon chains, handled and unhandled timers, a cancelled timer."""
 
