@@ -19,8 +19,7 @@ Subpackages:
 * :mod:`repro.storage`   — record stores, partitioners, logs
 * :mod:`repro.engine`    — sequencer, lock manager, executors, cluster
 * :mod:`repro.core`      — prescient routing, fusion table, provisioning
-* :mod:`repro.baselines` — Calvin, G-Store+, LEAP, T-Part, Clay, Squall,
-  Schism
+* :mod:`repro.baselines` — Calvin, G-Store+, LEAP, T-Part, Clay, Schism
 * :mod:`repro.workloads` — Google-trace YCSB, TPC-C, multi-tenant, drivers
 * :mod:`repro.faults`    — crash/partition/straggler injection and the
   deterministic-recovery chaos harness
@@ -39,7 +38,6 @@ from repro.common.types import Batch, Transaction, TxnKind
 from repro.core.fusion_table import FusionTable
 from repro.core.plan import RoutingPlan, TxnPlan
 from repro.core.prescient import PrescientRouter
-from repro.core.provisioning import HybridMigrationPlanner
 from repro.core.router import ClusterView, Router
 from repro.engine.cluster import Cluster
 from repro.engine.migration import (
@@ -76,7 +74,6 @@ __all__ = [
     "FusionConfig",
     "FusionTable",
     "HashPartitioner",
-    "HybridMigrationPlanner",
     "MigrationController",
     "MigrationSession",
     "MigrationState",

@@ -12,7 +12,12 @@ and executes on the same deterministic engine as Hermes:
 * :class:`TPartRouter` — transaction-routing-only with forward pushing;
   records return to their homes at batch end.
 * :class:`ClayController` (+ :class:`ClayRouter`) — look-back clump
-  re-partitioning triggered by overload, executed by Squall.
-* :class:`SquallExecutor` — reactive chunked live migration.
+  re-partitioning triggered by overload, executed as Squall-style
+  chunks by :class:`~repro.engine.migration.MigrationController`.
 * :func:`schism_partition` — offline co-access graph partitioning.
+
+Squall itself is no separate module: its chunked range plans are
+:func:`~repro.core.provisioning.range_chunks`, run by the same
+:class:`~repro.engine.migration.MigrationController` Hermes' cold
+migration uses (Figure 14's ``squall`` row).
 """

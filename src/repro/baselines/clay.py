@@ -2,11 +2,11 @@
 
 Clay monitors the workload, and when a node exceeds its load target it
 builds *clumps* — groups of co-accessed data — from the observed access
-graph and migrates them to colder nodes, using Squall as the migration
-executor.  As in the paper's own implementation note (footnote 4), our
-clumps are key *ranges* rather than individual keys: generating
-key-grained clumps from the trace is prohibitively slow, and ranges are
-what their experiments used for YCSB-style keyspaces.
+graph and migrates them to colder nodes as Squall-style chunked
+migration transactions.  As in the paper's own implementation note
+(footnote 4), our clumps are key *ranges* rather than individual keys:
+generating key-grained clumps from the trace is prohibitively slow, and
+ranges are what their experiments used for YCSB-style keyspaces.
 
 The two behavioural properties the paper's comparison hinges on are
 reproduced exactly:
@@ -34,10 +34,10 @@ from repro.core.plan import RoutingPlan
 from repro.core.provisioning import ChunkMigration, ColdMigrationPlan
 from repro.baselines.calvin import CalvinRouter
 from repro.core.router import ClusterView
+from repro.engine.migration import MigrationController
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.cluster import Cluster
-    from repro.baselines.squall import SquallExecutor
 
 
 class ClayRouter(CalvinRouter):
@@ -90,25 +90,26 @@ class ClayRouter(CalvinRouter):
 #: fraction; only then does the monitor build a plan.
 IMBALANCE_TOLERANCE = 0.25
 
+#: The hottest clumps one plan considers moving off the overloaded node.
+MAX_CLUMPS_PER_PLAN = 64
+
 
 class ClayController:
-    """Clay's monitor/planner loop, paired with a Squall executor."""
+    """Clay's monitor/planner loop; its plans run as Squall-style chunks
+    on its own :class:`~repro.engine.migration.MigrationController`."""
 
     def __init__(
         self,
         cluster: "Cluster",
         router: ClayRouter,
-        executor: "SquallExecutor",
         monitor_interval_us: float = 30_000_000.0,
-        max_clumps_per_plan: int = 64,
     ) -> None:
         if monitor_interval_us <= 0:
             raise ConfigurationError("monitor interval must be positive")
         self.cluster = cluster
         self.router = router
-        self.executor = executor
+        self.controller = MigrationController(cluster)
         self.monitor_interval_us = monitor_interval_us
-        self.max_clumps_per_plan = max_clumps_per_plan
         self.plans_generated = 0
         self._started = False
 
@@ -121,11 +122,11 @@ class ClayController:
 
     def _tick(self) -> None:
         try:
-            if not self.executor.active:
+            if not self.controller.active:
                 plan = self._maybe_plan()
                 if plan is not None and len(plan):
                     self.plans_generated += 1
-                    self.executor.start_plan(plan)
+                    self.controller.start(plan)
         finally:
             self.router.reset_window()
             self.cluster.kernel.call_later(self.monitor_interval_us, self._tick)
@@ -165,7 +166,7 @@ class ClayController:
 
         chunks: list[ChunkMigration] = []
         projected = dict(loads)
-        for heat, clump in candidates[: self.max_clumps_per_plan]:
+        for heat, clump in candidates[:MAX_CLUMPS_PER_PLAN]:
             if excess <= 0:
                 break
             coldest = min(active, key=lambda node: (projected[node], node))

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.baselines.schism import schism_partition
-from repro.baselines.squall import SquallExecutor
 from repro.bench.harness import ExperimentResult, run_google_ycsb, run_workload
 from repro.bench.presets import (
     GOOGLE_BENCH,
@@ -46,11 +45,7 @@ from repro.common.config import ClusterConfig, FusionConfig, RoutingConfig
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 from repro.core.fusion_table import FusionTable
-from repro.core.provisioning import (
-    ChunkMigration,
-    ColdMigrationPlan,
-    HybridMigrationPlanner,
-)
+from repro.core.provisioning import range_chunks
 from repro.engine.cluster import Cluster
 from repro.engine.migration import MigrationController
 from repro.faults.forecast import FaultyForecaster
@@ -295,27 +290,6 @@ def _make_forecaster(
     raise ConfigurationError(f"unknown forecaster {name!r}")
 
 
-def _forecast_cold_plan(
-    num_keys: int, num_nodes: int, chunk_records: int = 64
-) -> ColdMigrationPlan:
-    """A mid-run prescient migration: half of node 0's range to node 1.
-
-    Many small chunks, so the plan is still in flight when a fault
-    window degrades the forecast — giving the fallback transition an
-    in-flight prescient migration to cancel.
-    """
-    per_node = max(1, num_keys // num_nodes)
-    hi = max(1, per_node // 2)
-    chunks = []
-    for start in range(0, hi, chunk_records):
-        stop = min(start + chunk_records, hi)
-        chunks.append(ChunkMigration(
-            src=0, dst=1, keys=tuple(range(start, stop)),
-            range_reassign=(start, stop),
-        ))
-    return ColdMigrationPlan(tuple(chunks))
-
-
 def _forecast_spec(
     variant: str,
     *,
@@ -358,11 +332,17 @@ def _forecast_spec(
     def attach(cluster: Cluster) -> FallbackCoordinator:
         coordinator = FallbackCoordinator(cluster, router_holder[-1])
         if migrate_at_us is not None:
+            # A mid-run prescient migration, half of node 0's range to
+            # node 1, in many small chunks: the plan is still in flight
+            # when a fault window degrades the forecast, giving the
+            # fallback transition an in-flight migration to cancel.
+            half = max(1, max(1, num_keys // num_nodes) // 2)
+
             def kick() -> None:
                 if (not coordinator.controller.active
                         and not router_holder[-1].in_fallback):
                     coordinator.start_migration(
-                        _forecast_cold_plan(num_keys, num_nodes)
+                        range_chunks(0, 1, 0, half, 64)
                     )
             cluster.kernel.call_later(migrate_at_us, kick)
         return coordinator
@@ -754,17 +734,11 @@ def _clay_tpcc_spec(monitor_interval_us: float) -> StrategySpec:
         return router
 
     def attach(cluster: Cluster):
-        executor = SquallExecutor(cluster)
         controller = ClayController(
             cluster,
             router_holder[-1],
-            executor,
             monitor_interval_us=monitor_interval_us,
         )
-        # Clumps reassign through the warehouse range map (KeyedPartitioner
-        # inner map), not integer key ranges, so patch home lookup: the
-        # ownership.static is the KeyedPartitioner; its reassign happens
-        # via chunk range_reassign=None (keys move in the overlay).
         controller.start()
         return controller
 
@@ -890,16 +864,13 @@ def run_scaleout(spec, variant: str) -> ExperimentResult:
     def before_run(cluster: Cluster) -> None:
         def scale_out() -> None:
             cluster.announce_topology(range(num_physical))
-            if variant == "squall":
-                SquallExecutor(cluster).migrate_range(0, new_node, hot_lo, hot_hi)
-            elif variant == "hermes-cold-5":
-                planner = HybridMigrationPlanner(
-                    chunk_records=cluster.config.engine.migration_chunk_records
-                )
-                _topology, cold_plan = planner.plan_scale_out(
-                    [0, 1, 2], new_node, [(0, hot_lo, hot_hi)]
-                )
-                MigrationController(cluster).start(cold_plan)
+            # ``squall`` and ``hermes-cold-5`` run the same chunks; under
+            # Hermes they skip the records the fusion table holds.
+            if variant in ("squall", "hermes-cold-5"):
+                MigrationController(cluster).start(range_chunks(
+                    0, new_node, hot_lo, hot_hi,
+                    cluster.config.engine.migration_chunk_records,
+                ))
             # clay+squall: the Clay controller reacts on its own once the
             # new node is active; hermes-nocold-*: fusion only.
 

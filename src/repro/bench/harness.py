@@ -169,7 +169,6 @@ def run_workload(
         end = cluster.run_until_quiescent(duration_us * 2)
 
     metrics = cluster.metrics
-    pcts = metrics.latency_percentiles_us((0.5, 0.95, 0.99))
     extras: dict = {"submitted": driver.submitted}
     extras["distributed_txn_ratio"] = metrics.distributed_txn_ratio()
     extras["ollp_exhausted"] = metrics.ollp_exhausted
@@ -189,27 +188,37 @@ def run_workload(
     if keep_cluster:
         extras["cluster"] = cluster
         extras["attached"] = attached
-    result = ExperimentResult(
-        strategy=spec.name,
+    result = cluster_result(spec.name, cluster, end, extras)
+    if not keep_cluster:
+        cluster.close()
+    return result
+
+
+def cluster_result(
+    strategy: str, cluster: Cluster, end_us: float, extras: dict
+) -> ExperimentResult:
+    """The :class:`ExperimentResult` of a run that ended at ``end_us``,
+    read off its cluster's metrics."""
+    metrics = cluster.metrics
+    pcts = metrics.latency_percentiles_us((0.5, 0.95, 0.99))
+    return ExperimentResult(
+        strategy=strategy,
         commits=metrics.commits,
-        duration_us=end,
-        throughput_per_s=metrics.throughput_per_second(end),
+        duration_us=end_us,
+        throughput_per_s=metrics.throughput_per_second(end_us),
         mean_latency_us=metrics.mean_latency_us(),
         latency_breakdown_us=metrics.latency.averages(),
-        cpu_utilization=cluster.cpu_utilization(end),
+        cpu_utilization=cluster.cpu_utilization(end_us),
         net_bytes_per_commit=cluster.network_bytes_per_commit(),
         remote_reads=metrics.remote_reads,
         writebacks=metrics.writebacks,
         evictions=metrics.evictions,
-        throughput_series=metrics.throughput_series(end),
+        throughput_series=metrics.throughput_series(end_us),
         latency_p50_us=pcts[0.5],
         latency_p95_us=pcts[0.95],
         latency_p99_us=pcts[0.99],
         extras=extras,
     )
-    if not keep_cluster:
-        cluster.close()
-    return result
 
 
 def run_google_ycsb(

@@ -4,7 +4,7 @@ A :class:`StrategySpec` bundles everything needed to stand up one of the
 paper's systems on a fresh cluster: the router factory, the ownership
 overlay (Hermes' bounded fusion table vs. LEAP's unbounded map vs. none),
 and an ``attach`` hook that wires auxiliary controllers (Clay's monitor
-loop + Squall executor) once the cluster exists.
+loop and its migration controller) once the cluster exists.
 
 ``make_strategy(name, ...)`` is the registry the benchmarks use; names
 match the paper's labels: ``calvin``, ``gstore``, ``leap``, ``tpart``,
@@ -23,7 +23,6 @@ from repro.baselines.calvin import CalvinRouter
 from repro.baselines.clay import ClayController, ClayRouter
 from repro.baselines.gstore import GStoreRouter
 from repro.baselines.leap import LeapRouter
-from repro.baselines.squall import SquallExecutor
 from repro.baselines.tpart import TPartRouter
 from repro.common.config import FusionConfig, RoutingConfig
 from repro.common.errors import ConfigurationError
@@ -87,11 +86,9 @@ def make_strategy(
             return router
 
         def attach(cluster: "Cluster") -> ClayController:
-            executor = SquallExecutor(cluster)
             controller = ClayController(
                 cluster,
                 router_holder[-1],
-                executor,
                 monitor_interval_us=clay_monitor_interval_us,
             )
             controller.start()

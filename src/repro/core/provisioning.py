@@ -4,10 +4,12 @@ Adding or removing a node moves a partition that contains both hot and
 cold records.  Hermes splits the move:
 
 * **Hot records** (those in the fusion table) migrate through data
-  fusion: a :class:`TopologyChange` transaction — totally ordered like
-  any other — tells every scheduler replica to include the new node in
-  (or exclude the removed node from) routing, and the prescient router
-  starts fusing hot records onto the new node immediately.
+  fusion: a TOPOLOGY transaction — totally ordered like any other, its
+  payload the sorted active-node tuple
+  :meth:`~repro.engine.cluster.Cluster.announce_topology` builds —
+  tells every scheduler replica to include the new node in (or exclude
+  the removed node from) routing, and the prescient router starts
+  fusing hot records onto the new node immediately.
 * **Cold records** migrate through Squall-style chunked background
   transactions (:class:`ChunkMigration`), each moving a contiguous key
   range and updating the static range map.  Chunks *skip* records the
@@ -15,32 +17,19 @@ cold records.  Hermes splits the move:
   with foreground transactions — the isolation property Figure 14
   demonstrates.
 
-:class:`HybridMigrationPlanner` builds both pieces for scale-out and
-consolidation events.
+:func:`range_chunks` is the one cold planner: it cuts a key range into
+chunks.  :func:`plan_scale_out` and :func:`plan_consolidation` build a
+resize's cold plan from it; the caller announces the new active set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import NodeId
 from repro.storage.partitioning import RangePartitioner
-
-
-@dataclass(frozen=True, slots=True)
-class TopologyChange:
-    """Payload of a TOPOLOGY transaction: the new active-node set."""
-
-    active_nodes: tuple[NodeId, ...]
-
-    def __post_init__(self) -> None:
-        if not self.active_nodes:
-            raise ConfigurationError("topology change must leave nodes active")
-
-    def __iter__(self):
-        return iter(self.active_nodes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,100 +94,67 @@ class ColdMigrationPlan:
         )
 
 
-class HybridMigrationPlanner:
-    """Builds topology-change + cold-chunk plans for provisioning events."""
-
-    def __init__(self, chunk_records: int = 1000) -> None:
-        if chunk_records < 1:
-            raise ConfigurationError("chunk_records must be >= 1")
-        self.chunk_records = chunk_records
-
-    def _chunk_range(
-        self, src: NodeId, dst: NodeId, lo: int, hi: int
-    ) -> list[ChunkMigration]:
-        chunks = []
-        for start in range(lo, hi, self.chunk_records):
-            stop = min(start + self.chunk_records, hi)
-            chunks.append(
-                ChunkMigration(
-                    src=src,
-                    dst=dst,
-                    keys=tuple(range(start, stop)),
-                    range_reassign=(start, stop),
-                )
+def range_chunks(
+    src: NodeId, dst: NodeId, lo: int, hi: int, chunk_records: int
+) -> ColdMigrationPlan:
+    """Cut ``[lo, hi)`` into ``chunk_records``-sized chunks from ``src``
+    to ``dst``, each re-homing its own sub-range when it is planned."""
+    if hi <= lo:
+        raise ConfigurationError(f"empty range [{lo}, {hi})")
+    chunks = []
+    for start in range(lo, hi, chunk_records):
+        stop = min(start + chunk_records, hi)
+        chunks.append(
+            ChunkMigration(
+                src=src,
+                dst=dst,
+                keys=tuple(range(start, stop)),
+                range_reassign=(start, stop),
             )
-        return chunks
+        )
+    return ColdMigrationPlan(tuple(chunks))
 
-    def plan_scale_out(
-        self,
-        current_nodes: list[NodeId],
-        new_node: NodeId,
-        moves: list[tuple[NodeId, int, int]],
-    ) -> tuple[TopologyChange, ColdMigrationPlan]:
-        """Add ``new_node``; cold-migrate the given ranges onto it.
 
-        ``moves`` lists (src node, key lo, key hi) ranges to hand to the
-        new node — typically the hot tenant's range, as in the paper's
-        scale-out experiment.
-        """
-        if new_node in current_nodes:
-            raise ConfigurationError(f"node {new_node} is already active")
-        chunks: list[ChunkMigration] = []
-        for src, lo, hi in moves:
-            if hi <= lo:
-                raise ConfigurationError(f"empty move range [{lo}, {hi})")
-            chunks.extend(self._chunk_range(src, new_node, lo, hi))
-        topology = TopologyChange(tuple(sorted([*current_nodes, new_node])))
-        return topology, ColdMigrationPlan(tuple(chunks))
+def plan_scale_out(
+    new_node: NodeId,
+    moves: Iterable[tuple[NodeId, int, int]],
+    chunk_records: int,
+) -> ColdMigrationPlan:
+    """Cold-migrate each ``(src, lo, hi)`` range of ``moves`` onto
+    ``new_node``, in the order given."""
+    return ColdMigrationPlan(tuple(
+        chunk
+        for src, lo, hi in moves
+        for chunk in range_chunks(src, new_node, lo, hi, chunk_records)
+    ))
 
-    def plan_consolidation(
-        self,
-        current_nodes: list[NodeId],
-        removed_node: NodeId,
-        partitioner: RangePartitioner,
-        key_lo: int,
-        key_hi: int,
-    ) -> tuple[TopologyChange, ColdMigrationPlan]:
-        """Remove ``removed_node``; spread its static ranges round-robin.
 
-        Enumerates the departing node's segments from the live range map
-        and assigns successive chunks to the surviving nodes in rotation,
-        keeping the hand-off balanced without any workload knowledge.
-        """
-        survivors = sorted(n for n in current_nodes if n != removed_node)
-        if not survivors:
-            raise ConfigurationError("cannot consolidate the last node")
-        if removed_node not in current_nodes:
-            raise ConfigurationError(f"node {removed_node} is not active")
+def plan_consolidation(
+    removed_node: NodeId,
+    survivors: list[NodeId],
+    partitioner: RangePartitioner,
+    key_lo: int,
+    key_hi: int,
+    chunk_records: int,
+) -> ColdMigrationPlan:
+    """Drain ``removed_node``'s static spans within ``[key_lo, key_hi)``.
 
-        chunks: list[ChunkMigration] = []
-        run: list[int] = []
-        rotation = 0
-
-        def flush(run_keys: list[int]) -> None:
-            nonlocal rotation
-            if not run_keys:
-                return
-            dst = survivors[rotation % len(survivors)]
-            rotation += 1
-            chunks.append(
-                ChunkMigration(
-                    src=removed_node,
-                    dst=dst,
-                    keys=tuple(run_keys),
-                    range_reassign=(run_keys[0], run_keys[-1] + 1),
-                )
-            )
-
-        previous: int | None = None
-        for key in partitioner.keys_owned_by(removed_node, key_lo, key_hi):
-            contiguous = previous is not None and key == previous + 1
-            if run and (not contiguous or len(run) >= self.chunk_records):
-                flush(run)
-                run = []
-            run.append(key)
-            previous = key
-        flush(run)
-
-        topology = TopologyChange(tuple(survivors))
-        return topology, ColdMigrationPlan(tuple(chunks))
+    Each span the live range map gives the departing node is chunked on
+    its own, and the chunks are dealt round-robin over ``survivors`` in
+    span order, keeping the hand-off balanced without any workload
+    knowledge.
+    """
+    if not survivors:
+        raise ConfigurationError("cannot consolidate the last node")
+    chunks = [
+        chunk
+        for lo, hi, owner in partitioner.owner_spans(key_lo, key_hi)
+        if owner == removed_node
+        for chunk in range_chunks(
+            removed_node, survivors[0], lo, hi, chunk_records
+        )
+    ]
+    return ColdMigrationPlan(tuple(
+        replace(chunk, dst=survivors[index % len(survivors)])
+        for index, chunk in enumerate(chunks)
+    ))

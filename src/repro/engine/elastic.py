@@ -7,16 +7,15 @@ migration session in a single step, so every scheduler replica switches
 topology at the same point in the total order while the background
 chunks drain through the normal pausable session machinery.
 
-Both directions are deterministic functions of the live range map:
+Both directions are deterministic functions of the live range map
+(:meth:`~repro.storage.partitioning.RangePartitioner.owner_spans`),
+chunked at the engine's ``migration_chunk_records``:
 
-* ``add_node`` computes the ceded spans from the current segments — by
-  default every active node hands the tail ``1/(n+1)`` of each of its
-  contiguous spans to the newcomer — and runs them through
-  :meth:`~repro.core.provisioning.HybridMigrationPlanner.plan_scale_out`.
-* ``remove_node`` delegates to
-  :meth:`~repro.core.provisioning.HybridMigrationPlanner.
-  plan_consolidation`, spreading the departing node's live segments
-  round-robin over the survivors.
+* ``add_node`` has every active node hand the tail ``1/(n+1)`` of each
+  of its contiguous spans to the newcomer
+  (:func:`~repro.core.provisioning.plan_scale_out`).
+* ``remove_node`` spreads the departing node's spans round-robin over
+  the survivors (:func:`~repro.core.provisioning.plan_consolidation`).
 
 A resize while a previous migration session is still draining raises
 :class:`~repro.common.errors.SimulationError` — overlapping sessions
@@ -29,7 +28,11 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.types import NodeId
-from repro.core.provisioning import HybridMigrationPlanner
+from repro.core.provisioning import (
+    ColdMigrationPlan,
+    plan_consolidation,
+    plan_scale_out,
+)
 from repro.engine.migration import MigrationController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,40 +44,11 @@ __all__ = ["ElasticDirector"]
 class ElasticDirector:
     """Adds and removes nodes on a live cluster, with data movement."""
 
-    def __init__(
-        self,
-        cluster: "Cluster",
-        num_keys: int,
-        chunk_records: int | None = None,
-    ) -> None:
+    def __init__(self, cluster: "Cluster", num_keys: int) -> None:
         self.cluster = cluster
         self.num_keys = num_keys
         self.controller = MigrationController(cluster)
-        self.planner = HybridMigrationPlanner(
-            chunk_records
-            if chunk_records is not None
-            else cluster.config.engine.migration_chunk_records
-        )
         self.resizes = 0
-
-    # ------------------------------------------------------------------
-    # Geometry
-    # ------------------------------------------------------------------
-
-    def _spans(self) -> list[tuple[int, int, NodeId]]:
-        """The live range map as ``(lo, hi, owner)`` spans."""
-        partitioner = self.cluster.ownership.static
-        segments = partitioner.segments()
-        spans = []
-        for index, (start, owner) in enumerate(segments):
-            stop = (
-                segments[index + 1][0]
-                if index + 1 < len(segments)
-                else self.num_keys
-            )
-            if start < stop:
-                spans.append((start, min(stop, self.num_keys), owner))
-        return spans
 
     def _check_idle(self, action: str) -> None:
         if self.controller.active:
@@ -86,16 +60,12 @@ class ElasticDirector:
     # Resize events
     # ------------------------------------------------------------------
 
-    def add_node(
-        self,
-        node: NodeId,
-        moves: list[tuple[NodeId, int, int]] | None = None,
-    ) -> int:
+    def add_node(self, node: NodeId) -> int:
         """Activate ``node`` and migrate data onto it; returns chunk count.
 
-        Without explicit ``moves`` every active node cedes the tail
-        ``1/(n+1)`` of each of its contiguous spans, so the newcomer
-        ends up with roughly an even share of the keyspace.
+        Every active node cedes the tail ``1/(n+1)`` of each of its
+        contiguous spans, so the newcomer ends up with roughly an even
+        share of the keyspace.
         """
         self._check_idle("add a node")
         actives = list(self.cluster.view.active_nodes)
@@ -103,34 +73,41 @@ class ElasticDirector:
             raise ConfigurationError(f"node {node} is already active")
         if not 0 <= node < self.cluster.config.num_nodes:
             raise ConfigurationError(f"node {node} out of physical range")
-        if moves is None:
-            share = len(actives) + 1
-            moves = []
-            for lo, hi, owner in self._spans():
-                if owner not in actives:
-                    continue
-                give = (hi - lo) // share
-                if give > 0:
-                    moves.append((owner, hi - give, hi))
-        topology, plan = self.planner.plan_scale_out(actives, node, moves)
-        self.cluster.announce_topology(topology.active_nodes)
-        if plan.chunks:
-            self.controller.start(plan)
-        self.resizes += 1
-        return len(plan)
+        share = len(actives) + 1
+        moves = []
+        spans = self.cluster.ownership.static.owner_spans(0, self.num_keys)
+        for lo, hi, owner in spans:
+            give = (hi - lo) // share
+            if owner in actives and give > 0:
+                moves.append((owner, hi - give, hi))
+        plan = plan_scale_out(node, moves, self._chunk_records())
+        return self._resize([*actives, node], plan)
 
     def remove_node(self, node: NodeId) -> int:
         """Deactivate ``node`` and drain its data; returns chunk count."""
         self._check_idle("remove a node")
         actives = list(self.cluster.view.active_nodes)
-        topology, plan = self.planner.plan_consolidation(
-            actives,
+        if node not in actives:
+            raise ConfigurationError(f"node {node} is not active")
+        survivors = [n for n in actives if n != node]
+        plan = plan_consolidation(
             node,
+            survivors,
             self.cluster.ownership.static,
             0,
             self.num_keys,
+            self._chunk_records(),
         )
-        self.cluster.announce_topology(topology.active_nodes)
+        return self._resize(survivors, plan)
+
+    def _chunk_records(self) -> int:
+        return self.cluster.config.engine.migration_chunk_records
+
+    def _resize(
+        self, active_nodes: list[NodeId], plan: ColdMigrationPlan
+    ) -> int:
+        """Announce the new active set, then start the cold plan."""
+        self.cluster.announce_topology(active_nodes)
         if plan.chunks:
             self.controller.start(plan)
         self.resizes += 1

@@ -29,8 +29,8 @@ timeline shows one ``migration_session`` span per migration with its
 full lifecycle.
 
 The controller is migration *executor* machinery; *what* to migrate
-comes from a planner — Hermes' :class:`HybridMigrationPlanner`, Clay's
-overload planner, or a hand-written plan in the scale-out benchmarks.
+comes from a planner — :func:`~repro.core.provisioning.range_chunks`
+and the resize plans built from it, or Clay's overload planner.
 """
 
 from __future__ import annotations
@@ -174,8 +174,7 @@ class MigrationController:
     At most one session is live at a time (``start`` raises while one
     is); completed sessions stay in :attr:`sessions` for auditability.
     The cumulative counters (``chunks_submitted`` etc.) sum over all
-    sessions, preserving the pre-session API that callers such as the
-    Squall baseline and the scale-out benchmarks rely on.
+    sessions.
     """
 
     def __init__(self, cluster: Cluster) -> None:

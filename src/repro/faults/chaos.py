@@ -51,7 +51,11 @@ from repro.common.errors import FaultInjectionError
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Batch, Transaction, TxnId, TxnKind
 from repro.core.prescient import PrescientRouter
-from repro.core.provisioning import ChunkMigration, ColdMigrationPlan
+from repro.core.provisioning import (
+    ChunkMigration,
+    ColdMigrationPlan,
+    range_chunks,
+)
 from repro.engine.cluster import Cluster
 from repro.engine.migration import MigrationController, MigrationState
 from repro.engine.recovery import (
@@ -105,13 +109,7 @@ MIGRATION_SCENARIOS = (*_CRASH_SCENARIOS, "cancel-restart", "pause-resume")
 #: The fixed background migration of every migration run: keys
 #: ``[0, 300)`` move from node 0 to node 3 in six 50-record chunks, each
 #: re-homing its range statically, starting at ``MIGRATION_START_US``.
-MIGRATION_PLAN = ColdMigrationPlan(tuple(
-    ChunkMigration(
-        src=0, dst=3, keys=tuple(range(lo, lo + 50)),
-        range_reassign=(lo, lo + 50),
-    )
-    for lo in range(0, 300, 50)
-))
+MIGRATION_PLAN = range_chunks(0, 3, 0, 300, 50)
 MIGRATION_START_US = 4_000.0
 
 #: Ids up to this floor are reserved for the pre-minted workload

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, cluster_result
 from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRNG
 from repro.serve.core import ServeConfig, ServeCore
@@ -107,25 +107,4 @@ def serving_run(
         extras["journal_verified"] = True
     finally:
         os.unlink(journal_path)
-    cluster = core.cluster
-    metrics = cluster.metrics
-    end = report.duration_us
-    pcts = metrics.latency_percentiles_us((0.5, 0.95, 0.99))
-    return ExperimentResult(
-        strategy=strategy,
-        commits=report.commits,
-        duration_us=end,
-        throughput_per_s=metrics.throughput_per_second(end),
-        mean_latency_us=metrics.mean_latency_us(),
-        latency_breakdown_us=metrics.latency.averages(),
-        cpu_utilization=cluster.cpu_utilization(end),
-        net_bytes_per_commit=cluster.network_bytes_per_commit(),
-        remote_reads=metrics.remote_reads,
-        writebacks=metrics.writebacks,
-        evictions=metrics.evictions,
-        throughput_series=metrics.throughput_series(end),
-        latency_p50_us=pcts[0.5],
-        latency_p95_us=pcts[0.95],
-        latency_p99_us=pcts[0.99],
-        extras=extras,
-    )
+    return cluster_result(strategy, core.cluster, report.duration_us, extras)

@@ -136,24 +136,6 @@ class RangePartitioner(Partitioner):
             lo = hi
             index += 1
 
-    def segments(self) -> list[tuple[int, NodeId]]:
-        """Current (start, owner) segments, for inspection and plans."""
-        return list(zip(self._starts, self._owners))
-
-    def keys_owned_by(self, node: NodeId, key_lo: int, key_hi: int) -> Iterable[int]:
-        """Yield every key in [key_lo, key_hi) whose home is ``node``.
-
-        Used by cold-migration planners to enumerate a partition's keys
-        without materializing the whole keyspace.
-        """
-        bounds = self._starts + [key_hi]
-        for i, owner in enumerate(self._owners):
-            if owner != node:
-                continue
-            seg_lo = max(self._starts[i], key_lo)
-            seg_hi = min(bounds[i + 1], key_hi)
-            yield from range(seg_lo, seg_hi)
-
 
 def make_uniform_ranges(num_keys: int, num_nodes: int) -> RangePartitioner:
     """Split ``[0, num_keys)`` into ``num_nodes`` near-equal ranges."""

@@ -8,12 +8,13 @@ flagged with the right counter.
 
 from repro.analysis.placement_audit import MAX_PROBLEM_DETAILS, audit_placement
 from repro.baselines.calvin import CalvinRouter
-from repro.baselines.squall import SquallExecutor
 from repro.common.config import ClusterConfig, EngineConfig, FusionConfig
 from repro.common.types import Transaction
 from repro.core.fusion_table import FusionTable
 from repro.core.prescient import PrescientRouter
+from repro.core.provisioning import range_chunks
 from repro.engine.cluster import Cluster
+from repro.engine.migration import MigrationController
 from repro.storage.partitioning import make_uniform_ranges
 
 NUM_KEYS = 300
@@ -44,8 +45,8 @@ class TestCleanClusters:
 
     def test_post_migration_cluster_passes_with_wal_history(self):
         cluster = build()
-        executor = SquallExecutor(cluster, chunk_records=25)
-        executor.migrate_range(0, 2, 0, 100)
+        controller = MigrationController(cluster)
+        controller.start(range_chunks(0, 2, 0, 100, 25))
         cluster.run_until_quiescent(60_000_000)
         report = audit_placement(cluster, expected_total=NUM_KEYS)
         assert report.ok, report.describe()
@@ -53,8 +54,8 @@ class TestCleanClusters:
 
     def test_without_command_log_skips_history_check(self):
         cluster = build(keep_command_log=False)
-        executor = SquallExecutor(cluster, chunk_records=50)
-        executor.migrate_range(0, 2, 0, 100)
+        controller = MigrationController(cluster)
+        controller.start(range_chunks(0, 2, 0, 100, 50))
         cluster.run_until_quiescent(60_000_000)
         report = audit_placement(cluster, expected_total=NUM_KEYS)
         assert report.ok, report.describe()
@@ -114,8 +115,8 @@ class TestViolations:
 
     def test_wal_history_mismatch_flagged(self):
         cluster = build()
-        executor = SquallExecutor(cluster, chunk_records=20)
-        executor.migrate_range(0, 2, 0, 20)
+        controller = MigrationController(cluster)
+        controller.start(range_chunks(0, 2, 0, 20, 20))
         cluster.run_until_quiescent(60_000_000)
         assert audit_placement(cluster).ok
         # Roll the static map back behind the WAL's recorded migration —

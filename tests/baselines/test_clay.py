@@ -5,7 +5,6 @@ import pytest
 from repro.common.config import ClusterConfig, EngineConfig
 from repro.common.rng import DeterministicRNG
 from repro.baselines.clay import ClayController, ClayRouter
-from repro.baselines.squall import SquallExecutor
 from repro.common.errors import ConfigurationError
 from repro.engine.cluster import Cluster
 from repro.storage.partitioning import make_uniform_ranges
@@ -29,10 +28,8 @@ def build_clay(monitor_us=300_000.0):
         make_uniform_ranges(NUM_KEYS, 4),
     )
     cluster.load_data(range(NUM_KEYS))
-    executor = SquallExecutor(cluster)
     controller = ClayController(
-        cluster, router, executor,
-        monitor_interval_us=monitor_us,
+        cluster, router, monitor_interval_us=monitor_us,
     )
     return cluster, router, controller
 
@@ -95,6 +92,5 @@ class TestControllerPlans:
 
     def test_bad_params_rejected(self):
         cluster, router, _c = build_clay()
-        executor = SquallExecutor(cluster)
         with pytest.raises(ConfigurationError):
-            ClayController(cluster, router, executor, monitor_interval_us=0)
+            ClayController(cluster, router, monitor_interval_us=0)

@@ -1,4 +1,4 @@
-"""Unit tests for the hybrid provisioning planner (Section 3.3)."""
+"""Unit tests for the cold-migration planners (Section 3.3)."""
 
 import pytest
 
@@ -6,20 +6,10 @@ from repro.common.errors import ConfigurationError
 from repro.core.provisioning import (
     ChunkMigration,
     ColdMigrationPlan,
-    HybridMigrationPlanner,
-    TopologyChange,
+    plan_consolidation,
+    plan_scale_out,
 )
 from repro.storage.partitioning import RangePartitioner
-
-
-class TestTopologyChange:
-    def test_iterates_nodes(self):
-        change = TopologyChange((0, 1, 2))
-        assert list(change) == [0, 1, 2]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            TopologyChange(())
 
 
 class TestChunkMigration:
@@ -86,45 +76,48 @@ class TestRemainderExcluding:
 
 class TestScaleOut:
     def test_chunks_cover_requested_ranges(self):
-        planner = HybridMigrationPlanner(chunk_records=10)
-        topology, plan = planner.plan_scale_out(
-            [0, 1, 2], new_node=3, moves=[(0, 0, 25)]
-        )
-        assert tuple(topology) == (0, 1, 2, 3)
+        plan = plan_scale_out(3, [(0, 0, 25)], chunk_records=10)
         assert len(plan) == 3  # 10 + 10 + 5
         moved = [k for chunk in plan.chunks for k in chunk.keys]
         assert moved == list(range(25))
         assert all(c.dst == 3 and c.src == 0 for c in plan.chunks)
         assert plan.chunks[0].range_reassign == (0, 10)
 
-    def test_rejects_existing_node(self):
-        planner = HybridMigrationPlanner()
-        with pytest.raises(ConfigurationError):
-            planner.plan_scale_out([0, 1], new_node=1, moves=[])
+    def test_moves_planned_in_order(self):
+        plan = plan_scale_out(3, [(1, 50, 60), (0, 0, 5)], chunk_records=8)
+        assert [(c.src, c.range_reassign) for c in plan.chunks] == [
+            (1, (50, 58)), (1, (58, 60)), (0, (0, 5)),
+        ]
 
     def test_rejects_empty_range(self):
-        planner = HybridMigrationPlanner()
         with pytest.raises(ConfigurationError):
-            planner.plan_scale_out([0], new_node=1, moves=[(0, 10, 10)])
+            plan_scale_out(1, [(0, 10, 10)], chunk_records=1000)
 
 
 class TestConsolidation:
     def test_departing_ranges_spread_round_robin(self):
         part = RangePartitioner([0, 30, 60], [0, 1, 0])
-        planner = HybridMigrationPlanner(chunk_records=10)
-        topology, plan = planner.plan_consolidation(
-            [0, 1], removed_node=0, partitioner=part, key_lo=0, key_hi=90
+        plan = plan_consolidation(
+            0, [1], partitioner=part, key_lo=0, key_hi=90, chunk_records=10
         )
-        assert tuple(topology) == (1,)
         moved = sorted(k for c in plan.chunks for k in c.keys)
         assert moved == list(range(0, 30)) + list(range(60, 90))
         assert all(c.dst == 1 for c in plan.chunks)
 
+    def test_chunks_dealt_over_survivors_in_turn(self):
+        part = RangePartitioner([0, 30, 60], [0, 1, 0])
+        plan = plan_consolidation(
+            0, [1, 2], partitioner=part, key_lo=0, key_hi=90,
+            chunk_records=20,
+        )
+        assert [(c.dst, c.range_reassign) for c in plan.chunks] == [
+            (1, (0, 20)), (2, (20, 30)), (1, (60, 80)), (2, (80, 90)),
+        ]
+
     def test_chunks_are_contiguous_runs(self):
         part = RangePartitioner([0, 10, 20], [0, 1, 0])
-        planner = HybridMigrationPlanner(chunk_records=100)
-        _topology, plan = planner.plan_consolidation(
-            [0, 1], removed_node=0, partitioner=part, key_lo=0, key_hi=30
+        plan = plan_consolidation(
+            0, [1], partitioner=part, key_lo=0, key_hi=30, chunk_records=100
         )
         # Two disjoint runs (0..9 and 20..29) must not merge into one
         # chunk with a bogus range_reassign.
@@ -135,8 +128,8 @@ class TestConsolidation:
 
     def test_cannot_remove_last_node(self):
         part = RangePartitioner([0], [0])
-        planner = HybridMigrationPlanner()
         with pytest.raises(ConfigurationError):
-            planner.plan_consolidation(
-                [0], removed_node=0, partitioner=part, key_lo=0, key_hi=10
+            plan_consolidation(
+                0, [], partitioner=part, key_lo=0, key_hi=10,
+                chunk_records=1000,
             )

@@ -8,9 +8,8 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import Transaction
 from repro.core.fusion_table import FusionTable
 from repro.core.prescient import PrescientRouter
-from repro.core.provisioning import ColdMigrationPlan, HybridMigrationPlanner
+from repro.core.provisioning import ColdMigrationPlan, range_chunks
 from repro.baselines.calvin import CalvinRouter
-from repro.baselines.squall import SquallExecutor
 from repro.engine.cluster import Cluster
 from repro.engine.migration import (
     MigrationController,
@@ -54,11 +53,15 @@ def run_until_true(cluster, predicate, step_us=100.0, limit_us=60_000_000.0):
 
 
 class TestSquallExecutor:
+    """Squall's chunked range migration, run by a MigrationController."""
+
     def test_range_physically_moves(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster)
+        controller = MigrationController(cluster)
         done = []
-        executor.migrate_range(0, 3, 0, 100, on_complete=lambda: done.append(1))
+        controller.start(
+            range_chunks(0, 3, 0, 100, 25), on_complete=lambda: done.append(1)
+        )
         cluster.run_until_quiescent(60_000_000)
         assert done == [1]
         placement = cluster.placement_snapshot()
@@ -67,25 +70,25 @@ class TestSquallExecutor:
 
     def test_static_map_updated(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster)
-        executor.migrate_range(0, 3, 0, 100)
+        controller = MigrationController(cluster)
+        controller.start(range_chunks(0, 3, 0, 100, 25))
         cluster.run_until_quiescent(60_000_000)
         assert cluster.ownership.static.home(50) == 3
         assert cluster.ownership.owner(50) == 3
 
     def test_chunks_paced_one_at_a_time(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster, chunk_records=10)
-        plan = executor.plan_range(0, 3, 0, 50)
+        controller = MigrationController(cluster)
+        plan = range_chunks(0, 3, 0, 50, 10)
         assert len(plan) == 5
-        executor.start_plan(plan)
+        controller.start(plan)
         cluster.run_until_quiescent(60_000_000)
-        assert executor.controller.chunks_committed == 5
+        assert controller.chunks_committed == 5
 
     def test_concurrent_user_txns_still_commit(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster)
-        executor.migrate_range(0, 3, 0, 100)
+        controller = MigrationController(cluster)
+        controller.start(range_chunks(0, 3, 0, 100, 25))
         for i in range(1, 30):
             cluster.submit(Transaction.read_write(1000 + i, [i * 3], [i * 3]))
         cluster.run_until_quiescent(60_000_000)
@@ -96,26 +99,24 @@ class TestSquallExecutor:
     def test_double_start_rejected(self):
         cluster = build(CalvinRouter())
         controller = MigrationController(cluster)
-        planner = HybridMigrationPlanner(chunk_records=50)
-        _t, plan = planner.plan_scale_out([0, 1, 2], 3, [(0, 0, 100)])
+        plan = range_chunks(0, 3, 0, 100, 50)
         controller.start(plan)
         with pytest.raises(RuntimeError):
             controller.start(plan)
 
     def test_cancel_stops_unsubmitted_chunks(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster, chunk_records=10)
-        plan = executor.plan_range(0, 3, 0, 50)
-        executor.start_plan(plan)
-        controller = executor.controller
+        controller = MigrationController(cluster)
+        plan = range_chunks(0, 3, 0, 50, 10)
+        controller.start(plan)
         # Let the first chunk commit, then pause the migration (graceful
         # degradation under faults): submitted chunks finish, the rest
         # are handed back for a later resume.
         cluster.run_until_quiescent(60_000_000)
         assert controller.chunks_committed >= 1
         # Re-start a fresh plan and cancel before the second chunk goes in.
-        plan2 = executor.plan_range(3, 0, 0, 50)
-        executor.start_plan(plan2)
+        plan2 = range_chunks(3, 0, 0, 50, 10)
+        controller.start(plan2)
         cluster.run_until(cluster.kernel.now + 1_000.0)
         remaining = controller.cancel()
         submitted_before = controller.chunks_submitted
@@ -145,8 +146,8 @@ class TestHermesScaleOut:
         assert fused_away, "setup failed: nothing fused off node 0"
 
         migrated_before = cluster.metrics.evictions
-        executor = SquallExecutor(cluster, chunk_records=50)
-        executor.migrate_range(0, 3, 0, 100)
+        controller = MigrationController(cluster)
+        controller.start(range_chunks(0, 3, 0, 100, 50))
         cluster.run_until_quiescent(120_000_000)
 
         placement = cluster.placement_snapshot()
@@ -191,10 +192,9 @@ class TestStaleCallbackRegression:
         10..50 migrated anyway); post-fix it is orphaned."""
         tracer = Tracer()
         cluster = build(CalvinRouter(), tracer=tracer)
-        executor = SquallExecutor(cluster, chunk_records=10)
-        controller = executor.controller
+        controller = MigrationController(cluster)
 
-        plan1 = executor.plan_range(0, 3, 0, 50)
+        plan1 = range_chunks(0, 3, 0, 50, 10)
         session1 = controller.start(plan1)
         # Let chunk 1 reach the sequencer but not the epoch cut.
         cluster.run_until(cluster.kernel.now + 100.0)
@@ -204,7 +204,7 @@ class TestStaleCallbackRegression:
 
         # Immediately start the reverse plan; chunk 1 of plan1 is still
         # in the sequencer and will commit mid-way through plan2.
-        plan2 = executor.plan_range(3, 0, 0, 50)
+        plan2 = range_chunks(3, 0, 0, 50, 10)
         session2 = controller.start(plan2)
         cluster.run_until_quiescent(60_000_000)
 
@@ -225,17 +225,16 @@ class TestStaleCallbackRegression:
         gap wakeup.  Pre-fix the pending timer fired after the restart
         and resubmitted the cancelled plan's chunk 2."""
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster, chunk_records=10)
-        controller = executor.controller
+        controller = MigrationController(cluster)
 
-        session1 = controller.start(executor.plan_range(0, 3, 0, 50))
+        session1 = controller.start(range_chunks(0, 3, 0, 50, 10))
         run_until_true(cluster, lambda: session1.chunks_committed >= 1)
         # The 1ms gap timer for chunk 2 is now pending.
         assert session1.in_flight == 0
         remainder = controller.cancel()
         assert len(remainder) == 4
 
-        session2 = controller.start(executor.plan_range(3, 0, 0, 10))
+        session2 = controller.start(range_chunks(3, 0, 0, 10, 10))
         cluster.run_until_quiescent(60_000_000)
 
         assert controller.chunks_submitted == 2  # one per plan
@@ -263,11 +262,11 @@ class TestCancelSemantics:
     def test_cancel_after_completion_is_noop(self):
         tracer = Tracer()
         cluster = build(CalvinRouter(), tracer=tracer)
-        executor = SquallExecutor(cluster, chunk_records=10)
-        session = executor.controller.start(executor.plan_range(0, 3, 0, 20))
+        controller = MigrationController(cluster)
+        session = controller.start(range_chunks(0, 3, 0, 20, 10))
         cluster.run_until_quiescent(60_000_000)
         assert session.state is MigrationState.DONE
-        assert executor.controller.cancel() == []
+        assert controller.cancel() == []
         assert session.state is MigrationState.DONE
         assert len(mig_events(tracer, "migration_cancel_noop")) == 1
 
@@ -275,9 +274,8 @@ class TestCancelSemantics:
 class TestPauseResume:
     def test_pause_holds_unsubmitted_chunks(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster, chunk_records=10)
-        controller = executor.controller
-        session = controller.start(executor.plan_range(0, 3, 0, 50))
+        controller = MigrationController(cluster)
+        session = controller.start(range_chunks(0, 3, 0, 50, 10))
         run_until_true(cluster, lambda: session.chunks_committed >= 1)
 
         controller.pause()
@@ -298,9 +296,8 @@ class TestPauseResume:
 
     def test_resume_with_explicit_remainder(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster, chunk_records=10)
-        controller = executor.controller
-        session = controller.start(executor.plan_range(0, 3, 0, 50))
+        controller = MigrationController(cluster)
+        session = controller.start(range_chunks(0, 3, 0, 50, 10))
         run_until_true(cluster, lambda: session.chunks_committed >= 1)
         controller.pause()
 
@@ -326,10 +323,10 @@ class TestTransitionGuards:
 
     def test_resume_requires_paused(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster, chunk_records=10)
-        executor.controller.start(executor.plan_range(0, 3, 0, 20))
+        controller = MigrationController(cluster)
+        controller.start(range_chunks(0, 3, 0, 20, 10))
         with pytest.raises(ConfigurationError):
-            executor.controller.resume()
+            controller.resume()
 
     def test_illegal_direct_transition_rejected(self):
         cluster = build(CalvinRouter())
@@ -342,11 +339,10 @@ class TestTransitionGuards:
 class TestSessionAudit:
     def test_generations_monotonic_history_recorded(self):
         cluster = build(CalvinRouter())
-        executor = SquallExecutor(cluster, chunk_records=10)
-        controller = executor.controller
-        s1 = controller.start(executor.plan_range(0, 3, 0, 10))
+        controller = MigrationController(cluster)
+        s1 = controller.start(range_chunks(0, 3, 0, 10, 10))
         cluster.run_until_quiescent(60_000_000)
-        s2 = controller.start(executor.plan_range(3, 0, 0, 10))
+        s2 = controller.start(range_chunks(3, 0, 0, 10, 10))
         cluster.run_until_quiescent(60_000_000)
 
         assert (s1.generation, s2.generation) == (1, 2)
@@ -360,8 +356,8 @@ class TestSessionAudit:
     def test_terminal_session_emits_span_with_stats(self):
         tracer = Tracer()
         cluster = build(CalvinRouter(), tracer=tracer)
-        executor = SquallExecutor(cluster, chunk_records=10)
-        executor.controller.start(executor.plan_range(0, 3, 0, 20))
+        controller = MigrationController(cluster)
+        controller.start(range_chunks(0, 3, 0, 20, 10))
         cluster.run_until_quiescent(60_000_000)
 
         spans = [e for e in tracer.events

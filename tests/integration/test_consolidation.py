@@ -3,7 +3,7 @@
 from repro.common.config import ClusterConfig, EngineConfig, FusionConfig
 from repro.core.fusion_table import FusionTable
 from repro.core.prescient import PrescientRouter
-from repro.core.provisioning import HybridMigrationPlanner
+from repro.core.provisioning import plan_consolidation
 from repro.engine.cluster import Cluster
 from repro.storage.partitioning import make_uniform_ranges
 
@@ -30,9 +30,8 @@ def build():
 
 def test_consolidation_plan_covers_static_ownership():
     cluster, _table = build()
-    planner = HybridMigrationPlanner(chunk_records=64)
-    _topology, plan = planner.plan_consolidation(
-        [0, 1, 2], 2, cluster.ownership.static, 0, NUM_KEYS
+    plan = plan_consolidation(
+        2, [0, 1], cluster.ownership.static, 0, NUM_KEYS, chunk_records=64
     )
     planned = {k for chunk in plan.chunks for k in chunk.keys}
     statically_owned = {

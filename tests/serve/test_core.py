@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.analysis.placement_audit import audit_placement
 from repro.common.errors import ConfigurationError
 from repro.serve.core import ServeConfig, ServeCore
+from repro.serve.journal import JournalWriter
+from repro.serve.replayer import verify_journal
 
 CONFIG = dict(
     num_keys=400, num_nodes=4, strategy="calvin", epoch_us=5_000.0
 )
+
+#: The add-then-remove run's final state fingerprint and event digest.
+SCALE_IN_FINGERPRINT = 17038013653035715177
+SCALE_IN_DIGEST = "95b662eb70915fa267ac1fada06fc0f1"
 
 
 def requests_for(tick, per_tick=4):
@@ -106,3 +113,34 @@ class TestElastic:
         core = ServeCore(ServeConfig(**CONFIG, initial_nodes=3))
         with pytest.raises(ConfigurationError, match="resize"):
             core.tick([], resizes=[("explode", 3)])
+
+    def test_adding_an_active_node_rejected(self):
+        core = ServeCore(ServeConfig(**CONFIG, initial_nodes=3))
+        with pytest.raises(ConfigurationError, match="already active"):
+            core.tick([], resizes=[("add", 2)])
+
+    def test_journaled_scale_in_drains_node(self, tmp_path):
+        # Add node 3, let its session drain, then remove it again: the
+        # consolidation plan must hand every one of its records back.
+        path = str(tmp_path / "scale-in.jsonl")
+        core = ServeCore(
+            ServeConfig(**CONFIG, initial_nodes=3),
+            journal=JournalWriter(path),
+        )
+        core.tick(requests_for(0), resizes=[("add", 3)])
+        for tick in range(1, 12):
+            core.tick(requests_for(tick))
+        assert not core.elastic.controller.active
+        assert len(core.cluster.nodes[3].store) > 0
+        core.tick(requests_for(12), resizes=[("remove", 3)])
+        for tick in range(13, 24):
+            core.tick(requests_for(tick))
+        report = core.finish()
+        assert report.extras["resizes"] == 2
+        assert report.extras["active_nodes"] == [0, 1, 2]
+        assert len(core.cluster.nodes[3].store) == 0
+        audit = audit_placement(core.cluster, expected_total=400)
+        assert audit.ok, audit.describe()
+        assert verify_journal(path).ok
+        assert report.fingerprint == SCALE_IN_FINGERPRINT
+        assert report.digest == SCALE_IN_DIGEST

@@ -48,17 +48,21 @@ class TestRangePartitioner:
     def test_reassign_coalesces_segments(self):
         part = RangePartitioner([0, 10, 20], [0, 1, 0])
         part.reassign(10, 20, 0)
-        assert part.segments() == [(0, 0)]
+        assert list(part.owner_spans(0, 30)) == [(0, 30, 0)]
 
     def test_reassign_empty_range_rejected(self):
         part = make_uniform_ranges(10, 2)
         with pytest.raises(ConfigurationError):
             part.reassign(5, 5, 0)
 
-    def test_keys_owned_by(self):
+    def test_owner_spans(self):
         part = RangePartitioner([0, 10, 20], [0, 1, 0])
-        owned = list(part.keys_owned_by(0, 0, 30))
-        assert owned == list(range(0, 10)) + list(range(20, 30))
+        assert list(part.owner_spans(0, 30)) == [
+            (0, 10, 0), (10, 20, 1), (20, 30, 0)
+        ]
+        assert list(part.owner_spans(5, 25)) == [
+            (5, 10, 0), (10, 20, 1), (20, 25, 0)
+        ]
 
     @given(
         num_keys=st.integers(10, 500),
