@@ -1,9 +1,9 @@
 """Nightly matrix: mid-migration chaos across scenarios, timings, seeds.
 
 The tier-1 smoke job covers one crash at one disruption time.  Nightly
-widens the net: every scenario (crash, failover, cancel-restart,
-pause-resume) is struck at several points of the migration's lifetime
-and under several workload seeds, and each cell must converge to its
+widens the net: every scenario (crash, failover, cancel-restart) is
+struck at several points of the migration's lifetime and under several
+workload seeds, and each cell must converge to its
 undisturbed reference — identical fingerprint and applied set, clean
 placement audit, zero orphaned records.  A sanitizer-digest dual run
 per scenario guards the determinism of the disruption machinery itself.

@@ -16,17 +16,16 @@ the classic stale-closure bug where ``cancel()`` followed by
 ``start(new_plan)`` let the old plan's pending callback resubmit the
 cancelled remainder interleaved with the new plan.
 
-Sessions move through an explicit state machine::
+A session has one lifecycle::
 
-    PLANNING -> RUNNING -> (PAUSED <-> RUNNING) -> DRAINING -> DONE
-                      \\__________________________________/-> CANCELLED
+    RUNNING -> DONE | CANCELLED
 
-``DRAINING`` means every chunk has been handed to the sequencer and the
-session is waiting for the last commit.  Transitions outside the table
-raise :class:`~repro.common.errors.ConfigurationError`, and each
-transition is recorded in ``session.history`` and traced, so a Perfetto
-timeline shows one ``migration_session`` span per migration with its
-full lifecycle.
+It is born ``RUNNING`` in ``start()``, becomes ``DONE`` once nothing is
+left to submit and nothing is in flight, and ``CANCELLED`` on
+``cancel()``.  Leaving a terminal state raises
+:class:`~repro.common.errors.ConfigurationError`; the terminal
+transition is traced, so a Perfetto timeline shows one
+``migration_session`` span per migration with its counters.
 
 The controller is migration *executor* machinery; *what* to migrate
 comes from a planner — :func:`~repro.core.provisioning.range_chunks`
@@ -52,32 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MigrationState(Enum):
     """Lifecycle states of one migration session."""
 
-    PLANNING = "planning"
     RUNNING = "running"
-    PAUSED = "paused"
-    DRAINING = "draining"
     DONE = "done"
     CANCELLED = "cancelled"
 
-
-#: Legal state-machine edges; anything else is a programming error.
-_TRANSITIONS: dict[MigrationState, frozenset[MigrationState]] = {
-    MigrationState.PLANNING: frozenset(
-        {MigrationState.RUNNING, MigrationState.CANCELLED}
-    ),
-    MigrationState.RUNNING: frozenset(
-        {MigrationState.PAUSED, MigrationState.DRAINING,
-         MigrationState.CANCELLED}
-    ),
-    MigrationState.PAUSED: frozenset(
-        {MigrationState.RUNNING, MigrationState.CANCELLED}
-    ),
-    MigrationState.DRAINING: frozenset(
-        {MigrationState.DONE, MigrationState.CANCELLED}
-    ),
-    MigrationState.DONE: frozenset(),
-    MigrationState.CANCELLED: frozenset(),
-}
 
 _TERMINAL = frozenset({MigrationState.DONE, MigrationState.CANCELLED})
 
@@ -85,7 +62,7 @@ _TERMINAL = frozenset({MigrationState.DONE, MigrationState.CANCELLED})
 class MigrationSession:
     """One tracked execution of a :class:`ColdMigrationPlan`.
 
-    Owns the per-migration statistics and the state machine; chunk
+    Owns the per-migration statistics and the lifecycle; chunk
     submission stays in the controller, which tags every callback with
     the session so stale generations can be recognised and dropped.
     """
@@ -100,7 +77,7 @@ class MigrationSession:
     ) -> None:
         self.generation = generation
         self.plan = plan
-        self.state = MigrationState.PLANNING
+        self.state = MigrationState.RUNNING
         self.on_complete = on_complete
         self.on_chunk = on_chunk
         self._cluster = cluster
@@ -113,12 +90,8 @@ class MigrationSession:
         self.chunks_orphaned = 0
         self.records_moved = 0
         self.bytes_on_wire = 0
-        #: (simulated_us, state) pairs — the audited lifecycle record.
-        self.history: list[tuple[float, str]] = [
-            (self.started_at_us, self.state.value)
-        ]
 
-    # -- state machine -----------------------------------------------------
+    # -- lifecycle ---------------------------------------------------------
 
     @property
     def terminal(self) -> bool:
@@ -134,28 +107,21 @@ class MigrationSession:
         )
 
     def transition(self, new_state: MigrationState) -> None:
-        """Move to ``new_state``; illegal edges raise ConfigurationError."""
-        if new_state not in _TRANSITIONS[self.state]:
+        """End a RUNNING session in ``new_state`` (DONE or CANCELLED);
+        any other edge raises ConfigurationError."""
+        if self.terminal or new_state not in _TERMINAL:
             raise ConfigurationError(
                 f"illegal migration transition {self.state.value} -> "
                 f"{new_state.value} (session {self.generation})"
             )
         self.state = new_state
-        now = self._cluster.kernel.now
-        self.history.append((now, new_state.value))
+        self.ended_at_us = self._cluster.kernel.now
         tracer = self._cluster.tracer
         if tracer is not None:
-            tracer.migration(
-                "session_state", session=self.generation,
-                state=new_state.value,
+            tracer.migration_session(
+                self.generation, new_state.value, self.started_at_us,
+                **self.stats_snapshot(),
             )
-        if new_state in _TERMINAL:
-            self.ended_at_us = now
-            if tracer is not None:
-                tracer.migration_session(
-                    self.generation, new_state.value, self.started_at_us,
-                    **self.stats_snapshot(),
-                )
 
     def stats_snapshot(self) -> dict[str, int]:
         """Per-session counters (traced on the terminal transition)."""
@@ -246,61 +212,7 @@ class MigrationController:
                 chunks=len(plan.chunks),
                 records=plan.total_keys(),
             )
-        session.transition(MigrationState.RUNNING)
         self._submit_next(session)
-        return session
-
-    def pause(self) -> MigrationSession:
-        """Stop handing out new chunks; in-flight chunks still commit.
-
-        Only a RUNNING session can pause (a DRAINING one has nothing
-        left to withhold).  Resume later with :meth:`resume`.
-        """
-        session = self.session
-        if session is None or session.state is not MigrationState.RUNNING:
-            state = "idle" if session is None else session.state.value
-            raise ConfigurationError(
-                f"pause() requires a running migration (state: {state})"
-            )
-        self._disarm_gap_timer()
-        session.transition(MigrationState.PAUSED)
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            tracer.migration(
-                "migration_paused", session=session.generation,
-                unsubmitted=len(session.remaining),
-                in_flight=session.in_flight,
-            )
-        return session
-
-    def resume(
-        self, remainder: list[ChunkMigration] | None = None
-    ) -> MigrationSession:
-        """Continue a paused session, optionally with a revised remainder.
-
-        ``remainder`` replaces the unsubmitted chunk list (e.g. a planner
-        re-prioritised the tail while the migration was paused); ``None``
-        keeps the original tail.
-        """
-        session = self.session
-        if session is None or session.state is not MigrationState.PAUSED:
-            state = "idle" if session is None else session.state.value
-            raise ConfigurationError(
-                f"resume() requires a paused migration (state: {state})"
-            )
-        if remainder is not None:
-            session.remaining = list(remainder)
-        session.transition(MigrationState.RUNNING)
-        tracer = self.cluster.tracer
-        if tracer is not None:
-            tracer.migration(
-                "migration_resumed", session=session.generation,
-                unsubmitted=len(session.remaining),
-            )
-        if session.in_flight == 0:
-            # Nothing pending whose commit callback would continue the
-            # pacing loop — kick it ourselves.
-            self._submit_next(session)
         return session
 
     def cancel(self) -> list[ChunkMigration]:
@@ -339,13 +251,8 @@ class MigrationController:
 
     def _submit_next(self, session: MigrationSession) -> None:
         self._gap_timer = None
-        if (
-            session.generation != self._generation
-            or session.state not in (
-                MigrationState.RUNNING, MigrationState.DRAINING
-            )
-        ):
-            # Defensive: pause/cancel disarm the gap timer eagerly, but a
+        if session.generation != self._generation or session.terminal:
+            # Defensive: cancel disarms the gap timer eagerly, but a
             # stale wakeup must never resume a superseded generation.
             tracer = self.cluster.tracer
             if tracer is not None:
@@ -355,8 +262,6 @@ class MigrationController:
                 )
             return
         if not session.remaining:
-            if session.state is MigrationState.RUNNING:
-                session.transition(MigrationState.DRAINING)
             self._maybe_finish(session)
             return
         chunk = session.remaining.pop(0)
@@ -376,8 +281,6 @@ class MigrationController:
                 session=session.generation,
                 chunk=session.chunks_submitted, records=len(chunk.keys),
             )
-        if not session.remaining:
-            session.transition(MigrationState.DRAINING)
         self.cluster.submit(
             txn, on_commit=self._make_chunk_done(session, txn)
         )
@@ -425,11 +328,7 @@ class MigrationController:
                 chunk=session.chunks_committed, moved=moved,
                 remaining=len(session.remaining),
             )
-        if session.state is MigrationState.PAUSED:
-            # resume() restarts the pacing loop; the commit is recorded
-            # but must not schedule the next chunk.
-            return
-        if session.state is MigrationState.DRAINING:
+        if not session.remaining:
             self._maybe_finish(session)
             return
         gap = self.cluster.config.engine.migration_chunk_gap_us
@@ -438,11 +337,8 @@ class MigrationController:
         )
 
     def _maybe_finish(self, session: MigrationSession) -> None:
-        if (
-            session.state is MigrationState.DRAINING
-            and session.in_flight == 0
-            and not session.remaining
-        ):
+        # The terminal check covers an ``on_chunk`` that cancelled.
+        if session.in_flight == 0 and not session.terminal:
             session.transition(MigrationState.DONE)
             tracer = self.cluster.tracer
             if tracer is not None:

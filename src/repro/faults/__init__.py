@@ -12,7 +12,7 @@ The subsystem has three layers:
 * :mod:`repro.faults.chaos` — the chaos harness: run a Google-trace YCSB
   schedule under a plan (a crash's survivor replays the durable tier or
   is a promoted WAN replica), or with a background migration crashed,
-  failed over, cancelled or paused part-way, and verify the paper's
+  failed over or cancelled part-way, and verify the paper's
   determinism invariant — the final state equals the fault-free
   reference bit for bit, no committed transaction is ever lost, and
   every record sits where the ownership view says.

@@ -24,9 +24,8 @@ turns that claim into an executable check:
    grid, so the survivor reproduces the reference batch composition
    exactly.
 4. :func:`run_migration_trial` disrupts a fixed background migration
-   part-way: a crash or a failover through the same crash path, a
-   cancel and restart, or a pause and resume; with no scenario it is
-   their reference.
+   part-way: a crash or a failover through the same crash path, or a
+   cancel and restart; with no scenario it is their reference.
 5. :func:`verify_trial` compares any trial to its reference: equal
    fingerprints, no committed transaction lost, every retry drained,
    and a clean placement audit on both sides.
@@ -68,7 +67,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashFault, FailoverFault, FaultPlan
 from repro.storage.partitioning import make_uniform_ranges
 from repro.workloads.google_trace import GoogleTraceConfig, SyntheticGoogleTrace
-from repro.workloads.streaming import stream_schedule
 from repro.workloads.ycsb import GoogleYCSBWorkload, YCSBConfig
 
 
@@ -104,7 +102,7 @@ MIGRATION_SMOKE_CONFIG = ChaosConfig(num_keys=1_500, num_txns=80)
 _CRASH_SCENARIOS = {"crash": CrashFault, "failover": FailoverFault}
 
 #: Scenario names :func:`run_migration_trial` understands.
-MIGRATION_SCENARIOS = (*_CRASH_SCENARIOS, "cancel-restart", "pause-resume")
+MIGRATION_SCENARIOS = (*_CRASH_SCENARIOS, "cancel-restart")
 
 #: The fixed background migration of every migration run: keys
 #: ``[0, 300)`` move from node 0 to node 3 in six 50-record chunks, each
@@ -141,7 +139,6 @@ class ChaosRunResult:
 
     messages_dropped: int = 0
     retries_sent: int = 0
-    duplicates_suppressed: int = 0
     controller_stats: dict[str, int] = field(default_factory=dict)
     """Migration counters summed over every controller of the run (all
     zero without a migration)."""
@@ -155,17 +152,17 @@ class ChaosRunResult:
     """Internal-invariant violations observed during the run itself."""
 
 
-def iter_schedule(config: ChaosConfig, seed: int):
-    """The arrival schedule for one seed, as a lazy generator.
+def make_schedule(
+    config: ChaosConfig, seed: int
+) -> list[tuple[float, Transaction]]:
+    """The arrival schedule for one seed.
 
-    Yields ``(arrival_us, txn)`` pairs in arrival order, minted from the
-    Google-trace YCSB generator.  The stream is computed *before* any
-    cluster exists (nothing feeds back into it), so it is identical
-    across the reference run and every fault trial — the independence
-    that makes fingerprint equality a sound check.  Draw-for-draw
-    identical to the materialized :func:`make_schedule` (see
-    :mod:`repro.workloads.streaming`), but holds O(1) schedule state,
-    which is what permits million-key chaos runs.
+    ``(arrival_us, txn)`` pairs in strictly increasing arrival order,
+    minted from the Google-trace YCSB generator with exponential gaps
+    drawn from a dedicated ``"arrivals"`` stream.  The schedule is
+    computed *before* any cluster exists (nothing feeds back into it),
+    so it is identical across the reference run and every fault trial —
+    the independence that makes fingerprint equality a sound check.
     """
     rng = DeterministicRNG(seed, "chaos")
     trace = SyntheticGoogleTrace(
@@ -182,19 +179,14 @@ def iter_schedule(config: ChaosConfig, seed: int):
         trace,
         rng,
     )
-    return stream_schedule(
-        workload.make_txn,
-        rng.fork("arrivals"),
-        MEAN_GAP_US,
-        config.num_txns,
-    )
-
-
-def make_schedule(
-    config: ChaosConfig, seed: int
-) -> list[tuple[float, Transaction]]:
-    """The materialized form of :func:`iter_schedule` (small configs)."""
-    return list(iter_schedule(config, seed))
+    arrivals = rng.fork("arrivals")
+    rate = 1.0 / MEAN_GAP_US
+    schedule = []
+    now = 0.0
+    for txn_id in range(1, config.num_txns + 1):
+        now += arrivals.expovariate(rate)
+        schedule.append((now, workload.make_txn(txn_id, now)))
+    return schedule
 
 
 def make_cluster_builder(config: ChaosConfig) -> Callable[[], Cluster]:
@@ -304,14 +296,12 @@ def run_migration_trial(
     """Run the workload with the migration disrupted mid-flight.
 
     The disruption strikes at ``event_at_us``; a cancelled plan restarts
-    (a paused one resumes) at ``resume_at_us``.  Scenarios:
+    at ``resume_at_us``.  Scenarios:
 
     * ``"cancel-restart"`` — ``cancel()`` (capturing the unsubmitted
       remainder), then ``start()`` a fresh session on that remainder.
       The in-flight chunk's commit callback arrives for the cancelled
       generation and must be dropped as an orphan, never resumed.
-    * ``"pause-resume"`` — ``pause()`` then ``resume()``; same session
-      throughout.
     * ``"crash"`` — ``FaultPlan((CrashFault(event_at_us),))`` through
       the crash path of :func:`run_chaos_trial`; a *new* controller on
       the recovered cluster resumes the plan minus every chunk the
@@ -337,12 +327,8 @@ def run_migration_trial(
             config, schedule, build_cluster, plan,
             DeterministicRNG(0, "migration-crash"), migrate=True,
         )
-    disruption = None if scenario is None else (
-        scenario, event_at_us, resume_at_us
-    )
-    return _run(
-        config, schedule, build_cluster, migrate=True, disruption=disruption
-    )
+    restart = None if scenario is None else (event_at_us, resume_at_us)
+    return _run(config, schedule, build_cluster, migrate=True, restart=restart)
 
 
 def _run(
@@ -352,18 +338,17 @@ def _run(
     plan: FaultPlan | None = None,
     rng: DeterministicRNG | None = None,
     migrate: bool = False,
-    disruption: tuple[str, float, float] | None = None,
+    restart: tuple[float, float] | None = None,
 ) -> ChaosRunResult:
     """The one run loop behind every reference and trial.
 
     ``plan`` (drawing from ``rng``) injects faults, ``migrate`` starts
-    the fixed migration, ``disruption`` is ``(scenario, event_at_us,
-    resume_at_us)`` of a non-crash migration scenario.  Same-instant
-    ``call_at`` order is part of the kernel digest, so the scheduling
-    order below is fixed: injector, schedule, migration start,
-    disruption; after a crash, injector, backlog, in-flight batches,
-    schedule, migration remainder.  Only a failover plan builds the
-    replica, right after the primary.
+    the fixed migration, ``restart`` is ``(event_at_us, resume_at_us)``
+    of the cancel-restart scenario.  Same-instant ``call_at`` order is
+    part of the kernel digest, so the scheduling order below is fixed:
+    injector, schedule, migration start, cancel, restart; after a crash,
+    injector, backlog, in-flight batches, schedule, migration remainder.
+    Only a failover plan builds the replica, right after the primary.
     """
     crashes = plan.crashes() if plan is not None else []
     cluster = build_cluster()
@@ -382,24 +367,21 @@ def _run(
         cluster.kernel.call_at(
             MIGRATION_START_US, controllers[0].start, MIGRATION_PLAN
         )
-    if disruption is not None:
-        _schedule_disruption(cluster, controllers[0], *disruption)
+    if restart is not None:
+        _schedule_restart(cluster, controllers[0], *restart)
 
     if not crashes:
         cluster.run_until_quiescent(MAX_TIME_US)
-        if disruption is not None and cluster.kernel.now < disruption[2]:
+        if restart is not None and cluster.kernel.now < restart[1]:
             # Quiescence only tracks submitted work: a cluster that
-            # drains while cancelled/paused looks idle before the
-            # recovery timer (at resume_at_us) fires.  Step past it,
-            # then drain the restarted migration.
-            cluster.run_until(disruption[2])
+            # drains while cancelled looks idle before the restart
+            # timer (at resume_at_us) fires.  Step past it, then drain
+            # the restarted migration.
+            cluster.run_until(restart[1])
             cluster.run_until_quiescent(MAX_TIME_US)
-        # A disruption engaged iff its cancel or pause shows in the
-        # migration's lifecycle history.
-        engaged = disruption is None or any(
-            state in ("cancelled", "paused")
-            for session in controllers[0].sessions
-            for _at, state in session.history
+        # A restart engaged iff it cancelled the first session.
+        engaged = restart is None or (
+            controllers[0].sessions[0].state is MigrationState.CANCELLED
         )
         return _result(
             config, [cluster], applied, controllers, [],
@@ -514,7 +496,6 @@ def _result(
         audit=audit_placement(final, expected_total=config.num_keys),
         messages_dropped=sum(n.messages_dropped for n in networks),
         retries_sent=sum(n.retries_sent for n in networks),
-        duplicates_suppressed=sum(n.duplicates_suppressed for n in networks),
         controller_stats=_controller_stats(*controllers),
         problems=problems,
         **fields,
@@ -556,34 +537,26 @@ def verify_trial(
     return problems
 
 
-def _schedule_disruption(
+def _schedule_restart(
     cluster: Cluster,
     controller: MigrationController,
-    scenario: str,
     event_at_us: float,
     resume_at_us: float,
 ) -> None:
-    """Arm a cancel-restart or pause-resume of the live migration; one
-    that strikes after the migration finished does nothing."""
+    """Arm a cancel of the live migration and a restart of its
+    unsubmitted remainder; a cancel that strikes after the migration
+    finished does nothing."""
     remainder: list[ChunkMigration] = []
 
     def disrupt() -> None:
-        if not controller.active:
-            return
-        if scenario == "cancel-restart":
-            remainder.extend(controller.cancel())
-        elif controller.session.state is MigrationState.RUNNING:
-            controller.pause()
+        remainder.extend(controller.cancel())
 
-    def recover() -> None:
-        session = controller.session
+    def restart() -> None:
         if remainder:
             controller.start(ColdMigrationPlan(tuple(remainder)))
-        elif session is not None and session.state is MigrationState.PAUSED:
-            controller.resume()
 
     cluster.kernel.call_at(event_at_us, disrupt)
-    cluster.kernel.call_at(resume_at_us, recover)
+    cluster.kernel.call_at(resume_at_us, restart)
 
 
 def _controller_stats(*controllers: MigrationController) -> dict[str, int]:

@@ -25,7 +25,6 @@ class VerifyResult:
 
     ok: bool
     mismatches: tuple[str, ...]
-    recorded: dict
     replayed: ServeReport
 
 
@@ -60,6 +59,5 @@ def verify_journal(path: str) -> VerifyResult:
     return VerifyResult(
         ok=not mismatches,
         mismatches=tuple(mismatches),
-        recorded=footer,
         replayed=replayed,
     )

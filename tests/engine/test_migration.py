@@ -109,9 +109,7 @@ class TestSquallExecutor:
         controller = MigrationController(cluster)
         plan = range_chunks(0, 3, 0, 50, 10)
         controller.start(plan)
-        # Let the first chunk commit, then pause the migration (graceful
-        # degradation under faults): submitted chunks finish, the rest
-        # are handed back for a later resume.
+        # Let the first plan run to completion.
         cluster.run_until_quiescent(60_000_000)
         assert controller.chunks_committed >= 1
         # Re-start a fresh plan and cancel before the second chunk goes in.
@@ -271,69 +269,31 @@ class TestCancelSemantics:
         assert len(mig_events(tracer, "migration_cancel_noop")) == 1
 
 
-class TestPauseResume:
-    def test_pause_holds_unsubmitted_chunks(self):
-        cluster = build(CalvinRouter())
-        controller = MigrationController(cluster)
-        session = controller.start(range_chunks(0, 3, 0, 50, 10))
-        run_until_true(cluster, lambda: session.chunks_committed >= 1)
-
-        controller.pause()
-        assert session.state is MigrationState.PAUSED
-        submitted = session.chunks_submitted
-        cluster.run_until(cluster.kernel.now + 50_000.0)
-        assert session.chunks_submitted == submitted  # held while paused
-
-        controller.resume()
-        cluster.run_until_quiescent(60_000_000)
-        assert session.state is MigrationState.DONE
-        assert session.chunks_submitted == 5
-        assert session.chunks_orphaned == 0
-        placement = cluster.placement_snapshot()
-        assert all(k in placement[3] for k in range(50))
-        report = audit_placement(cluster, expected_total=NUM_KEYS)
-        assert report.ok, report.describe()
-
-    def test_resume_with_explicit_remainder(self):
-        cluster = build(CalvinRouter())
-        controller = MigrationController(cluster)
-        session = controller.start(range_chunks(0, 3, 0, 50, 10))
-        run_until_true(cluster, lambda: session.chunks_committed >= 1)
-        controller.pause()
-
-        keep, dropped = session.remaining[:1], session.remaining[1:]
-        assert len(dropped) == 3
-        controller.resume(keep)
-        cluster.run_until_quiescent(60_000_000)
-
-        assert session.state is MigrationState.DONE
-        assert session.chunks_submitted == 2
-        placement = cluster.placement_snapshot()
-        for chunk in dropped:  # the dropped tail never moved
-            assert all(k in placement[0] for k in chunk.keys)
-        report = audit_placement(cluster, expected_total=NUM_KEYS)
-        assert report.ok, report.describe()
-
-
 class TestTransitionGuards:
-    def test_pause_requires_running(self):
-        controller = MigrationController(build(CalvinRouter()))
-        with pytest.raises(ConfigurationError):
-            controller.pause()
-
-    def test_resume_requires_paused(self):
+    def test_terminal_sessions_refuse_every_transition(self):
         cluster = build(CalvinRouter())
         controller = MigrationController(cluster)
-        controller.start(range_chunks(0, 3, 0, 20, 10))
-        with pytest.raises(ConfigurationError):
-            controller.resume()
+        done = controller.start(range_chunks(0, 3, 0, 20, 10))
+        cluster.run_until_quiescent(60_000_000)
+        cancelled = controller.start(range_chunks(3, 0, 0, 20, 10))
+        controller.cancel()
+        assert done.state is MigrationState.DONE
+        assert cancelled.state is MigrationState.CANCELLED
+        for session in (done, cancelled):
+            ended = session.ended_at_us
+            for state in MigrationState:
+                with pytest.raises(ConfigurationError):
+                    session.transition(state)
+            assert session.terminal and session.ended_at_us == ended
 
     def test_illegal_direct_transition_rejected(self):
         cluster = build(CalvinRouter())
         plan = ColdMigrationPlan(())
         session = MigrationSession(1, plan, cluster)
+        assert session.state is MigrationState.RUNNING
+        session.transition(MigrationState.DONE)
         with pytest.raises(ConfigurationError):
-            session.transition(MigrationState.DONE)  # PLANNING -> DONE
+            session.transition(MigrationState.RUNNING)  # DONE -> RUNNING
 
 
 class TestSessionAudit:
@@ -341,15 +301,17 @@ class TestSessionAudit:
         cluster = build(CalvinRouter())
         controller = MigrationController(cluster)
         s1 = controller.start(range_chunks(0, 3, 0, 10, 10))
+        assert s1.state is MigrationState.RUNNING
+        assert s1.ended_at_us is None
         cluster.run_until_quiescent(60_000_000)
         s2 = controller.start(range_chunks(3, 0, 0, 10, 10))
         cluster.run_until_quiescent(60_000_000)
 
         assert (s1.generation, s2.generation) == (1, 2)
-        assert [state for _t, state in s1.history] == [
-            "planning", "running", "draining", "done"
-        ]
-        assert s1.ended_at_us is not None
+        for session in (s1, s2):
+            assert session.state is MigrationState.DONE
+            assert session.started_at_us < session.ended_at_us
+        assert s1.ended_at_us <= s2.started_at_us
         assert controller.chunks_submitted == 2  # cumulative over sessions
         assert controller.chunks_committed == 2
 

@@ -46,6 +46,12 @@ class TestReference:
             (t, txn.txn_id, txn.read_set) for t, txn in second
         ]
 
+    def test_arrivals_strictly_increase(self):
+        schedule = make_schedule(CFG, seed=1)
+        assert len(schedule) == CFG.num_txns
+        times = [at for at, _ in schedule]
+        assert all(b > a for a, b in zip(times, times[1:]))
+
     def test_reference_is_deterministic(self, harness):
         schedule, build, reference = harness
         again = run_reference(CFG, schedule, build)

@@ -1,4 +1,4 @@
-"""Mid-migration chaos: crash / failover / cancel-restart / pause-resume.
+"""Mid-migration chaos: crash / failover / cancel-restart.
 
 Each scenario disrupts a background range migration part-way through,
 finishes the run, and must converge to the undisturbed reference —
